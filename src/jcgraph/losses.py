@@ -5,14 +5,14 @@ cluster embeddings against the outer-product table of the node label and the
 cluster mean label, plus a symmetric term with the two roles exchanged.
 Inference marginalizes the predicted table over the cluster dimension.
 
-Every loss here returns the scalar value together with analytic gradients
-for the classifier and for the embedding matrix, including the mean-pooling
-flow through cluster embeddings (1/L_m per labeled member).
+All losses run through one training head that returns the value with analytic
+gradients for the classifier and the embeddings, including the mean-pooling
+flow through cluster means (1/L_m per labeled member); eval_pass is gradient-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -36,8 +36,7 @@ __all__ = [
     "jc_multilabel_loss",
     "predict_independent",
     "predict_joint",
-    "predict_in_context",
-    "predict_joint_multilabel",
+    "eval_pass",
 ]
 
 PROB_FLOOR = 1e-12
@@ -154,30 +153,135 @@ def _clf(params: Params):
     return params["clf_w"], params["clf_b"]
 
 
+def _label(u, v=None):
+    return u
+
+
+def _joint(u, v):
+    """Outer-product tables u v^T, flattened to c^2 entries per row."""
+    return (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
+
+
+def _joint_2x2(u, v):
+    """One 2x2 table [1-u, u] x [1-v, v] per binary task, shape (rows, c, 4)."""
+    return np.stack([(1 - u) * (1 - v), (1 - u) * v, u * (1 - v), u * v], axis=2)
+
+
+# loss kind -> streams (input order, target builder, softmax group size). Order
+# letters: z the node embedding, c its cluster mean, k the mean of a cluster
+# with labeled nodes (its rows are clusters, not nodes). A group size of None
+# is one softmax over the whole row, or per-class sigmoids on multi-label sets.
+# The first stream is the node-order one that predictions come from.
+STREAMS = {
+    "ce": (("z", _label, None),),
+    "mixup": (("z", _label, None), ("k", _label, None)),
+    "ic": (("zc", _label, None),),
+    "jc": (("zc", _joint, None), ("cz", _joint, None)),
+    "jc-multilabel": (("zc", _joint_2x2, 4), ("cz", _joint_2x2, 4)),
+}
+
+
+def _mask(mask) -> np.ndarray:
+    mask = np.asarray(mask, dtype=np.int64)
+    if mask.size == 0:
+        raise ValueError("empty mask")
+    return mask
+
+
+def _sources(embeddings, labels, rows, assign, stats) -> dict:
+    """(inputs, labels) blocks by order letter for the given node rows."""
+    src = {"z": (embeddings[rows], labels.matrix[rows])}
+    if assign is not None:
+        a, nz = assign.assign[rows], stats.counts > 0
+        src["c"] = (stats.zbar[a], stats.ybar[a])
+        src["k"] = (stats.zbar[nz], stats.ybar[nz])
+    return src
+
+
+def _forward(streams, src, w, b, labels, beta, ll=None, rows=slice(None)):
+    """Run each stream over the src rows; log-likelihoods only for src[rows].
+
+    Returns (order, input rows, target table, probabilities) per stream, the
+    node streams' per-row log-likelihoods summed onto ll, and the cluster
+    stream's beta-weighted loss (None without one, or when beta is 0).
+    """
+    outs, cluster = [], None
+    for order, target, group in streams:
+        if order == "k" and beta == 0.0:
+            continue
+        xs, ys = zip(*(src[ch] for ch in order))
+        x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
+        t = target(*(y[rows] for y in ys))
+        logits = x @ w + b
+        if labels.kind == "m" and group is None:
+            p = expit(logits)
+            r = t * _logp(p[rows]) + (1.0 - t) * _logp(1.0 - p[rows])
+        else:
+            p = _softmax(logits if group is None else logits.reshape(len(x), -1, group))
+            r = t * _logp(p[rows])
+        r = r.sum(axis=tuple(range(1, p.ndim)))
+        if order == "k":
+            cluster = beta * float(-r.mean())
+        else:
+            ll = r if ll is None else ll + r
+        outs.append((order, x, t, p))
+    return outs, ll, cluster
+
+
+def _value(ll: np.ndarray, cluster: float | None) -> float:
+    value = float(-ll.mean())
+    return value if cluster is None else value + cluster
+
+
+def _add(acc: dict, key: str, v: np.ndarray) -> None:
+    acc[key] = acc[key] + v if key in acc else v
+
+
+def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=None,
+          detach_cluster=False, beta=0.0) -> LossResult:
+    """The training head behind every *_loss: value and analytic gradients.
+
+    Node streams are summed per node and averaged over the mask; the cluster
+    stream (mixup) is averaged over clusters with labeled nodes and weighted
+    by beta. Gradients of c and k blocks reach the embeddings through the
+    cluster means unless detach_cluster is set. dlogits_node holds the first
+    stream's logit gradient, dlogits_cluster the swapped (cz) stream's.
+    """
+    need = {"ce": labels.kind, "jc-multilabel": "m"}.get(kind, "s")
+    if labels.kind != need:
+        raise ValueError(f"{kind} loss requires a {'multi' if need == 'm' else 'single'}-label task")
+    w, b = _clf(classifier)
+    mask = _mask(train_mask)
+    outs, ll, cluster = _forward(STREAMS[kind], _sources(embeddings, labels, mask, assign, stats),
+                                 w, b, labels, beta)
+    acc, dls = {}, {}
+    for order, x, t, p in outs:
+        dl = beta * (p - t) / len(x) if order == "k" else (p - t) / mask.size
+        dls[order] = dl = dl.reshape(len(x), -1)
+        for ch, part in zip(order, np.split(dl @ w.T, len(order), axis=1)):
+            _add(acc, ch, part)
+        _add(acc, "clf_w", x.T @ dl)
+        _add(acc, "clf_b", dl.sum(axis=0))
+
+    d_emb = np.zeros_like(embeddings)
+    np.add.at(d_emb, mask, acc["z"])
+    if not detach_cluster and ("c" in acc or "k" in acc):
+        d_zbar = np.zeros_like(stats.zbar)
+        for ch, clusters in (("c", assign.assign[mask]), ("k", np.flatnonzero(stats.counts > 0))):
+            if ch in acc:
+                np.add.at(d_zbar, clusters, acc[ch])
+        scatter_cluster_grad(d_zbar, assign, mask, stats.counts, d_emb)
+    grads = {"clf_w": acc["clf_w"], "clf_b": acc["clf_b"]}
+    return LossResult(_value(ll, cluster), d_emb, grads, dls[outs[0][0]], dls.get("cz"))
+
+
 def ce_loss(classifier: Params, embeddings: np.ndarray, labels: LabelSet,
             train_mask: np.ndarray) -> LossResult:
     """Independent cross-entropy, mean over the mask.
 
     Multi-label sets use per-class sigmoid cross-entropy.
     """
-    w, b = _clf(classifier)
-    mask = np.asarray(train_mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty mask")
-    n = mask.size
-    logits = embeddings[mask] @ w + b
-    y = labels.matrix[mask]
-    if labels.kind == "s":
-        p = _softmax(logits)
-        value = float(-(y * _logp(p)).sum(axis=1).mean())
-    else:
-        p = expit(logits)
-        value = float(-(y * _logp(p) + (1.0 - y) * _logp(1.0 - p)).sum(axis=1).mean())
-    dlogits = (p - y) / n
-    d_emb = np.zeros_like(embeddings)
-    d_emb[mask] = dlogits @ w.T
-    grads = {"clf_w": embeddings[mask].T @ dlogits, "clf_b": dlogits.sum(axis=0)}
-    return LossResult(value, d_emb, grads)
+    return _head("ce", classifier, embeddings, labels, train_mask)
 
 
 def jc_loss(classifier: Params, embeddings: np.ndarray, labels: LabelSet,
@@ -188,76 +292,16 @@ def jc_loss(classifier: Params, embeddings: np.ndarray, labels: LabelSet,
     Per node: target y ybar^T against softmax(g(con(z, zbar))) plus target
     ybar y^T against softmax(g(con(zbar, z))), averaged over the mask.
     """
-    if labels.kind != "s":
-        raise ValueError("jc_loss requires a single-label task")
-    w, b = _clf(classifier)
-    mask = np.asarray(train_mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty mask")
-    n = mask.size
-    c = labels.num_classes
-    h = embeddings.shape[1]
-    a = assign.assign[mask]
-
-    zi = embeddings[mask]
-    zc = stats.zbar[a]
-    con1 = np.concatenate([zi, zc], axis=1)
-    con2 = np.concatenate([zc, zi], axis=1)
-    p1 = _softmax(con1 @ w + b)
-    p2 = _softmax(con2 @ w + b)
-
-    y = labels.matrix[mask]
-    yb = stats.ybar[a]
-    t1 = (y[:, :, None] * yb[:, None, :]).reshape(n, c * c)
-    t2 = (yb[:, :, None] * y[:, None, :]).reshape(n, c * c)
-
-    value = float(-((t1 * _logp(p1)).sum(axis=1) + (t2 * _logp(p2)).sum(axis=1)).mean())
-    dl1 = (p1 - t1) / n
-    dl2 = (p2 - t2) / n
-
-    dcon1 = dl1 @ w.T
-    dcon2 = dl2 @ w.T
-    d_emb = np.zeros_like(embeddings)
-    np.add.at(d_emb, mask, dcon1[:, :h] + dcon2[:, h:])
-    if not detach_cluster:
-        d_zbar = np.zeros_like(stats.zbar)
-        np.add.at(d_zbar, a, dcon1[:, h:] + dcon2[:, :h])
-        scatter_cluster_grad(d_zbar, assign, mask, stats.counts, d_emb)
-
-    grads = {
-        "clf_w": con1.T @ dl1 + con2.T @ dl2,
-        "clf_b": dl1.sum(axis=0) + dl2.sum(axis=0),
-    }
-    return LossResult(value, d_emb, grads, dlogits_node=dl1, dlogits_cluster=dl2)
+    return _head("jc", classifier, embeddings, labels, train_mask, assign, stats,
+                 detach_cluster)
 
 
 def ic_loss(classifier: Params, embeddings: np.ndarray, stats: ClusterStats,
             labels: LabelSet, train_mask: np.ndarray, assign: ClusterAssignment,
             detach_cluster: bool = False) -> LossResult:
     """In-context baseline: plain CE on c logits from con(z, zbar)."""
-    if labels.kind != "s":
-        raise ValueError("ic_loss requires a single-label task")
-    w, b = _clf(classifier)
-    mask = np.asarray(train_mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty mask")
-    n = mask.size
-    h = embeddings.shape[1]
-    a = assign.assign[mask]
-    con = np.concatenate([embeddings[mask], stats.zbar[a]], axis=1)
-    p = _softmax(con @ w + b)
-    y = labels.matrix[mask]
-    value = float(-(y * _logp(p)).sum(axis=1).mean())
-    dlogits = (p - y) / n
-    dcon = dlogits @ w.T
-    d_emb = np.zeros_like(embeddings)
-    np.add.at(d_emb, mask, dcon[:, :h])
-    if not detach_cluster:
-        d_zbar = np.zeros_like(stats.zbar)
-        np.add.at(d_zbar, a, dcon[:, h:])
-        scatter_cluster_grad(d_zbar, assign, mask, stats.counts, d_emb)
-    grads = {"clf_w": con.T @ dlogits, "clf_b": dlogits.sum(axis=0)}
-    return LossResult(value, d_emb, grads)
+    return _head("ic", classifier, embeddings, labels, train_mask, assign, stats,
+                 detach_cluster)
 
 
 def mixup_loss(classifier: Params, embeddings: np.ndarray, stats: ClusterStats,
@@ -268,32 +312,10 @@ def mixup_loss(classifier: Params, embeddings: np.ndarray, stats: ClusterStats,
     The cluster term targets the soft mean label ybar and averages over
     clusters that contain labeled nodes.
     """
-    if labels.kind != "s":
-        raise ValueError("mixup_loss requires a single-label task")
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    base = ce_loss(classifier, embeddings, labels, train_mask)
-    if beta == 0.0:
-        return base
-    w, b = _clf(classifier)
-    nz = np.flatnonzero(stats.counts > 0)
-    zb = stats.zbar[nz]
-    yb = stats.ybar[nz]
-    k = nz.size
-    pc = _softmax(zb @ w + b)
-    cluster_value = float(-(yb * _logp(pc)).sum(axis=1).mean())
-    dlc = beta * (pc - yb) / k
-    d_zbar = np.zeros_like(stats.zbar)
-    d_zbar[nz] = dlc @ w.T
-    d_emb = base.d_embeddings
-    if not detach_cluster:
-        scatter_cluster_grad(d_zbar, assign, np.asarray(train_mask, dtype=np.int64),
-                             stats.counts, d_emb)
-    grads = {
-        "clf_w": base.clf_grads["clf_w"] + zb.T @ dlc,
-        "clf_b": base.clf_grads["clf_b"] + dlc.sum(axis=0),
-    }
-    return LossResult(base.value + beta * cluster_value, d_emb, grads)
+    return _head("mixup", classifier, embeddings, labels, train_mask, assign, stats,
+                 detach_cluster, beta)
 
 
 def jc_multilabel_loss(classifier: Params, embeddings: np.ndarray, labels: LabelSet,
@@ -305,47 +327,34 @@ def jc_multilabel_loss(classifier: Params, embeddings: np.ndarray, labels: Label
     [1-y_t, y_t] and [1-ybar_t, ybar_t]; the symmetric swapped-order term is
     included as in the single-label loss. The classifier emits 4c logits.
     """
-    if labels.kind != "m":
-        raise ValueError("jc_multilabel_loss requires a multi-label task")
+    return _head("jc-multilabel", classifier, embeddings, labels, train_mask, assign,
+                 stats, detach_cluster)
+
+
+def eval_pass(kind: str, classifier: Params, embeddings: np.ndarray, labels: LabelSet,
+              splits: list, assign: ClusterAssignment | None = None,
+              stats: ClusterStats | None = None,
+              beta: float = 0.0) -> tuple[np.ndarray, list[float]]:
+    """Class probabilities of every node and the loss value on each split.
+
+    The values equal <kind>_loss(...).value on each split, with no gradient
+    work: the first stream's logits run once over all nodes and give the
+    predictions; loss terms and other streams cover only the split rows.
+    """
     w, b = _clf(classifier)
-    mask = np.asarray(train_mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty mask")
-    n = mask.size
-    c = labels.num_classes
-    h = embeddings.shape[1]
-    a = assign.assign[mask]
-
-    zi = embeddings[mask]
-    zc = stats.zbar[a]
-    con1 = np.concatenate([zi, zc], axis=1)
-    con2 = np.concatenate([zc, zi], axis=1)
-    p1 = _softmax((con1 @ w + b).reshape(n, c, 4))
-    p2 = _softmax((con2 @ w + b).reshape(n, c, 4))
-
-    y = labels.matrix[mask]
-    yb = stats.ybar[a]
-    t1 = np.stack([(1 - y) * (1 - yb), (1 - y) * yb, y * (1 - yb), y * yb], axis=2)
-    t2 = np.stack([(1 - yb) * (1 - y), (1 - yb) * y, yb * (1 - y), yb * y], axis=2)
-
-    value = float(-((t1 * _logp(p1)).sum(axis=(1, 2)) + (t2 * _logp(p2)).sum(axis=(1, 2))).mean())
-    dl1 = ((p1 - t1) / n).reshape(n, 4 * c)
-    dl2 = ((p2 - t2) / n).reshape(n, 4 * c)
-
-    dcon1 = dl1 @ w.T
-    dcon2 = dl2 @ w.T
-    d_emb = np.zeros_like(embeddings)
-    np.add.at(d_emb, mask, dcon1[:, :h] + dcon2[:, h:])
-    if not detach_cluster:
-        d_zbar = np.zeros_like(stats.zbar)
-        np.add.at(d_zbar, a, dcon1[:, h:] + dcon2[:, :h])
-        scatter_cluster_grad(d_zbar, assign, mask, stats.counts, d_emb)
-
-    grads = {
-        "clf_w": con1.T @ dl1 + con2.T @ dl2,
-        "clf_b": dl1.sum(axis=0) + dl2.sum(axis=0),
-    }
-    return LossResult(value, d_emb, grads, dlogits_node=dl1, dlogits_cluster=dl2)
+    splits = [_mask(s) for s in splits]
+    rows = np.unique(np.concatenate(splits))
+    first, *rest = STREAMS[kind]
+    every = _sources(embeddings, labels, slice(None), assign, stats)
+    [(_, _, _, p)], ll, _ = _forward([first], every, w, b, labels, beta, rows=rows)
+    _, ll, cluster = _forward(rest, _sources(embeddings, labels, rows, assign, stats),
+                              w, b, labels, beta, ll)
+    values = [_value(ll[np.searchsorted(rows, s)], cluster) for s in splits]
+    if kind == "jc":
+        p = p.reshape(len(p), -1, labels.num_classes).sum(axis=2)
+    elif kind == "jc-multilabel":
+        p = p[:, :, 2] + p[:, :, 3]
+    return p, values
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +375,3 @@ def predict_joint(classifier: Params, embeddings: np.ndarray, assign: ClusterAss
     con = np.concatenate([embeddings, stats.zbar[assign.assign]], axis=1)
     p = _softmax(con @ w + b)
     return p.reshape(-1, c, c).sum(axis=2)
-
-
-def predict_in_context(classifier: Params, embeddings: np.ndarray,
-                       assign: ClusterAssignment, stats: ClusterStats) -> np.ndarray:
-    w, b = _clf(classifier)
-    con = np.concatenate([embeddings, stats.zbar[assign.assign]], axis=1)
-    return _softmax(con @ w + b)
-
-
-def predict_joint_multilabel(classifier: Params, embeddings: np.ndarray,
-                             assign: ClusterAssignment, stats: ClusterStats) -> np.ndarray:
-    """Per-task probability of the positive class, marginalized per 2x2 block."""
-    w, b = _clf(classifier)
-    c = w.shape[1] // 4
-    con = np.concatenate([embeddings, stats.zbar[assign.assign]], axis=1)
-    p = _softmax((con @ w + b).reshape(-1, c, 4))
-    return p[:, :, 2] + p[:, :, 3]

@@ -346,16 +346,16 @@ def adam_step(params: Params, grads: dict, state: dict, *, lr: float,
 # checkpoint I/O: text header with the spec fields, then row-major tensors
 
 
+# header lines after the magic line, in file order, with their parsers
+CHECKPOINT_HEADER = (("encoder", str), ("layers", int), ("hidden", int), ("in_dim", int),
+                     ("num_classes", int), ("dropout", float), ("classifier", str))
+
+
 def save_checkpoint(path, spec: ModelSpec, params: Params) -> None:
     with open(Path(path), "w", newline="\n") as f:
         f.write("jcgraph-checkpoint 1\n")
-        f.write(f"encoder {spec.encoder}\n")
-        f.write(f"layers {spec.layers}\n")
-        f.write(f"hidden {spec.hidden}\n")
-        f.write(f"in_dim {spec.in_dim}\n")
-        f.write(f"num_classes {spec.num_classes}\n")
-        f.write(f"dropout {spec.dropout!r}\n")
-        f.write(f"classifier {spec.classifier}\n")
+        for key, _ in CHECKPOINT_HEADER:
+            f.write(f"{key} {getattr(spec, key)}\n")
         for name, v in params.tensors.items():
             dims = " ".join(str(d) for d in v.shape)
             f.write(f"tensor {name} {v.ndim} {dims}\n")
@@ -366,38 +366,55 @@ def save_checkpoint(path, spec: ModelSpec, params: Params) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, Params]:
-    lines = Path(path).read_text().split("\n")
-    if not lines or lines[0] != "jcgraph-checkpoint 1":
-        raise ValueError(f"{path}: not a checkpoint file")
+    """Read a checkpoint; a malformed or truncated file raises
+    ValueError("{path}:{line}: ...")."""
+    lines = Path(path).read_text().splitlines()
+
+    def fail(i, msg):
+        raise ValueError(f"{path}:{i + 1}: {msg}")
+
+    def line(i):
+        if i >= len(lines):
+            fail(i, "truncated checkpoint")
+        return lines[i]
+
+    if line(0) != "jcgraph-checkpoint 1":
+        fail(0, "not a checkpoint file")
     head = {}
-    i = 1
-    for _ in range(7):
-        key, val = lines[i].split(" ", 1)
-        head[key] = val
-        i += 1
-    spec = ModelSpec(
-        encoder=head["encoder"],
-        layers=int(head["layers"]),
-        hidden=int(head["hidden"]),
-        in_dim=int(head["in_dim"]),
-        num_classes=int(head["num_classes"]),
-        dropout=float(head["dropout"]),
-        classifier=head["classifier"],
-    )
+    for i, (key, parse) in enumerate(CHECKPOINT_HEADER, start=1):
+        found, _, val = line(i).partition(" ")
+        if found != key:
+            fail(i, f"expected header key {key!r}, got {lines[i]!r}")
+        try:
+            head[key] = parse(val)
+        except ValueError:
+            fail(i, f"bad value for {key}: {val!r}")
+    try:
+        spec = ModelSpec(**head)
+    except ValueError as e:
+        fail(1, f"bad model header: {e}")
     tensors = {}
-    while i < len(lines) and lines[i] != "end":
+    i = len(CHECKPOINT_HEADER) + 1
+    while line(i) != "end":
         toks = lines[i].split()
-        if toks[0] != "tensor":
-            raise ValueError(f"{path}: expected tensor block at line {i + 1}")
-        name, ndim = toks[1], int(toks[2])
-        shape = tuple(int(t) for t in toks[3:3 + ndim])
-        i += 1
+        try:
+            name, ndim = toks[1], int(toks[2])
+            shape = tuple(int(t) for t in toks[3:])
+        except (IndexError, ValueError):
+            ndim, shape = -1, ()
+        if toks[:1] != ["tensor"] or len(shape) != ndim or min(shape, default=0) < 0:
+            fail(i, f"expected 'tensor <name> <ndim> <dims>', got {lines[i]!r}")
         nrows = shape[0] if ndim == 2 else 1
+        width = int(np.prod(shape)) // nrows if nrows else 0
         vals = []
-        for _ in range(nrows):
-            vals.append([float(t) for t in lines[i].split()])
-            i += 1
+        for r in range(i + 1, i + 1 + nrows):
+            toks = line(r).split()
+            try:
+                vals.append([float(t) for t in toks])
+            except ValueError:
+                fail(r, "bad tensor value")
+            if len(vals[-1]) != width:
+                fail(r, f"expected {width} values, got {len(vals[-1])}")
         tensors[name] = np.asarray(vals, dtype=np.float64).reshape(shape)
-    if i >= len(lines) or lines[i] != "end":
-        raise ValueError(f"{path}: truncated checkpoint")
+        i += 1 + nrows
     return spec, Params(tensors)

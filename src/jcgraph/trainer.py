@@ -3,8 +3,8 @@ validation score, evaluation, and multi-seed aggregation.
 
 Training is full batch. Cluster statistics are recomputed from the current
 epoch's embeddings (gradients flow through them unless detach_cluster is
-set), and recomputed once more from the final checkpoint's embeddings for
-inference, always over labeled nodes only.
+set), and from each evaluated model's embeddings for inference, always
+over labeled nodes only.
 """
 
 from __future__ import annotations
@@ -82,6 +82,10 @@ class TrainConfig:
             raise ValueError("beta must be >= 0")
         if LOSS_KINDS[self.loss][1] and self.num_clusters < 1:
             raise ValueError("cluster-based losses need num_clusters >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
 
 
 @dataclass
@@ -124,6 +128,8 @@ def _validate(cfg: TrainConfig, data: Dataset) -> None:
         raise ValueError("spec.in_dim does not match the dataset")
     if cfg.spec.num_classes != data.labels.num_classes:
         raise ValueError("spec.num_classes does not match the dataset")
+    if data.masks.test.size == 0:
+        raise ValueError("the dataset's test mask is empty")
 
 
 def make_partition(cfg: TrainConfig, data: Dataset) -> ClusterAssignment:
@@ -142,27 +148,22 @@ def make_partition(cfg: TrainConfig, data: Dataset) -> ClusterAssignment:
 def _loss_on(cfg, params, z, data, mask, assign, stats) -> losses.LossResult:
     if cfg.loss == "ce":
         return losses.ce_loss(params, z, data.labels, mask)
-    if cfg.loss == "jc":
-        return losses.jc_loss(params, z, data.labels, mask, assign, stats,
-                              detach_cluster=cfg.detach_cluster)
     if cfg.loss == "ic":
         return losses.ic_loss(params, z, stats, data.labels, mask, assign,
                               detach_cluster=cfg.detach_cluster)
     if cfg.loss == "mixup":
         return losses.mixup_loss(params, z, stats, data.labels, mask, assign,
                                  cfg.beta, detach_cluster=cfg.detach_cluster)
-    return losses.jc_multilabel_loss(params, z, data.labels, mask, assign, stats,
-                                     detach_cluster=cfg.detach_cluster)
+    joint = losses.jc_loss if cfg.loss == "jc" else losses.jc_multilabel_loss
+    return joint(params, z, data.labels, mask, assign, stats, detach_cluster=cfg.detach_cluster)
 
 
-def _predict_all(cfg, params, z, data, assign, stats) -> np.ndarray:
-    if cfg.loss in ("ce", "mixup"):
-        return losses.predict_independent(params, z, data.labels.kind)
-    if cfg.loss == "jc":
-        return losses.predict_joint(params, z, assign, stats)
-    if cfg.loss == "ic":
-        return losses.predict_in_context(params, z, assign, stats)
-    return losses.predict_joint_multilabel(params, z, assign, stats)
+def _eval_pass(cfg, params, adj, data, assign, splits, stats=None):
+    """Predictions for every node and the loss on each split: the one eval path."""
+    z, _ = encoder_forward(cfg.spec, params, adj, data.features, train_mode=False)
+    if assign is not None and stats is None:
+        stats = losses.cluster_stats(z, data.labels, data.masks.train, assign)
+    return losses.eval_pass(cfg.loss, params, z, data.labels, splits, assign, stats, cfg.beta)
 
 
 def _split_score(probs, data, mask) -> float:
@@ -175,8 +176,6 @@ def _split_score(probs, data, mask) -> float:
 
 
 def _split_metrics(probs, data, mask, ece_bins) -> dict:
-    if mask.size == 0:
-        raise ValueError("empty split")
     if data.labels.kind == "s":
         batch = PredictionBatch(probs[mask], data.labels.class_index()[mask], mask)
         micro, macro, weighted = f1_scores(batch)
@@ -205,29 +204,18 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
     params = init_params(spec, cfg.seed)
     state = init_adam_state(params)
 
-    eval_epochs: list[int] = []
-    curve_train, curve_val, curve_test, curve_val_acc = [], [], [], []
-    best_score, best_epoch, best_params = -np.inf, 0, params.copy()
+    curves = {"eval_epochs": [], "train_loss": [], "val_loss": [], "test_loss": [], "val_acc": []}
+    best_score, best_epoch, best_params, best_probs = -np.inf, 0, params.copy(), None
 
     def run_eval(epoch, current):
-        nonlocal best_score, best_epoch, best_params
-        z, _ = encoder_forward(spec, current, adj, data.features, train_mode=False)
-        stats = (losses.cluster_stats(z, data.labels, masks.train, assign)
-                 if assign is not None else None)
-        probs = _predict_all(cfg, current, z, data, assign, stats)
-        tr = _loss_on(cfg, current, z, data, masks.train, assign, stats).value
-        va = (_loss_on(cfg, current, z, data, val_mask, assign, stats).value
-              if val_mask.size else float("nan"))
-        te = (_loss_on(cfg, current, z, data, masks.test, assign, stats).value
-              if masks.test.size else float("nan"))
+        nonlocal best_score, best_epoch, best_params, best_probs
+        probs, values = _eval_pass(cfg, current, adj, data, assign,
+                                   [masks.train, val_mask, masks.test])
         score = _split_score(probs, data, val_mask)
-        eval_epochs.append(epoch)
-        curve_train.append(tr)
-        curve_val.append(va)
-        curve_test.append(te)
-        curve_val_acc.append(score)
+        for curve, v in zip(curves.values(), (epoch, *values, score)):
+            curve.append(v)
         if score > best_score:
-            best_score, best_epoch, best_params = score, epoch, current.copy()
+            best_score, best_epoch, best_params, best_probs = score, epoch, current.copy(), probs
 
     t0 = time.perf_counter()
     if cfg.epochs == 0:
@@ -247,27 +235,11 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             run_eval(epoch, params)
     seconds = (time.perf_counter() - t0) / max(1, cfg.epochs)
+    # the best epoch's predictions are those of the checkpointed parameters
+    test = _split_metrics(best_probs, data, masks.test, cfg.ece_bins)
 
-    z, _ = encoder_forward(spec, best_params, adj, data.features, train_mode=False)
-    stats = (losses.cluster_stats(z, data.labels, masks.train, assign)
-             if assign is not None else None)
-    probs = _predict_all(cfg, best_params, z, data, assign, stats)
-    test = _split_metrics(probs, data, masks.test, cfg.ece_bins)
-
-    result = RunResult(
-        best_val_epoch=best_epoch,
-        test_acc=test["acc"],
-        test_f1_micro=test["f1_micro"],
-        test_f1_macro=test["f1_macro"],
-        test_f1_weighted=test["f1_weighted"],
-        test_ece=test["ece"],
-        eval_epochs=eval_epochs,
-        train_loss=curve_train,
-        val_loss=curve_val,
-        test_loss=curve_test,
-        val_acc=curve_val_acc,
-        seconds_per_epoch=seconds,
-    )
+    result = RunResult(best_val_epoch=best_epoch, seconds_per_epoch=seconds, **curves,
+                       **{f"test_{k}": v for k, v in test.items()})
     return result, best_params
 
 
@@ -281,13 +253,8 @@ def evaluate(params: Params, cfg: TrainConfig, data: Dataset,
     adj = normalize_adjacency(data.graph) if _needs_adj(cfg.spec) else None
     if _needs_clusters(cfg.loss) and assign is None:
         assign = make_partition(cfg, data)
-    z, _ = encoder_forward(cfg.spec, params, adj, data.features, train_mode=False)
-    if _needs_clusters(cfg.loss) and stats is None:
-        stats = losses.cluster_stats(z, data.labels, data.masks.train, assign)
-    probs = _predict_all(cfg, params, z, data, assign, stats)
-    out = _split_metrics(probs, data, split, cfg.ece_bins)
-    out["loss"] = _loss_on(cfg, params, z, data, split, assign, stats).value
-    return out
+    probs, (loss,) = _eval_pass(cfg, params, adj, data, assign, [split], stats)
+    return {**_split_metrics(probs, data, split, cfg.ece_bins), "loss": loss}
 
 
 METRIC_KEYS = ("test_acc", "test_f1_micro", "test_f1_macro", "test_f1_weighted", "test_ece")

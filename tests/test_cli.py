@@ -132,6 +132,15 @@ class TestTrainCmd:
         assert main(["train", str(cfgf)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,key", [("--eval-every", "0", "eval_every"),
+                                                ("--epochs", "-1", "epochs")])
+    def test_bad_epoch_counts_exit_2(self, sbm_dir, tmp_path, capsys, flag, value, key):
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", epochs=3, hidden=8)
+        assert main(["train", str(cfgf), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and key in err
+        assert not (tmp_path / "r.result").exists()
+
     def test_runtime_failure_exit_1(self, sbm_dir, tmp_path, monkeypatch):
         import jcgraph.cli as cli_mod
         def boom(cfg, data):

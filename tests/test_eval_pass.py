@@ -1,0 +1,100 @@
+"""Properties of the value-only eval pass against the training losses."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
+
+from jcgraph import losses
+from jcgraph.graph import LabelSet, normalize_adjacency
+from jcgraph.nn import ModelSpec, encoder_forward, init_params
+from jcgraph.partition import ClusterAssignment
+from jcgraph.trainer import LOSS_KINDS
+
+from conftest import rng_graph
+
+
+def softmax(x):
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_probs(kind, params, z, assign, stats, label_kind):
+    """The per-kind predictors the eval pass replaced, written out."""
+    w, b = params["clf_w"], params["clf_b"]
+    if kind in ("ce", "mixup"):
+        return losses.predict_independent(params, z, label_kind)
+    if kind == "jc":
+        return losses.predict_joint(params, z, assign, stats)
+    logits = np.concatenate([z, stats.zbar[assign.assign]], axis=1) @ w + b
+    if kind == "ic":
+        return softmax(logits)
+    p = softmax(logits.reshape(len(z), -1, 4))
+    return p[:, :, 2] + p[:, :, 3]
+
+
+def loss_value(kind, params, z, labels, mask, assign, stats, beta):
+    if kind == "ce":
+        return losses.ce_loss(params, z, labels, mask).value
+    if kind == "jc":
+        return losses.jc_loss(params, z, labels, mask, assign, stats).value
+    if kind == "ic":
+        return losses.ic_loss(params, z, stats, labels, mask, assign).value
+    if kind == "mixup":
+        return losses.mixup_loss(params, z, stats, labels, mask, assign, beta).value
+    return losses.jc_multilabel_loss(params, z, labels, mask, assign, stats).value
+
+
+def random_case(seed, kind, multilabel):
+    """A random small graph, its gcn embeddings, labels, masks and a partition
+    with at least one cluster that holds no labeled node."""
+    rng = np.random.default_rng(seed)
+    n, c, m = int(rng.integers(8, 30)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    graph = rng_graph(rng, n, 0.3)
+    spec = ModelSpec("gcn", 1, 3, 4, c, 0.0, LOSS_KINDS[kind][0])
+    params = init_params(spec, seed)
+    params["clf_b"] = rng.normal(size=params["clf_b"].shape)
+    features = rng.normal(size=(n, 4))
+    z, _ = encoder_forward(spec, params, normalize_adjacency(graph), features, train_mode=False)
+    if multilabel:
+        labels = LabelSet(c, "m", (rng.random((n, c)) < 0.4).astype(float))
+    else:
+        labels = LabelSet(c, "s", np.eye(c)[rng.integers(0, c, n)])
+    order = rng.permutation(n)
+    train = np.sort(order[:int(rng.integers(1, n // 2))])
+    rest = order[train.size:]
+    ids = rng.integers(0, m - 1, n)
+    ids[rest[:int(rng.integers(1, rest.size + 1))]] = m - 1
+    assign = ClusterAssignment(m, ids)
+    others = [np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False)) for _ in range(2)]
+    return params, z, labels, train, others, assign
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(LOSS_KINDS)),
+       multilabel=st.booleans(), beta=st.sampled_from([0.0, 0.5, 1.3]))
+def test_eval_pass_matches_losses_and_predictors(seed, kind, multilabel, beta):
+    multilabel = kind == "jc-multilabel" or (kind == "ce" and multilabel)
+    params, z, labels, train, others, assign = random_case(seed, kind, multilabel)
+    stats = losses.cluster_stats(z, labels, train, assign)
+    assert (stats.counts == 0).any()
+    if kind == "ce":
+        assign, stats = None, None
+    splits = [train, *others]
+    probs, values = losses.eval_pass(kind, params, z, labels, splits, assign, stats, beta)
+    for mask, value in zip(splits, values):
+        ref = loss_value(kind, params, z, labels, mask, assign, stats, beta)
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+    expected = reference_probs(kind, params, z, assign, stats, labels.kind)
+    np.testing.assert_array_equal(probs, expected)
+
+
+def test_eval_pass_rejects_empty_split(easy_sbm):
+    spec = ModelSpec("mlp", 1, 4, 8, 4, 0.0, "independent")
+    params = init_params(spec, 0)
+    z = np.zeros((easy_sbm.num_nodes, 4))
+    with pytest.raises(ValueError, match="empty"):
+        losses.eval_pass("ce", params, z, easy_sbm.labels,
+                         [easy_sbm.masks.train, np.array([], dtype=np.int64)])

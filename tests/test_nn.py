@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,26 @@ class TestCheckpoint:
         (tmp_path / "x.ckpt").write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "x.ckpt")
+
+    def test_truncated_at_every_line_names_file_and_line(self, tmp_path):
+        spec = ModelSpec("gcn", 2, 3, 4, 2, 0.5, "joint")
+        save_checkpoint(tmp_path / "m.ckpt", spec, init_params(spec, 0))
+        lines = (tmp_path / "m.ckpt").read_text().splitlines(keepends=True)
+        cut = tmp_path / "cut.ckpt"
+        for k in range(len(lines)):
+            cut.write_text("".join(lines[:k]))
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(cut))}:\d+: "):
+                load_checkpoint(cut)
+
+    @pytest.mark.parametrize("line,bad", [(2, "layers"), (2, "layersx 2"), (2, "layers two"),
+                                          (6, "dropout"), (8, "tensor enc_w0 2 4"),
+                                          (9, "0.1 zz 0.3")])
+    def test_malformed_line_names_file_and_line(self, tmp_path, line, bad):
+        spec = ModelSpec("gcn", 2, 3, 4, 2, 0.5, "joint")
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, spec, init_params(spec, 0))
+        lines = path.read_text().splitlines()
+        lines[line] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line + 1}: "):
+            load_checkpoint(path)

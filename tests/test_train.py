@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import jcgraph.trainer as train_mod
-from jcgraph.graph import gen_sbm
+from jcgraph.graph import Dataset, SplitMasks, gen_sbm
 from jcgraph.losses import LossResult
 from jcgraph.metrics import loss_gap
 from jcgraph.nn import ModelSpec
@@ -79,6 +79,17 @@ class TestTrainLoop:
         monkeypatch.setattr(train_mod.losses, "ce_loss", bad_loss)
         with pytest.raises(TrainingError, match="epoch 1"):
             train(gcn_cfg(easy_sbm, epochs=5), easy_sbm)
+
+    def test_empty_test_mask_rejected_before_any_work(self, easy_sbm, monkeypatch):
+        masks = SplitMasks(easy_sbm.masks.train, easy_sbm.masks.val, np.array([], dtype=np.int64))
+        data = Dataset(easy_sbm.graph, easy_sbm.features, easy_sbm.labels, masks)
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the test mask was checked")
+        for name in ("encoder_forward", "normalize_adjacency", "partition_metis_like"):
+            monkeypatch.setattr(train_mod, name, never)
+        with pytest.raises(ValueError, match="test mask is empty"):
+            train(gcn_cfg(data, loss="jc"), data)
 
     def test_clusters_from_file(self, easy_sbm, tmp_path):
         a = ClusterAssignment(4, np.arange(200, dtype=np.int64) % 4)
