@@ -9,6 +9,7 @@ all indices int64.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,8 +81,8 @@ class Graph:
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        return cls(num_nodes, np.cumsum(indptr), cols)
+        indptr[1:] = np.cumsum(np.bincount(rows, minlength=num_nodes))
+        return cls(num_nodes, indptr, cols)
 
     @property
     def num_edges(self) -> int:
@@ -153,18 +154,15 @@ def normalize_adjacency(g: Graph) -> NormAdj:
     n = g.num_nodes
     deg = g.degrees()
     dinv = 1.0 / np.sqrt(deg.astype(np.float64) + 1.0)
-    counts = deg + 1
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(counts)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for u in range(n):
-        row = g.neighbors(u)
-        pos = int(np.searchsorted(row, u))
-        out = indices[indptr[u]:indptr[u + 1]]
-        out[:pos] = row[:pos]
-        out[pos] = u
-        out[pos + 1:] = row[pos:]
-    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+    indptr[1:] = np.cumsum(deg + 1)
+    # neighbor lists are sorted and hold no self loop, so one sort by
+    # (row, col) puts each diagonal entry in its slot
+    diag = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([np.repeat(diag, deg), diag])
+    cols = np.concatenate([g.indices, diag])
+    order = np.lexsort((cols, rows))
+    rows, indices = rows[order], cols[order]
     values = dinv[rows] * dinv[indices]
     return NormAdj(n, indptr, indices, values)
 
@@ -235,21 +233,24 @@ def _ints(path, lineno, line, expect=None):
     return vals
 
 
-def load_dataset(path) -> Dataset:
-    """Load the four-file plain-text dataset directory.
+def _table(lines: list[str], dtype, shape: tuple[int, int]) -> np.ndarray | None:
+    """Parse whitespace-separated rows in one C-level pass.
 
-    Errors carry the offending file and line number. Duplicate edges are
-    dropped and counted in Dataset.duplicate_edges; self loops are rejected.
+    Returns None when numpy rejects a token, warns, or the table does not
+    have the expected shape (loadtxt skips blank lines). Callers then rerun
+    their per-line parser, which accepts exactly what int()/float() accept
+    and names the offending line.
     """
-    root = Path(path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
+    except (ValueError, Warning):
+        return None
+    return table if table.shape == shape else None
 
-    gpath = root / "graph.txt"
-    glines = _read_lines(gpath)
-    if not glines or not glines[0].strip():
-        raise DatasetFormatError(gpath, 1, "missing 'n m' header")
-    n, m = _ints(gpath, 1, glines[0], expect=2)
-    if n < 1 or m < 0:
-        raise DatasetFormatError(gpath, 1, f"bad header n={n} m={m}")
+
+def _edge_lines(gpath, glines, n, m) -> np.ndarray:
     pairs = np.empty((m, 2), dtype=np.int64)
     for i in range(m):
         lineno = i + 2
@@ -261,6 +262,63 @@ def load_dataset(path) -> Dataset:
         if not (0 <= u < n and 0 <= v < n):
             raise DatasetFormatError(gpath, lineno, f"edge ({u},{v}) out of range for n={n}")
         pairs[i] = (u, v)
+    return pairs
+
+
+def _feature_lines(fpath, flines, n, d) -> np.ndarray:
+    features = np.empty((n, d), dtype=np.float64)
+    for i in range(n):
+        lineno = i + 2
+        if lineno > len(flines):
+            raise DatasetFormatError(fpath, lineno, "file ends early")
+        toks = flines[lineno - 1].split()
+        if len(toks) != d:
+            raise DatasetFormatError(fpath, lineno, f"expected {d} values, got {len(toks)}")
+        try:
+            features[i] = [float(t) for t in toks]
+        except ValueError:
+            raise DatasetFormatError(fpath, lineno, "non-numeric feature value") from None
+    return features
+
+
+def _label_lines(lpath, llines, n, c, kind) -> np.ndarray:
+    """Class indices as (n, 1) for kind 's', 0/1 flags as (n, c) for 'm'."""
+    width = 1 if kind == "s" else c
+    table = np.empty((n, width), dtype=np.int64)
+    for i in range(n):
+        lineno = i + 2
+        if lineno > len(llines):
+            raise DatasetFormatError(lpath, lineno, "file ends early")
+        vals = _ints(lpath, lineno, llines[lineno - 1], expect=width)
+        if kind == "s" and not 0 <= vals[0] < c:
+            raise DatasetFormatError(lpath, lineno, f"class index {vals[0]} out of range for c={c}")
+        if kind == "m" and any(f not in (0, 1) for f in vals):
+            raise DatasetFormatError(lpath, lineno, "non-binary label entries")
+        table[i] = vals
+    return table
+
+
+def load_dataset(path) -> Dataset:
+    """Load the four-file plain-text dataset directory.
+
+    Errors carry the offending file and line number. Duplicate edges are
+    dropped and counted in Dataset.duplicate_edges; self loops are rejected.
+    Each table is parsed in one pass and checked with whole-array masks; the
+    per-line parsers run only to locate an error or to accept a token numpy
+    rejects (such as ``1_0``), so the result is the same either way.
+    """
+    root = Path(path)
+
+    gpath = root / "graph.txt"
+    glines = _read_lines(gpath)
+    if not glines or not glines[0].strip():
+        raise DatasetFormatError(gpath, 1, "missing 'n m' header")
+    n, m = _ints(gpath, 1, glines[0], expect=2)
+    if n < 1 or m < 0:
+        raise DatasetFormatError(gpath, 1, f"bad header n={n} m={m}")
+    pairs = _table(glines[1:m + 1], np.int64, (m, 2))
+    if pairs is None or (pairs[:, 0] == pairs[:, 1]).any() or (pairs < 0).any() or (pairs >= n).any():
+        pairs = _edge_lines(gpath, glines, n, m)
     uv = _unique_undirected(n, pairs)
     graph = Graph.from_undirected_pairs(n, uv)
     duplicates = m - uv.shape[0]
@@ -274,18 +332,9 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(fpath, 1, f"node count {fn} does not match graph.txt ({n})")
     if d < 1:
         raise DatasetFormatError(fpath, 1, f"bad feature dim {d}")
-    features = np.empty((n, d), dtype=np.float64)
-    for i in range(n):
-        lineno = i + 2
-        if lineno > len(flines):
-            raise DatasetFormatError(fpath, lineno, "file ends early")
-        toks = flines[lineno - 1].split()
-        if len(toks) != d:
-            raise DatasetFormatError(fpath, lineno, f"expected {d} values, got {len(toks)}")
-        try:
-            features[i] = [float(t) for t in toks]
-        except ValueError:
-            raise DatasetFormatError(fpath, lineno, "non-numeric feature value") from None
+    features = _table(flines[1:n + 1], np.float64, (n, d))
+    if features is None:
+        features = _feature_lines(fpath, flines, n, d)
     if not np.isfinite(features).all():
         raise DatasetFormatError(fpath, None, "non-finite feature values")
 
@@ -304,21 +353,15 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(lpath, 1, f"label kind must be 's' or 'm', got {kind!r}")
     if c < 1:
         raise DatasetFormatError(lpath, 1, f"bad class count {c}")
-    matrix = np.zeros((n, c), dtype=np.float64)
-    for i in range(n):
-        lineno = i + 2
-        if lineno > len(llines):
-            raise DatasetFormatError(lpath, lineno, "file ends early")
-        if kind == "s":
-            (k,) = _ints(lpath, lineno, llines[lineno - 1], expect=1)
-            if not 0 <= k < c:
-                raise DatasetFormatError(lpath, lineno, f"class index {k} out of range for c={c}")
-            matrix[i, k] = 1.0
-        else:
-            flags = _ints(lpath, lineno, llines[lineno - 1], expect=c)
-            if any(f not in (0, 1) for f in flags):
-                raise DatasetFormatError(lpath, lineno, "non-binary label entries")
-            matrix[i] = flags
+    width, bound = (1, c) if kind == "s" else (c, 2)  # class index < c, or a 0/1 flag
+    table = _table(llines[1:n + 1], np.int64, (n, width))
+    if table is None or (table < 0).any() or (table >= bound).any():
+        table = _label_lines(lpath, llines, n, c, kind)
+    if kind == "s":
+        matrix = np.zeros((n, c), dtype=np.float64)
+        matrix[np.arange(n), table[:, 0]] = 1.0
+    else:
+        matrix = table.astype(np.float64)
     labels = LabelSet(c, kind, matrix)
 
     mpath = root / "masks.txt"

@@ -8,7 +8,9 @@ broken toward the lowest index so results are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -162,9 +164,12 @@ class _Level:
     def n(self) -> int:
         return self.node_w.size
 
-    def neighbors(self, u):
-        s, e = self.indptr[u], self.indptr[u + 1]
-        return self.indices[s:e], self.eweights[s:e]
+    @cached_property
+    def lists(self) -> tuple[list, list, list, list]:
+        """indptr, indices, eweights and node_w as Python lists, for the
+        per-vertex loops (indexing a list is far cheaper than a numpy scalar)."""
+        return (self.indptr.tolist(), self.indices.tolist(), self.eweights.tolist(),
+                self.node_w.tolist())
 
 
 def _base_level(g: Graph) -> _Level:
@@ -178,40 +183,34 @@ def _base_level(g: Graph) -> _Level:
 
 def _heavy_edge_matching(lv: _Level, max_node_w: int) -> np.ndarray:
     """Match each node with its heaviest unmatched neighbor (lowest index ties)."""
-    n = lv.n
-    mate = np.full(n, -1, dtype=np.int64)
-    for u in range(n):
+    indptr, indices, eweights, node_w = lv.lists
+    mate = [-1] * lv.n
+    for u in range(lv.n):
         if mate[u] != -1:
             continue
-        nbrs, ws = lv.neighbors(u)
+        room = max_node_w - node_w[u]
         best, best_w = -1, 0
-        for v, w in zip(nbrs, ws):
-            if mate[v] != -1:
+        for i in range(indptr[u], indptr[u + 1]):
+            v = indices[i]
+            if mate[v] != -1 or node_w[v] > room:
                 continue
-            if lv.node_w[u] + lv.node_w[v] > max_node_w:
-                continue
-            if w > best_w:
-                best, best_w = int(v), int(w)
+            if eweights[i] > best_w:
+                best, best_w = v, eweights[i]
         if best >= 0:
             mate[u] = best
             mate[best] = u
         else:
             mate[u] = u
-    return mate
+    return np.asarray(mate, dtype=np.int64)
 
 
 def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:
     n = lv.n
-    coarse_id = np.full(n, -1, dtype=np.int64)
-    nxt = 0
-    for u in range(n):
-        if coarse_id[u] != -1:
-            continue
-        coarse_id[u] = nxt
-        coarse_id[mate[u]] = nxt
-        nxt += 1
-    node_w = np.zeros(nxt, dtype=np.int64)
-    np.add.at(node_w, coarse_id, lv.node_w)
+    # coarse ids in order of each pair's lower end, as a first-seen scan gives
+    reps, coarse_id = np.unique(np.minimum(np.arange(n, dtype=np.int64), mate), return_inverse=True)
+    nxt = reps.size
+    # integer sums below 2**53 are exact through bincount's float64 weights
+    node_w = np.bincount(coarse_id, weights=lv.node_w, minlength=nxt).astype(np.int64)
 
     # aggregate edge weights between coarse nodes, dropping internal edges
     rows = coarse_id[np.repeat(np.arange(n, dtype=np.int64), np.diff(lv.indptr))]
@@ -224,19 +223,30 @@ def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:
         new_pair = np.ones(rows.size, dtype=bool)
         new_pair[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         group = np.cumsum(new_pair) - 1
-        agg_w = np.zeros(group[-1] + 1, dtype=np.int64)
-        np.add.at(agg_w, group, ws)
+        ws = np.bincount(group, weights=ws).astype(np.int64)
         rows, cols = rows[new_pair], cols[new_pair]
-        ws = agg_w
     indptr = np.zeros(nxt + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    return _Level(np.cumsum(indptr), cols, ws, node_w, fine_to_coarse=coarse_id)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=nxt))
+    return _Level(indptr, cols, ws, node_w, fine_to_coarse=coarse_id)
 
 
 def _cut_weight(lv: _Level, part: np.ndarray) -> int:
     rows = np.repeat(np.arange(lv.n, dtype=np.int64), np.diff(lv.indptr))
     diff = part[rows] != part[lv.indices]
     return int(lv.eweights[diff].sum()) // 2
+
+
+def _next_vertex(heap, part, conn, node_w, room) -> int:
+    """Pop the unassigned vertex of largest conn, lowest index on ties, whose
+    weight fits in room; vertices that do not fit get conn 0. -1 if none."""
+    while heap:
+        negc, v = heapq.heappop(heap)
+        if part[v] != -1 or conn[v] != -negc:
+            continue  # stale: v joined a region or its conn changed since
+        if node_w[v] <= room:
+            return v
+        conn[v] = 0
+    return -1
 
 
 def _grow_regions(lv: _Level, m: int, cap: int, rng) -> np.ndarray:
@@ -247,120 +257,138 @@ def _grow_regions(lv: _Level, m: int, cap: int, rng) -> np.ndarray:
     splits, whose cuts are sometimes strictly better.
     """
     n = lv.n
-    part = np.full(n, -1, dtype=np.int64)
-    size = np.zeros(m, dtype=np.int64)
-    conn = np.zeros((n,), dtype=np.int64)  # connectivity to the current region
+    indptr, indices, eweights, node_w = lv.lists
+    part = [-1] * n
+    size = [0] * m
     unassigned = n
     for j in range(m):
-        remaining_w = int(lv.node_w[part == -1].sum())
+        free = np.flatnonzero(np.asarray(part) == -1)
+        remaining_w = int(lv.node_w[free].sum())
         target = -(-remaining_w // (m - j))  # ceil
         if m - j > 1:
             jittered = int(round(target * rng.uniform(0.6, 1.15)))
             lower = max(1, remaining_w - (m - j - 1) * cap)
             target = min(max(jittered, lower), cap)
-        free = np.flatnonzero(part == -1)
-        seed_v = int(free[rng.integers(free.size)])
-        part[seed_v] = j
-        size[j] += lv.node_w[seed_v]
-        unassigned -= 1
-        conn[:] = 0
-        nbrs, ws = lv.neighbors(seed_v)
-        conn[nbrs] += ws
-        while size[j] < target and unassigned > (m - j - 1):
-            cand = np.flatnonzero((part == -1) & (conn > 0))
-            if cand.size == 0:
-                break  # component exhausted; later seeds pick the rest up
-            v = int(cand[np.argmax(conn[cand])])
-            if size[j] + lv.node_w[v] > cap:
-                conn[v] = 0
-                continue
+        v = int(free[rng.integers(free.size)])  # the seed
+        conn = [0] * n  # connectivity of unassigned vertices to region j
+        heap = []  # (-conn, vertex) entries, stale once a vertex's conn moved
+        while v >= 0:
             part[v] = j
-            size[j] += lv.node_w[v]
+            size[j] += node_w[v]
             unassigned -= 1
-            nbrs, ws = lv.neighbors(v)
-            conn[nbrs] += ws
-            conn[v] = 0
-    # leftovers: most-connected fitting cluster, else the lightest
-    for v in np.flatnonzero(part == -1):
-        nbrs, ws = lv.neighbors(v)
+            for i in range(indptr[v], indptr[v + 1]):
+                x = indices[i]
+                if part[x] == -1:
+                    conn[x] += eweights[i]
+                    heapq.heappush(heap, (-conn[x], x))
+            grow = size[j] < target and unassigned > (m - j - 1)
+            # -1 once the component is exhausted; later seeds pick the rest up
+            v = _next_vertex(heap, part, conn, node_w, cap - size[j]) if grow else -1
+    # leftovers: most-connected fitting cluster (lowest id on ties), else
+    # the lightest
+    for v in [u for u in range(n) if part[u] == -1]:
+        links = [0] * m
+        for i in range(indptr[v], indptr[v + 1]):
+            c = part[indices[i]]
+            if c >= 0:
+                links[c] += eweights[i]
         best, best_w = -1, -1
         for c in range(m):
-            w = int(ws[part[nbrs] == c].sum())
-            if size[c] + lv.node_w[v] <= cap and w > best_w:
-                best, best_w = c, w
+            if size[c] + node_w[v] <= cap and links[c] > best_w:
+                best, best_w = c, links[c]
         if best < 0:
-            best = int(np.argmin(size))
+            best = size.index(min(size))
         part[v] = best
-        size[best] += lv.node_w[v]
-    return part
+        size[best] += node_w[v]
+    return np.asarray(part, dtype=np.int64)
 
 
 def _refine_pass(lv: _Level, part: np.ndarray, size: np.ndarray, cap: int) -> int:
-    """One boundary Kernighan-Lin sweep; only strictly positive gains move."""
+    """One boundary Kernighan-Lin sweep; only strictly positive gains move
+    (lowest cluster id on ties). Updates part and size in place."""
+    indptr, indices, eweights, node_w = lv.lists
+    p, sz = part.tolist(), size.tolist()
+    m = len(sz)
     moved = 0
-    conn = {}
     for u in range(lv.n):
-        nbrs, ws = lv.neighbors(u)
-        if nbrs.size == 0:
+        s, e = indptr[u], indptr[u + 1]
+        own = p[u]
+        for i in range(s, e):
+            if p[indices[i]] != own:
+                break
+        else:
+            continue  # interior or isolated node
+        if sz[own] - node_w[u] < 1:
             continue
-        conn.clear()
-        for v, w in zip(nbrs, ws):
-            c = int(part[v])
-            conn[c] = conn.get(c, 0) + int(w)
-        own = int(part[u])
-        if len(conn) == 1 and own in conn:
-            continue  # interior node
-        internal = conn.get(own, 0)
+        links = [0] * m
+        for i in range(s, e):
+            links[p[indices[i]]] += eweights[i]
+        room, internal = cap - node_w[u], links[own]
         best_c, best_gain = -1, 0
-        for c in sorted(conn):
-            if c == own:
-                continue
-            if size[c] + lv.node_w[u] > cap or size[own] - lv.node_w[u] < 1:
-                continue
-            gain = conn[c] - internal
-            if gain > best_gain:
-                best_c, best_gain = c, gain
+        for c in range(m):
+            # a cluster with no link to u has gain -internal <= 0
+            if c != own and sz[c] <= room and links[c] - internal > best_gain:
+                best_c, best_gain = c, links[c] - internal
         if best_c >= 0:
-            part[u] = best_c
-            size[own] -= lv.node_w[u]
-            size[best_c] += lv.node_w[u]
+            p[u] = best_c
+            sz[own] -= node_w[u]
+            sz[best_c] += node_w[u]
             moved += 1
+    part[:] = p
+    size[:] = sz
     return moved
+
+
+def _cluster_links(lv: _Level, p: list, m: int) -> list[list[int]]:
+    """links[u][c]: total edge weight from u into cluster c."""
+    indptr, indices, eweights, _ = lv.lists
+    links = [[0] * m for _ in range(lv.n)]
+    for u in range(lv.n):
+        row = links[u]
+        for i in range(indptr[u], indptr[u + 1]):
+            row[p[indices[i]]] += eweights[i]
+    return links
+
+
+def _move_links(lv: _Level, links: list, u: int, frm: int, to: int) -> None:
+    """Update the neighbours' link rows for u moving from cluster frm to to."""
+    indptr, indices, eweights, _ = lv.lists
+    for i in range(indptr[u], indptr[u + 1]):
+        row = links[indices[i]]
+        row[frm] -= eweights[i]
+        row[to] += eweights[i]
 
 
 def _swap_pass(lv: _Level, part: np.ndarray, size: np.ndarray, cap: int) -> int:
     """Pairwise exchanges across cluster borders (classic KL); they reach
-    plateaus that single moves cannot because sizes stay balanced."""
-    n, m = lv.n, size.size
-    conn = np.zeros((n, m), dtype=np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(lv.indptr))
-    np.add.at(conn, (rows, part[lv.indices]), lv.eweights)
+    plateaus that single moves cannot because sizes stay balanced.
+    Updates part and size in place."""
+    indptr, indices, eweights, node_w = lv.lists
+    p, sz = part.tolist(), size.tolist()
+    links = _cluster_links(lv, p, len(sz))
     swapped = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            cu, cv = int(part[u]), int(part[v])
+    for u in range(lv.n):
+        edge_w = dict(zip(indices[indptr[u]:indptr[u + 1]], eweights[indptr[u]:indptr[u + 1]]))
+        for v in range(u + 1, lv.n):
+            cu, cv = p[u], p[v]
             if cu == cv:
                 continue
-            if size[cu] - lv.node_w[u] + lv.node_w[v] > cap:
+            if sz[cu] - node_w[u] + node_w[v] > cap:
                 continue
-            if size[cv] - lv.node_w[v] + lv.node_w[u] > cap:
+            if sz[cv] - node_w[v] + node_w[u] > cap:
                 continue
-            nbrs, ws = lv.neighbors(u)
-            i = np.searchsorted(nbrs, v)
-            w_uv = int(ws[i]) if i < nbrs.size and nbrs[i] == v else 0
-            gain = (conn[u, cv] - conn[u, cu]) + (conn[v, cu] - conn[v, cv]) - 2 * w_uv
+            ru, rv = links[u], links[v]
+            gain = (ru[cv] - ru[cu]) + (rv[cu] - rv[cv]) - 2 * edge_w.get(v, 0)
             if gain <= 0:
                 continue
-            part[u], part[v] = cv, cu
-            size[cu] += lv.node_w[v] - lv.node_w[u]
-            size[cv] += lv.node_w[u] - lv.node_w[v]
-            for x, w in zip(*lv.neighbors(u)):
-                conn[x, cu] -= w
-                conn[x, cv] += w
-            for x, w in zip(*lv.neighbors(v)):
-                conn[x, cv] -= w
-                conn[x, cu] += w
+            p[u], p[v] = cv, cu
+            sz[cu] += node_w[v] - node_w[u]
+            sz[cv] += node_w[u] - node_w[v]
+            _move_links(lv, links, u, cu, cv)
+            _move_links(lv, links, v, cv, cu)
             swapped += 1
+    part[:] = p
+    size[:] = sz
     return swapped
 
 
@@ -368,48 +396,47 @@ def _fm_pass(lv: _Level, part: np.ndarray, size: np.ndarray, cap: int) -> int:
     """Move-sequence refinement with rollback: every vertex moves at most
     once, the locally best allowed move is applied even at negative gain, and
     the sequence is then rolled back to its best prefix. Escapes plateaus
-    that strictly-positive single moves cannot. Returns the gain kept."""
+    that strictly-positive single moves cannot. Returns the gain kept;
+    updates part and size in place."""
     n, m = lv.n, size.size
-    conn = np.zeros((n, m), dtype=np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(lv.indptr))
-    np.add.at(conn, (rows, part[lv.indices]), lv.eweights)
-    locked = np.zeros(n, dtype=bool)
+    node_w = lv.lists[3]
+    p, sz = part.tolist(), size.tolist()
+    links = _cluster_links(lv, p, m)
+    locked = [False] * n
     history: list[tuple[int, int, int]] = []
     cum = best_cum = best_len = 0
     for _ in range(n):
         best = None  # (gain, u, target)
         for u in range(n):
-            if locked[u]:
+            cu = p[u]
+            if locked[u] or sz[cu] - node_w[u] < 1:
                 continue
-            cu = int(part[u])
-            if size[cu] - lv.node_w[u] < 1:
-                continue
-            for c in np.flatnonzero(conn[u] > 0):
-                c = int(c)
-                if c == cu or size[c] + lv.node_w[u] > cap:
+            row = links[u]
+            for c in range(m):
+                if row[c] <= 0 or c == cu or sz[c] + node_w[u] > cap:
                     continue
-                g = int(conn[u, c] - conn[u, cu])
+                g = row[c] - row[cu]
                 if best is None or g > best[0]:
                     best = (g, u, c)
         if best is None:
             break
         g, u, c = best
-        cu = int(part[u])
-        part[u] = c
-        size[cu] -= lv.node_w[u]
-        size[c] += lv.node_w[u]
+        cu = p[u]
+        p[u] = c
+        sz[cu] -= node_w[u]
+        sz[c] += node_w[u]
         locked[u] = True
-        for x, w in zip(*lv.neighbors(u)):
-            conn[x, cu] -= w
-            conn[x, c] += w
+        _move_links(lv, links, u, cu, c)
         cum += g
         history.append((u, cu, c))
         if cum > best_cum:
             best_cum, best_len = cum, len(history)
     for u, frm, to in reversed(history[best_len:]):
-        part[u] = frm
-        size[to] -= lv.node_w[u]
-        size[frm] += lv.node_w[u]
+        p[u] = frm
+        sz[to] -= node_w[u]
+        sz[frm] += node_w[u]
+    part[:] = p
+    size[:] = sz
     return best_cum
 
 
@@ -498,9 +525,13 @@ def read_assignment(path) -> ClusterAssignment:
     lines = p.read_text().split("\n")
     try:
         n, m = (int(t) for t in lines[0].split())
-        assign = np.asarray([int(lines[i + 1]) for i in range(n)], dtype=np.int64)
+        ids = [int(lines[i + 1]) for i in range(n)]
     except (ValueError, IndexError):
         raise ValueError(f"{p}: malformed assignment file") from None
+    for i, c in enumerate(ids):
+        if not 0 <= c < m:
+            raise ValueError(f"{p}:{i + 2}: cluster id {c} out of range for m={m}")
+    assign = np.asarray(ids, dtype=np.int64)
     sizes = np.bincount(assign, minlength=m)
     empty = tuple(int(c) for c in np.flatnonzero(sizes == 0))
     return ClusterAssignment(m, assign, empty)

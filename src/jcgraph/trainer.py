@@ -128,6 +128,8 @@ def _validate(cfg: TrainConfig, data: Dataset) -> None:
         raise ValueError("spec.in_dim does not match the dataset")
     if cfg.spec.num_classes != data.labels.num_classes:
         raise ValueError("spec.num_classes does not match the dataset")
+    if data.masks.train.size == 0:
+        raise ValueError("the dataset's train mask is empty")
     if data.masks.test.size == 0:
         raise ValueError("the dataset's test mask is empty")
 

@@ -141,6 +141,15 @@ class TestTrainCmd:
         assert "error:" in err and key in err
         assert not (tmp_path / "r.result").exists()
 
+    def test_bad_clusters_file_exit_2(self, sbm_dir, tmp_path, capsys):
+        clusters = tmp_path / "a.txt"
+        clusters.write_text("60 3\n" + "0\n" * 59 + "3\n")
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+                            partition="file", clusters_file=clusters, epochs=3, hidden=8)
+        assert main(["train", str(cfgf)]) == 2
+        assert f"error: {clusters}:61: cluster id 3 out of range" in capsys.readouterr().err
+        assert not (tmp_path / "r.result").exists()
+
     def test_runtime_failure_exit_1(self, sbm_dir, tmp_path, monkeypatch):
         import jcgraph.cli as cli_mod
         def boom(cfg, data):

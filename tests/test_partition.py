@@ -1,10 +1,14 @@
+import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jcgraph.graph import Graph, gen_sbm
-from jcgraph.partition import (ClusterAssignment, CutStats, _multilevel,
+from jcgraph.graph import Graph, gen_sbm, normalize_adjacency
+from jcgraph.partition import (BALANCE_TOLERANCE, ClusterAssignment, CutStats, _multilevel,
                                edge_cut_stats, partition_kmeans,
                                partition_metis_like, partition_random,
                                read_assignment, write_assignment)
@@ -202,3 +206,105 @@ class TestAssignmentFile:
         (tmp_path / "bad.txt").write_text("5 x\n0\n")
         with pytest.raises(ValueError):
             read_assignment(tmp_path / "bad.txt")
+
+    @pytest.mark.parametrize("body,line,cid", [("3 2\n0\n-1\n1\n", 3, -1),
+                                              ("3 2\n0\n1\n2\n", 4, 2)])
+    def test_bad_cluster_id_names_file_and_line(self, tmp_path, body, line, cid):
+        path = tmp_path / "a.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line}: cluster id {cid} out of range for m=2$"):
+            read_assignment(path)
+
+
+def multi_component_graph(rng, n, parts):
+    """Random graph of `parts` dense-ish components over a shuffled node
+    order, with about a tenth of the nodes left isolated."""
+    order = rng.permutation(n)
+    isolated = n // 10
+    pairs = []
+    for block in np.array_split(order[isolated:], parts):
+        if block.size < 2:
+            continue
+        k = int(rng.integers(block.size, 4 * block.size))
+        ends = block[rng.integers(0, block.size, size=(k, 2))]
+        pairs.append(ends[ends[:, 0] != ends[:, 1]])
+    return Graph.from_edges(n, np.concatenate(pairs).tolist() if pairs else [])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 500), m=st.integers(2, 6),
+       parts=st.integers(1, 4))
+def test_partition_covers_every_node_within_balance(seed, n, m, parts):
+    rng = np.random.default_rng(seed)
+    g = multi_component_graph(rng, n, parts)
+    a = partition_metis_like(g, m, seed=int(rng.integers(100)))
+    assert a.num_nodes == n
+    assert ((a.assign >= 0) & (a.assign < m)).all()
+    assert a.sizes().max() <= int(np.ceil(BALANCE_TOLERANCE * n / m))
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a, dtype in arrays:
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+# seeded block-model graphs large enough to coarsen (600-900 nodes, coarse
+# target 200): (blocks, nodes per block, p_in, p_out, seed)
+GOLDEN_GRAPHS = {
+    "sbm600": (4, 150, 0.05, 0.002, 1),
+    "sbm800": (5, 160, 0.03, 0.003, 2),
+    "sbm900": (3, 300, 0.02, 0.001, 3),
+}
+
+# SHA-256 of normalize_adjacency's indptr, indices, values (little-endian)
+GOLDEN_NORM = {
+    "sbm600": "edb266d245d54771b4003fc014cd40f301c4113c811e32028ced890435681787",
+    "sbm800": "d35a71edc544258ac0a941e8a4bac5aea2c1b2943eb4f750fcad5ad19778dd9a",
+    "sbm900": "bd0c58bb3fd19f16ae36b2bad79f403d9f9c47f2a1bdccbc5390f2baf579715d",
+}
+
+# SHA-256 of partition_metis_like's assignment (little-endian int64) by
+# (graph, m, seed)
+GOLDEN_PARTITION = {
+    ("sbm600", 2, 0): "a80393121020714997b16fb0fb3a42ec113a3d0cd169609ca3c7c1421c95bb71",
+    ("sbm600", 2, 5): "a80393121020714997b16fb0fb3a42ec113a3d0cd169609ca3c7c1421c95bb71",
+    ("sbm600", 4, 0): "912b9b0fbfa3c409cc3ed6ebad99d5d082483d13cc578a5231856781484461d6",
+    ("sbm600", 4, 5): "5efb56b1f00eea9b0204db3aceed3d0c3df01bea954fbc2b163c91cb6ee06224",
+    ("sbm600", 6, 0): "45be4e97e4f51d25773d7f974e489b14e5458657716a33a96490e750d5e451d1",
+    ("sbm600", 6, 5): "b86860787fe9599dde1609260aabe500e49f19fe5b05d074a74530553747aa83",
+    ("sbm800", 2, 0): "1555e1cbd02e23f095697fcde9ee57c76797f08b0750d648f200ac4299d3ae4d",
+    ("sbm800", 2, 5): "92f60073edc015dd9b9281768849218060b7971c9f9b2b2eeceef3a17fde4307",
+    ("sbm800", 4, 0): "86c50e1d7a34c939604eb70bdf9518e957fb292d3764948dd2007ae2f3948c92",
+    ("sbm800", 4, 5): "f080ffdad552eb2e59dcd5b166331f01653bac43fad9cb31df81d34a490895cd",
+    ("sbm800", 6, 0): "d38804eb64944232c470dbd9ebc59bd0ae358e353ae47f2ed1a2132fc1225d76",
+    ("sbm800", 6, 5): "7551b90dfaac9a25c570d162b6f712de8afb5bcdecdbf2db74dff10bd1de5c4d",
+    ("sbm900", 2, 0): "697a22ae0e83dd14d7760e51b7351acff199e4dd4008c60a08478f14da148679",
+    ("sbm900", 2, 5): "b922bae226e21cfca2d5d8bbf21a710a1348fd87ee5b235efca8d5453db048a3",
+    ("sbm900", 4, 0): "463dd0a7c8b9a7fcdc15caf3469818d1aa85801fadb7922961ef9d01d24587e4",
+    ("sbm900", 4, 5): "75054ea675ab3ebfd50d357973d4b897deb46f0b1c8eb1fcd125735f66c82944",
+    ("sbm900", 6, 0): "f4311d9304fef1c946822cd77ea2efe0de7f5bb686f61f249e57e18a4722a266",
+    ("sbm900", 6, 5): "62c8dc4303473f1f52aaf743bf9c32808012b1c2d1d09bc4c9d8c1d9c2af49ab",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_graphs():
+    return {name: gen_sbm(b, k, p_in, p_out, 3, 0.5, seed=seed).graph
+            for name, (b, k, p_in, p_out, seed) in GOLDEN_GRAPHS.items()}
+
+
+class TestGoldenFingerprints:
+    """Byte identity of normalize and partition outputs across rewrites."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_NORM))
+    def test_normalize_adjacency(self, golden_graphs, name):
+        a = normalize_adjacency(golden_graphs[name])
+        assert _sha256((a.indptr, "<i8"), (a.indices, "<i8"), (a.values, "<f8")) == GOLDEN_NORM[name]
+
+    @pytest.mark.parametrize("name,m,seed", sorted(GOLDEN_PARTITION))
+    def test_partition_metis_like(self, golden_graphs, name, m, seed):
+        assign, trace = _multilevel(golden_graphs[name], m, seed)
+        assert len(trace) >= 3  # the graph was coarsened at least twice
+        assert _sha256((assign.assign, "<i8")) == GOLDEN_PARTITION[(name, m, seed)]

@@ -91,6 +91,16 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="test mask is empty"):
             train(gcn_cfg(data, loss="jc"), data)
 
+    def test_empty_train_mask_rejected_before_any_work(self, easy_sbm, monkeypatch):
+        masks = SplitMasks(np.array([], dtype=np.int64), easy_sbm.masks.val, easy_sbm.masks.test)
+        data = Dataset(easy_sbm.graph, easy_sbm.features, easy_sbm.labels, masks)
+        calls = []
+        for name in ("encoder_forward", "normalize_adjacency", "partition_metis_like"):
+            monkeypatch.setattr(train_mod, name, lambda *a, _name=name, **kw: calls.append(_name))
+        with pytest.raises(ValueError, match="train mask is empty"):
+            train(gcn_cfg(data, loss="jc"), data)
+        assert calls == []
+
     def test_clusters_from_file(self, easy_sbm, tmp_path):
         a = ClusterAssignment(4, np.arange(200, dtype=np.int64) % 4)
         write_assignment(tmp_path / "a.txt", a)
