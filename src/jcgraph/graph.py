@@ -127,7 +127,7 @@ class NormAdj:
     plain product of the two per-node scale factors.
     """
 
-    __slots__ = ("num_nodes", "indptr", "indices", "values", "_csr", "_sgc_cache")
+    __slots__ = ("num_nodes", "indptr", "indices", "values", "_csr")
 
     def __init__(self, num_nodes, indptr, indices, values):
         self.num_nodes = int(num_nodes)
@@ -135,7 +135,6 @@ class NormAdj:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._csr = None
-        self._sgc_cache = {}
 
     def csr(self) -> sp.csr_matrix:
         if self._csr is None:

@@ -65,6 +65,14 @@ class ClusterStats:
     counts: np.ndarray
 
 
+def _group_sum(index: np.ndarray, values: np.ndarray, groups: int) -> np.ndarray:
+    """Rows of values summed per index, in row order (np.add.at onto zeros)."""
+    width = values.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=groups * width)
+    return sums.reshape(groups, width)
+
+
 def cluster_stats(embeddings: np.ndarray, labels: LabelSet, train_mask: np.ndarray,
                   assign: ClusterAssignment) -> ClusterStats:
     train_mask = np.asarray(train_mask, dtype=np.int64)
@@ -73,10 +81,8 @@ def cluster_stats(embeddings: np.ndarray, labels: LabelSet, train_mask: np.ndarr
     m = assign.num_clusters
     a = assign.assign[train_mask]
     counts = np.bincount(a, minlength=m)
-    zbar = np.zeros((m, embeddings.shape[1]))
-    ybar = np.zeros((m, labels.num_classes))
-    np.add.at(zbar, a, embeddings[train_mask])
-    np.add.at(ybar, a, labels.matrix[train_mask])
+    zbar = _group_sum(a, embeddings[train_mask], m)
+    ybar = _group_sum(a, labels.matrix[train_mask], m)
     nz = counts > 0
     zbar[nz] /= counts[nz, None]
     ybar[nz] /= counts[nz, None]
@@ -99,7 +105,7 @@ def scatter_cluster_grad(d_zbar: np.ndarray, assign: ClusterAssignment,
     a = assign.assign[train_mask]
     safe = np.maximum(counts, 1)
     labeled = (counts[a] > 0)[:, None]
-    np.add.at(out, train_mask, np.where(labeled, d_zbar[a] / safe[a, None], 0.0))
+    out[train_mask] += np.where(labeled, d_zbar[a] / safe[a, None], 0.0)
     fb = counts == 0
     if fb.any():
         g = d_zbar[fb].sum(axis=0) / train_mask.size
@@ -182,6 +188,7 @@ STREAMS = {
 
 
 def _mask(mask) -> np.ndarray:
+    """A loss mask's node ids; they are distinct, as in every SplitMasks set."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("empty mask")
@@ -264,12 +271,12 @@ def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=N
         _add(acc, "clf_b", dl.sum(axis=0))
 
     d_emb = np.zeros_like(embeddings)
-    np.add.at(d_emb, mask, acc["z"])
+    d_emb[mask] += acc["z"]
     if not detach_cluster and ("c" in acc or "k" in acc):
-        d_zbar = np.zeros_like(stats.zbar)
-        for ch, clusters in (("c", assign.assign[mask]), ("k", np.flatnonzero(stats.counts > 0))):
-            if ch in acc:
-                np.add.at(d_zbar, clusters, acc[ch])
+        d_zbar = (_group_sum(assign.assign[mask], acc["c"], len(stats.zbar)) if "c" in acc
+                  else np.zeros_like(stats.zbar))
+        if "k" in acc:
+            d_zbar[stats.counts > 0] += acc["k"]
         scatter_cluster_grad(d_zbar, assign, mask, stats.counts, d_emb)
     grads = {"clf_w": acc["clf_w"], "clf_b": acc["clf_b"]}
     return LossResult(_value(ll, cluster), d_emb, grads, dls[outs[0][0]], dls.get("cz"))

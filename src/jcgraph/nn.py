@@ -21,6 +21,8 @@ __all__ = [
     "ModelSpec",
     "Params",
     "init_params",
+    "RowPlan",
+    "plan_rows",
     "encoder_forward",
     "model_backward",
     "grad_check",
@@ -134,101 +136,163 @@ def init_params(spec: ModelSpec, seed: int) -> Params:
     return Params(t)
 
 
-# dense feature matrices with many zeros get a cached CSR twin for fast matmul
-_sparse_cache: dict[int, tuple[np.ndarray, sp.csr_matrix]] = {}
-
-
-def _sparse_twin(x: np.ndarray) -> sp.csr_matrix | None:
+def _csr_twin(x: np.ndarray):
+    """x in the form layer 0 multiplies: CSR when large and sparse enough."""
     if x.size < SPARSE_MIN_SIZE:
-        return None
-    hit = _sparse_cache.get(id(x))
-    if hit is not None and hit[0] is x:
-        return hit[1]
-    density = np.count_nonzero(x) / x.size
-    if density > SPARSE_DENSITY:
-        return None
-    twin = sp.csr_matrix(x)
-    if len(_sparse_cache) > 8:
-        _sparse_cache.clear()
-    _sparse_cache[id(x)] = (x, twin)
-    return twin
+        return x
+    nonzero = x != 0
+    if np.count_nonzero(nonzero) / x.size > SPARSE_DENSITY:
+        return x
+    # the entries of sp.csr_matrix(x), found in one pass over the flat matrix
+    flat = np.flatnonzero(nonzero)
+    n, d = x.shape
+    indptr = np.searchsorted(flat, np.arange(n + 1) * d)
+    return sp.csr_matrix((x.ravel()[flat], flat % d, indptr), shape=x.shape)
+
+
+def _keep_rows(indptr: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """indptr of a CSR matrix cut to the rows in keep, and its entries' positions."""
+    counts = np.diff(indptr)
+    cut = np.zeros_like(indptr)
+    np.cumsum(np.where(keep, counts, 0), out=cut[1:])
+    return cut, np.flatnonzero(np.repeat(keep, counts))
+
+
+@dataclass(frozen=True)
+class RowPlan:
+    """The rows each encoder layer computes for a set of target rows.
+
+    rows[L] are the targets and rows[k-1] the Â-neighbourhood of rows[k] (the
+    targets again for mlp); None stands for every row. adj_rows[k] is Â with
+    only the rows rows[k] stored, so a product with it is exact on those rows
+    and zero elsewhere. x is the full input as layer 0 multiplies it (dense,
+    or a CSR twin), x_rows its twin cut to rows[0] and x_pos the positions of
+    x_rows' entries in x, which index the dropout mask drawn over all of x's
+    entries. Dense inputs stay whole. sgc holds Â^K X for every row.
+    """
+
+    spec: ModelSpec
+    adj: NormAdj | None
+    x: np.ndarray | sp.csr_matrix
+    sgc: np.ndarray | None
+    rows: tuple
+    adj_rows: tuple
+    x_rows: np.ndarray | sp.csr_matrix
+    x_pos: np.ndarray | None = None
+
+    def restrict(self, targets) -> "RowPlan":
+        """The plan that computes only what the target rows' embeddings read."""
+        if self.spec.encoder == "sgc":
+            return self
+        n, levels = self.x.shape[0], self.spec.layers
+        keep = np.zeros(n, dtype=bool)
+        keep[np.asarray(targets, dtype=np.int64)] = True
+        masks, adj_rows = [keep] * (levels + 1), [self.adj] * (levels + 1)
+        for k in range(levels, -1, -1):
+            if self.adj is not None and not masks[k].all():
+                indptr, pos = _keep_rows(self.adj.indptr, masks[k])
+                adj_rows[k] = NormAdj(n, indptr, self.adj.indices[pos], self.adj.values[pos])
+                if k > 0:
+                    masks[k - 1] = np.zeros(n, dtype=bool)
+                    masks[k - 1][adj_rows[k].indices] = True
+            elif k > 0:
+                masks[k - 1] = masks[k]
+        rows = tuple(None if m.all() else np.flatnonzero(m) for m in masks)
+        x_rows, x_pos = self.x, None
+        if sp.issparse(self.x) and rows[0] is not None:
+            indptr, x_pos = _keep_rows(self.x.indptr, masks[0])
+            x_rows = sp.csr_matrix((self.x.data[x_pos], self.x.indices[x_pos], indptr),
+                                   shape=self.x.shape)
+        return RowPlan(self.spec, self.adj, self.x, None, rows, tuple(adj_rows), x_rows, x_pos)
+
+
+def plan_rows(spec: ModelSpec, adj: NormAdj | None, x: np.ndarray) -> RowPlan:
+    """The plan that computes every row; restrict() cuts it to target rows."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.in_dim:
+        raise ValueError(f"features have shape {x.shape}, spec.in_dim={spec.in_dim}")
+    if spec.encoder in ("gcn", "sgc") and adj is None:
+        raise ValueError(f"{spec.encoder} encoder requires a normalized adjacency")
+    sgc = None
+    if spec.encoder == "sgc":
+        sgc = x
+        for _ in range(spec.layers):
+            sgc = spmm(adj, sgc)
+        _check_finite(sgc)
+    else:
+        x = _csr_twin(x)
+    levels = spec.layers + 1
+    return RowPlan(spec, adj, x, sgc, (None,) * levels, (adj,) * levels, x)
+
+
+def _on_rows(rows, fn, *arrays):
+    """fn over the given rows of same-shape arrays, zeros elsewhere; all rows for None."""
+    if rows is None:
+        return fn(*arrays)
+    out = np.zeros(arrays[0].shape)
+    out[rows] = fn(*(a[rows] for a in arrays))
+    return out
 
 
 @dataclass
 class GradientTape:
     """Forward-pass cache; consumed by exactly one model_backward call."""
 
-    spec: ModelSpec
-    adj: NormAdj | None
+    plan: RowPlan
     layers: list
     used: bool = False
 
 
-def _dropout_dense(rng, x, p):
-    mask = rng.random(x.shape) >= p
-    return x * mask / (1.0 - p), mask
-
-
-def _dropout_sparse(rng, x_csr, p):
-    mask = rng.random(x_csr.data.shape) >= p
-    data = x_csr.data * mask / (1.0 - p)
-    dropped = sp.csr_matrix((data, x_csr.indices, x_csr.indptr), shape=x_csr.shape)
-    return dropped, mask
+def _dropout(rng, plan, inp, rows, p):
+    """Inverted dropout on the computed rows; the mask is drawn at full size."""
+    if sp.issparse(inp):
+        mask = rng.random(plan.x.data.shape) >= p
+        kept = mask if plan.x_pos is None else mask[plan.x_pos]
+        data = inp.data * kept / (1.0 - p)
+        return sp.csr_matrix((data, inp.indices, inp.indptr), shape=inp.shape), mask
+    mask = rng.random(inp.shape) >= p
+    return _on_rows(rows, lambda a, m: a * m / (1.0 - p), inp, mask), mask
 
 
 def encoder_forward(spec: ModelSpec, params: Params, adj: NormAdj | None,
-                    x: np.ndarray, train_mode: bool = False, seed: int = 0):
+                    x: np.ndarray, train_mode: bool = False, seed: int = 0,
+                    plan: RowPlan | None = None):
     """Run the encoder; returns (embeddings, tape).
 
     gcn: K rounds of z <- relu(A z W), no nonlinearity after the last round.
-    sgc: A^K x, cached per (adj, x, K); the linear map lives in the classifier.
+    sgc: A^K x, computed once per plan; the linear map lives in the classifier.
     mlp: K rounds of z <- relu(z W + b). Dropout precedes every linear layer
     in train mode.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.in_dim:
-        raise ValueError(f"features have shape {x.shape}, spec.in_dim={spec.in_dim}")
-    if spec.encoder in ("gcn", "sgc") and adj is None:
-        raise ValueError(f"{spec.encoder} encoder requires a normalized adjacency")
 
+    plan, built from this adj and x, limits the work to the rows its targets
+    read; the embeddings are exact on the targets and zero on rows that were
+    not computed. Without a plan every row is computed.
+    """
+    if plan is None:
+        plan = plan_rows(spec, adj, x)
     if spec.encoder == "sgc":
-        key = (id(x), spec.layers)
-        hit = adj._sgc_cache.get(key)
-        if hit is None or hit[0] is not x:
-            z = x
-            for _ in range(spec.layers):
-                z = spmm(adj, z)
-            adj._sgc_cache[key] = (x, z)
-        z = adj._sgc_cache[key][1]
-        _check_finite(z)
-        return z, GradientTape(spec, adj, [])
+        return plan.sgc, GradientTape(plan, [])
 
     rng = np.random.default_rng(seed)
     drop = train_mode and spec.dropout > 0.0
-    h = x
+    h = plan.x_rows
     caches = []
     for k in range(spec.layers):
         w = params[f"enc_w{k}"]
-        inp, mask = h, None
-        if k == 0:
-            twin = _sparse_twin(x)
-            if twin is not None:
-                inp = twin
+        inp, mask, out = h, None, plan.rows[k + 1]
         if drop:
-            if sp.issparse(inp):
-                inp, mask = _dropout_sparse(rng, inp, spec.dropout)
-            else:
-                inp, mask = _dropout_dense(rng, inp, spec.dropout)
+            inp, mask = _dropout(rng, plan, inp, plan.rows[k], spec.dropout)
         u = inp @ w
         if spec.encoder == "gcn":
-            s = spmm(adj, u)
+            s = spmm(plan.adj_rows[k + 1], u)
         else:
-            s = u + params[f"enc_b{k}"]
+            bias = params[f"enc_b{k}"]
+            s = _on_rows(out, lambda a: a + bias, u)
         relu = spec.encoder == "mlp" or k < spec.layers - 1
-        h = np.maximum(s, 0.0) if relu else s
+        h = _on_rows(out, lambda a: np.maximum(a, 0.0), s) if relu else s
         caches.append({"inp": inp, "mask": mask, "pre": s, "relu": relu, "k": k, "w": w})
     _check_finite(h)
-    return h, GradientTape(spec, adj, caches)
+    return h, GradientTape(plan, caches)
 
 
 def _check_finite(z):
@@ -237,31 +301,38 @@ def _check_finite(z):
 
 
 def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic gradients of every encoder parameter given d(loss)/d(embeddings)."""
+    """Analytic gradients of every encoder parameter given d(loss)/d(embeddings).
+
+    Rows of loss_grad outside the plan's targets are ignored.
+    """
     if tape.used:
         raise RuntimeError("gradient tape already consumed")
     tape.used = True
-    spec = tape.spec
+    plan = tape.plan
+    spec = plan.spec
     if spec.encoder == "sgc":
         return {}
     d = np.asarray(loss_grad, dtype=np.float64)
     if d.shape[1] != spec.embed_dim:
         raise ValueError(f"loss gradient has shape {d.shape}, embed dim is {spec.embed_dim}")
+    d = _on_rows(plan.rows[-1], lambda a: a, d)
     grads = {}
     for cache in reversed(tape.layers):
         k = cache["k"]
-        ds = d * (cache["pre"] > 0.0) if cache["relu"] else d
+        if cache["relu"]:
+            d = _on_rows(plan.rows[k + 1], lambda a, pre: a * (pre > 0.0), d, cache["pre"])
         if spec.encoder == "gcn":
-            du = spmm(tape.adj, ds)  # A is symmetric
+            du = spmm(plan.adj_rows[k], d)  # A is symmetric
         else:
-            du = ds
-            grads[f"enc_b{k}"] = ds.sum(axis=0)
+            du = d
+            grads[f"enc_b{k}"] = d.sum(axis=0)
         inp = cache["inp"]
         grads[f"enc_w{k}"] = (inp.T @ du) if not sp.issparse(inp) else np.asarray(inp.T @ du)
         if k > 0:
             d = du @ cache["w"].T
             if cache["mask"] is not None:
-                d = d * cache["mask"] / (1.0 - spec.dropout)
+                d = _on_rows(plan.rows[k], lambda a, m: a * m / (1.0 - spec.dropout),
+                             d, cache["mask"])
     return grads
 
 
@@ -281,14 +352,16 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5,
     if params.num_scalars() > 500:
         raise ValueError(f"model has {params.num_scalars()} scalars, grad_check caps at 500")
 
+    plan = plan_rows(spec, adj, data.features)
+
     def forward_loss(p):
-        z, _ = encoder_forward(spec, p, adj, data.features, train_mode=False)
+        z, _ = encoder_forward(spec, p, adj, data.features, train_mode=False, plan=plan)
         value = loss_fn(p, z, data)[0]
         if not np.isfinite(value):
             raise NumericsError("non-finite loss in grad_check")
         return value
 
-    z, tape = encoder_forward(spec, params, adj, data.features, train_mode=False)
+    z, tape = encoder_forward(spec, params, adj, data.features, train_mode=False, plan=plan)
     _, d_emb, clf_grads = loss_fn(params, z, data)
     analytic = dict(clf_grads)
     analytic.update(model_backward(tape, d_emb))

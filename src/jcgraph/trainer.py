@@ -4,7 +4,9 @@ validation score, evaluation, and multi-seed aggregation.
 Training is full batch. Cluster statistics are recomputed from the current
 epoch's embeddings (gradients flow through them unless detach_cluster is
 set), and from each evaluated model's embeddings for inference, always
-over labeled nodes only.
+over labeled nodes only. A training step computes only the embeddings of
+the train rows and their receptive field, an eval those of every split
+(see nn.RowPlan); the results are the same bits as computing every row.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from . import losses
 from .graph import Dataset, normalize_adjacency
 from .metrics import PredictionBatch, accuracy, ece, f1_scores, multilabel_f1
-from .nn import (ModelSpec, Params, adam_step, encoder_forward, init_adam_state,
-                 init_params, model_backward)
+from .nn import (ModelSpec, Params, RowPlan, adam_step, encoder_forward, init_adam_state,
+                 init_params, model_backward, plan_rows)
 from .partition import (ClusterAssignment, partition_kmeans, partition_metis_like,
                         partition_random, read_assignment)
 
@@ -160,9 +162,14 @@ def _loss_on(cfg, params, z, data, mask, assign, stats) -> losses.LossResult:
     return joint(params, z, data.labels, mask, assign, stats, detach_cluster=cfg.detach_cluster)
 
 
-def _eval_pass(cfg, params, adj, data, assign, splits, stats=None):
-    """Predictions for every node and the loss on each split: the one eval path."""
-    z, _ = encoder_forward(cfg.spec, params, adj, data.features, train_mode=False)
+def _eval_pass(cfg, params, plan: RowPlan, data, assign, splits, stats=None):
+    """Predictions and the loss on each split: the one eval path.
+
+    The plan's targets must cover the splits and the train rows; predictions
+    of other nodes are not meaningful.
+    """
+    z, _ = encoder_forward(cfg.spec, params, plan.adj, data.features, train_mode=False,
+                           plan=plan)
     if assign is not None and stats is None:
         stats = losses.cluster_stats(z, data.labels, data.masks.train, assign)
     return losses.eval_pass(cfg.loss, params, z, data.labels, splits, assign, stats, cfg.beta)
@@ -202,6 +209,10 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
     assign = make_partition(cfg, data) if _needs_clusters(cfg.loss) else None
     masks = data.masks
     val_mask = masks.val if masks.val.size else masks.train
+    # a step reads the train rows' embeddings, an eval those of every split
+    plan = plan_rows(spec, adj, data.features)
+    train_plan = plan.restrict(masks.train)
+    eval_plan = plan.restrict(np.concatenate([masks.train, val_mask, masks.test]))
 
     params = init_params(spec, cfg.seed)
     state = init_adam_state(params)
@@ -211,7 +222,7 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
 
     def run_eval(epoch, current):
         nonlocal best_score, best_epoch, best_params, best_probs
-        probs, values = _eval_pass(cfg, current, adj, data, assign,
+        probs, values = _eval_pass(cfg, current, eval_plan, data, assign,
                                    [masks.train, val_mask, masks.test])
         score = _split_score(probs, data, val_mask)
         for curve, v in zip(curves.values(), (epoch, *values, score)):
@@ -223,8 +234,8 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
     if cfg.epochs == 0:
         run_eval(0, params)
     for epoch in range(1, cfg.epochs + 1):
-        z, tape = encoder_forward(spec, params, adj, data.features,
-                                  train_mode=True, seed=[cfg.seed, 1, epoch])
+        z, tape = encoder_forward(spec, params, adj, data.features, train_mode=True,
+                                  seed=[cfg.seed, 1, epoch], plan=train_plan)
         stats = (losses.cluster_stats(z, data.labels, masks.train, assign)
                  if assign is not None else None)
         res = _loss_on(cfg, params, z, data, masks.train, assign, stats)
@@ -253,9 +264,11 @@ def evaluate(params: Params, cfg: TrainConfig, data: Dataset,
     if split.size == 0:
         raise ValueError("empty split")
     adj = normalize_adjacency(data.graph) if _needs_adj(cfg.spec) else None
+    plan = plan_rows(cfg.spec, adj, data.features).restrict(
+        np.concatenate([data.masks.train, split]))
     if _needs_clusters(cfg.loss) and assign is None:
         assign = make_partition(cfg, data)
-    probs, (loss,) = _eval_pass(cfg, params, adj, data, assign, [split], stats)
+    probs, (loss,) = _eval_pass(cfg, params, plan, data, assign, [split], stats)
     return {**_split_metrics(probs, data, split, cfg.ece_bins), "loss": loss}
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcgraph.graph import Dataset, Graph, LabelSet, SplitMasks
-from jcgraph.losses import (ClusterStats, ce_loss, cluster_stats, ic_loss,
+from jcgraph.losses import (ClusterStats, _group_sum, ce_loss, cluster_stats, ic_loss,
                             jc_loss, jc_multilabel_loss, joint_forward,
                             joint_label, marginalize, mixup_loss,
                             predict_joint, scatter_cluster_grad)
@@ -59,6 +61,22 @@ class TestClusterStats:
         with pytest.raises(ValueError):
             cluster_stats(np.zeros((1, 2)), labels, np.array([], dtype=np.int64),
                           assign_of([0], m=1))
+
+
+class TestGroupSum:
+    """The bincount scatter adds in the order np.add.at does, bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_add_at(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, width, groups = (int(v) for v in rng.integers(1, [60, 9, 7]))
+        index = rng.integers(0, groups, rows)
+        values = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-8, 9, (rows, width))
+        values[rng.random(values.shape) < 0.1] = -0.0
+        expect = np.zeros((groups, width))
+        np.add.at(expect, index, values)
+        assert _group_sum(index, values, groups).tobytes() == expect.tobytes()
 
 
 class TestJointLabel:

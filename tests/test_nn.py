@@ -6,11 +6,13 @@ import pytest
 from jcgraph.graph import (Dataset, Graph, LabelSet, SplitMasks,
                            normalize_adjacency, spmm)
 from jcgraph.losses import ce_loss, cluster_stats, jc_loss
-from jcgraph.nn import (ModelSpec, NumericsError, Params, adam_step,
-                        encoder_forward, grad_check, init_adam_state,
-                        init_params, load_checkpoint, model_backward,
-                        save_checkpoint)
+from jcgraph.nn import (SPARSE_DENSITY, SPARSE_MIN_SIZE, ModelSpec, NumericsError,
+                        Params, adam_step, encoder_forward, grad_check,
+                        init_adam_state, init_params, load_checkpoint,
+                        model_backward, save_checkpoint)
 from jcgraph.partition import partition_metis_like
+
+from conftest import rng_graph
 
 
 def tiny_dataset(n=3, d=2, c=2, edges=((0, 1), (1, 2)), seed=0):
@@ -93,6 +95,26 @@ class TestEncoderForward:
         params["enc_w0"] = params["enc_w0"] * np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
             encoder_forward(spec, params, None, sbm12.features)
+
+
+class TestFeatureMutation:
+    """Features changed in place between two forward calls are read anew."""
+
+    @pytest.mark.parametrize("encoder", ["gcn", "sgc"])
+    def test_in_place_change_is_seen(self, encoder):
+        rng = np.random.default_rng(0)
+        n, d = 500, 120
+        x = np.where(rng.random((n, d)) < 0.1, 1.0, 0.0)
+        assert x.size >= SPARSE_MIN_SIZE and np.count_nonzero(x) / x.size <= SPARSE_DENSITY
+        adj = normalize_adjacency(rng_graph(rng, n, 0.01))
+        spec = ModelSpec(encoder, 2, 4, d, 2, 0.0, "independent")
+        params = init_params(spec, 0)
+        before, _ = encoder_forward(spec, params, adj, x)
+        x *= 3.0
+        after, _ = encoder_forward(spec, params, adj, x)
+        fresh, _ = encoder_forward(spec, params, adj, x.copy())
+        assert not (after == before).all()
+        assert (after == fresh).all()
 
 
 class TestModelBackward:
