@@ -15,11 +15,11 @@ from pathlib import Path
 
 from .attack import robustness_sweep, write_sweep_csv
 from .graph import DatasetFormatError, gen_sbm, load_dataset, write_dataset
+from .losses import LOSS_KINDS
 from .nn import ModelSpec, NumericsError, save_checkpoint
-from .partition import (edge_cut_stats, partition_kmeans, partition_metis_like,
-                        partition_random, write_assignment)
-from .trainer import (LOSS_KINDS, TrainConfig, TrainingError, config_echo,
-                    train_with_params, write_curves, write_result)
+from .partition import edge_cut_stats, write_assignment
+from .trainer import (PARTITION_METHODS, TrainConfig, TrainingError, make_partition,
+                      train_with_params, write_curves, write_result)
 
 __all__ = ["main"]
 
@@ -36,52 +36,34 @@ def _to_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
+def _path(s: str) -> str:
+    """A path: a config value resolves against the file's directory, a flag against the cwd."""
+    return s
+
+
+# config key -> (value parser, default); every key is also a flag
 CONFIG_KEYS = {
-    "dataset": str,
-    "out": str,
-    "encoder": str,
-    "layers": int,
-    "hidden": int,
-    "dropout": float,
-    "loss": str,
-    "partition": str,
-    "clusters": int,
-    "clusters_file": str,
-    "lr": float,
-    "weight_decay": float,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-    "epochs": int,
-    "eval_every": int,
-    "seed": int,
-    "detach_cluster": _to_bool,
-    "beta": float,
+    "dataset": (_path, None),
+    "out": (_path, "run"),
+    "encoder": (str, "gcn"),
+    "layers": (int, 2),
+    "hidden": (int, 64),
+    "dropout": (float, 0.5),
+    "loss": (str, "ce"),
+    "partition": (str, "metis-like"),
+    "clusters": (int, 1),
+    "clusters_file": (_path, None),
+    "lr": (float, 0.01),
+    "weight_decay": (float, 5e-4),
+    "adam_beta1": (float, 0.9),
+    "adam_beta2": (float, 0.999),
+    "adam_eps": (float, 1e-8),
+    "epochs": (int, 300),
+    "eval_every": (int, 1),
+    "seed": (int, 0),
+    "detach_cluster": (_to_bool, False),
+    "beta": (float, 1.0),
 }
-
-CONFIG_DEFAULTS = {
-    "out": "run",
-    "encoder": "gcn",
-    "layers": 2,
-    "hidden": 64,
-    "dropout": 0.5,
-    "loss": "ce",
-    "partition": "metis-like",
-    "clusters": 1,
-    "clusters_file": None,
-    "lr": 0.01,
-    "weight_decay": 5e-4,
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_eps": 1e-8,
-    "epochs": 300,
-    "eval_every": 1,
-    "seed": 0,
-    "detach_cluster": False,
-    "beta": 1.0,
-}
-
-_PATH_KEYS = ("dataset", "out", "clusters_file")
 
 
 def read_config(path) -> dict:
@@ -89,8 +71,7 @@ def read_config(path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{p}: missing config file")
-    cfg = dict(CONFIG_DEFAULTS)
-    cfg["dataset"] = None
+    cfg = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     for lineno, line in enumerate(p.read_text().split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -102,24 +83,22 @@ def read_config(path) -> dict:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
         try:
-            cfg[key] = CONFIG_KEYS[key](value)
+            cfg[key] = CONFIG_KEYS[key][0](value)
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"{p}:{lineno}: bad value for {key}: {e}") from None
     # resolve config-file-relative paths up front
-    for key in _PATH_KEYS:
-        if cfg.get(key):
+    for key, (conv, _) in CONFIG_KEYS.items():
+        if conv is _path and cfg[key]:
             cfg[key] = str((p.parent / cfg[key]).resolve())
     return cfg
 
 
 def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    for key, conv in CONFIG_KEYS.items():
+    for key, (conv, _) in CONFIG_KEYS.items():
         raw = getattr(args, key, None)
         if raw is None:
             continue
-        cfg[key] = conv(raw)
-        if key in _PATH_KEYS:
-            cfg[key] = str(Path(cfg[key]).resolve())
+        cfg[key] = str(Path(raw).resolve()) if conv is _path else conv(raw)
     return cfg
 
 
@@ -133,7 +112,7 @@ def build_train_config(cfg: dict, data) -> TrainConfig:
         in_dim=data.features.shape[1],
         num_classes=data.labels.num_classes,
         dropout=cfg["dropout"],
-        classifier=LOSS_KINDS[cfg["loss"]][0],
+        classifier=LOSS_KINDS[cfg["loss"]].classifier,
     )
     return TrainConfig(
         spec=spec,
@@ -155,15 +134,7 @@ def build_train_config(cfg: dict, data) -> TrainConfig:
 
 def cmd_partition(args) -> int:
     data = load_dataset(args.dataset)
-    m, seed = args.clusters, args.seed
-    if args.method == "metis-like":
-        a = partition_metis_like(data.graph, m, seed)
-    elif args.method == "kmeans":
-        a = partition_kmeans(data.features, m, seed)
-    elif args.method == "random":
-        a = partition_random(data.num_nodes, m, seed)
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
+    a = make_partition(args.method, data, args.clusters, args.seed)
     write_assignment(args.out, a)
     stats = edge_cut_stats(data.graph, a)
     print(f"within={stats.within_links} between={stats.between_links} rate={stats.rate}")
@@ -229,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("partition", help="partition a dataset and print cut stats")
     p.add_argument("--dataset", required=True)
     p.add_argument("--method", default="metis-like",
-                   choices=("metis-like", "kmeans", "random"))
+                   choices=[m for m in PARTITION_METHODS if m != "file"])
     p.add_argument("--clusters", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

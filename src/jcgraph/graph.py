@@ -188,6 +188,11 @@ class LabelSet:
         if self.kind not in ("s", "m"):
             raise ValueError(f"unknown label kind {self.kind!r}")
 
+    @property
+    def multi(self) -> bool:
+        """Multi-hot rows: each class is its own binary task."""
+        return self.kind == "m"
+
     def class_index(self) -> np.ndarray:
         if self.kind != "s":
             raise ValueError("class_index is only defined for single-label sets")

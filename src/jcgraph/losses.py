@@ -13,6 +13,7 @@ flow through cluster means (1/L_m per labeled member); eval_pass is gradient-fre
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -23,6 +24,8 @@ from .partition import ClusterAssignment
 
 __all__ = [
     "PROB_FLOOR",
+    "Loss",
+    "LOSS_KINDS",
     "ClusterStats",
     "LossResult",
     "cluster_stats",
@@ -173,17 +176,39 @@ def _joint_2x2(u, v):
     return np.stack([(1 - u) * (1 - v), (1 - u) * v, u * (1 - v), u * v], axis=2)
 
 
-# loss kind -> streams (input order, target builder, softmax group size). Order
-# letters: z the node embedding, c its cluster mean, k the mean of a cluster
-# with labeled nodes (its rows are clusters, not nodes). A group size of None
-# is one softmax over the whole row, or per-class sigmoids on multi-label sets.
-# The first stream is the node-order one that predictions come from.
-STREAMS = {
-    "ce": (("z", _label, None),),
-    "mixup": (("z", _label, None), ("k", _label, None)),
-    "ic": (("zc", _label, None),),
-    "jc": (("zc", _joint, None), ("cz", _joint, None)),
-    "jc-multilabel": (("zc", _joint_2x2, 4), ("cz", _joint_2x2, 4)),
+class Loss(NamedTuple):
+    """One loss kind: what the head, the trainer and the CLI decide by loss.
+
+    classifier is the nn.CLASSIFIERS head it trains and label_kinds the label
+    sets it accepts. Each stream is (input order, target builder, softmax group
+    size). Order letters: z the node embedding, c its cluster mean, k the mean
+    of a cluster with labeled nodes (its rows are clusters, not nodes). A group
+    size of None is one softmax over the whole row, or per-class sigmoids on
+    multi-label sets. The first stream is the node-order one that predictions
+    come from; marginal(p, c) turns its probabilities into class probabilities.
+    """
+
+    classifier: str
+    label_kinds: tuple
+    streams: tuple
+    marginal: Callable = lambda p, c: p
+
+    @property
+    def needs_clusters(self) -> bool:
+        return any(ch in order for order, _, _ in self.streams for ch in "ck")
+
+
+# jc marginalizes each c x c table over the cluster axis, jc-multilabel takes
+# the two y_t = 1 entries of each task's 2x2 table
+LOSS_KINDS = {
+    "ce": Loss("independent", ("s", "m"), (("z", _label, None),)),
+    "jc": Loss("joint", ("s",), (("zc", _joint, None), ("cz", _joint, None)),
+               lambda p, c: p.reshape(len(p), -1, c).sum(axis=2)),
+    "ic": Loss("in-context", ("s",), (("zc", _label, None),)),
+    "mixup": Loss("independent", ("s",), (("z", _label, None), ("k", _label, None))),
+    "jc-multilabel": Loss("joint-multilabel", ("m",),
+                          (("zc", _joint_2x2, 4), ("cz", _joint_2x2, 4)),
+                          lambda p, c: p[:, :, 2] + p[:, :, 3]),
 }
 
 
@@ -220,7 +245,7 @@ def _forward(streams, src, w, b, labels, beta, ll=None, rows=slice(None)):
         x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
         t = target(*(y[rows] for y in ys))
         logits = x @ w + b
-        if labels.kind == "m" and group is None:
+        if labels.multi and group is None:
             p = expit(logits)
             r = t * _logp(p[rows]) + (1.0 - t) * _logp(1.0 - p[rows])
         else:
@@ -254,12 +279,11 @@ def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=N
     cluster means unless detach_cluster is set. dlogits_node holds the first
     stream's logit gradient, dlogits_cluster the swapped (cz) stream's.
     """
-    need = {"ce": labels.kind, "jc-multilabel": "m"}.get(kind, "s")
-    if labels.kind != need:
-        raise ValueError(f"{kind} loss requires a {'multi' if need == 'm' else 'single'}-label task")
+    if labels.kind not in LOSS_KINDS[kind].label_kinds:
+        raise ValueError(f"{kind} loss does not support label kind {labels.kind!r}")
     w, b = _clf(classifier)
     mask = _mask(train_mask)
-    outs, ll, cluster = _forward(STREAMS[kind], _sources(embeddings, labels, mask, assign, stats),
+    outs, ll, cluster = _forward(LOSS_KINDS[kind].streams, _sources(embeddings, labels, mask, assign, stats),
                                  w, b, labels, beta)
     acc, dls = {}, {}
     for order, x, t, p in outs:
@@ -351,17 +375,14 @@ def eval_pass(kind: str, classifier: Params, embeddings: np.ndarray, labels: Lab
     w, b = _clf(classifier)
     splits = [_mask(s) for s in splits]
     rows = np.unique(np.concatenate(splits))
-    first, *rest = STREAMS[kind]
+    loss = LOSS_KINDS[kind]
+    first, *rest = loss.streams
     every = _sources(embeddings, labels, slice(None), assign, stats)
     [(_, _, _, p)], ll, _ = _forward([first], every, w, b, labels, beta, rows=rows)
     _, ll, cluster = _forward(rest, _sources(embeddings, labels, rows, assign, stats),
                               w, b, labels, beta, ll)
     values = [_value(ll[np.searchsorted(rows, s)], cluster) for s in splits]
-    if kind == "jc":
-        p = p.reshape(len(p), -1, labels.num_classes).sum(axis=2)
-    elif kind == "jc-multilabel":
-        p = p[:, :, 2] + p[:, :, 3]
-    return p, values
+    return loss.marginal(p, labels.num_classes), values
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +392,7 @@ def eval_pass(kind: str, classifier: Params, embeddings: np.ndarray, labels: Lab
 def predict_independent(classifier: Params, embeddings: np.ndarray, kind: str = "s") -> np.ndarray:
     w, b = _clf(classifier)
     logits = embeddings @ w + b
-    return _softmax(logits) if kind == "s" else expit(logits)
+    return {"s": _softmax, "m": expit}[kind](logits)
 
 
 def predict_joint(classifier: Params, embeddings: np.ndarray, assign: ClusterAssignment,

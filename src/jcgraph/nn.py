@@ -33,7 +33,13 @@ __all__ = [
 ]
 
 ENCODERS = ("gcn", "sgc", "mlp")
-CLASSIFIERS = ("independent", "joint", "joint-multilabel", "in-context")
+# classifier -> (input width in embeddings, output width for c classes)
+CLASSIFIERS = {
+    "independent": (1, lambda c: c),
+    "in-context": (2, lambda c: c),
+    "joint": (2, lambda c: c * c),
+    "joint-multilabel": (2, lambda c: 4 * c),
+}
 
 # below this density the input feature matrix is multiplied in CSR form
 SPARSE_DENSITY = 0.25
@@ -76,16 +82,17 @@ class ModelSpec:
         return self.in_dim if self.encoder == "sgc" else self.hidden
 
     @property
+    def uses_graph(self) -> bool:
+        """Whether the encoder multiplies by the normalized adjacency."""
+        return self.encoder in ("gcn", "sgc")
+
+    @property
     def classifier_in_dim(self) -> int:
-        if self.classifier == "independent":
-            return self.embed_dim
-        return 2 * self.embed_dim
+        return CLASSIFIERS[self.classifier][0] * self.embed_dim
 
     @property
     def classifier_out_dim(self) -> int:
-        c = self.num_classes
-        return {"independent": c, "in-context": c,
-                "joint": c * c, "joint-multilabel": 4 * c}[self.classifier]
+        return CLASSIFIERS[self.classifier][1](self.num_classes)
 
 
 class Params:
@@ -122,14 +129,11 @@ def init_params(spec: ModelSpec, seed: int) -> Params:
     """Glorot-uniform weights, zero biases."""
     rng = np.random.default_rng(seed)
     t = {}
-    if spec.encoder == "gcn":
-        for k in range(spec.layers):
-            fan_in = spec.in_dim if k == 0 else spec.hidden
-            t[f"enc_w{k}"] = _glorot(rng, fan_in, spec.hidden)
-    elif spec.encoder == "mlp":
-        for k in range(spec.layers):
-            fan_in = spec.in_dim if k == 0 else spec.hidden
-            t[f"enc_w{k}"] = _glorot(rng, fan_in, spec.hidden)
+    # sgc has no encoder weights: its linear map lives in the classifier
+    for k in range(0 if spec.encoder == "sgc" else spec.layers):
+        fan_in = spec.in_dim if k == 0 else spec.hidden
+        t[f"enc_w{k}"] = _glorot(rng, fan_in, spec.hidden)
+        if spec.encoder == "mlp":
             t[f"enc_b{k}"] = np.zeros(spec.hidden)
     t["clf_w"] = _glorot(rng, spec.classifier_in_dim, spec.classifier_out_dim)
     t["clf_b"] = np.zeros(spec.classifier_out_dim)
@@ -211,7 +215,7 @@ def plan_rows(spec: ModelSpec, adj: NormAdj | None, x: np.ndarray) -> RowPlan:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_dim:
         raise ValueError(f"features have shape {x.shape}, spec.in_dim={spec.in_dim}")
-    if spec.encoder in ("gcn", "sgc") and adj is None:
+    if spec.uses_graph and adj is None:
         raise ValueError(f"{spec.encoder} encoder requires a normalized adjacency")
     sgc = None
     if spec.encoder == "sgc":
@@ -346,7 +350,7 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5,
     """
     if spec.dropout != 0.0:
         raise ValueError("grad_check requires dropout disabled")
-    if adj is None and spec.encoder in ("gcn", "sgc"):
+    if adj is None and spec.uses_graph:
         adj = normalize_adjacency(data.graph)
     params = init_params(spec, seed)
     if params.num_scalars() > 500:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import losses
 from .graph import Dataset, normalize_adjacency
+from .losses import LOSS_KINDS
 from .metrics import PredictionBatch, accuracy, ece, f1_scores, multilabel_f1
 from .nn import (ModelSpec, Params, RowPlan, adam_step, encoder_forward, init_adam_state,
                  init_params, model_backward, plan_rows)
@@ -38,16 +39,15 @@ __all__ = [
     "write_curves",
 ]
 
-# loss kind -> (classifier kind, needs clusters, allowed label kinds)
-LOSS_KINDS = {
-    "ce": ("independent", False, ("s", "m")),
-    "jc": ("joint", True, ("s",)),
-    "ic": ("in-context", True, ("s",)),
-    "mixup": ("independent", True, ("s",)),
-    "jc-multilabel": ("joint-multilabel", True, ("m",)),
+# partition method -> (data, m, seed, clusters_file) -> assignment. The
+# partitioners are looked up at call time, so a swapped module attribute is
+# what runs; "file" reads an assignment computed before.
+PARTITION_METHODS = {
+    "metis-like": lambda data, m, seed, path: partition_metis_like(data.graph, m, seed),
+    "kmeans": lambda data, m, seed, path: partition_kmeans(data.features, m, seed),
+    "random": lambda data, m, seed, path: partition_random(data.num_nodes, m, seed),
+    "file": lambda data, m, seed, path: read_assignment(path),
 }
-
-PARTITION_METHODS = ("metis-like", "kmeans", "random", "file")
 
 
 class TrainingError(RuntimeError):
@@ -80,9 +80,14 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.partition not in PARTITION_METHODS:
             raise ValueError(f"unknown partition method {self.partition!r}")
+        if self.partition == "file" and self.clusters_file is None:
+            raise ValueError("partition method 'file' needs clusters_file")
+        for key, b in zip(("adam_beta1", "adam_beta2"), self.betas):
+            if not 0.0 <= b < 1.0:
+                raise ValueError(f"{key} must be in [0, 1), got {b}")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
-        if LOSS_KINDS[self.loss][1] and self.num_clusters < 1:
+        if LOSS_KINDS[self.loss].needs_clusters and self.num_clusters < 1:
             raise ValueError("cluster-based losses need num_clusters >= 1")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
@@ -112,19 +117,11 @@ class MultiSeedResult:
     results: list
 
 
-def _needs_adj(spec: ModelSpec) -> bool:
-    return spec.encoder in ("gcn", "sgc")
-
-
-def _needs_clusters(loss: str) -> bool:
-    return LOSS_KINDS[loss][1]
-
-
 def _validate(cfg: TrainConfig, data: Dataset) -> None:
-    clf, _, kinds = LOSS_KINDS[cfg.loss]
+    clf = LOSS_KINDS[cfg.loss].classifier
     if cfg.spec.classifier != clf:
         raise ValueError(f"loss {cfg.loss!r} needs classifier {clf!r}, spec has {cfg.spec.classifier!r}")
-    if data.labels.kind not in kinds:
+    if data.labels.kind not in LOSS_KINDS[cfg.loss].label_kinds:
         raise ValueError(f"loss {cfg.loss!r} does not support label kind {data.labels.kind!r}")
     if cfg.spec.in_dim != data.features.shape[1]:
         raise ValueError("spec.in_dim does not match the dataset")
@@ -136,20 +133,26 @@ def _validate(cfg: TrainConfig, data: Dataset) -> None:
         raise ValueError("the dataset's test mask is empty")
 
 
-def make_partition(cfg: TrainConfig, data: Dataset) -> ClusterAssignment:
-    if cfg.partition == "metis-like":
-        return partition_metis_like(data.graph, cfg.num_clusters, cfg.seed)
-    if cfg.partition == "kmeans":
-        return partition_kmeans(data.features, cfg.num_clusters, cfg.seed)
-    if cfg.partition == "random":
-        return partition_random(data.num_nodes, cfg.num_clusters, cfg.seed)
-    a = read_assignment(cfg.clusters_file)
-    if a.num_nodes != data.num_nodes:
-        raise ValueError(f"{cfg.clusters_file}: covers {a.num_nodes} nodes, dataset has {data.num_nodes}")
+def make_partition(method: str, data: Dataset, m: int, seed: int,
+                   clusters_file=None) -> ClusterAssignment:
+    """data's nodes in m clusters by the named method: the one partition dispatch."""
+    a = PARTITION_METHODS[method](data, m, seed, clusters_file)
+    if a.num_nodes != data.num_nodes:  # only a file can cover another graph
+        raise ValueError(f"{clusters_file}: covers {a.num_nodes} nodes, dataset has {data.num_nodes}")
     return a
 
 
+def _setup(cfg: TrainConfig, data: Dataset, assign: ClusterAssignment | None = None):
+    """The all-rows plan and, if the loss reads clusters and none is given, the partition."""
+    adj = normalize_adjacency(data.graph) if cfg.spec.uses_graph else None
+    if assign is None and LOSS_KINDS[cfg.loss].needs_clusters:
+        assign = make_partition(cfg.partition, data, cfg.num_clusters, cfg.seed,
+                                cfg.clusters_file)
+    return plan_rows(cfg.spec, adj, data.features), assign
+
+
 def _loss_on(cfg, params, z, data, mask, assign, stats) -> losses.LossResult:
+    """cfg.loss's public losses.*_loss, looked up on the module at each call."""
     if cfg.loss == "ce":
         return losses.ce_loss(params, z, data.labels, mask)
     if cfg.loss == "ic":
@@ -177,22 +180,22 @@ def _eval_pass(cfg, params, plan: RowPlan, data, assign, splits, stats=None):
 
 def _split_score(probs, data, mask) -> float:
     """Checkpoint metric: accuracy (single-label) or micro-F1 (multi-label)."""
-    if data.labels.kind == "s":
-        batch = PredictionBatch(probs[mask], data.labels.class_index()[mask], mask)
-        return accuracy(batch)
-    micro, _, _ = multilabel_f1(probs[mask], data.labels.matrix[mask])
-    return micro
+    if data.labels.multi:
+        micro, _, _ = multilabel_f1(probs[mask], data.labels.matrix[mask])
+        return micro
+    batch = PredictionBatch(probs[mask], data.labels.class_index()[mask], mask)
+    return accuracy(batch)
 
 
 def _split_metrics(probs, data, mask, ece_bins) -> dict:
-    if data.labels.kind == "s":
-        batch = PredictionBatch(probs[mask], data.labels.class_index()[mask], mask)
-        micro, macro, weighted = f1_scores(batch)
-        return {"acc": accuracy(batch), "f1_micro": micro, "f1_macro": macro,
-                "f1_weighted": weighted, "ece": ece(batch, ece_bins)}
-    micro, macro, weighted = multilabel_f1(probs[mask], data.labels.matrix[mask])
-    return {"acc": micro, "f1_micro": micro, "f1_macro": macro,
-            "f1_weighted": weighted, "ece": float("nan")}
+    if data.labels.multi:
+        micro, macro, weighted = multilabel_f1(probs[mask], data.labels.matrix[mask])
+        return {"acc": micro, "f1_micro": micro, "f1_macro": macro,
+                "f1_weighted": weighted, "ece": float("nan")}
+    batch = PredictionBatch(probs[mask], data.labels.class_index()[mask], mask)
+    micro, macro, weighted = f1_scores(batch)
+    return {"acc": accuracy(batch), "f1_micro": micro, "f1_macro": macro,
+            "f1_weighted": weighted, "ece": ece(batch, ece_bins)}
 
 
 def train(cfg: TrainConfig, data: Dataset) -> RunResult:
@@ -205,12 +208,10 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
     """Like train, but also returns the best-validation parameter snapshot."""
     _validate(cfg, data)
     spec = cfg.spec
-    adj = normalize_adjacency(data.graph) if _needs_adj(spec) else None
-    assign = make_partition(cfg, data) if _needs_clusters(cfg.loss) else None
+    plan, assign = _setup(cfg, data)
     masks = data.masks
     val_mask = masks.val if masks.val.size else masks.train
     # a step reads the train rows' embeddings, an eval those of every split
-    plan = plan_rows(spec, adj, data.features)
     train_plan = plan.restrict(masks.train)
     eval_plan = plan.restrict(np.concatenate([masks.train, val_mask, masks.test]))
 
@@ -234,7 +235,7 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
     if cfg.epochs == 0:
         run_eval(0, params)
     for epoch in range(1, cfg.epochs + 1):
-        z, tape = encoder_forward(spec, params, adj, data.features, train_mode=True,
+        z, tape = encoder_forward(spec, params, plan.adj, data.features, train_mode=True,
                                   seed=[cfg.seed, 1, epoch], plan=train_plan)
         stats = (losses.cluster_stats(z, data.labels, masks.train, assign)
                  if assign is not None else None)
@@ -263,11 +264,8 @@ def evaluate(params: Params, cfg: TrainConfig, data: Dataset,
     split = np.asarray(split if split is not None else data.masks.test, dtype=np.int64)
     if split.size == 0:
         raise ValueError("empty split")
-    adj = normalize_adjacency(data.graph) if _needs_adj(cfg.spec) else None
-    plan = plan_rows(cfg.spec, adj, data.features).restrict(
-        np.concatenate([data.masks.train, split]))
-    if _needs_clusters(cfg.loss) and assign is None:
-        assign = make_partition(cfg, data)
+    plan, assign = _setup(cfg, data, assign)
+    plan = plan.restrict(np.concatenate([data.masks.train, split]))
     probs, (loss,) = _eval_pass(cfg, params, plan, data, assign, [split], stats)
     return {**_split_metrics(probs, data, split, cfg.ece_bins), "loss": loss}
 

@@ -4,7 +4,8 @@ import pytest
 
 from jcgraph.cli import main
 from jcgraph.graph import load_dataset
-from jcgraph.trainer import TrainingError
+from jcgraph.partition import read_assignment
+from jcgraph.trainer import TrainingError, make_partition
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,16 @@ class TestPartitionCmd:
                    "--out", str(tmp_path / "a.txt")])
         assert rc == 0
         assert "between=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["metis-like", "kmeans", "random"])
+    def test_method_matches_make_partition(self, sbm_dir, tmp_path, method):
+        rc = main(["partition", "--dataset", str(sbm_dir), "--method", method,
+                   "--clusters", "3", "--seed", "2", "--out", str(tmp_path / "a.txt")])
+        assert rc == 0
+        expected = make_partition(method, load_dataset(sbm_dir), 3, 2)
+        written = read_assignment(tmp_path / "a.txt")
+        assert written.num_clusters == expected.num_clusters
+        assert (written.assign == expected.assign).all()
 
     def test_bad_m_exit_2(self, sbm_dir, tmp_path, capsys):
         rc = main(["partition", "--dataset", str(sbm_dir), "--clusters", "100",
@@ -133,7 +144,9 @@ class TestTrainCmd:
         assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,key", [("--eval-every", "0", "eval_every"),
-                                                ("--epochs", "-1", "epochs")])
+                                                ("--epochs", "-1", "epochs"),
+                                                ("--adam-beta1", "1.0", "adam_beta1"),
+                                                ("--adam-beta2", "1.5", "adam_beta2")])
     def test_bad_epoch_counts_exit_2(self, sbm_dir, tmp_path, capsys, flag, value, key):
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", epochs=3, hidden=8)
         assert main(["train", str(cfgf), flag, value]) == 2
@@ -148,6 +161,20 @@ class TestTrainCmd:
                             partition="file", clusters_file=clusters, epochs=3, hidden=8)
         assert main(["train", str(cfgf)]) == 2
         assert f"error: {clusters}:61: cluster id 3 out of range" in capsys.readouterr().err
+        assert not (tmp_path / "r.result").exists()
+
+    def test_file_partition_without_clusters_file_exit_2(self, sbm_dir, tmp_path, capsys,
+                                                         monkeypatch):
+        import jcgraph.trainer as train_mod
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+        for name in ("normalize_adjacency", "read_assignment"):
+            monkeypatch.setattr(train_mod, name, never)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+                            partition="file", clusters=3, epochs=3, hidden=8)
+        assert main(["train", str(cfgf)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "clusters_file" in err
         assert not (tmp_path / "r.result").exists()
 
     def test_runtime_failure_exit_1(self, sbm_dir, tmp_path, monkeypatch):

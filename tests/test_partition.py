@@ -250,12 +250,16 @@ def _sha256(*arrays):
     return h.hexdigest()
 
 
-# seeded block-model graphs large enough to coarsen (600-900 nodes, coarse
-# target 200): (blocks, nodes per block, p_in, p_out, seed)
+# seeded block-model graphs: (blocks, nodes per block, p_in, p_out, seed). The
+# 600-900 node ones are large enough to coarsen (coarse target 200); the small
+# ones are partitioned as they are, on the thorough path for coarsest levels of
+# at most 100 nodes (move-sequence and swap refinement)
 GOLDEN_GRAPHS = {
     "sbm600": (4, 150, 0.05, 0.002, 1),
     "sbm800": (5, 160, 0.03, 0.003, 2),
     "sbm900": (3, 300, 0.02, 0.001, 3),
+    "sbm60": (3, 20, 0.3, 0.05, 1),
+    "sbm100": (4, 25, 0.2, 0.05, 2),
 }
 
 # SHA-256 of normalize_adjacency's indptr, indices, values (little-endian)
@@ -288,6 +292,22 @@ GOLDEN_PARTITION = {
     ("sbm900", 6, 5): "62c8dc4303473f1f52aaf743bf9c32808012b1c2d1d09bc4c9d8c1d9c2af49ab",
 }
 
+# the same for the small graphs, whose only level is the coarsest one
+GOLDEN_SMALL_PARTITION = {
+    ("sbm60", 2, 0): "8091546d88af3d76945f0a77736fa7999ce6a91151b293043141b3ba3b146dad",
+    ("sbm60", 2, 5): "4258930d51871c7f50788db1bec3d80ee29df63e70753995e34cc83d7e97f865",
+    ("sbm60", 4, 0): "0cda75f1e7de0a0952691de4d25e31524af959cad428d5251c248fa93c2c3a7b",
+    ("sbm60", 4, 5): "77990a176e1c65579b2358215e19abeea8aa317284ea515edbc8f0c8a657803e",
+    ("sbm60", 6, 0): "8ba84ae9e718d53fed630ecafbf6c29761bf96fb4456e437b890091f9a95a344",
+    ("sbm60", 6, 5): "68e83e79c8151be6a65ea734ef2af136ce9ed2b0ea857a3245582247891a41ee",
+    ("sbm100", 2, 0): "926631a4457bd2e4b4f63022333d370a2e1eb151f32e71768f616a58f9ea7acf",
+    ("sbm100", 2, 5): "b75650920bda8775172795c192881f19b843b1e69ac8f3a2c7005ad0ea03d86c",
+    ("sbm100", 4, 0): "459aa13d3712f2fdff27d49fa7420832b491d9bf65f61d97b38435ae09ce6b8b",
+    ("sbm100", 4, 5): "d7884ac94e87d6844a051c688c4ad2934f3db48ee85b966400b6dd94b320d138",
+    ("sbm100", 6, 0): "9b501a26a2a91b83a4b2578cb028cc3da09bf5273a86add4da7131b42000a41d",
+    ("sbm100", 6, 5): "f1494825530510046e0912fb29001b7d4249fe7cfe14c42ce60dd9c193ce2ebe",
+}
+
 
 @pytest.fixture(scope="module")
 def golden_graphs():
@@ -308,3 +328,10 @@ class TestGoldenFingerprints:
         assign, trace = _multilevel(golden_graphs[name], m, seed)
         assert len(trace) >= 3  # the graph was coarsened at least twice
         assert _sha256((assign.assign, "<i8")) == GOLDEN_PARTITION[(name, m, seed)]
+
+    @pytest.mark.parametrize("name,m,seed", sorted(GOLDEN_SMALL_PARTITION))
+    def test_partition_metis_like_small(self, golden_graphs, name, m, seed):
+        g = golden_graphs[name]
+        assign, trace = _multilevel(g, m, seed)
+        assert len(trace) == 1 and g.num_nodes <= 100  # one level, refined thoroughly
+        assert _sha256((assign.assign, "<i8")) == GOLDEN_SMALL_PARTITION[(name, m, seed)]

@@ -69,3 +69,6 @@ def test_tracer_tags_each_step_and_eval(probes, restore_targets, easy_sbm):
     assert spans.count(("nn.backward", "train")) == 3
     assert ("graph.spmm", "train") in spans and ("graph.spmm", "eval") in spans
     assert spans.count(("partition", "setup")) == 1
+    # one traced jc_loss per step: trainer.jc_epoch_ms in perfbench/layers.py reads these
+    steps = [extra for name, *_, tag, extra in tracer.spans if (name, tag) == ("losses.loss", "train")]
+    assert steps == [{"loss": "jc_loss"}] * 3
