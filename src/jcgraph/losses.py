@@ -230,27 +230,37 @@ def _sources(embeddings, labels, rows, assign, stats) -> dict:
     return src
 
 
-def _forward(streams, src, w, b, labels, beta, ll=None, rows=slice(None)):
-    """Run each stream over the src rows; log-likelihoods only for src[rows].
+def _forward(streams, src, w, b, labels, beta, height=None):
+    """Run each stream over the src rows.
 
-    Returns (order, input rows, target table, probabilities) per stream, the
-    node streams' per-row log-likelihoods summed onto ll, and the cluster
-    stream's beta-weighted loss (None without one, or when beta is 0).
+    Returns (order, input, target table, probabilities) per stream, the node
+    streams' per-row log-likelihoods summed, and the cluster stream's
+    beta-weighted loss (None without one, or when beta is 0). With height =
+    (n, rows), the first stream's src rows are the given rows of n nodes, and
+    its logit GEMM runs over an n-row input that is zero elsewhere: the bits
+    of a GEMM row depend on the number of rows, and an n-row GEMM is what an
+    all-nodes pass computes.
     """
-    outs, cluster = [], None
-    for order, target, group in streams:
+    outs, ll, cluster = [], None, None
+    for i, (order, target, group) in enumerate(streams):
         if order == "k" and beta == 0.0:
             continue
         xs, ys = zip(*(src[ch] for ch in order))
         x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
-        t = target(*(y[rows] for y in ys))
-        logits = x @ w + b
+        t = target(*ys)
+        if height is None or i > 0:
+            logits = x @ w + b
+        else:
+            n, rows = height
+            full = np.zeros((n, x.shape[1]))
+            full[rows] = x
+            logits = (full @ w)[rows] + b
         if labels.multi and group is None:
             p = expit(logits)
-            r = t * _logp(p[rows]) + (1.0 - t) * _logp(1.0 - p[rows])
+            r = t * _logp(p) + (1.0 - t) * _logp(1.0 - p)
         else:
             p = _softmax(logits if group is None else logits.reshape(len(x), -1, group))
-            r = t * _logp(p[rows])
+            r = t * _logp(p)
         r = r.sum(axis=tuple(range(1, p.ndim)))
         if order == "k":
             cluster = beta * float(-r.mean())
@@ -366,23 +376,23 @@ def eval_pass(kind: str, classifier: Params, embeddings: np.ndarray, labels: Lab
               splits: list, assign: ClusterAssignment | None = None,
               stats: ClusterStats | None = None,
               beta: float = 0.0) -> tuple[np.ndarray, list[float]]:
-    """Class probabilities of every node and the loss value on each split.
+    """Class probabilities on the split rows and the loss value on each split.
 
     The values equal <kind>_loss(...).value on each split, with no gradient
-    work: the first stream's logits run once over all nodes and give the
-    predictions; loss terms and other streams cover only the split rows.
+    work. Every stream runs on the union of the split rows only; the first
+    stream's logit GEMM keeps the height of all nodes, so the probabilities
+    are the bits an all-nodes pass gives. Rows outside the splits hold NaN.
     """
     w, b = _clf(classifier)
     splits = [_mask(s) for s in splits]
     rows = np.unique(np.concatenate(splits))
     loss = LOSS_KINDS[kind]
-    first, *rest = loss.streams
-    every = _sources(embeddings, labels, slice(None), assign, stats)
-    [(_, _, _, p)], ll, _ = _forward([first], every, w, b, labels, beta, rows=rows)
-    _, ll, cluster = _forward(rest, _sources(embeddings, labels, rows, assign, stats),
-                              w, b, labels, beta, ll)
+    outs, ll, cluster = _forward(loss.streams, _sources(embeddings, labels, rows, assign, stats),
+                                 w, b, labels, beta, height=(len(embeddings), rows))
     values = [_value(ll[np.searchsorted(rows, s)], cluster) for s in splits]
-    return loss.marginal(p, labels.num_classes), values
+    probs = np.full((len(embeddings), labels.num_classes), np.nan)
+    probs[rows] = loss.marginal(outs[0][3], labels.num_classes)
+    return probs, values
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,27 @@ def _on_rows(rows, fn, *arrays):
     return out
 
 
+# above this share of rows, an in-place update of a zero-padded array makes
+# one pass over every row instead of gathering and scattering the rows (at
+# n x 64 with one thread, a gathered row costs 4-6x a row of a full pass)
+GATHER_SHARE = 0.2
+
+
+def _in_place(rows, fn, a, *others):
+    """fn(a, *others) writing into a, on the given rows (all rows for None).
+
+    a is zero outside rows and fn maps zero to zero, so a full pass leaves
+    those rows zero; the others are read on the same rows as a.
+    """
+    if rows is None or rows.size > GATHER_SHARE * len(a):
+        fn(a, *others)
+    else:
+        part = a[rows]
+        fn(part, *(o[rows] for o in others))
+        a[rows] = part
+    return a
+
+
 @dataclass
 class GradientTape:
     """Forward-pass cache; consumed by exactly one model_backward call."""
@@ -247,15 +268,63 @@ class GradientTape:
     used: bool = False
 
 
-def _dropout(rng, plan, inp, rows, p):
-    """Inverted dropout on the computed rows; the mask is drawn at full size."""
+# a gap between computed rows of fewer draws than this is drawn through: one
+# advance() and one draw call cost about as much as drawing ~1k doubles
+DRAW_THROUGH = 1024
+
+
+def _draws_on_rows(rng, shape, rows, gap=DRAW_THROUGH):
+    """rng.random(shape)[rows] for sorted distinct rows, drawing only the
+    stretches that hold them and skipping the rest with PCG64.advance.
+
+    A double takes one 64-bit step of the generator, so the values are the
+    same bits as the full draw's, and rng is left where the full draw leaves
+    it. Gaps shorter than gap draws are drawn through.
+    """
+    n, width = shape
+    cut = np.flatnonzero((np.diff(rows) - 1) * width >= gap) + 1
+    first, stop = rows[np.r_[0, cut]], rows[np.r_[cut - 1, -1]] + 1
+    at = np.r_[0, np.cumsum(stop - first)]  # each stretch's offset in drawn
+    drawn = np.empty((int(at[-1]), width))
+    done = 0
+    for lo, hi, o in zip(first.tolist(), stop.tolist(), at.tolist()):
+        rng.bit_generator.advance((lo - done) * width)
+        rng.random(out=drawn[o:o + hi - lo])
+        done = hi
+    rng.bit_generator.advance((n - done) * width)
+    stretch = np.repeat(np.arange(first.size), np.diff(np.r_[0, cut, rows.size]))
+    return drawn[rows - first[stretch] + at[stretch]]
+
+
+def _scale(v, mask, p):
+    """Inverted dropout, v * mask / (1 - p), written into v."""
+    np.multiply(v, mask, out=v)
+    return np.divide(v, 1.0 - p, out=v)
+
+
+def _dropout(rng, plan, inp, k, p):
+    """Inverted dropout on layer k's input, on the rows the plan computes.
+
+    Returns (input, mask); the mask is kept for the backward pass and is None
+    at layer 0, whose input gets no gradient. Layer 0 draws one value per
+    entry of x (per stored entry of a CSR twin); a hidden layer draws only
+    its computed rows and is scaled in place, since nothing else reads it.
+    """
+    rows = plan.rows[k]
     if sp.issparse(inp):
-        mask = rng.random(plan.x.data.shape) >= p
-        kept = mask if plan.x_pos is None else mask[plan.x_pos]
+        u = rng.random(plan.x.data.shape)
+        kept = (u if plan.x_pos is None else u[plan.x_pos]) >= p
         data = inp.data * kept / (1.0 - p)
-        return sp.csr_matrix((data, inp.indices, inp.indptr), shape=inp.shape), mask
-    mask = rng.random(inp.shape) >= p
-    return _on_rows(rows, lambda a, m: a * m / (1.0 - p), inp, mask), mask
+        return sp.csr_matrix((data, inp.indices, inp.indptr), shape=inp.shape), None
+    if k == 0:
+        u = rng.random(inp.shape)
+        return _on_rows(rows, lambda a, u: a * (u >= p) / (1.0 - p), inp, u), None
+    if rows is None:
+        mask = rng.random(inp.shape) >= p
+    else:
+        mask = np.zeros(inp.shape, dtype=bool)
+        mask[rows] = _draws_on_rows(rng, inp.shape, rows) >= p
+    return _in_place(rows, lambda v, m: _scale(v, m, p), inp, mask), mask
 
 
 def encoder_forward(spec: ModelSpec, params: Params, adj: NormAdj | None,
@@ -270,7 +339,8 @@ def encoder_forward(spec: ModelSpec, params: Params, adj: NormAdj | None,
 
     plan, built from this adj and x, limits the work to the rows its targets
     read; the embeddings are exact on the targets and zero on rows that were
-    not computed. Without a plan every row is computed.
+    not computed. Without a plan every row is computed. The tape may share
+    the embeddings' memory, so change them only after model_backward.
     """
     if plan is None:
         plan = plan_rows(spec, adj, x)
@@ -283,19 +353,24 @@ def encoder_forward(spec: ModelSpec, params: Params, adj: NormAdj | None,
     caches = []
     for k in range(spec.layers):
         w = params[f"enc_w{k}"]
-        inp, mask, out = h, None, plan.rows[k + 1]
+        inp, mask, rows = h, None, plan.rows[k + 1]
         if drop:
-            inp, mask = _dropout(rng, plan, inp, plan.rows[k], spec.dropout)
+            inp, mask = _dropout(rng, plan, inp, k, spec.dropout)
         u = inp @ w
         if spec.encoder == "gcn":
             s = spmm(plan.adj_rows[k + 1], u)
         else:
             bias = params[f"enc_b{k}"]
-            s = _on_rows(out, lambda a: a + bias, u)
+            s = _on_rows(rows, lambda a: a + bias, u)
         relu = spec.encoder == "mlp" or k < spec.layers - 1
-        h = _on_rows(out, lambda a: np.maximum(a, 0.0), s) if relu else s
-        caches.append({"inp": inp, "mask": mask, "pre": s, "relu": relu, "k": k, "w": w})
-    _check_finite(h)
+        # s is zero outside rows (Â stores only those rows; mlp adds its bias
+        # there only), so the ReLU may run over every row. The next layer's
+        # dropout scales h in place: out > 0 still gives the ReLU gradient,
+        # since an entry that dropout zeroes gets a zero gradient anyway.
+        h = _in_place(rows, lambda v: np.maximum(v, 0.0, out=v), s) if relu else s
+        caches.append({"inp": inp, "mask": mask, "out": h, "relu": relu, "k": k, "w": w})
+    targets = plan.rows[-1]
+    _check_finite(h if targets is None else h[targets])
     return h, GradientTape(plan, caches)
 
 
@@ -319,12 +394,13 @@ def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.nd
     d = np.asarray(loss_grad, dtype=np.float64)
     if d.shape[1] != spec.embed_dim:
         raise ValueError(f"loss gradient has shape {d.shape}, embed dim is {spec.embed_dim}")
-    d = _on_rows(plan.rows[-1], lambda a: a, d)
+    d = _on_rows(plan.rows[-1], np.copy, d)  # updated in place below
     grads = {}
     for cache in reversed(tape.layers):
         k = cache["k"]
         if cache["relu"]:
-            d = _on_rows(plan.rows[k + 1], lambda a, pre: a * (pre > 0.0), d, cache["pre"])
+            d = _in_place(plan.rows[k + 1], lambda v, out: np.multiply(v, out > 0.0, out=v),
+                          d, cache["out"])
         if spec.encoder == "gcn":
             du = spmm(plan.adj_rows[k], d)  # A is symmetric
         else:
@@ -335,8 +411,8 @@ def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.nd
         if k > 0:
             d = du @ cache["w"].T
             if cache["mask"] is not None:
-                d = _on_rows(plan.rows[k], lambda a, m: a * m / (1.0 - spec.dropout),
-                             d, cache["mask"])
+                d = _in_place(plan.rows[k], lambda v, m: _scale(v, m, spec.dropout),
+                              d, cache["mask"])
     return grads
 
 

@@ -11,6 +11,7 @@ the train rows and their receptive field, an eval those of every split
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -85,8 +86,14 @@ class TrainConfig:
         for key, b in zip(("adam_beta1", "adam_beta2"), self.betas):
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{key} must be in [0, 1), got {b}")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        for key in ("lr", "adam_eps"):
+            v = getattr(self, key)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {v}")
+        for key in ("weight_decay", "beta"):
+            v = getattr(self, key)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {v}")
         if LOSS_KINDS[self.loss].needs_clusters and self.num_clusters < 1:
             raise ValueError("cluster-based losses need num_clusters >= 1")
         if self.epochs < 0:
@@ -168,8 +175,8 @@ def _loss_on(cfg, params, z, data, mask, assign, stats) -> losses.LossResult:
 def _eval_pass(cfg, params, plan: RowPlan, data, assign, splits, stats=None):
     """Predictions and the loss on each split: the one eval path.
 
-    The plan's targets must cover the splits and the train rows; predictions
-    of other nodes are not meaningful.
+    The plan's targets must cover the splits and the train rows. Predictions
+    exist on the split rows only; every other row is NaN.
     """
     z, _ = encoder_forward(cfg.spec, params, plan.adj, data.features, train_mode=False,
                            plan=plan)

@@ -146,7 +146,15 @@ class TestTrainCmd:
     @pytest.mark.parametrize("flag,value,key", [("--eval-every", "0", "eval_every"),
                                                 ("--epochs", "-1", "epochs"),
                                                 ("--adam-beta1", "1.0", "adam_beta1"),
-                                                ("--adam-beta2", "1.5", "adam_beta2")])
+                                                ("--adam-beta2", "1.5", "adam_beta2"),
+                                                ("--lr", "-1", "lr"),
+                                                ("--lr", "0", "lr"),
+                                                ("--lr", "nan", "lr"),
+                                                ("--adam-eps", "-1", "adam_eps"),
+                                                ("--adam-eps", "inf", "adam_eps"),
+                                                ("--weight-decay", "-1", "weight_decay"),
+                                                ("--weight-decay", "nan", "weight_decay"),
+                                                ("--beta", "nan", "beta")])
     def test_bad_epoch_counts_exit_2(self, sbm_dir, tmp_path, capsys, flag, value, key):
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", epochs=3, hidden=8)
         assert main(["train", str(cfgf), flag, value]) == 2

@@ -2,15 +2,15 @@
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jcgraph.graph import Graph, normalize_adjacency
-from jcgraph.nn import (ENCODERS, SPARSE_MIN_SIZE, ModelSpec, encoder_forward, init_params,
-                        model_backward, plan_rows)
+from jcgraph.nn import (DRAW_THROUGH, ENCODERS, SPARSE_MIN_SIZE, ModelSpec, _draws_on_rows,
+                        encoder_forward, init_params, model_backward, plan_rows)
 
 
-def random_case(seed, encoder, layers, dropout, twin):
+def random_case(seed, encoder, layers, hidden, dropout, twin):
     """A graph with isolated nodes, features, parameters and a target set."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 80))
@@ -24,7 +24,7 @@ def random_case(seed, encoder, layers, dropout, twin):
     else:
         d = int(rng.integers(1, 6))
         x = rng.normal(size=(n, d))
-    spec = ModelSpec(encoder, layers, int(rng.integers(1, 6)), d, 2, dropout, "independent")
+    spec = ModelSpec(encoder, layers, hidden, d, 2, dropout, "independent")
     params = init_params(spec, int(rng.integers(0, 1000)))
     for name in params.names():
         if name.startswith("enc_b"):
@@ -35,10 +35,19 @@ def random_case(seed, encoder, layers, dropout, twin):
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), encoder=st.sampled_from(ENCODERS),
-       layers=st.integers(1, 3), dropout=st.sampled_from([0.0, 0.5]), twin=st.booleans(),
-       train_mode=st.booleans())
-def test_cut_plan_matches_all_rows_bit_for_bit(seed, encoder, layers, dropout, twin, train_mode):
-    rng, adj, x, spec, params, targets = random_case(seed, encoder, layers, dropout, twin)
+       layers=st.integers(1, 3), hidden=st.sampled_from([1, 2, 3, 4, 5, 64]),
+       dropout=st.sampled_from([0.0, 0.5]), twin=st.booleans(), train_mode=st.booleans())
+# A hidden row of 64 units is 64 draws, so the dropout draw skips gaps of
+# DRAW_THROUGH / 64 = 16 rows or more. In these cases every hidden layer's
+# computed rows have such a gap (gcn: 7 of 68 rows one layer down; gcn with 3
+# layers and a CSR twin: 5 and 4 of 59; mlp: 3 of 52).
+@example(seed=0, encoder="gcn", layers=2, hidden=64, dropout=0.5, twin=False, train_mode=True)
+@example(seed=83, encoder="gcn", layers=3, hidden=64, dropout=0.5, twin=True, train_mode=True)
+@example(seed=90, encoder="mlp", layers=2, hidden=64, dropout=0.5, twin=False, train_mode=True)
+def test_cut_plan_matches_all_rows_bit_for_bit(seed, encoder, layers, hidden, dropout, twin,
+                                               train_mode):
+    rng, adj, x, spec, params, targets = random_case(seed, encoder, layers, hidden, dropout,
+                                                     twin)
     full = plan_rows(spec, adj, x)
     cut = full.restrict(targets)
     assert sp.issparse(full.x) == (twin and encoder != "sgc")
@@ -77,3 +86,31 @@ def test_rows_grow_by_one_hop_per_layer():
     cut = plan_rows(spec, normalize_adjacency(graph), np.ones((5, 1))).restrict([0])
     assert [r.tolist() for r in cut.rows] == [[0, 1, 2], [0, 1], [0]]
     assert [int(a.indices.size) for a in cut.adj_rows] == [8, 5, 2]
+
+
+@st.composite
+def row_sets(draw):
+    n = draw(st.integers(1, 60))
+    rows = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return n, np.array(sorted(rows), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=row_sets(), width=st.integers(1, 8), gap=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(1, np.array([0])), width=3, gap=DRAW_THROUGH, seed=0)  # single row
+@example(case=(9, np.array([0, 8])), width=2, gap=4, seed=1)  # first and last rows
+@example(case=(9, np.arange(9)), width=2, gap=1, seed=2)  # all rows, no gaps
+@example(case=(9, np.array([2, 3, 4])), width=5, gap=1, seed=3)  # empty gaps
+@example(case=(12, np.array([1, 5, 8])), width=1, gap=3, seed=4)  # gap 3 skipped, 2 drawn
+@example(case=(12, np.array([1, 5, 8])), width=1, gap=4, seed=5)  # gaps 3 and 2 drawn
+def test_row_limited_draw_matches_the_full_draw(case, width, gap, seed):
+    n, rows = case
+    full_rng = np.random.default_rng(seed)
+    full = full_rng.random((n, width))
+    rng = np.random.default_rng(seed)
+    got = _draws_on_rows(rng, (n, width), rows, gap)
+    assert got.tobytes() == full[rows].tobytes()
+    # the generator ends where the full draw leaves it, so the next draw agrees
+    assert rng.bit_generator.state == full_rng.bit_generator.state
+    assert rng.random(5).tobytes() == full_rng.random(5).tobytes()
