@@ -3,6 +3,7 @@ clean-vs-poisoned retraining sweep comparing loss functions."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from .trainer import TrainConfig, TrainingError, train
 __all__ = [
     "AttackSpec",
     "SweepRow",
+    "check_ratios",
     "random_attack",
     "robustness_sweep",
     "write_sweep_csv",
@@ -27,8 +29,28 @@ class AttackSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ratio < 0:
-            raise ValueError("ratio must be >= 0")
+        if not (math.isfinite(self.ratio) and self.ratio >= 0):
+            raise ValueError(f"ratio must be finite and >= 0, got {self.ratio}")
+
+
+def _fake_edge_count(g: Graph, spec: AttackSpec) -> int:
+    """floor(ratio * m), checked against the number of non-adjacent pairs."""
+    needed = int(spec.ratio * g.num_edges)
+    capacity = g.num_nodes * (g.num_nodes - 1) // 2 - g.num_edges
+    if needed > capacity:
+        raise ValueError(f"graph too dense: {needed} fake edges requested at ratio {spec.ratio}, "
+                         f"only {capacity} non-adjacent pairs exist")
+    return needed
+
+
+def check_ratios(g: Graph, ratios) -> list[float]:
+    """The sweep's ratios, each one checked as random_attack on g would check it."""
+    ratios = list(ratios)
+    for ratio in ratios:
+        _fake_edge_count(g, AttackSpec(ratio))
+    if ratios != sorted(ratios):
+        raise ValueError("ratios must be sorted ascending")
+    return ratios
 
 
 def random_attack(g: Graph, spec: AttackSpec) -> Graph:
@@ -38,14 +60,9 @@ def random_attack(g: Graph, spec: AttackSpec) -> Graph:
     replacement and deterministic for a fixed seed.
     """
     n = g.num_nodes
-    m = g.num_edges
-    needed = int(spec.ratio * m)
+    needed = _fake_edge_count(g, spec)
     if needed == 0:
         return Graph(n, g.indptr.copy(), g.indices.copy())
-    capacity = n * (n - 1) // 2 - m
-    if needed > capacity:
-        raise ValueError(f"graph too dense: {needed} fake edges requested, "
-                         f"only {capacity} non-adjacent pairs exist")
 
     rng = np.random.default_rng(spec.seed)
     chosen: set[tuple[int, int]] = set()
@@ -91,11 +108,10 @@ def robustness_sweep(data: Dataset, ratios, cfg_ce: TrainConfig, cfg_jc: TrainCo
     """Poison, retrain both losses from scratch, report test accuracy.
 
     For every (ratio, seed) cell the graph is re-poisoned with that seed and
-    both configs are trained on the same poisoned graph.
+    both configs are trained on the same poisoned graph. Every ratio is
+    checked before the first training.
     """
-    ratios = list(ratios)
-    if ratios != sorted(ratios):
-        raise ValueError("ratios must be sorted ascending")
+    ratios = check_ratios(data.graph, ratios)
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     rows = []

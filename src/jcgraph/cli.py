@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .attack import robustness_sweep, write_sweep_csv
+from .attack import check_ratios, robustness_sweep, write_sweep_csv
 from .graph import DatasetFormatError, gen_sbm, load_dataset, write_dataset
 from .losses import LOSS_KINDS
 from .nn import ModelSpec, NumericsError, save_checkpoint
@@ -168,6 +168,10 @@ def cmd_attack(args) -> int:
     except ValueError:
         raise ConfigError(f"bad --ratios value {args.ratios!r}") from None
     data = load_dataset(cfg_raw["dataset"])
+    try:
+        ratios = check_ratios(data.graph, ratios)
+    except ValueError as e:
+        raise ConfigError(f"bad --ratios value {args.ratios!r}: {e}") from None
     cfg_ce = build_train_config({**cfg_raw, "loss": "ce"}, data)
     cfg_jc = build_train_config({**cfg_raw, "loss": "jc"}, data)
     rows = robustness_sweep(data, ratios, cfg_ce, cfg_jc, args.num_seeds)

@@ -124,13 +124,15 @@ class NormAdj:
 
     Entry (u, v) is 1/sqrt((deg_u + 1)(deg_v + 1)) for every stored pair,
     diagonal included. Values are bitwise symmetric because each entry is a
-    plain product of the two per-node scale factors.
+    plain product of the two per-node scale factors. shape is (n, n) for the
+    whole graph; a block cut to some rows and columns (nn.RowPlan) has the
+    rectangular shape of its cut, with columns numbered within the cut.
     """
 
-    __slots__ = ("num_nodes", "indptr", "indices", "values", "_csr")
+    __slots__ = ("shape", "indptr", "indices", "values", "_csr")
 
-    def __init__(self, num_nodes, indptr, indices, values):
-        self.num_nodes = int(num_nodes)
+    def __init__(self, shape, indptr, indices, values):
+        self.shape = (int(shape), int(shape)) if np.ndim(shape) == 0 else tuple(map(int, shape))
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
@@ -138,10 +140,7 @@ class NormAdj:
 
     def csr(self) -> sp.csr_matrix:
         if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.values, self.indices, self.indptr),
-                shape=(self.num_nodes, self.num_nodes),
-            )
+            self._csr = sp.csr_matrix((self.values, self.indices, self.indptr), shape=self.shape)
         return self._csr
 
     def dense(self) -> np.ndarray:
@@ -171,8 +170,8 @@ def spmm(a: NormAdj, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected 2-d dense matrix, got shape {x.shape}")
-    if x.shape[0] != a.num_nodes:
-        raise ValueError(f"dimension mismatch: adj is {a.num_nodes}x{a.num_nodes}, x has {x.shape[0]} rows")
+    if x.shape[0] != a.shape[1]:
+        raise ValueError(f"dimension mismatch: adj is {a.shape[0]}x{a.shape[1]}, x has {x.shape[0]} rows")
     return a.csr() @ x
 
 

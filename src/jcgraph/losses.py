@@ -230,31 +230,22 @@ def _sources(embeddings, labels, rows, assign, stats) -> dict:
     return src
 
 
-def _forward(streams, src, w, b, labels, beta, height=None):
+def _forward(streams, src, w, b, labels, beta):
     """Run each stream over the src rows.
 
     Returns (order, input, target table, probabilities) per stream, the node
     streams' per-row log-likelihoods summed, and the cluster stream's
-    beta-weighted loss (None without one, or when beta is 0). With height =
-    (n, rows), the first stream's src rows are the given rows of n nodes, and
-    its logit GEMM runs over an n-row input that is zero elsewhere: the bits
-    of a GEMM row depend on the number of rows, and an n-row GEMM is what an
-    all-nodes pass computes.
+    beta-weighted loss (None without one, or when beta is 0). Each stream's
+    logit GEMM has the height of its src rows.
     """
     outs, ll, cluster = [], None, None
-    for i, (order, target, group) in enumerate(streams):
+    for order, target, group in streams:
         if order == "k" and beta == 0.0:
             continue
         xs, ys = zip(*(src[ch] for ch in order))
         x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
         t = target(*ys)
-        if height is None or i > 0:
-            logits = x @ w + b
-        else:
-            n, rows = height
-            full = np.zeros((n, x.shape[1]))
-            full[rows] = x
-            logits = (full @ w)[rows] + b
+        logits = x @ w + b
         if labels.multi and group is None:
             p = expit(logits)
             r = t * _logp(p) + (1.0 - t) * _logp(1.0 - p)
@@ -379,16 +370,18 @@ def eval_pass(kind: str, classifier: Params, embeddings: np.ndarray, labels: Lab
     """Class probabilities on the split rows and the loss value on each split.
 
     The values equal <kind>_loss(...).value on each split, with no gradient
-    work. Every stream runs on the union of the split rows only; the first
-    stream's logit GEMM keeps the height of all nodes, so the probabilities
-    are the bits an all-nodes pass gives. Rows outside the splits hold NaN.
+    work. Every stream, its logit GEMM included, runs on the union of the
+    split rows only, so the probabilities are the bits that the predictor
+    formulas give on those rows; they can differ in the last bits from an
+    all-nodes pass, whose GEMM has another height. Rows outside the splits
+    hold NaN.
     """
     w, b = _clf(classifier)
     splits = [_mask(s) for s in splits]
     rows = np.unique(np.concatenate(splits))
     loss = LOSS_KINDS[kind]
     outs, ll, cluster = _forward(loss.streams, _sources(embeddings, labels, rows, assign, stats),
-                                 w, b, labels, beta, height=(len(embeddings), rows))
+                                 w, b, labels, beta)
     values = [_value(ll[np.searchsorted(rows, s)], cluster) for s in splits]
     probs = np.full((len(embeddings), labels.num_classes), np.nan)
     probs[rows] = loss.marginal(outs[0][3], labels.num_classes)

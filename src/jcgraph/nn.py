@@ -154,25 +154,43 @@ def _csr_twin(x: np.ndarray):
     return sp.csr_matrix((x.ravel()[flat], flat % d, indptr), shape=x.shape)
 
 
-def _keep_rows(indptr: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """indptr of a CSR matrix cut to the rows in keep, and its entries' positions."""
-    counts = np.diff(indptr)
-    cut = np.zeros_like(indptr)
-    np.cumsum(np.where(keep, counts, 0), out=cut[1:])
-    return cut, np.flatnonzero(np.repeat(keep, counts))
+def _cut_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """indptr of a CSR matrix cut to the given rows, and its entries' positions."""
+    counts = np.diff(indptr)[rows]
+    cut = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=cut[1:])
+    return cut, np.repeat(indptr[rows] - cut[:-1], counts) + np.arange(cut[-1])
+
+
+def _block(adj: NormAdj, rows, cols) -> NormAdj:
+    """Â cut to the given rows and columns (None for all of them), with the
+    columns renumbered in order, so each row keeps its entries' order."""
+    if rows is None and cols is None:
+        return adj
+    rows, cols = (np.arange(adj.shape[0]) if r is None else r for r in (rows, cols))
+    indptr, pos = _cut_rows(adj.indptr, rows)
+    at = np.full(adj.shape[1], -1, dtype=np.int64)
+    at[cols] = np.arange(cols.size)
+    indices = at[adj.indices[pos]]
+    inside = indices >= 0
+    kept = np.r_[0, np.cumsum(inside)]
+    return NormAdj((rows.size, cols.size), kept[indptr], indices[inside], adj.values[pos][inside])
 
 
 @dataclass(frozen=True)
 class RowPlan:
-    """The rows each encoder layer computes for a set of target rows.
+    """The rows each encoder layer computes for a set of target rows, and
+    the blocks a step multiplies.
 
     rows[L] are the targets and rows[k-1] the Â-neighbourhood of rows[k] (the
-    targets again for mlp); None stands for every row. adj_rows[k] is Â with
-    only the rows rows[k] stored, so a product with it is exact on those rows
-    and zero elsewhere. x is the full input as layer 0 multiplies it (dense,
-    or a CSR twin), x_rows its twin cut to rows[0] and x_pos the positions of
-    x_rows' entries in x, which index the dropout mask drawn over all of x's
-    entries. Dense inputs stay whole. sgc holds Â^K X for every row.
+    targets again for mlp); None stands for every row. A step holds layer k's
+    input, dropout mask and gradient as compact blocks of the rows[k] rows.
+    Layer k multiplies adj_rows[k], the rows[k+1] x rows[k] block of Â, and
+    its backward pass adj_back[k], the rows[k] x rows[k+1] block (Â is
+    symmetric); the entries a block drops meet only zero rows in a product
+    over all rows. x is the input as layer 0 multiplies it (dense, or a CSR
+    twin), x_rows its rows[0] rows and x_pos the positions of x_rows' entries
+    in a CSR twin. sgc holds Â^K X for every row.
     """
 
     spec: ModelSpec
@@ -181,6 +199,7 @@ class RowPlan:
     sgc: np.ndarray | None
     rows: tuple
     adj_rows: tuple
+    adj_back: tuple
     x_rows: np.ndarray | sp.csr_matrix
     x_pos: np.ndarray | None = None
 
@@ -189,25 +208,31 @@ class RowPlan:
         if self.spec.encoder == "sgc":
             return self
         n, levels = self.x.shape[0], self.spec.layers
-        keep = np.zeros(n, dtype=bool)
-        keep[np.asarray(targets, dtype=np.int64)] = True
-        masks, adj_rows = [keep] * (levels + 1), [self.adj] * (levels + 1)
-        for k in range(levels, -1, -1):
-            if self.adj is not None and not masks[k].all():
-                indptr, pos = _keep_rows(self.adj.indptr, masks[k])
-                adj_rows[k] = NormAdj(n, indptr, self.adj.indices[pos], self.adj.values[pos])
-                if k > 0:
-                    masks[k - 1] = np.zeros(n, dtype=bool)
-                    masks[k - 1][adj_rows[k].indices] = True
-            elif k > 0:
-                masks[k - 1] = masks[k]
-        rows = tuple(None if m.all() else np.flatnonzero(m) for m in masks)
+
+        def row_set(ids):
+            keep = np.zeros(n, dtype=bool)
+            keep[ids] = True
+            return None if keep.all() else np.flatnonzero(keep)
+
+        rows = [row_set(np.asarray(targets, dtype=np.int64))]
+        for _ in range(levels):
+            below = rows[0]
+            if self.spec.uses_graph and below is not None:
+                below = row_set(self.adj.indices[_cut_rows(self.adj.indptr, below)[1]])
+            rows.insert(0, below)
+        adj_rows = adj_back = ()
+        if self.spec.uses_graph:
+            adj_rows = tuple(_block(self.adj, rows[k + 1], rows[k]) for k in range(levels))
+            adj_back = tuple(_block(self.adj, rows[k], rows[k + 1]) for k in range(levels))
         x_rows, x_pos = self.x, None
-        if sp.issparse(self.x) and rows[0] is not None:
-            indptr, x_pos = _keep_rows(self.x.indptr, masks[0])
+        if rows[0] is not None and sp.issparse(self.x):
+            indptr, x_pos = _cut_rows(self.x.indptr, rows[0])
             x_rows = sp.csr_matrix((self.x.data[x_pos], self.x.indices[x_pos], indptr),
-                                   shape=self.x.shape)
-        return RowPlan(self.spec, self.adj, self.x, None, rows, tuple(adj_rows), x_rows, x_pos)
+                                   shape=(rows[0].size, self.x.shape[1]))
+        elif rows[0] is not None:
+            x_rows = self.x[rows[0]]
+        return RowPlan(self.spec, self.adj, self.x, None, tuple(rows), adj_rows, adj_back,
+                       x_rows, x_pos)
 
 
 def plan_rows(spec: ModelSpec, adj: NormAdj | None, x: np.ndarray) -> RowPlan:
@@ -225,38 +250,8 @@ def plan_rows(spec: ModelSpec, adj: NormAdj | None, x: np.ndarray) -> RowPlan:
         _check_finite(sgc)
     else:
         x = _csr_twin(x)
-    levels = spec.layers + 1
-    return RowPlan(spec, adj, x, sgc, (None,) * levels, (adj,) * levels, x)
-
-
-def _on_rows(rows, fn, *arrays):
-    """fn over the given rows of same-shape arrays, zeros elsewhere; all rows for None."""
-    if rows is None:
-        return fn(*arrays)
-    out = np.zeros(arrays[0].shape)
-    out[rows] = fn(*(a[rows] for a in arrays))
-    return out
-
-
-# above this share of rows, an in-place update of a zero-padded array makes
-# one pass over every row instead of gathering and scattering the rows (at
-# n x 64 with one thread, a gathered row costs 4-6x a row of a full pass)
-GATHER_SHARE = 0.2
-
-
-def _in_place(rows, fn, a, *others):
-    """fn(a, *others) writing into a, on the given rows (all rows for None).
-
-    a is zero outside rows and fn maps zero to zero, so a full pass leaves
-    those rows zero; the others are read on the same rows as a.
-    """
-    if rows is None or rows.size > GATHER_SHARE * len(a):
-        fn(a, *others)
-    else:
-        part = a[rows]
-        fn(part, *(o[rows] for o in others))
-        a[rows] = part
-    return a
+    blocks = (adj,) * spec.layers
+    return RowPlan(spec, adj, x, sgc, (None,) * (spec.layers + 1), blocks, blocks, x)
 
 
 @dataclass
@@ -271,20 +266,32 @@ class GradientTape:
 # a gap between computed rows of fewer draws than this is drawn through: one
 # advance() and one draw call cost about as much as drawing ~1k doubles
 DRAW_THROUGH = 1024
+# drawing by stretches pays only while it draws under this share of the full
+# draw, counting DRAW_THROUGH draws per stretch: drawing into slices costs
+# more per double than one draw (at n x 64 with one thread, the two break
+# even at ~75-80% of the rows in 4-16 stretches)
+STRETCH_SHARE = 0.75
 
 
 def _draws_on_rows(rng, shape, rows, gap=DRAW_THROUGH):
-    """rng.random(shape)[rows] for sorted distinct rows, drawing only the
-    stretches that hold them and skipping the rest with PCG64.advance.
+    """rng.random(shape)[rows] for sorted distinct rows (None for every row),
+    drawing only the stretches that hold them and skipping the rest with
+    PCG64.advance.
 
     A double takes one 64-bit step of the generator, so the values are the
     same bits as the full draw's, and rng is left where the full draw leaves
-    it. Gaps shorter than gap draws are drawn through.
+    it. Gaps shorter than gap draws are drawn through. When the stretches,
+    counting gap draws for each, reach STRETCH_SHARE of the full draw, the
+    full draw is made and its rows are taken.
     """
+    if rows is None:
+        return rng.random(shape)
     n, width = shape
     cut = np.flatnonzero((np.diff(rows) - 1) * width >= gap) + 1
     first, stop = rows[np.r_[0, cut]], rows[np.r_[cut - 1, -1]] + 1
     at = np.r_[0, np.cumsum(stop - first)]  # each stretch's offset in drawn
+    if at[-1] * width + first.size * gap >= STRETCH_SHARE * n * width:
+        return rng.random(shape)[rows]
     drawn = np.empty((int(at[-1]), width))
     done = 0
     for lo, hi, o in zip(first.tolist(), stop.tolist(), at.tolist()):
@@ -303,28 +310,24 @@ def _scale(v, mask, p):
 
 
 def _dropout(rng, plan, inp, k, p):
-    """Inverted dropout on layer k's input, on the rows the plan computes.
+    """Inverted dropout on layer k's compact input.
 
     Returns (input, mask); the mask is kept for the backward pass and is None
-    at layer 0, whose input gets no gradient. Layer 0 draws one value per
-    entry of x (per stored entry of a CSR twin); a hidden layer draws only
-    its computed rows and is scaled in place, since nothing else reads it.
+    at layer 0, whose input gets no gradient. A CSR twin draws one value per
+    stored entry of x and keeps those of x_rows: its rows' entries lie too
+    close together for skipping to pay. A dense input draws one value per
+    entry of an all-rows input, only for its computed rows. A hidden input is
+    scaled in place, since nothing else reads it.
     """
-    rows = plan.rows[k]
     if sp.issparse(inp):
         u = rng.random(plan.x.data.shape)
         kept = (u if plan.x_pos is None else u[plan.x_pos]) >= p
         data = inp.data * kept / (1.0 - p)
         return sp.csr_matrix((data, inp.indices, inp.indptr), shape=inp.shape), None
+    mask = _draws_on_rows(rng, (plan.x.shape[0], inp.shape[1]), plan.rows[k]) >= p
     if k == 0:
-        u = rng.random(inp.shape)
-        return _on_rows(rows, lambda a, u: a * (u >= p) / (1.0 - p), inp, u), None
-    if rows is None:
-        mask = rng.random(inp.shape) >= p
-    else:
-        mask = np.zeros(inp.shape, dtype=bool)
-        mask[rows] = _draws_on_rows(rng, inp.shape, rows) >= p
-    return _in_place(rows, lambda v, m: _scale(v, m, p), inp, mask), mask
+        return inp * mask / (1.0 - p), None
+    return _scale(inp, mask, p), mask
 
 
 def encoder_forward(spec: ModelSpec, params: Params, adj: NormAdj | None,
@@ -338,9 +341,10 @@ def encoder_forward(spec: ModelSpec, params: Params, adj: NormAdj | None,
     in train mode.
 
     plan, built from this adj and x, limits the work to the rows its targets
-    read; the embeddings are exact on the targets and zero on rows that were
-    not computed. Without a plan every row is computed. The tape may share
-    the embeddings' memory, so change them only after model_backward.
+    read: every layer runs on compact blocks of its plan rows, and the
+    targets' embeddings are placed into rows of zeros at the end. Without a
+    plan every row is computed. The tape may share the embeddings' memory,
+    so change them only after model_backward.
     """
     if plan is None:
         plan = plan_rows(spec, adj, x)
@@ -353,24 +357,25 @@ def encoder_forward(spec: ModelSpec, params: Params, adj: NormAdj | None,
     caches = []
     for k in range(spec.layers):
         w = params[f"enc_w{k}"]
-        inp, mask, rows = h, None, plan.rows[k + 1]
+        inp, mask = h, None
         if drop:
             inp, mask = _dropout(rng, plan, inp, k, spec.dropout)
         u = inp @ w
         if spec.encoder == "gcn":
-            s = spmm(plan.adj_rows[k + 1], u)
+            s = spmm(plan.adj_rows[k], u)
         else:
-            bias = params[f"enc_b{k}"]
-            s = _on_rows(rows, lambda a: a + bias, u)
+            s = np.add(u, params[f"enc_b{k}"], out=u)
         relu = spec.encoder == "mlp" or k < spec.layers - 1
-        # s is zero outside rows (Â stores only those rows; mlp adds its bias
-        # there only), so the ReLU may run over every row. The next layer's
-        # dropout scales h in place: out > 0 still gives the ReLU gradient,
-        # since an entry that dropout zeroes gets a zero gradient anyway.
-        h = _in_place(rows, lambda v: np.maximum(v, 0.0, out=v), s) if relu else s
+        # The next layer's dropout scales h in place: out > 0 still gives the
+        # ReLU gradient, since an entry that dropout zeroes gets a zero
+        # gradient anyway.
+        h = np.maximum(s, 0.0, out=s) if relu else s
         caches.append({"inp": inp, "mask": mask, "out": h, "relu": relu, "k": k, "w": w})
+    _check_finite(h)
     targets = plan.rows[-1]
-    _check_finite(h if targets is None else h[targets])
+    if targets is not None:
+        z, h = h, np.zeros((plan.x.shape[0], h.shape[1]))
+        h[targets] = z
     return h, GradientTape(plan, caches)
 
 
@@ -394,25 +399,23 @@ def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.nd
     d = np.asarray(loss_grad, dtype=np.float64)
     if d.shape[1] != spec.embed_dim:
         raise ValueError(f"loss gradient has shape {d.shape}, embed dim is {spec.embed_dim}")
-    d = _on_rows(plan.rows[-1], np.copy, d)  # updated in place below
+    targets = plan.rows[-1]
+    d = d.copy() if targets is None else d[targets]  # updated in place below
     grads = {}
     for cache in reversed(tape.layers):
         k = cache["k"]
         if cache["relu"]:
-            d = _in_place(plan.rows[k + 1], lambda v, out: np.multiply(v, out > 0.0, out=v),
-                          d, cache["out"])
+            np.multiply(d, cache["out"] > 0.0, out=d)
         if spec.encoder == "gcn":
-            du = spmm(plan.adj_rows[k], d)  # A is symmetric
+            du = spmm(plan.adj_back[k], d)
         else:
             du = d
             grads[f"enc_b{k}"] = d.sum(axis=0)
-        inp = cache["inp"]
-        grads[f"enc_w{k}"] = (inp.T @ du) if not sp.issparse(inp) else np.asarray(inp.T @ du)
+        grads[f"enc_w{k}"] = np.asarray(cache["inp"].T @ du)
         if k > 0:
             d = du @ cache["w"].T
             if cache["mask"] is not None:
-                d = _in_place(plan.rows[k], lambda v, m: _scale(v, m, spec.dropout),
-                              d, cache["mask"])
+                _scale(d, cache["mask"], spec.dropout)
     return grads
 
 

@@ -5,8 +5,10 @@ Training is full batch. Cluster statistics are recomputed from the current
 epoch's embeddings (gradients flow through them unless detach_cluster is
 set), and from each evaluated model's embeddings for inference, always
 over labeled nodes only. A training step computes only the embeddings of
-the train rows and their receptive field, an eval those of every split
-(see nn.RowPlan); the results are the same bits as computing every row.
+the train rows and their receptive field, an eval those of every split, on
+compact blocks of those rows (see nn.RowPlan). Sparse products, dropout and
+element-wise steps give the bits of a pass over every row; a dense product
+over fewer rows can differ from it in the last bits.
 """
 
 from __future__ import annotations

@@ -36,3 +36,13 @@ def rng_graph(rng, n, p):
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < p
     return Graph.from_undirected_pairs(n, np.stack([iu[keep], ju[keep]], axis=1))
+
+
+def assert_within(got, want, rel=1e-12, name=""):
+    """Max abs difference at most rel times want's max abs value: the bound
+    for values whose dense products ran at another height or summed fewer
+    zero terms."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, name
+    bound = rel * np.abs(want).max(initial=0.0)
+    assert np.abs(got - want).max(initial=0.0) <= bound, name

@@ -220,3 +220,19 @@ class TestAttackCmd:
         assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
         assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("ratios", ["0.1,inf", "0.1,nan", "0.1,1e9"])
+    def test_bad_ratio_fails_before_training(self, sbm_dir, tmp_path, monkeypatch, capsys,
+                                             ratios):
+        import jcgraph.attack as attack_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("train ran before the ratios were checked")
+        monkeypatch.setattr(attack_mod, "train", never)
+        cfgf = write_config(tmp_path / "atk.cfg", sbm_dir, tmp_path / "r",
+                            clusters=3, epochs=3, hidden=8)
+        rc = main(["attack", str(cfgf), "--ratios", ratios, "--seeds", "1",
+                   "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 2
+        assert "--ratios" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()

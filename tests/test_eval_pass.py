@@ -21,14 +21,15 @@ def softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def reference_probs(kind, params, z, assign, stats, label_kind):
-    """The per-kind predictors the eval pass replaced, written out."""
+def reference_probs(kind, params, z, ids, stats, label_kind):
+    """The per-kind predictors the eval pass replaced, written out, on the
+    rows whose embeddings are z and whose clusters are ids."""
     w, b = params["clf_w"], params["clf_b"]
     if kind in ("ce", "mixup"):
         return losses.predict_independent(params, z, label_kind)
     if kind == "jc":
-        return losses.predict_joint(params, z, assign, stats)
-    logits = np.concatenate([z, stats.zbar[assign.assign]], axis=1) @ w + b
+        return losses.predict_joint(params, z, ClusterAssignment(len(stats.zbar), ids), stats)
+    logits = np.concatenate([z, stats.zbar[ids]], axis=1) @ w + b
     if kind == "ic":
         return softmax(logits)
     p = softmax(logits.reshape(len(z), -1, 4))
@@ -53,8 +54,8 @@ def random_case(seed, kind, multilabel):
     rng = np.random.default_rng(seed)
     n, c, m = int(rng.integers(8, 30)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
     graph = rng_graph(rng, n, 0.3)
-    # 16 units: a GEMM over the split rows alone gives other bits than the
-    # n-row GEMM for most of these head shapes (rarely so below ~16 units)
+    # 16 units: a logit GEMM over all n rows gives other bits than one over
+    # the split rows for most of these head shapes (rarely so below ~16 units)
     spec = ModelSpec("gcn", 1, 16, 4, c, 0.0, LOSS_KINDS[kind][0])
     params = init_params(spec, seed)
     params["clf_b"] = rng.normal(size=params["clf_b"].shape)
@@ -93,8 +94,9 @@ def test_eval_pass_matches_losses_and_predictors(seed, kind, multilabel, beta):
     rows = np.unique(np.concatenate(splits))
     outside = np.ones(len(z), dtype=bool)
     outside[rows] = False
-    expected = reference_probs(kind, params, z, assign, stats, labels.kind)
-    np.testing.assert_array_equal(probs[rows], expected[rows])
+    ids = None if assign is None else assign.assign[rows]
+    expected = reference_probs(kind, params, z[rows], ids, stats, labels.kind)
+    assert probs[rows].tobytes() == expected.tobytes()
     assert np.isnan(probs[outside]).all()
 
 

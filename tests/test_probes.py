@@ -10,10 +10,12 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jcgraph.trainer as trainer
-from jcgraph.nn import ModelSpec
+from jcgraph.graph import normalize_adjacency
+from jcgraph.nn import ModelSpec, plan_rows
 from jcgraph.trainer import TrainConfig, train
 
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
@@ -47,9 +49,11 @@ def test_encoder_forward_binds_train_mode():
     assert bound.arguments["train_mode"] is True
 
 
+JC_SPEC = ModelSpec("gcn", 2, 8, 8, 4, 0.5, "joint")
+
+
 def jc_run(data, epochs):
-    spec = ModelSpec("gcn", 2, 8, 8, 4, 0.5, "joint")
-    return train(TrainConfig(spec=spec, loss="jc", num_clusters=3, epochs=epochs, seed=2), data)
+    return train(TrainConfig(spec=JC_SPEC, loss="jc", num_clusters=3, epochs=epochs, seed=2), data)
 
 
 def test_epoch_probe_sees_one_start_per_step(probes, restore_targets, easy_sbm):
@@ -72,3 +76,24 @@ def test_tracer_tags_each_step_and_eval(probes, restore_targets, easy_sbm):
     # one traced jc_loss per step: trainer.jc_epoch_ms in perfbench/layers.py reads these
     steps = [extra for name, *_, tag, extra in tracer.spans if (name, tag) == ("losses.loss", "train")]
     assert steps == [{"loss": "jc_loss"}] * 3
+
+
+def test_spmm_flops_count_the_plan_blocks(probes, restore_targets, easy_sbm):
+    """Each step's graph.spmm spans count 2 x (stored entries) x width for
+    exactly the Â blocks of its plan: forward layer by layer, then backward."""
+    tracer = probes.Tracer()
+    tracer.install()
+    jc_run(easy_sbm, 3)
+    masks = easy_sbm.masks
+    plan = plan_rows(JC_SPEC, normalize_adjacency(easy_sbm.graph), easy_sbm.features)
+    train_plan = plan.restrict(masks.train)
+    eval_plan = plan.restrict(np.concatenate([masks.train, masks.val, masks.test]))
+    assert train_plan.rows[1] is not None  # the train step multiplies cut blocks
+
+    def flops(blocks):
+        return [{"flop": 2 * int(b.indices.size) * JC_SPEC.hidden} for b in blocks]
+
+    step = flops(train_plan.adj_rows + train_plan.adj_back[::-1])
+    spans = [(tag, extra) for name, *_, tag, extra in tracer.spans if name == "graph.spmm"]
+    assert [x for tag, x in spans if tag == "train"] == step * 3
+    assert [x for tag, x in spans if tag == "eval"] == flops(eval_plan.adj_rows) * 3
