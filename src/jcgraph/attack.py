@@ -46,6 +46,8 @@ def _fake_edge_count(g: Graph, spec: AttackSpec) -> int:
 def check_ratios(g: Graph, ratios) -> list[float]:
     """The sweep's ratios, each one checked as random_attack on g would check it."""
     ratios = list(ratios)
+    if not ratios:
+        raise ValueError("no ratios given")
     for ratio in ratios:
         _fake_edge_count(g, AttackSpec(ratio))
     if ratios != sorted(ratios):

@@ -238,8 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    if [] in vars(args).values():  # argparse reads the value of "--flag=--" as []
+        flag = next(t for t in argv if t.startswith("--") and t.endswith("=--"))
+        print(f"error: {flag[:-3]} needs a value, got '--'", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ConfigError, DatasetFormatError, ValueError) as e:

@@ -132,7 +132,8 @@ class NormAdj:
     __slots__ = ("shape", "indptr", "indices", "values", "_csr")
 
     def __init__(self, shape, indptr, indices, values):
-        self.shape = (int(shape), int(shape)) if np.ndim(shape) == 0 else tuple(map(int, shape))
+        rows, cols = shape
+        self.shape = (int(rows), int(cols))
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
@@ -162,17 +163,22 @@ def normalize_adjacency(g: Graph) -> NormAdj:
     order = np.lexsort((cols, rows))
     rows, indices = rows[order], cols[order]
     values = dinv[rows] * dinv[indices]
-    return NormAdj(n, indptr, indices, values)
+    return NormAdj((n, n), indptr, indices, values)
 
 
-def spmm(a: NormAdj, x: np.ndarray) -> np.ndarray:
-    """Sparse-dense product Â @ X."""
+def spmm(a: NormAdj, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Sparse-dense product Â @ X, or Âᵀ @ X with transpose set: that one
+    multiplies scipy's CSC view of the CSR arrays, which sums each output
+    row's products in ascending column order from zero, as a CSR-stored Âᵀ
+    does, so it gives the same bits."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected 2-d dense matrix, got shape {x.shape}")
-    if x.shape[0] != a.shape[1]:
-        raise ValueError(f"dimension mismatch: adj is {a.shape[0]}x{a.shape[1]}, x has {x.shape[0]} rows")
-    return a.csr() @ x
+    m = a.csr().T if transpose else a.csr()
+    if x.shape[0] != m.shape[1]:
+        raise ValueError(f"dimension mismatch: {'Âᵀ' if transpose else 'Â'} is "
+                         f"{m.shape[0]}x{m.shape[1]}, x has {x.shape[0]} rows")
+    return m @ x
 
 
 @dataclass(frozen=True)

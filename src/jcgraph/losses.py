@@ -132,20 +132,24 @@ def joint_label(y: np.ndarray, ybar: np.ndarray) -> np.ndarray:
         raise ValueError("y must be one-hot")
     if (ybar < 0).any() or abs(ybar.sum() - 1.0) > 1e-9:
         raise ValueError("ybar must be a distribution")
-    return np.outer(y, ybar)
+    return _joint(y[None], ybar[None]).reshape(len(y), len(ybar))
 
 
 def joint_forward(classifier: Params, z: np.ndarray, zbar: np.ndarray) -> np.ndarray:
-    """Predicted c x c joint table: softmax over all c^2 logits of con(z, zbar)."""
-    w, b = classifier["clf_w"], classifier["clf_b"]
+    """Predicted c x c joint table: softmax over all c^2 logits of con(z, zbar),
+    computed as jc's first stream computes it for one node."""
+    w, b = _clf(classifier)
     c = int(round(np.sqrt(w.shape[1])))
     if c * c != w.shape[1]:
         raise ValueError("classifier does not produce a square joint table")
-    con = np.concatenate([z, zbar])
-    if con.shape[0] != w.shape[0]:
-        raise ValueError(f"concatenated input has dim {con.shape[0]}, classifier expects {w.shape[0]}")
-    logits = con @ w + b
-    return _softmax(logits[None, :])[0].reshape(c, c)
+    z, zbar = np.atleast_2d(z), np.atleast_2d(zbar)
+    dim = z.shape[1] + zbar.shape[1]
+    if dim != w.shape[0]:
+        raise ValueError(f"concatenated input has dim {dim}, classifier expects {w.shape[0]}")
+    no_label = np.zeros((1, c))  # only the probabilities are read, not the loss
+    src = {"z": (z, no_label), "c": (zbar, no_label)}
+    outs, _, _ = _forward(LOSS_KINDS["jc"].streams[:1], src, w, b, False, 0.0)
+    return outs[0][3].reshape(c, c)
 
 
 def marginalize(t: np.ndarray) -> np.ndarray:
@@ -155,7 +159,7 @@ def marginalize(t: np.ndarray) -> np.ndarray:
         raise ValueError("joint table must be square")
     if (t < 0).any() or abs(t.sum() - 1.0) > 1e-9:
         raise ValueError("non-normalized table")
-    return t.sum(axis=1)
+    return LOSS_KINDS["jc"].marginal(t.reshape(1, -1), len(t))[0]
 
 
 def _clf(params: Params):
@@ -230,8 +234,8 @@ def _sources(embeddings, labels, rows, assign, stats) -> dict:
     return src
 
 
-def _forward(streams, src, w, b, labels, beta):
-    """Run each stream over the src rows.
+def _forward(streams, src, w, b, multi, beta):
+    """Run each stream over the src rows; multi marks a multi-label set.
 
     Returns (order, input, target table, probabilities) per stream, the node
     streams' per-row log-likelihoods summed, and the cluster stream's
@@ -246,7 +250,7 @@ def _forward(streams, src, w, b, labels, beta):
         x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
         t = target(*ys)
         logits = x @ w + b
-        if labels.multi and group is None:
+        if multi and group is None:
             p = expit(logits)
             r = t * _logp(p) + (1.0 - t) * _logp(1.0 - p)
         else:
@@ -285,7 +289,7 @@ def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=N
     w, b = _clf(classifier)
     mask = _mask(train_mask)
     outs, ll, cluster = _forward(LOSS_KINDS[kind].streams, _sources(embeddings, labels, mask, assign, stats),
-                                 w, b, labels, beta)
+                                 w, b, labels.multi, beta)
     acc, dls = {}, {}
     for order, x, t, p in outs:
         dl = beta * (p - t) / len(x) if order == "k" else (p - t) / mask.size
@@ -381,7 +385,7 @@ def eval_pass(kind: str, classifier: Params, embeddings: np.ndarray, labels: Lab
     rows = np.unique(np.concatenate(splits))
     loss = LOSS_KINDS[kind]
     outs, ll, cluster = _forward(loss.streams, _sources(embeddings, labels, rows, assign, stats),
-                                 w, b, labels, beta)
+                                 w, b, labels.multi, beta)
     values = [_value(ll[np.searchsorted(rows, s)], cluster) for s in splits]
     probs = np.full((len(embeddings), labels.num_classes), np.nan)
     probs[rows] = loss.marginal(outs[0][3], labels.num_classes)

@@ -162,12 +162,9 @@ def _cut_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return cut, np.repeat(indptr[rows] - cut[:-1], counts) + np.arange(cut[-1])
 
 
-def _block(adj: NormAdj, rows, cols) -> NormAdj:
-    """Â cut to the given rows and columns (None for all of them), with the
-    columns renumbered in order, so each row keeps its entries' order."""
-    if rows is None and cols is None:
-        return adj
-    rows, cols = (np.arange(adj.shape[0]) if r is None else r for r in (rows, cols))
+def _block(adj: NormAdj, rows: np.ndarray, cols: np.ndarray) -> NormAdj:
+    """Â cut to the given rows and columns, with the columns renumbered in
+    order, so each row keeps its entries' order."""
     indptr, pos = _cut_rows(adj.indptr, rows)
     at = np.full(adj.shape[1], -1, dtype=np.int64)
     at[cols] = np.arange(cols.size)
@@ -180,17 +177,17 @@ def _block(adj: NormAdj, rows, cols) -> NormAdj:
 @dataclass(frozen=True)
 class RowPlan:
     """The rows each encoder layer computes for a set of target rows, and
-    the blocks a step multiplies.
+    the blocks a step multiplies: the one input of encoder_forward.
 
-    rows[L] are the targets and rows[k-1] the Â-neighbourhood of rows[k] (the
-    targets again for mlp); None stands for every row. A step holds layer k's
-    input, dropout mask and gradient as compact blocks of the rows[k] rows.
-    Layer k multiplies adj_rows[k], the rows[k+1] x rows[k] block of Â, and
-    its backward pass adj_back[k], the rows[k] x rows[k+1] block (Â is
-    symmetric); the entries a block drops meet only zero rows in a product
-    over all rows. x is the input as layer 0 multiplies it (dense, or a CSR
-    twin), x_rows its rows[0] rows and x_pos the positions of x_rows' entries
-    in a CSR twin. sgc holds Â^K X for every row.
+    rows[L] are the sorted target ids and rows[k-1] the Â-neighbourhood of
+    rows[k] (the targets again for mlp); the all-rows plan lists every id. A
+    step holds layer k's input, dropout mask and gradient as compact blocks
+    of the rows[k] rows. Layer k multiplies adj_rows[k], the rows[k+1] x
+    rows[k] block of Â, and its backward pass the transpose of that block;
+    the entries a block drops meet only zero rows in a product over all rows.
+    x is the input as layer 0 multiplies it (dense, or a CSR twin), x_rows
+    its rows[0] rows and x_pos, for a CSR twin, the positions of x_rows'
+    entries in x. sgc holds Â^K X for every row.
     """
 
     spec: ModelSpec
@@ -199,9 +196,8 @@ class RowPlan:
     sgc: np.ndarray | None
     rows: tuple
     adj_rows: tuple
-    adj_back: tuple
     x_rows: np.ndarray | sp.csr_matrix
-    x_pos: np.ndarray | None = None
+    x_pos: np.ndarray | None
 
     def restrict(self, targets) -> "RowPlan":
         """The plan that computes only what the target rows' embeddings read."""
@@ -212,27 +208,24 @@ class RowPlan:
         def row_set(ids):
             keep = np.zeros(n, dtype=bool)
             keep[ids] = True
-            return None if keep.all() else np.flatnonzero(keep)
+            return np.flatnonzero(keep)
 
         rows = [row_set(np.asarray(targets, dtype=np.int64))]
         for _ in range(levels):
             below = rows[0]
-            if self.spec.uses_graph and below is not None:
+            if self.spec.uses_graph:
                 below = row_set(self.adj.indices[_cut_rows(self.adj.indptr, below)[1]])
             rows.insert(0, below)
-        adj_rows = adj_back = ()
+        adj_rows = ()
         if self.spec.uses_graph:
             adj_rows = tuple(_block(self.adj, rows[k + 1], rows[k]) for k in range(levels))
-            adj_back = tuple(_block(self.adj, rows[k], rows[k + 1]) for k in range(levels))
-        x_rows, x_pos = self.x, None
-        if rows[0] is not None and sp.issparse(self.x):
+        if sp.issparse(self.x):
             indptr, x_pos = _cut_rows(self.x.indptr, rows[0])
             x_rows = sp.csr_matrix((self.x.data[x_pos], self.x.indices[x_pos], indptr),
                                    shape=(rows[0].size, self.x.shape[1]))
-        elif rows[0] is not None:
-            x_rows = self.x[rows[0]]
-        return RowPlan(self.spec, self.adj, self.x, None, tuple(rows), adj_rows, adj_back,
-                       x_rows, x_pos)
+        else:
+            x_rows, x_pos = self.x[rows[0]], None
+        return RowPlan(self.spec, self.adj, self.x, None, tuple(rows), adj_rows, x_rows, x_pos)
 
 
 def plan_rows(spec: ModelSpec, adj: NormAdj | None, x: np.ndarray) -> RowPlan:
@@ -242,7 +235,7 @@ def plan_rows(spec: ModelSpec, adj: NormAdj | None, x: np.ndarray) -> RowPlan:
         raise ValueError(f"features have shape {x.shape}, spec.in_dim={spec.in_dim}")
     if spec.uses_graph and adj is None:
         raise ValueError(f"{spec.encoder} encoder requires a normalized adjacency")
-    sgc = None
+    sgc = x_pos = None
     if spec.encoder == "sgc":
         sgc = x
         for _ in range(spec.layers):
@@ -250,8 +243,11 @@ def plan_rows(spec: ModelSpec, adj: NormAdj | None, x: np.ndarray) -> RowPlan:
         _check_finite(sgc)
     else:
         x = _csr_twin(x)
-    blocks = (adj,) * spec.layers
-    return RowPlan(spec, adj, x, sgc, (None,) * (spec.layers + 1), blocks, blocks, x)
+    if sp.issparse(x):
+        x_pos = np.arange(x.nnz)
+    every = np.arange(x.shape[0])
+    blocks = (adj,) * spec.layers if spec.uses_graph else ()
+    return RowPlan(spec, adj, x, sgc, (every,) * (spec.layers + 1), blocks, x, x_pos)
 
 
 @dataclass
@@ -274,9 +270,8 @@ STRETCH_SHARE = 0.75
 
 
 def _draws_on_rows(rng, shape, rows, gap=DRAW_THROUGH):
-    """rng.random(shape)[rows] for sorted distinct rows (None for every row),
-    drawing only the stretches that hold them and skipping the rest with
-    PCG64.advance.
+    """rng.random(shape)[rows] for sorted distinct rows, drawing only the
+    stretches that hold them and skipping the rest with PCG64.advance.
 
     A double takes one 64-bit step of the generator, so the values are the
     same bits as the full draw's, and rng is left where the full draw leaves
@@ -284,8 +279,6 @@ def _draws_on_rows(rng, shape, rows, gap=DRAW_THROUGH):
     counting gap draws for each, reach STRETCH_SHARE of the full draw, the
     full draw is made and its rows are taken.
     """
-    if rows is None:
-        return rng.random(shape)
     n, width = shape
     cut = np.flatnonzero((np.diff(rows) - 1) * width >= gap) + 1
     first, stop = rows[np.r_[0, cut]], rows[np.r_[cut - 1, -1]] + 1
@@ -321,7 +314,7 @@ def _dropout(rng, plan, inp, k, p):
     """
     if sp.issparse(inp):
         u = rng.random(plan.x.data.shape)
-        kept = (u if plan.x_pos is None else u[plan.x_pos]) >= p
+        kept = u[plan.x_pos] >= p
         data = inp.data * kept / (1.0 - p)
         return sp.csr_matrix((data, inp.indices, inp.indptr), shape=inp.shape), None
     mask = _draws_on_rows(rng, (plan.x.shape[0], inp.shape[1]), plan.rows[k]) >= p
@@ -330,24 +323,19 @@ def _dropout(rng, plan, inp, k, p):
     return _scale(inp, mask, p), mask
 
 
-def encoder_forward(spec: ModelSpec, params: Params, adj: NormAdj | None,
-                    x: np.ndarray, train_mode: bool = False, seed: int = 0,
-                    plan: RowPlan | None = None):
-    """Run the encoder; returns (embeddings, tape).
+def encoder_forward(params: Params, plan: RowPlan, train_mode: bool = False, seed: int = 0):
+    """Run plan's encoder on its rows; returns (embeddings, tape).
 
     gcn: K rounds of z <- relu(A z W), no nonlinearity after the last round.
     sgc: A^K x, computed once per plan; the linear map lives in the classifier.
     mlp: K rounds of z <- relu(z W + b). Dropout precedes every linear layer
     in train mode.
 
-    plan, built from this adj and x, limits the work to the rows its targets
-    read: every layer runs on compact blocks of its plan rows, and the
-    targets' embeddings are placed into rows of zeros at the end. Without a
-    plan every row is computed. The tape may share the embeddings' memory,
-    so change them only after model_backward.
+    Every layer runs on compact blocks of its plan rows, and the targets'
+    embeddings are placed into rows of zeros at the end (plan_rows computes
+    every row). sgc's embeddings are the plan's own array: do not change them.
     """
-    if plan is None:
-        plan = plan_rows(spec, adj, x)
+    spec = plan.spec
     if spec.encoder == "sgc":
         return plan.sgc, GradientTape(plan, [])
 
@@ -372,11 +360,9 @@ def encoder_forward(spec: ModelSpec, params: Params, adj: NormAdj | None,
         h = np.maximum(s, 0.0, out=s) if relu else s
         caches.append({"inp": inp, "mask": mask, "out": h, "relu": relu, "k": k, "w": w})
     _check_finite(h)
-    targets = plan.rows[-1]
-    if targets is not None:
-        z, h = h, np.zeros((plan.x.shape[0], h.shape[1]))
-        h[targets] = z
-    return h, GradientTape(plan, caches)
+    z = np.zeros((plan.x.shape[0], h.shape[1]))
+    z[plan.rows[-1]] = h
+    return z, GradientTape(plan, caches)
 
 
 def _check_finite(z):
@@ -399,15 +385,14 @@ def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.nd
     d = np.asarray(loss_grad, dtype=np.float64)
     if d.shape[1] != spec.embed_dim:
         raise ValueError(f"loss gradient has shape {d.shape}, embed dim is {spec.embed_dim}")
-    targets = plan.rows[-1]
-    d = d.copy() if targets is None else d[targets]  # updated in place below
+    d = d[plan.rows[-1]]  # a copy, updated in place below
     grads = {}
     for cache in reversed(tape.layers):
         k = cache["k"]
         if cache["relu"]:
             np.multiply(d, cache["out"] > 0.0, out=d)
         if spec.encoder == "gcn":
-            du = spmm(plan.adj_back[k], d)
+            du = spmm(plan.adj_rows[k], d, transpose=True)
         else:
             du = d
             grads[f"enc_b{k}"] = d.sum(axis=0)
@@ -419,8 +404,7 @@ def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.nd
     return grads
 
 
-def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5,
-               adj: NormAdj | None = None, seed: int = 0) -> float:
+def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     loss_fn(params, embeddings, data) must return (loss, d_embeddings,
@@ -429,22 +413,21 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5,
     """
     if spec.dropout != 0.0:
         raise ValueError("grad_check requires dropout disabled")
-    if adj is None and spec.uses_graph:
-        adj = normalize_adjacency(data.graph)
-    params = init_params(spec, seed)
+    params = init_params(spec, 0)
     if params.num_scalars() > 500:
         raise ValueError(f"model has {params.num_scalars()} scalars, grad_check caps at 500")
 
+    adj = normalize_adjacency(data.graph) if spec.uses_graph else None
     plan = plan_rows(spec, adj, data.features)
 
     def forward_loss(p):
-        z, _ = encoder_forward(spec, p, adj, data.features, train_mode=False, plan=plan)
+        z, _ = encoder_forward(p, plan)
         value = loss_fn(p, z, data)[0]
         if not np.isfinite(value):
             raise NumericsError("non-finite loss in grad_check")
         return value
 
-    z, tape = encoder_forward(spec, params, adj, data.features, train_mode=False, plan=plan)
+    z, tape = encoder_forward(params, plan)
     _, d_emb, clf_grads = loss_fn(params, z, data)
     analytic = dict(clf_grads)
     analytic.update(model_backward(tape, d_emb))

@@ -76,7 +76,6 @@ class TrainConfig:
     seed: int = 0
     detach_cluster: bool = False
     beta: float = 1.0
-    ece_bins: int = 10
 
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
@@ -151,13 +150,16 @@ def make_partition(method: str, data: Dataset, m: int, seed: int,
     return a
 
 
-def _setup(cfg: TrainConfig, data: Dataset, assign: ClusterAssignment | None = None):
-    """The all-rows plan and, if the loss reads clusters and none is given, the partition."""
+def _setup(cfg: TrainConfig, data: Dataset, targets: list,
+           assign: ClusterAssignment | None = None):
+    """One plan per target row set, cut from an all-rows plan that is not
+    kept, and, if the loss reads clusters and none is given, the partition."""
     adj = normalize_adjacency(data.graph) if cfg.spec.uses_graph else None
     if assign is None and LOSS_KINDS[cfg.loss].needs_clusters:
         assign = make_partition(cfg.partition, data, cfg.num_clusters, cfg.seed,
                                 cfg.clusters_file)
-    return plan_rows(cfg.spec, adj, data.features), assign
+    plan = plan_rows(cfg.spec, adj, data.features)
+    return [plan.restrict(t) for t in targets], assign
 
 
 def _loss_on(cfg, params, z, data, mask, assign, stats) -> losses.LossResult:
@@ -180,8 +182,7 @@ def _eval_pass(cfg, params, plan: RowPlan, data, assign, splits, stats=None):
     The plan's targets must cover the splits and the train rows. Predictions
     exist on the split rows only; every other row is NaN.
     """
-    z, _ = encoder_forward(cfg.spec, params, plan.adj, data.features, train_mode=False,
-                           plan=plan)
+    z, _ = encoder_forward(params, plan, train_mode=False)
     if assign is not None and stats is None:
         stats = losses.cluster_stats(z, data.labels, data.masks.train, assign)
     return losses.eval_pass(cfg.loss, params, z, data.labels, splits, assign, stats, cfg.beta)
@@ -196,7 +197,7 @@ def _split_score(probs, data, mask) -> float:
     return accuracy(batch)
 
 
-def _split_metrics(probs, data, mask, ece_bins) -> dict:
+def _split_metrics(probs, data, mask) -> dict:
     if data.labels.multi:
         micro, macro, weighted = multilabel_f1(probs[mask], data.labels.matrix[mask])
         return {"acc": micro, "f1_micro": micro, "f1_macro": macro,
@@ -204,7 +205,7 @@ def _split_metrics(probs, data, mask, ece_bins) -> dict:
     batch = PredictionBatch(probs[mask], data.labels.class_index()[mask], mask)
     micro, macro, weighted = f1_scores(batch)
     return {"acc": accuracy(batch), "f1_micro": micro, "f1_macro": macro,
-            "f1_weighted": weighted, "ece": ece(batch, ece_bins)}
+            "f1_weighted": weighted, "ece": ece(batch)}
 
 
 def train(cfg: TrainConfig, data: Dataset) -> RunResult:
@@ -217,12 +218,11 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
     """Like train, but also returns the best-validation parameter snapshot."""
     _validate(cfg, data)
     spec = cfg.spec
-    plan, assign = _setup(cfg, data)
     masks = data.masks
     val_mask = masks.val if masks.val.size else masks.train
     # a step reads the train rows' embeddings, an eval those of every split
-    train_plan = plan.restrict(masks.train)
-    eval_plan = plan.restrict(np.concatenate([masks.train, val_mask, masks.test]))
+    (train_plan, eval_plan), assign = _setup(
+        cfg, data, [masks.train, np.concatenate([masks.train, val_mask, masks.test])])
 
     params = init_params(spec, cfg.seed)
     state = init_adam_state(params)
@@ -244,8 +244,7 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
     if cfg.epochs == 0:
         run_eval(0, params)
     for epoch in range(1, cfg.epochs + 1):
-        z, tape = encoder_forward(spec, params, plan.adj, data.features, train_mode=True,
-                                  seed=[cfg.seed, 1, epoch], plan=train_plan)
+        z, tape = encoder_forward(params, train_plan, train_mode=True, seed=[cfg.seed, 1, epoch])
         stats = (losses.cluster_stats(z, data.labels, masks.train, assign)
                  if assign is not None else None)
         res = _loss_on(cfg, params, z, data, masks.train, assign, stats)
@@ -259,7 +258,7 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
             run_eval(epoch, params)
     seconds = (time.perf_counter() - t0) / max(1, cfg.epochs)
     # the best epoch's predictions are those of the checkpointed parameters
-    test = _split_metrics(best_probs, data, masks.test, cfg.ece_bins)
+    test = _split_metrics(best_probs, data, masks.test)
 
     result = RunResult(best_val_epoch=best_epoch, seconds_per_epoch=seconds, **curves,
                        **{f"test_{k}": v for k, v in test.items()})
@@ -273,10 +272,9 @@ def evaluate(params: Params, cfg: TrainConfig, data: Dataset,
     split = np.asarray(split if split is not None else data.masks.test, dtype=np.int64)
     if split.size == 0:
         raise ValueError("empty split")
-    plan, assign = _setup(cfg, data, assign)
-    plan = plan.restrict(np.concatenate([data.masks.train, split]))
+    (plan,), assign = _setup(cfg, data, [np.concatenate([data.masks.train, split])], assign)
     probs, (loss,) = _eval_pass(cfg, params, plan, data, assign, [split], stats)
-    return {**_split_metrics(probs, data, split, cfg.ece_bins), "loss": loss}
+    return {**_split_metrics(probs, data, split), "loss": loss}
 
 
 METRIC_KEYS = ("test_acc", "test_f1_micro", "test_f1_macro", "test_f1_weighted", "test_ece")

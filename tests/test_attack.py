@@ -96,6 +96,11 @@ class TestRobustnessSweep:
             robustness_sweep(easy_sbm, [1.0, 0.2], sweep_cfg(easy_sbm, "ce"),
                              sweep_cfg(easy_sbm, "jc"), seeds=1)
 
+    def test_empty_ratios_rejected(self, easy_sbm):
+        with pytest.raises(ValueError, match="no ratios"):
+            robustness_sweep(easy_sbm, [], sweep_cfg(easy_sbm, "ce"),
+                             sweep_cfg(easy_sbm, "jc"), seeds=1)
+
     def test_csv_layout(self, tmp_path):
         from jcgraph.attack import SweepRow
         rows = [SweepRow(0.2, "ce", 0.5, 0.01, 2), SweepRow(0.2, "jc", 0.6, 0.02, 2)]

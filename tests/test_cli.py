@@ -221,7 +221,7 @@ class TestAttackCmd:
         assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    @pytest.mark.parametrize("ratios", ["0.1,inf", "0.1,nan", "0.1,1e9"])
+    @pytest.mark.parametrize("ratios", ["0.1,inf", "0.1,nan", "0.1,1e9", ",", ""])
     def test_bad_ratio_fails_before_training(self, sbm_dir, tmp_path, monkeypatch, capsys,
                                              ratios):
         import jcgraph.attack as attack_mod
@@ -236,3 +236,22 @@ class TestAttackCmd:
         assert rc == 2
         assert "--ratios" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
+
+
+# argparse reads the value of "--flag=--" as an empty list on every subcommand
+@pytest.mark.parametrize("argv", [
+    ["train", "cfg", "--lr=--"],
+    ["train", "cfg", "--dataset=--"],
+    ["partition", "--dataset", "DATA", "--clusters", "2", "--method=--", "--out", "a.txt"],
+    ["gen-sbm", "--out=--"],
+    ["attack", "cfg", "--ratios=--", "--seeds", "1", "--out", "sweep.csv"],
+], ids=lambda argv: argv[0] + next(t for t in argv if t.endswith("=--"))[:-3])
+def test_dash_dash_value_exit_2(sbm_dir, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "cfg", sbm_dir, tmp_path / "r", clusters=3, epochs=3, hidden=8)
+    before = sorted(tmp_path.rglob("*"))
+    rc = main([str(sbm_dir) if t == "DATA" else t for t in argv])
+    flag = next(t for t in argv if t.endswith("=--"))[:-3]
+    assert rc == 2
+    assert f"error: {flag} needs a value" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # no output file

@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from jcgraph import losses
 from jcgraph.graph import LabelSet, normalize_adjacency
-from jcgraph.nn import ModelSpec, encoder_forward, init_params
+from jcgraph.nn import ModelSpec, encoder_forward, init_params, plan_rows
 from jcgraph.partition import ClusterAssignment
 from jcgraph.trainer import LOSS_KINDS
 
@@ -60,7 +60,7 @@ def random_case(seed, kind, multilabel):
     params = init_params(spec, seed)
     params["clf_b"] = rng.normal(size=params["clf_b"].shape)
     features = rng.normal(size=(n, 4))
-    z, _ = encoder_forward(spec, params, normalize_adjacency(graph), features, train_mode=False)
+    z, _ = encoder_forward(params, plan_rows(spec, normalize_adjacency(graph), features))
     if multilabel:
         labels = LabelSet(c, "m", (rng.random((n, c)) < 0.4).astype(float))
     else:
@@ -107,3 +107,16 @@ def test_eval_pass_rejects_empty_split(easy_sbm):
     with pytest.raises(ValueError, match="empty"):
         losses.eval_pass("ce", params, z, easy_sbm.labels,
                          [easy_sbm.masks.train, np.array([], dtype=np.int64)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_single_node_helpers_match_eval_pass(seed):
+    """marginalize(joint_forward(...)) is jc's batched eval on one row; the
+    bits can differ, since its logit GEMM has one row."""
+    params, z, labels, train, others, assign = random_case(seed, "jc", False)
+    stats = losses.cluster_stats(z, labels, train, assign)
+    probs, _ = losses.eval_pass("jc", params, z, labels, [train, *others], assign, stats)
+    for u in np.unique(np.concatenate([train, *others])):
+        table = losses.joint_forward(params, z[u], stats.zbar[assign.assign[u]])
+        np.testing.assert_allclose(losses.marginalize(table), probs[u], rtol=0, atol=1e-12)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from jcgraph.graph import (Dataset, DatasetFormatError, Graph, LabelSet, SplitMasks,
-                           gen_sbm, imbalance_ratio, load_dataset,
+                           NormAdj, gen_sbm, imbalance_ratio, load_dataset,
                            normalize_adjacency, spmm, write_dataset)
 
 from conftest import rng_graph
@@ -128,6 +129,20 @@ class TestSpmm:
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError, match="mismatch"):
             spmm(normalize_adjacency(g), np.zeros((3, 2)))
+
+    def test_transpose_matches_the_stored_transpose(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            r, c = (int(v) for v in rng.integers(1, 30, size=2))
+            m = sp.random(r, c, density=rng.uniform(0.05, 0.6), format="csr", random_state=rng)
+            m.sort_indices()
+            a = NormAdj((r, c), m.indptr, m.indices, m.data)
+            back = sp.csr_matrix(m.T)  # the transpose stored in CSR form
+            assert back.has_sorted_indices
+            x = rng.normal(size=(r, int(rng.integers(1, 6))))
+            assert spmm(a, x, transpose=True).tobytes() == (back @ x).tobytes()
+            with pytest.raises(ValueError, match="mismatch"):
+                spmm(a, np.zeros((r + 1, 2)), transpose=True)
 
 
 class TestGenSbm:

@@ -9,7 +9,7 @@ from jcgraph.losses import ce_loss, cluster_stats, jc_loss
 from jcgraph.nn import (SPARSE_DENSITY, SPARSE_MIN_SIZE, ModelSpec, NumericsError,
                         Params, adam_step, encoder_forward, grad_check,
                         init_adam_state, init_params, load_checkpoint,
-                        model_backward, save_checkpoint)
+                        model_backward, plan_rows, save_checkpoint)
 from jcgraph.partition import partition_metis_like
 
 from conftest import rng_graph
@@ -36,7 +36,7 @@ class TestEncoderForward:
     def test_sgc_zero_layers_is_identity(self, sbm12):
         spec = ModelSpec("sgc", 0, 1, 3, 2, 0.0, "independent")
         adj = normalize_adjacency(sbm12.graph)
-        z, _ = encoder_forward(spec, init_params(spec, 0), adj, sbm12.features)
+        z, _ = encoder_forward(init_params(spec, 0), plan_rows(spec, adj, sbm12.features))
         assert (z == sbm12.features).all()
 
     def test_mlp_identity_weights_is_relu(self):
@@ -45,7 +45,7 @@ class TestEncoderForward:
         params = init_params(spec, 0)
         params["enc_w0"] = np.eye(3)
         params["enc_b0"] = np.zeros(3)
-        z, _ = encoder_forward(spec, params, None, ds.features)
+        z, _ = encoder_forward(params, plan_rows(spec, None, ds.features))
         assert (z == np.maximum(ds.features, 0.0)).all()
 
     def test_gcn_hand_example(self):
@@ -54,14 +54,14 @@ class TestEncoderForward:
         spec = ModelSpec("gcn", 1, 1, 1, 2, 0.0, "independent")
         params = init_params(spec, 0)
         params["enc_w0"] = np.array([[1.0]])
-        z, _ = encoder_forward(spec, params, normalize_adjacency(g), np.array([[2.0], [4.0]]))
+        z, _ = encoder_forward(params, plan_rows(spec, normalize_adjacency(g), np.array([[2.0], [4.0]])))
         np.testing.assert_allclose(z, [[3.0], [3.0]])
 
     def test_sgc_equals_repeated_spmm(self, sbm12):
         adj = normalize_adjacency(sbm12.graph)
         for k in (1, 2, 3):
             spec = ModelSpec("sgc", k, 1, 3, 2, 0.0, "independent")
-            z, _ = encoder_forward(spec, init_params(spec, 0), adj, sbm12.features)
+            z, _ = encoder_forward(init_params(spec, 0), plan_rows(spec, adj, sbm12.features))
             expect = sbm12.features
             for _ in range(k):
                 expect = spmm(adj, expect)
@@ -71,30 +71,32 @@ class TestEncoderForward:
         spec = ModelSpec("gcn", 2, 4, 3, 2, 0.0, "independent")
         params = init_params(spec, 1)
         adj = normalize_adjacency(sbm12.graph)
-        zt, _ = encoder_forward(spec, params, adj, sbm12.features, train_mode=True, seed=4)
-        ze, _ = encoder_forward(spec, params, adj, sbm12.features, train_mode=False)
+        plan = plan_rows(spec, adj, sbm12.features)
+        zt, _ = encoder_forward(params, plan, train_mode=True, seed=4)
+        ze, _ = encoder_forward(params, plan, train_mode=False)
         assert (zt == ze).all()
 
     def test_deterministic_given_seed(self, sbm12):
         spec = ModelSpec("mlp", 2, 4, 3, 2, 0.5, "independent")
         params = init_params(spec, 1)
-        a, _ = encoder_forward(spec, params, None, sbm12.features, train_mode=True, seed=3)
-        b, _ = encoder_forward(spec, params, None, sbm12.features, train_mode=True, seed=3)
-        c, _ = encoder_forward(spec, params, None, sbm12.features, train_mode=True, seed=4)
+        plan = plan_rows(spec, None, sbm12.features)
+        a, _ = encoder_forward(params, plan, train_mode=True, seed=3)
+        b, _ = encoder_forward(params, plan, train_mode=True, seed=3)
+        c, _ = encoder_forward(params, plan, train_mode=True, seed=4)
         assert (a == b).all()
         assert not (a == c).all()
 
     def test_gcn_requires_adj(self, sbm12):
         spec = ModelSpec("gcn", 1, 4, 3, 2, 0.0, "independent")
         with pytest.raises(ValueError, match="adjacency"):
-            encoder_forward(spec, init_params(spec, 0), None, sbm12.features)
+            plan_rows(spec, None, sbm12.features)
 
     def test_non_finite_activations(self, sbm12):
         spec = ModelSpec("mlp", 1, 4, 3, 2, 0.0, "independent")
         params = init_params(spec, 0)
         params["enc_w0"] = params["enc_w0"] * np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
-            encoder_forward(spec, params, None, sbm12.features)
+            encoder_forward(params, plan_rows(spec, None, sbm12.features))
 
 
 class TestFeatureMutation:
@@ -109,10 +111,10 @@ class TestFeatureMutation:
         adj = normalize_adjacency(rng_graph(rng, n, 0.01))
         spec = ModelSpec(encoder, 2, 4, d, 2, 0.0, "independent")
         params = init_params(spec, 0)
-        before, _ = encoder_forward(spec, params, adj, x)
+        before, _ = encoder_forward(params, plan_rows(spec, adj, x))
         x *= 3.0
-        after, _ = encoder_forward(spec, params, adj, x)
-        fresh, _ = encoder_forward(spec, params, adj, x.copy())
+        after, _ = encoder_forward(params, plan_rows(spec, adj, x))
+        fresh, _ = encoder_forward(params, plan_rows(spec, adj, x.copy()))
         assert not (after == before).all()
         assert (after == fresh).all()
 
@@ -122,7 +124,7 @@ class TestModelBackward:
         spec = ModelSpec("gcn", 2, 4, 3, 2, 0.0, "independent")
         params = init_params(spec, 0)
         adj = normalize_adjacency(sbm12.graph)
-        z, tape = encoder_forward(spec, params, adj, sbm12.features)
+        z, tape = encoder_forward(params, plan_rows(spec, adj, sbm12.features))
         grads = model_backward(tape, np.zeros_like(z))
         assert all((g == 0).all() for g in grads.values())
 
@@ -133,14 +135,14 @@ class TestModelBackward:
         spec = ModelSpec("gcn", 1, 2, 3, 2, 0.0, "independent")
         params = init_params(spec, 0)
         adj = normalize_adjacency(ds.graph)
-        z, tape = encoder_forward(spec, params, adj, ds.features)
+        z, tape = encoder_forward(params, plan_rows(spec, adj, ds.features))
         grads = model_backward(tape, np.ones_like(z))
         np.testing.assert_allclose(grads["enc_w0"], ds.features.T @ np.ones((5, 2)))
 
     def test_tape_reuse_rejected(self, sbm12):
         spec = ModelSpec("mlp", 1, 4, 3, 2, 0.0, "independent")
         params = init_params(spec, 0)
-        z, tape = encoder_forward(spec, params, None, sbm12.features)
+        z, tape = encoder_forward(params, plan_rows(spec, None, sbm12.features))
         model_backward(tape, np.zeros_like(z))
         with pytest.raises(RuntimeError, match="consumed"):
             model_backward(tape, np.zeros_like(z))

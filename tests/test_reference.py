@@ -90,10 +90,10 @@ def test_cut_plan_matches_the_dense_oracle(encoder, layers, hidden, dropout, twi
     plan = plan_rows(spec, adj, x)
     assert (plan.x is not x) == twin  # the CSR twin is what layer 0 multiplies
     cut = plan.restrict(targets)
-    assert cut.rows[0] is not None
+    assert cut.rows[0].size < len(x)
 
     train_mode = dropout > 0.0
-    z, tape = encoder_forward(spec, params, adj, x, train_mode, seed=SEED, plan=cut)
+    z, tape = encoder_forward(params, cut, train_mode, seed=SEED)
     d_out = np.zeros_like(z)
     d_out[targets] = rng.normal(size=(targets.size, z.shape[1]))
     grads = model_backward(tape, d_out)

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jcgraph.graph import Graph, normalize_adjacency
+from jcgraph.graph import Graph, normalize_adjacency, spmm
 from jcgraph.nn import (DRAW_THROUGH, ENCODERS, SPARSE_MIN_SIZE, ModelSpec, _draws_on_rows,
                         encoder_forward, init_params, model_backward, plan_rows)
 
@@ -57,20 +57,15 @@ def generators():
         yield made
 
 
-def forward(spec, params, adj, x, train_mode, plan):
+def forward(params, train_mode, plan):
     """Embeddings, tape and the end state of the forward pass's generator."""
     with generators() as made:
-        z, tape = encoder_forward(spec, params, adj, x, train_mode, seed=3, plan=plan)
+        z, tape = encoder_forward(params, plan, train_mode, seed=3)
     return z, tape, [g.bit_generator.state for g in made]
 
 
 def dense(a):
     return a.toarray() if sp.issparse(a) else a
-
-
-def on_rows(a, rows):
-    """a's rows of a plan's row set; None stands for every row."""
-    return a if rows is None else a[rows]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -94,15 +89,14 @@ def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, twin,
     assert sp.issparse(full.x) == (twin and encoder != "sgc")
     if encoder != "sgc":
         # rows[k-1] is the Â-neighbourhood of rows[k] for gcn, the targets for mlp
-        every = np.arange(len(x))
         reach = adj.dense() != 0.0
         for k in range(layers, 0, -1):
-            above = on_rows(every, cut.rows[k])
+            above = cut.rows[k]
             below = np.flatnonzero(reach[above].any(axis=0)) if encoder == "gcn" else above
-            assert on_rows(every, cut.rows[k - 1]).tobytes() == below.tobytes()
+            assert cut.rows[k - 1].tobytes() == below.tobytes()
 
-    z_all, tape_all, state_all = forward(spec, params, adj, x, train_mode, full)
-    z_cut, tape_cut, state_cut = forward(spec, params, adj, x, train_mode, cut)
+    z_all, tape_all, state_all = forward(params, train_mode, full)
+    z_cut, tape_cut, state_cut = forward(params, train_mode, cut)
     assert state_cut == state_all
     assert_within(z_cut[targets], z_all[targets], name="embeddings")
     if encoder != "sgc":
@@ -113,10 +107,10 @@ def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, twin,
     # same dropped input, since an element-wise step keeps its bits
     for k, (got, want) in enumerate(zip(tape_cut.layers, tape_all.layers)):
         if k == 0:
-            assert dense(got["inp"]).tobytes() == on_rows(dense(want["inp"]), cut.rows[0]).tobytes()
+            assert dense(got["inp"]).tobytes() == dense(want["inp"])[cut.rows[0]].tobytes()
         assert (got["mask"] is None) == (want["mask"] is None)
         if got["mask"] is not None:
-            assert got["mask"].tobytes() == on_rows(want["mask"], cut.rows[k]).tobytes()
+            assert got["mask"].tobytes() == want["mask"][cut.rows[k]].tobytes()
 
     grad = np.zeros_like(z_all)
     grad[targets] = rng.normal(size=(targets.size, grad.shape[1]))
@@ -128,7 +122,7 @@ def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, twin,
         assert_within(got[name], expect[name], name=name)
 
     # the same plan run again gives the same bits
-    z_again, tape_again, state_again = forward(spec, params, adj, x, train_mode, cut)
+    z_again, tape_again, state_again = forward(params, train_mode, cut)
     assert z_again.tobytes() == z_cut.tobytes() and state_again == state_cut
     again = model_backward(tape_again, noisy)
     for name in got:
@@ -139,9 +133,14 @@ def test_every_target_keeps_every_row(sbm12):
     spec = ModelSpec("gcn", 2, 4, 3, 2, 0.5, "independent")
     adj = normalize_adjacency(sbm12.graph)
     full = plan_rows(spec, adj, sbm12.features)
-    cut = full.restrict(np.arange(sbm12.num_nodes))
-    assert cut.rows == (None, None, None)
-    assert all(a is adj for a in cut.adj_rows + cut.adj_back)
+    every = np.arange(sbm12.num_nodes)
+    for plan in (full, full.restrict(every[::-1])):
+        assert all(r.tobytes() == every.tobytes() for r in plan.rows)
+        assert len(plan.adj_rows) == 2
+        for a in plan.adj_rows:
+            assert a.shape == adj.shape
+            for name in ("indptr", "indices", "values"):
+                assert getattr(a, name).tobytes() == getattr(adj, name).tobytes(), name
 
 
 def test_rows_grow_by_one_hop_per_layer():
@@ -152,9 +151,14 @@ def test_rows_grow_by_one_hop_per_layer():
     assert [r.tolist() for r in cut.rows] == [[0, 1, 2], [0, 1], [0]]
     # layer k multiplies the rows[k+1] x rows[k] block, its backward the transpose
     assert [(a.shape, int(a.indices.size)) for a in cut.adj_rows] == [((2, 3), 5), ((1, 2), 2)]
-    assert [(a.shape, int(a.indices.size)) for a in cut.adj_back] == [((3, 2), 5), ((2, 1), 2)]
-    for fwd, back in zip(cut.adj_rows, cut.adj_back):
-        assert (fwd.dense().T == back.dense()).all()
+    whole = normalize_adjacency(graph).dense()
+    for k, a in enumerate(cut.adj_rows):
+        assert (a.dense() == whole[np.ix_(cut.rows[k + 1], cut.rows[k])]).all()
+        d = np.arange(1.0, 2 * a.shape[0] + 1).reshape(a.shape[0], 2)
+        back = spmm(a, d, transpose=True)
+        assert back.shape == (a.shape[1], 2)
+        np.testing.assert_allclose(back, whole[np.ix_(cut.rows[k], cut.rows[k + 1])] @ d,
+                                   rtol=1e-15)
 
 
 @st.composite
