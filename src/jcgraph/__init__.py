@@ -1,13 +1,13 @@
 """Transductive node classification comparing independent cross-entropy
 against joint-cluster training with marginalized inference."""
 
-from .graph import (Dataset, DatasetFormatError, Graph, LabelSet, NormAdj,
-                    SplitMasks, gen_sbm, imbalance_ratio, load_dataset,
-                    normalize_adjacency, spmm, write_dataset)
+from .graph import (Dataset, DatasetFormatError, Graph, LabelSet, SplitMasks,
+                    gen_sbm, imbalance_ratio, load_dataset, normalize_adjacency,
+                    spmm, write_dataset)
 from .losses import (ClusterStats, ce_loss, cluster_stats, ic_loss, jc_loss,
                      jc_multilabel_loss, joint_forward, joint_label,
                      marginalize, mixup_loss)
-from .metrics import PredictionBatch, accuracy, ece, f1_scores, loss_gap
+from .metrics import accuracy, ece, f1_scores, loss_gap
 from .nn import (ModelSpec, NumericsError, Params, adam_step, encoder_forward,
                  grad_check, init_params, model_backward)
 from .partition import (ClusterAssignment, CutStats, edge_cut_stats,

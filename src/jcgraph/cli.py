@@ -36,6 +36,16 @@ def _to_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
+def _seed(s: str) -> int:
+    """A --seed value of partition and gen-sbm: a non-negative integer."""
+    try:
+        if int(s) >= 0:
+            return int(s)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {s!r}")
+
+
 def _path(s: str) -> str:
     """A path: a config value resolves against the file's directory, a flag against the cwd."""
     return s
@@ -67,11 +77,12 @@ CONFIG_KEYS = {
 
 
 def read_config(path) -> dict:
-    """Parse a flat key=value config; unknown keys are rejected."""
+    """Parse a flat key=value config; unknown and repeated keys are rejected."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{p}: missing config file")
     cfg = {key: default for key, (_, default) in CONFIG_KEYS.items()}
+    first = {}  # key -> line that set it
     for lineno, line in enumerate(p.read_text().split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -82,6 +93,9 @@ def read_config(path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
+        if key in first:
+            raise ConfigError(f"{p}:{lineno}: duplicate key {key!r} (first set on line {first[key]})")
+        first[key] = lineno
         try:
             cfg[key] = CONFIG_KEYS[key][0](value)
         except (ValueError, ConfigError) as e:
@@ -98,7 +112,10 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         raw = getattr(args, key, None)
         if raw is None:
             continue
-        cfg[key] = str(Path(raw).resolve()) if conv is _path else conv(raw)
+        try:
+            cfg[key] = str(Path(raw).resolve()) if conv is _path else conv(raw)
+        except (ValueError, ConfigError) as e:
+            raise ConfigError(f"bad value for --{key.replace('_', '-')}: {e}") from None
     return cfg
 
 
@@ -206,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="metis-like",
                    choices=[m for m in PARTITION_METHODS if m != "file"])
     p.add_argument("--clusters", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_partition)
 
@@ -230,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-out", type=float, default=0.01)
     p.add_argument("--feat-dim", type=int, default=8)
     p.add_argument("--feat-noise", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_sbm)
 

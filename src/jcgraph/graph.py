@@ -4,7 +4,7 @@ Graphs are undirected and stored in compressed (CSR-like) form: a flat array
 of neighbor indices plus per-node offsets. Neighbor lists are sorted, every
 edge is stored in both directions, and self loops are never stored (the
 normalized adjacency adds its own diagonal). All dense numerics are float64,
-all indices int64.
+all graph indices int64; Â is a scipy CSR matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import scipy.sparse as sp
 __all__ = [
     "DatasetFormatError",
     "Graph",
-    "NormAdj",
     "LabelSet",
     "SplitMasks",
     "Dataset",
@@ -119,37 +118,14 @@ class Graph:
                 assert self.has_edge(int(v), u), f"asymmetric edge ({u},{v})"
 
 
-class NormAdj:
-    """Symmetrically normalized self-looped adjacency in CSR layout.
+def normalize_adjacency(g: Graph) -> sp.csr_matrix:
+    """Â = D̃^{-1/2} (A + I) D̃^{-1/2} with D̃ = D + I, in CSR form.
 
     Entry (u, v) is 1/sqrt((deg_u + 1)(deg_v + 1)) for every stored pair,
-    diagonal included. Values are bitwise symmetric because each entry is a
-    plain product of the two per-node scale factors. shape is (n, n) for the
-    whole graph; a block cut to some rows and columns (nn.RowPlan) has the
-    rectangular shape of its cut, with columns numbered within the cut.
+    diagonal included, and each row's columns are sorted. Values are bitwise
+    symmetric because each entry is a plain product of the two per-node scale
+    factors.
     """
-
-    __slots__ = ("shape", "indptr", "indices", "values", "_csr")
-
-    def __init__(self, shape, indptr, indices, values):
-        rows, cols = shape
-        self.shape = (int(rows), int(cols))
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
-        self._csr = None
-
-    def csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            self._csr = sp.csr_matrix((self.values, self.indices, self.indptr), shape=self.shape)
-        return self._csr
-
-    def dense(self) -> np.ndarray:
-        return self.csr().toarray()
-
-
-def normalize_adjacency(g: Graph) -> NormAdj:
-    """Â = D̃^{-1/2} (A + I) D̃^{-1/2} with D̃ = D + I."""
     n = g.num_nodes
     deg = g.degrees()
     dinv = 1.0 / np.sqrt(deg.astype(np.float64) + 1.0)
@@ -162,19 +138,18 @@ def normalize_adjacency(g: Graph) -> NormAdj:
     cols = np.concatenate([g.indices, diag])
     order = np.lexsort((cols, rows))
     rows, indices = rows[order], cols[order]
-    values = dinv[rows] * dinv[indices]
-    return NormAdj((n, n), indptr, indices, values)
+    return sp.csr_matrix((dinv[rows] * dinv[indices], indices, indptr), shape=(n, n))
 
 
-def spmm(a: NormAdj, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+def spmm(a: sp.csr_matrix, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Sparse-dense product Â @ X, or Âᵀ @ X with transpose set: that one
-    multiplies scipy's CSC view of the CSR arrays, which sums each output
-    row's products in ascending column order from zero, as a CSR-stored Âᵀ
-    does, so it gives the same bits."""
+    multiplies scipy's CSC view a.T, which sums each output row's products in
+    ascending column order from zero, as a CSR-stored Âᵀ does, so it gives
+    the same bits."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected 2-d dense matrix, got shape {x.shape}")
-    m = a.csr().T if transpose else a.csr()
+    m = a.T if transpose else a
     if x.shape[0] != m.shape[1]:
         raise ValueError(f"dimension mismatch: {'Âᵀ' if transpose else 'Â'} is "
                          f"{m.shape[0]}x{m.shape[1]}, x has {x.shape[0]} rows")

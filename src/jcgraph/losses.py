@@ -120,8 +120,6 @@ class LossResult:
     value: float
     d_embeddings: np.ndarray
     clf_grads: dict[str, np.ndarray]
-    dlogits_node: np.ndarray | None = None
-    dlogits_cluster: np.ndarray | None = None
 
 
 def joint_label(y: np.ndarray, ybar: np.ndarray) -> np.ndarray:
@@ -281,8 +279,7 @@ def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=N
     Node streams are summed per node and averaged over the mask; the cluster
     stream (mixup) is averaged over clusters with labeled nodes and weighted
     by beta. Gradients of c and k blocks reach the embeddings through the
-    cluster means unless detach_cluster is set. dlogits_node holds the first
-    stream's logit gradient, dlogits_cluster the swapped (cz) stream's.
+    cluster means unless detach_cluster is set.
     """
     if labels.kind not in LOSS_KINDS[kind].label_kinds:
         raise ValueError(f"{kind} loss does not support label kind {labels.kind!r}")
@@ -290,10 +287,10 @@ def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=N
     mask = _mask(train_mask)
     outs, ll, cluster = _forward(LOSS_KINDS[kind].streams, _sources(embeddings, labels, mask, assign, stats),
                                  w, b, labels.multi, beta)
-    acc, dls = {}, {}
+    acc = {}
     for order, x, t, p in outs:
         dl = beta * (p - t) / len(x) if order == "k" else (p - t) / mask.size
-        dls[order] = dl = dl.reshape(len(x), -1)
+        dl = dl.reshape(len(x), -1)
         for ch, part in zip(order, np.split(dl @ w.T, len(order), axis=1)):
             _add(acc, ch, part)
         _add(acc, "clf_w", x.T @ dl)
@@ -308,7 +305,7 @@ def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=N
             d_zbar[stats.counts > 0] += acc["k"]
         scatter_cluster_grad(d_zbar, assign, mask, stats.counts, d_emb)
     grads = {"clf_w": acc["clf_w"], "clf_b": acc["clf_b"]}
-    return LossResult(_value(ll, cluster), d_emb, grads, dls[outs[0][0]], dls.get("cz"))
+    return LossResult(_value(ll, cluster), d_emb, grads)
 
 
 def ce_loss(classifier: Params, embeddings: np.ndarray, labels: LabelSet,

@@ -2,42 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "PredictionBatch",
     "accuracy",
     "f1_scores",
-    "multilabel_f1",
     "ece",
     "loss_gap",
 ]
 
 
-@dataclass(frozen=True)
-class PredictionBatch:
-    """Class-probability rows with the matching true class ids."""
-
-    probs: np.ndarray
-    y_true: np.ndarray
-    indices: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.probs.ndim != 2 or self.probs.shape[0] != self.y_true.shape[0]:
-            raise ValueError("probs and y_true disagree on batch size")
-
-    @property
-    def num_classes(self) -> int:
-        return self.probs.shape[1]
-
-
-def accuracy(p: PredictionBatch) -> float:
-    """Fraction of argmax matches (ties go to the lowest class index)."""
-    if p.y_true.size == 0:
+def _check(probs, y_true) -> None:
+    if probs.ndim != 2 or probs.shape[0] != y_true.shape[0]:
+        raise ValueError("probs and y_true disagree on batch size")
+    if y_true.size == 0:
         raise ValueError("empty batch")
-    return float((np.argmax(p.probs, axis=1) == p.y_true).mean())
+
+
+def accuracy(probs: np.ndarray, y_true: np.ndarray) -> float:
+    """Fraction of argmax matches (ties go to the lowest class index)."""
+    _check(probs, y_true)
+    return float((np.argmax(probs, axis=1) == y_true).mean())
 
 
 def _f1_from_counts(tp, fp, fn):
@@ -45,53 +30,35 @@ def _f1_from_counts(tp, fp, fn):
     return 2 * tp / denom if denom > 0 else 0.0
 
 
-def f1_scores(p: PredictionBatch) -> tuple[float, float, float]:
-    """(micro, macro, weighted) F1.
+def f1_scores(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
+    """(micro, macro, weighted) F1 from 0/1 indicator matrices, one column per class.
 
-    Macro averages over all classes; a class with zero support contributes 0.
-    Weighted weights each class F1 by its support.
+    Single-label rows are one-hot (pred the argmax); multi-label columns are
+    binary tasks. Macro averages over all classes; a class with zero support
+    contributes 0. Weighted weights each class F1 by its support (0 when no
+    class has any).
     """
-    if p.y_true.size == 0:
-        raise ValueError("empty batch")
-    c = p.num_classes
-    pred = np.argmax(p.probs, axis=1)
-    tp = np.zeros(c)
-    fp = np.zeros(c)
-    fn = np.zeros(c)
-    for k in range(c):
-        tp[k] = np.sum((pred == k) & (p.y_true == k))
-        fp[k] = np.sum((pred == k) & (p.y_true != k))
-        fn[k] = np.sum((pred != k) & (p.y_true == k))
+    pred, truth = np.asarray(pred, dtype=bool), np.asarray(truth, dtype=bool)
+    if pred.shape != truth.shape:
+        raise ValueError(f"pred has shape {pred.shape}, truth {truth.shape}")
+    _check(pred, truth)
+    tp = (pred & truth).sum(axis=0).astype(float)
+    fp = (pred & ~truth).sum(axis=0).astype(float)
+    fn = (~pred & truth).sum(axis=0).astype(float)
     micro = _f1_from_counts(tp.sum(), fp.sum(), fn.sum())
-    per_class = np.array([_f1_from_counts(tp[k], fp[k], fn[k]) for k in range(c)])
-    macro = float(per_class.mean())
-    support = np.bincount(p.y_true, minlength=c)
-    weighted = float((per_class * support).sum() / support.sum())
-    return float(micro), macro, weighted
+    per_class = np.array([_f1_from_counts(*counts) for counts in zip(tp, fp, fn)])
+    support = truth.sum(axis=0)
+    weighted = float((per_class * support).sum() / support.sum()) if support.sum() else 0.0
+    return float(micro), float(per_class.mean()), weighted
 
 
-def multilabel_f1(probs: np.ndarray, y_true: np.ndarray, threshold: float = 0.5):
-    """(micro, macro, weighted) F1 for multi-label tasks, binarized per class."""
-    pred = probs >= threshold
-    y = y_true > 0.5
-    tp = (pred & y).sum(axis=0).astype(float)
-    fp = (pred & ~y).sum(axis=0).astype(float)
-    fn = (~pred & y).sum(axis=0).astype(float)
-    micro = _f1_from_counts(tp.sum(), fp.sum(), fn.sum())
-    per_task = np.array([_f1_from_counts(tp[k], fp[k], fn[k]) for k in range(tp.size)])
-    support = y.sum(axis=0)
-    weighted = float((per_task * support).sum() / support.sum()) if support.sum() else 0.0
-    return float(micro), float(per_task.mean()), weighted
-
-
-def ece(p: PredictionBatch, bins: int = 10) -> float:
+def ece(probs: np.ndarray, y_true: np.ndarray, bins: int = 10) -> float:
     """Expected calibration error over equal-width right-inclusive bins on (0, 1]."""
-    if p.y_true.size == 0:
-        raise ValueError("empty batch")
+    _check(probs, y_true)
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    conf = p.probs.max(axis=1)
-    correct = (np.argmax(p.probs, axis=1) == p.y_true).astype(np.float64)
+    conf = probs.max(axis=1)
+    correct = (np.argmax(probs, axis=1) == y_true).astype(np.float64)
     idx = np.ceil(conf * bins).astype(np.int64) - 1
     idx = np.clip(idx, 0, bins - 1)
     n = conf.size

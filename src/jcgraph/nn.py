@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Dataset, NormAdj, normalize_adjacency, spmm
+from .graph import Dataset, normalize_adjacency, spmm
 
 __all__ = [
     "NumericsError",
@@ -116,9 +116,6 @@ class Params:
     def num_scalars(self) -> int:
         return sum(v.size for v in self.tensors.values())
 
-    def all_finite(self) -> bool:
-        return all(np.isfinite(v).all() for v in self.tensors.values())
-
 
 def _glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -162,18 +159,6 @@ def _cut_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
     return cut, np.repeat(indptr[rows] - cut[:-1], counts) + np.arange(cut[-1])
 
 
-def _block(adj: NormAdj, rows: np.ndarray, cols: np.ndarray) -> NormAdj:
-    """Â cut to the given rows and columns, with the columns renumbered in
-    order, so each row keeps its entries' order."""
-    indptr, pos = _cut_rows(adj.indptr, rows)
-    at = np.full(adj.shape[1], -1, dtype=np.int64)
-    at[cols] = np.arange(cols.size)
-    indices = at[adj.indices[pos]]
-    inside = indices >= 0
-    kept = np.r_[0, np.cumsum(inside)]
-    return NormAdj((rows.size, cols.size), kept[indptr], indices[inside], adj.values[pos][inside])
-
-
 @dataclass(frozen=True)
 class RowPlan:
     """The rows each encoder layer computes for a set of target rows, and
@@ -183,15 +168,17 @@ class RowPlan:
     rows[k] (the targets again for mlp); the all-rows plan lists every id. A
     step holds layer k's input, dropout mask and gradient as compact blocks
     of the rows[k] rows. Layer k multiplies adj_rows[k], the rows[k+1] x
-    rows[k] block of Â, and its backward pass the transpose of that block;
-    the entries a block drops meet only zero rows in a product over all rows.
+    rows[k] block of Â as scipy cuts it (adj[rows[k + 1]][:, rows[k]]: columns
+    numbered by position in rows[k], each row's entries in Â's order), and
+    its backward pass the transpose of that block; the entries a block drops
+    meet only zero rows in a product over all rows.
     x is the input as layer 0 multiplies it (dense, or a CSR twin), x_rows
     its rows[0] rows and x_pos, for a CSR twin, the positions of x_rows'
     entries in x. sgc holds Â^K X for every row.
     """
 
     spec: ModelSpec
-    adj: NormAdj | None
+    adj: sp.csr_matrix | None
     x: np.ndarray | sp.csr_matrix
     sgc: np.ndarray | None
     rows: tuple
@@ -214,11 +201,11 @@ class RowPlan:
         for _ in range(levels):
             below = rows[0]
             if self.spec.uses_graph:
-                below = row_set(self.adj.indices[_cut_rows(self.adj.indptr, below)[1]])
+                below = row_set(self.adj[below].indices)
             rows.insert(0, below)
         adj_rows = ()
         if self.spec.uses_graph:
-            adj_rows = tuple(_block(self.adj, rows[k + 1], rows[k]) for k in range(levels))
+            adj_rows = tuple(self.adj[rows[k + 1]][:, rows[k]] for k in range(levels))
         if sp.issparse(self.x):
             indptr, x_pos = _cut_rows(self.x.indptr, rows[0])
             x_rows = sp.csr_matrix((self.x.data[x_pos], self.x.indices[x_pos], indptr),
@@ -228,7 +215,7 @@ class RowPlan:
         return RowPlan(self.spec, self.adj, self.x, None, tuple(rows), adj_rows, x_rows, x_pos)
 
 
-def plan_rows(spec: ModelSpec, adj: NormAdj | None, x: np.ndarray) -> RowPlan:
+def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None, x: np.ndarray) -> RowPlan:
     """The plan that computes every row; restrict() cuts it to target rows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_dim:

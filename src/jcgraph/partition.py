@@ -38,7 +38,6 @@ class ClusterAssignment:
 
     num_clusters: int
     assign: np.ndarray
-    empty_clusters: tuple = ()
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.assign, dtype=np.int64)
@@ -52,6 +51,11 @@ class ClusterAssignment:
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assign, minlength=self.num_clusters)
+
+    @property
+    def empty_clusters(self) -> tuple:
+        """Ids of the clusters without a node."""
+        return tuple(int(c) for c in np.flatnonzero(self.sizes() == 0))
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,7 @@ def partition_random(n: int, m: int, seed: int) -> ClusterAssignment:
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    assign = rng.integers(0, m, size=n, dtype=np.int64)
-    sizes = np.bincount(assign, minlength=m)
-    empty = tuple(int(c) for c in np.flatnonzero(sizes == 0))
-    return ClusterAssignment(m, assign, empty)
+    return ClusterAssignment(m, rng.integers(0, m, size=n, dtype=np.int64))
 
 
 def partition_kmeans(x: np.ndarray, m: int, seed: int, max_iter: int = 100) -> ClusterAssignment:
@@ -531,7 +532,4 @@ def read_assignment(path) -> ClusterAssignment:
     for i, c in enumerate(ids):
         if not 0 <= c < m:
             raise ValueError(f"{p}:{i + 2}: cluster id {c} out of range for m={m}")
-    assign = np.asarray(ids, dtype=np.int64)
-    sizes = np.bincount(assign, minlength=m)
-    empty = tuple(int(c) for c in np.flatnonzero(sizes == 0))
-    return ClusterAssignment(m, assign, empty)
+    return ClusterAssignment(m, np.asarray(ids, dtype=np.int64))

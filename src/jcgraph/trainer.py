@@ -22,7 +22,7 @@ import numpy as np
 from . import losses
 from .graph import Dataset, normalize_adjacency
 from .losses import LOSS_KINDS
-from .metrics import PredictionBatch, accuracy, ece, f1_scores, multilabel_f1
+from .metrics import accuracy, ece, f1_scores
 from .nn import (ModelSpec, Params, RowPlan, adam_step, encoder_forward, init_adam_state,
                  init_params, model_backward, plan_rows)
 from .partition import (ClusterAssignment, partition_kmeans, partition_metis_like,
@@ -97,8 +97,9 @@ class TrainConfig:
                 raise ValueError(f"{key} must be finite and >= 0, got {v}")
         if LOSS_KINDS[self.loss].needs_clusters and self.num_clusters < 1:
             raise ValueError("cluster-based losses need num_clusters >= 1")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for key in ("epochs", "seed"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
 
@@ -150,14 +151,12 @@ def make_partition(method: str, data: Dataset, m: int, seed: int,
     return a
 
 
-def _setup(cfg: TrainConfig, data: Dataset, targets: list,
-           assign: ClusterAssignment | None = None):
+def _setup(cfg: TrainConfig, data: Dataset, targets: list):
     """One plan per target row set, cut from an all-rows plan that is not
-    kept, and, if the loss reads clusters and none is given, the partition."""
+    kept, and, if the loss reads clusters, the partition (else None)."""
     adj = normalize_adjacency(data.graph) if cfg.spec.uses_graph else None
-    if assign is None and LOSS_KINDS[cfg.loss].needs_clusters:
-        assign = make_partition(cfg.partition, data, cfg.num_clusters, cfg.seed,
-                                cfg.clusters_file)
+    assign = (make_partition(cfg.partition, data, cfg.num_clusters, cfg.seed, cfg.clusters_file)
+              if LOSS_KINDS[cfg.loss].needs_clusters else None)
     plan = plan_rows(cfg.spec, adj, data.features)
     return [plan.restrict(t) for t in targets], assign
 
@@ -176,36 +175,41 @@ def _loss_on(cfg, params, z, data, mask, assign, stats) -> losses.LossResult:
     return joint(params, z, data.labels, mask, assign, stats, detach_cluster=cfg.detach_cluster)
 
 
-def _eval_pass(cfg, params, plan: RowPlan, data, assign, splits, stats=None):
+def _eval_pass(cfg, params, plan: RowPlan, data, assign, splits):
     """Predictions and the loss on each split: the one eval path.
 
     The plan's targets must cover the splits and the train rows. Predictions
     exist on the split rows only; every other row is NaN.
     """
     z, _ = encoder_forward(params, plan, train_mode=False)
-    if assign is not None and stats is None:
-        stats = losses.cluster_stats(z, data.labels, data.masks.train, assign)
+    stats = (losses.cluster_stats(z, data.labels, data.masks.train, assign)
+             if assign is not None else None)
     return losses.eval_pass(cfg.loss, params, z, data.labels, splits, assign, stats, cfg.beta)
+
+
+def _indicators(probs, data, mask):
+    """Predicted and true 0/1 class matrices on mask: the argmax one-hot rows
+    (single-label) or each class's probability >= 0.5 (multi-label)."""
+    p = probs[mask]
+    pred = p >= 0.5 if data.labels.multi else np.eye(p.shape[1], dtype=bool)[np.argmax(p, axis=1)]
+    return pred, data.labels.matrix[mask]
 
 
 def _split_score(probs, data, mask) -> float:
     """Checkpoint metric: accuracy (single-label) or micro-F1 (multi-label)."""
     if data.labels.multi:
-        micro, _, _ = multilabel_f1(probs[mask], data.labels.matrix[mask])
-        return micro
-    batch = PredictionBatch(probs[mask], data.labels.class_index()[mask], mask)
-    return accuracy(batch)
+        return f1_scores(*_indicators(probs, data, mask))[0]
+    return accuracy(probs[mask], data.labels.class_index()[mask])
 
 
 def _split_metrics(probs, data, mask) -> dict:
+    micro, macro, weighted = f1_scores(*_indicators(probs, data, mask))
     if data.labels.multi:
-        micro, macro, weighted = multilabel_f1(probs[mask], data.labels.matrix[mask])
         return {"acc": micro, "f1_micro": micro, "f1_macro": macro,
                 "f1_weighted": weighted, "ece": float("nan")}
-    batch = PredictionBatch(probs[mask], data.labels.class_index()[mask], mask)
-    micro, macro, weighted = f1_scores(batch)
-    return {"acc": accuracy(batch), "f1_micro": micro, "f1_macro": macro,
-            "f1_weighted": weighted, "ece": ece(batch)}
+    p, y = probs[mask], data.labels.class_index()[mask]
+    return {"acc": accuracy(p, y), "f1_micro": micro, "f1_macro": macro,
+            "f1_weighted": weighted, "ece": ece(p, y)}
 
 
 def train(cfg: TrainConfig, data: Dataset) -> RunResult:
@@ -266,14 +270,13 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
 
 
 def evaluate(params: Params, cfg: TrainConfig, data: Dataset,
-             stats: losses.ClusterStats | None = None, split: np.ndarray | None = None,
-             assign: ClusterAssignment | None = None) -> dict:
+             split: np.ndarray | None = None) -> dict:
     """Metrics bundle (plus loss) for one split under the given parameters."""
     split = np.asarray(split if split is not None else data.masks.test, dtype=np.int64)
     if split.size == 0:
         raise ValueError("empty split")
-    (plan,), assign = _setup(cfg, data, [np.concatenate([data.masks.train, split])], assign)
-    probs, (loss,) = _eval_pass(cfg, params, plan, data, assign, [split], stats)
+    (plan,), assign = _setup(cfg, data, [np.concatenate([data.masks.train, split])])
+    probs, (loss,) = _eval_pass(cfg, params, plan, data, assign, [split])
     return {**_split_metrics(probs, data, split), "loss": loss}
 
 

@@ -209,7 +209,7 @@ class TestCriterion7PropertySuite:
             g = rng_graph(rng, n, float(rng.uniform(0.1, 0.8)))
             adj = normalize_adjacency(g)
             x = rng.normal(size=(n, int(rng.integers(1, 6))))
-            diff = np.abs(spmm(adj, x) - adj.dense() @ x).max()
+            diff = np.abs(spmm(adj, x) - adj.toarray() @ x).max()
             assert diff < 1e-12
             worst = max(worst, diff)
         return worst

@@ -143,6 +143,27 @@ class TestTrainCmd:
         assert main(["train", str(cfgf)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_duplicate_config_key_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys):
+        import jcgraph.cli as cli_mod
+        def never(*args, **kwargs):
+            raise AssertionError("the dataset was loaded before the config was checked")
+        monkeypatch.setattr(cli_mod, "load_dataset", never)
+        cfgf = tmp_path / "dup.cfg"
+        cfgf.write_text(f"loss = jc\ndataset = {sbm_dir}\nout = {tmp_path / 'r'}\nloss = ce\n")
+        assert main(["train", str(cfgf)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfgf}:4: duplicate key 'loss' (first set on line 1)" in err
+        assert not (tmp_path / "r.result").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--epochs", "1.5"), ("--hidden", "x"),
+                                            ("--lr", "fast"), ("--dropout", ""),
+                                            ("--detach-cluster", "maybe")])
+    def test_bad_flag_value_names_the_flag(self, sbm_dir, tmp_path, capsys, flag, value):
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", epochs=3, hidden=8)
+        assert main(["train", str(cfgf), flag, value]) == 2
+        assert f"error: bad value for {flag}: " in capsys.readouterr().err
+        assert not (tmp_path / "r.result").exists()
+
     @pytest.mark.parametrize("flag,value,key", [("--eval-every", "0", "eval_every"),
                                                 ("--epochs", "-1", "epochs"),
                                                 ("--adam-beta1", "1.0", "adam_beta1"),
@@ -254,4 +275,23 @@ def test_dash_dash_value_exit_2(sbm_dir, tmp_path, monkeypatch, capsys, argv):
     flag = next(t for t in argv if t.endswith("=--"))[:-3]
     assert rc == 2
     assert f"error: {flag} needs a value" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # no output file
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "cfg"],
+    ["attack", "cfg", "--ratios", "0.5", "--seeds", "1", "--out", "sweep.csv"],
+    ["partition", "--dataset", "DATA", "--clusters", "2", "--out", "a.txt"],
+    ["gen-sbm", "--out", "sbm"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exit_2(sbm_dir, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "cfg", sbm_dir, tmp_path / "r", clusters=3, epochs=3, hidden=8)
+    before = sorted(tmp_path.rglob("*"))
+    try:
+        rc = main([str(sbm_dir) if t == "DATA" else t for t in argv] + ["--seed", "-1"])
+    except SystemExit as e:  # partition and gen-sbm reject it while parsing flags
+        rc = e.code
+    assert rc == 2
+    assert "error:" in (err := capsys.readouterr().err) and "seed" in err
     assert sorted(tmp_path.rglob("*")) == before  # no output file

@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from jcgraph.graph import (Dataset, DatasetFormatError, Graph, LabelSet, SplitMasks,
-                           NormAdj, gen_sbm, imbalance_ratio, load_dataset,
-                           normalize_adjacency, spmm, write_dataset)
+                           gen_sbm, imbalance_ratio, load_dataset, normalize_adjacency,
+                           spmm, write_dataset)
 
 from conftest import rng_graph
 
@@ -76,31 +76,31 @@ class TestLoadDataset:
 class TestNormalizeAdjacency:
     def test_single_node(self):
         g = Graph.from_edges(1, [])
-        assert normalize_adjacency(g).dense().tolist() == [[1.0]]
+        assert normalize_adjacency(g).toarray().tolist() == [[1.0]]
 
     def test_two_nodes_one_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
-        np.testing.assert_allclose(normalize_adjacency(g).dense(), np.full((2, 2), 0.5))
+        np.testing.assert_allclose(normalize_adjacency(g).toarray(), np.full((2, 2), 0.5))
 
     def test_triangle(self):
         # hand computation: all degrees 2, so every entry is 1/3
         g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert normalize_adjacency(g).dense() == pytest.approx(np.full((3, 3), 1 / 3))
+        assert normalize_adjacency(g).toarray() == pytest.approx(np.full((3, 3), 1 / 3))
 
     def test_bitwise_symmetric(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = rng_graph(rng, int(rng.integers(2, 15)), 0.4)
-            d = normalize_adjacency(g).dense()
+            d = normalize_adjacency(g).toarray()
             assert (d == d.T).all()
 
     def test_row_sum_one_iff_equal_degrees(self):
         # regular graph: every row sums to exactly 1 (up to fp addition)
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert normalize_adjacency(g).dense().sum(axis=1) == pytest.approx(np.ones(4))
+        assert normalize_adjacency(g).toarray().sum(axis=1) == pytest.approx(np.ones(4))
         # star: the hub's neighbors have smaller degree, so its row exceeds 1
         star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
-        sums = normalize_adjacency(star).dense().sum(axis=1)
+        sums = normalize_adjacency(star).toarray().sum(axis=1)
         assert sums[0] > 1.0 and (sums[1:] < 1.0).all()
 
 
@@ -123,7 +123,7 @@ class TestSpmm:
             g = rng_graph(rng, n, 0.5) if n > 1 else Graph.from_edges(1, [])
             a = normalize_adjacency(g)
             x = rng.normal(size=(n, int(rng.integers(1, 6))))
-            np.testing.assert_allclose(spmm(a, x), a.dense() @ x, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(spmm(a, x), a.toarray() @ x, rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -136,13 +136,12 @@ class TestSpmm:
             r, c = (int(v) for v in rng.integers(1, 30, size=2))
             m = sp.random(r, c, density=rng.uniform(0.05, 0.6), format="csr", random_state=rng)
             m.sort_indices()
-            a = NormAdj((r, c), m.indptr, m.indices, m.data)
             back = sp.csr_matrix(m.T)  # the transpose stored in CSR form
             assert back.has_sorted_indices
             x = rng.normal(size=(r, int(rng.integers(1, 6))))
-            assert spmm(a, x, transpose=True).tobytes() == (back @ x).tobytes()
+            assert spmm(m, x, transpose=True).tobytes() == (back @ x).tobytes()
             with pytest.raises(ValueError, match="mismatch"):
-                spmm(a, np.zeros((r + 1, 2)), transpose=True)
+                spmm(m, np.zeros((r + 1, 2)), transpose=True)
 
 
 class TestGenSbm:

@@ -170,10 +170,9 @@ class TestJcLoss:
         params = clf(np.zeros((4, 4)), np.zeros(4))
         r = jc_loss(params, z, labels, mask, assign, stats)
         assert r.value == pytest.approx(2 * np.log(4.0), rel=1e-12)
-        # both logits streams exposed for backprop through z and zbar
-        assert r.dlogits_node.shape == (1, 4)
-        assert r.dlogits_cluster.shape == (1, 4)
-        np.testing.assert_allclose(r.dlogits_node, [[0.25, 0.25, 0.05, -0.55]])
+        # for one node the bias gradient sums both streams' logit gradients,
+        # p - t: [0.25, 0.25, 0.05, -0.55] + [0.25, 0.05, 0.25, -0.55]
+        np.testing.assert_allclose(r.clf_grads["clf_b"], [0.5, 0.3, 0.3, -1.1])
 
     def test_singleton_cluster(self):
         # node alone in its cluster: target E_aa, loss = -2 log p_aa

@@ -321,7 +321,7 @@ class TestGoldenFingerprints:
     @pytest.mark.parametrize("name", sorted(GOLDEN_NORM))
     def test_normalize_adjacency(self, golden_graphs, name):
         a = normalize_adjacency(golden_graphs[name])
-        assert _sha256((a.indptr, "<i8"), (a.indices, "<i8"), (a.values, "<f8")) == GOLDEN_NORM[name]
+        assert _sha256((a.indptr, "<i8"), (a.indices, "<i8"), (a.data, "<f8")) == GOLDEN_NORM[name]
 
     @pytest.mark.parametrize("name,m,seed", sorted(GOLDEN_PARTITION))
     def test_partition_metis_like(self, golden_graphs, name, m, seed):

@@ -77,6 +77,9 @@ def test_tracer_tags_each_step_and_eval(probes, restore_targets, easy_sbm):
     # one traced jc_loss per step: trainer.jc_epoch_ms in perfbench/layers.py reads these
     steps = [extra for name, *_, tag, extra in tracer.spans if (name, tag) == ("losses.loss", "train")]
     assert steps == [{"loss": "jc_loss"}] * 3
+    # one accuracy per eval (the checkpoint score), then accuracy, f1_scores
+    # and ece for the final test metrics: metrics.eval_ms reads these
+    assert [name for name, _ in spans].count("metrics.eval") == 3 + 3
 
 
 def test_spmm_flops_count_the_plan_blocks(probes, restore_targets, easy_sbm):

@@ -1,7 +1,7 @@
 """A cut plan's embeddings and gradients against a plain numpy oracle.
 
 The oracle runs the gcn and mlp encoders forward and backward with dense
-matrices: Â from adj.dense(), every row computed, no row plan. Dropout uses
+matrices: Â from adj.toarray(), every row computed, no row plan. Dropout uses
 the masks of the all-rows draw: layer 0 one uniform per entry of x (per
 stored entry of a CSR twin, in row-major order), then one per entry of each
 n x hidden layer input, all from default_rng(seed). Each tensor must agree
@@ -99,7 +99,7 @@ def test_cut_plan_matches_the_dense_oracle(encoder, layers, hidden, dropout, twi
     grads = model_backward(tape, d_out)
 
     masks = keep_masks(spec, x, dropout) if train_mode else None
-    z_ref, grads_ref = oracle(spec, params, adj.dense(), x, masks, dropout, d_out)
+    z_ref, grads_ref = oracle(spec, params, adj.toarray(), x, masks, dropout, d_out)
     assert_within(z[targets], z_ref[targets], name="embeddings")
     assert grads.keys() == grads_ref.keys()
     for name in grads_ref:

@@ -89,7 +89,7 @@ def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, twin,
     assert sp.issparse(full.x) == (twin and encoder != "sgc")
     if encoder != "sgc":
         # rows[k-1] is the Â-neighbourhood of rows[k] for gcn, the targets for mlp
-        reach = adj.dense() != 0.0
+        reach = adj.toarray() != 0.0
         for k in range(layers, 0, -1):
             above = cut.rows[k]
             below = np.flatnonzero(reach[above].any(axis=0)) if encoder == "gcn" else above
@@ -139,7 +139,7 @@ def test_every_target_keeps_every_row(sbm12):
         assert len(plan.adj_rows) == 2
         for a in plan.adj_rows:
             assert a.shape == adj.shape
-            for name in ("indptr", "indices", "values"):
+            for name in ("indptr", "indices", "data"):
                 assert getattr(a, name).tobytes() == getattr(adj, name).tobytes(), name
 
 
@@ -151,9 +151,9 @@ def test_rows_grow_by_one_hop_per_layer():
     assert [r.tolist() for r in cut.rows] == [[0, 1, 2], [0, 1], [0]]
     # layer k multiplies the rows[k+1] x rows[k] block, its backward the transpose
     assert [(a.shape, int(a.indices.size)) for a in cut.adj_rows] == [((2, 3), 5), ((1, 2), 2)]
-    whole = normalize_adjacency(graph).dense()
+    whole = normalize_adjacency(graph).toarray()
     for k, a in enumerate(cut.adj_rows):
-        assert (a.dense() == whole[np.ix_(cut.rows[k + 1], cut.rows[k])]).all()
+        assert (a.toarray() == whole[np.ix_(cut.rows[k + 1], cut.rows[k])]).all()
         d = np.arange(1.0, 2 * a.shape[0] + 1).reshape(a.shape[0], 2)
         back = spmm(a, d, transpose=True)
         assert back.shape == (a.shape[1], 2)
