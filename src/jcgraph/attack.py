@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import Dataset, Graph
-from .trainer import TrainConfig, TrainingError, train
+from .trainer import TrainConfig, TrainingError, train, validate
 
 __all__ = [
     "AttackSpec",
@@ -66,34 +66,32 @@ def random_attack(g: Graph, spec: AttackSpec) -> Graph:
     if needed == 0:
         return Graph(n, g.indptr.copy(), g.indices.copy())
 
+    edges = g.edge_pairs() @ np.array([n, 1], dtype=np.int64)  # sorted keys u * n + v, u < v
     rng = np.random.default_rng(spec.seed)
-    chosen: set[tuple[int, int]] = set()
+    chosen = np.empty(0, dtype=np.int64)  # in draw order
     tries = 0
     cap_tries = 50 * needed + 10_000
-    while len(chosen) < needed and tries < cap_tries:
-        tries += 1
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        if (u, v) in chosen or g.has_edge(u, v):
-            continue
-        chosen.add((u, v))
-    if len(chosen) < needed:
-        # dense corner: enumerate the complement and sample exactly
-        pool = [(u, int(v)) for u in range(n)
-                for v in np.setdiff1d(np.arange(u + 1, n), g.neighbors(u))
-                if (u, int(v)) not in chosen]
-        extra = rng.choice(len(pool), size=needed - len(chosen), replace=False)
-        chosen.update(pool[i] for i in extra)
+    while chosen.size < needed and tries < cap_tries:
+        # a batch (of at least 1024, so rare hits take few batches) draws the
+        # stream of one-pair tries, u then v, and keeps its first new pairs
+        k = min(max(needed - chosen.size, 1024), cap_tries - tries)
+        tries += k
+        u, v = rng.integers(n, size=2 * k).reshape(k, 2).T
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        keys = keys[(u != v) & ~np.isin(keys, edges) & ~np.isin(keys, chosen)]
+        _, first = np.unique(keys, return_index=True)
+        chosen = np.concatenate([chosen, keys[np.sort(first)][:needed - chosen.size]])
+    if chosen.size < needed:
+        # dense corner: sample the complement's sorted keys exactly; the graph
+        # is near-complete here, so an n x n mask is smaller than its edges
+        free = ~np.tri(n, dtype=bool).ravel()  # the pairs u < v
+        free[np.concatenate([edges, chosen])] = False
+        pool = np.flatnonzero(free)
+        extra = rng.choice(pool.size, size=needed - chosen.size, replace=False)
+        chosen = np.concatenate([chosen, pool[extra]])
 
-    fake = np.asarray(sorted(chosen), dtype=np.int64)
-    all_pairs = np.concatenate([g.edge_pairs(), fake], axis=0)
-    uniq = np.unique(all_pairs[:, 0] * np.int64(n) + all_pairs[:, 1])
-    uv = np.stack([uniq // n, uniq % n], axis=1)
-    return Graph.from_undirected_pairs(n, uv)
+    uniq = np.union1d(edges, chosen)
+    return Graph.from_undirected_pairs(n, np.stack([uniq // n, uniq % n], axis=1))
 
 
 @dataclass(frozen=True)
@@ -110,12 +108,15 @@ def robustness_sweep(data: Dataset, ratios, cfg_ce: TrainConfig, cfg_jc: TrainCo
     """Poison, retrain both losses from scratch, report test accuracy.
 
     For every (ratio, seed) cell the graph is re-poisoned with that seed and
-    both configs are trained on the same poisoned graph. Every ratio is
-    checked before the first training.
+    both configs are trained on the same poisoned graph. Every ratio, and
+    both configs on the clean graph (poisoning keeps the nodes), are checked
+    before the first training.
     """
     ratios = check_ratios(data.graph, ratios)
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    for cfg in (cfg_ce, cfg_jc):
+        validate(cfg, data)
     rows = []
     for ratio in ratios:
         accs = {"ce": [], "jc": []}

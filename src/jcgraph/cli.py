@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .attack import check_ratios, robustness_sweep, write_sweep_csv
@@ -18,8 +19,8 @@ from .graph import DatasetFormatError, gen_sbm, load_dataset, write_dataset
 from .losses import LOSS_KINDS
 from .nn import ModelSpec, NumericsError, save_checkpoint
 from .partition import edge_cut_stats, write_assignment
-from .trainer import (PARTITION_METHODS, TrainConfig, TrainingError, make_partition,
-                      train_with_params, write_curves, write_result)
+from .trainer import (PARTITION_METHODS, TrainConfig, TrainingError, check_clusters,
+                      make_partition, train_with_params, write_curves, write_result)
 
 __all__ = ["main"]
 
@@ -51,29 +52,34 @@ def _path(s: str) -> str:
     return s
 
 
-# config key -> (value parser, default); every key is also a flag
+# config key -> value parser; every key is also a flag
 CONFIG_KEYS = {
-    "dataset": (_path, None),
-    "out": (_path, "run"),
-    "encoder": (str, "gcn"),
-    "layers": (int, 2),
-    "hidden": (int, 64),
-    "dropout": (float, 0.5),
-    "loss": (str, "ce"),
-    "partition": (str, "metis-like"),
-    "clusters": (int, 1),
-    "clusters_file": (_path, None),
-    "lr": (float, 0.01),
-    "weight_decay": (float, 5e-4),
-    "adam_beta1": (float, 0.9),
-    "adam_beta2": (float, 0.999),
-    "adam_eps": (float, 1e-8),
-    "epochs": (int, 300),
-    "eval_every": (int, 1),
-    "seed": (int, 0),
-    "detach_cluster": (_to_bool, False),
-    "beta": (float, 1.0),
+    "dataset": _path,
+    "out": _path,
+    "encoder": str,
+    "layers": int,
+    "hidden": int,
+    "dropout": float,
+    "loss": str,
+    "partition": str,
+    "clusters": int,
+    "clusters_file": _path,
+    "lr": float,
+    "weight_decay": float,
+    "adam_beta1": float,
+    "adam_beta2": float,
+    "adam_eps": float,
+    "epochs": int,
+    "eval_every": int,
+    "seed": int,
+    "detach_cluster": _to_bool,
+    "beta": float,
 }
+SPEC_KEYS = ("encoder", "layers", "hidden", "dropout")
+# every TrainConfig field but the spec is the config key of its name
+TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "spec"}
+DEFAULTS = {"dataset": None, "out": "run", "encoder": "gcn", "layers": 2, "hidden": 64,
+            "dropout": 0.5, **TRAIN_DEFAULTS}
 
 
 def read_config(path) -> dict:
@@ -81,7 +87,7 @@ def read_config(path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{p}: missing config file")
-    cfg = {key: default for key, (_, default) in CONFIG_KEYS.items()}
+    cfg = dict(DEFAULTS)
     first = {}  # key -> line that set it
     for lineno, line in enumerate(p.read_text().split("\n"), start=1):
         stripped = line.strip()
@@ -97,18 +103,18 @@ def read_config(path) -> dict:
             raise ConfigError(f"{p}:{lineno}: duplicate key {key!r} (first set on line {first[key]})")
         first[key] = lineno
         try:
-            cfg[key] = CONFIG_KEYS[key][0](value)
+            cfg[key] = CONFIG_KEYS[key](value)
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"{p}:{lineno}: bad value for {key}: {e}") from None
     # resolve config-file-relative paths up front
-    for key, (conv, _) in CONFIG_KEYS.items():
+    for key, conv in CONFIG_KEYS.items():
         if conv is _path and cfg[key]:
             cfg[key] = str((p.parent / cfg[key]).resolve())
     return cfg
 
 
 def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    for key, (conv, _) in CONFIG_KEYS.items():
+    for key, conv in CONFIG_KEYS.items():
         raw = getattr(args, key, None)
         if raw is None:
             continue
@@ -120,37 +126,19 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
 
 
 def build_train_config(cfg: dict, data) -> TrainConfig:
+    """The spec from the encoder keys, the loss and the dataset; every
+    TrainConfig field from the config key of its name."""
     if cfg["loss"] not in LOSS_KINDS:
         raise ConfigError(f"unknown loss {cfg['loss']!r}")
-    spec = ModelSpec(
-        encoder=cfg["encoder"],
-        layers=cfg["layers"],
-        hidden=cfg["hidden"],
-        in_dim=data.features.shape[1],
-        num_classes=data.labels.num_classes,
-        dropout=cfg["dropout"],
-        classifier=LOSS_KINDS[cfg["loss"]].classifier,
-    )
-    return TrainConfig(
-        spec=spec,
-        loss=cfg["loss"],
-        partition=cfg["partition"],
-        num_clusters=cfg["clusters"],
-        clusters_file=cfg["clusters_file"],
-        lr=cfg["lr"],
-        betas=(cfg["adam_beta1"], cfg["adam_beta2"]),
-        adam_eps=cfg["adam_eps"],
-        weight_decay=cfg["weight_decay"],
-        epochs=cfg["epochs"],
-        eval_every=cfg["eval_every"],
-        seed=cfg["seed"],
-        detach_cluster=cfg["detach_cluster"],
-        beta=cfg["beta"],
-    )
+    spec = ModelSpec(**{k: cfg[k] for k in SPEC_KEYS}, in_dim=data.features.shape[1],
+                     num_classes=data.labels.num_classes,
+                     classifier=LOSS_KINDS[cfg["loss"]].classifier)
+    return TrainConfig(spec, **{k: cfg[k] for k in TRAIN_DEFAULTS})
 
 
 def cmd_partition(args) -> int:
     data = load_dataset(args.dataset)
+    check_clusters(args.method, args.clusters, data, key="--clusters")
     a = make_partition(args.method, data, args.clusters, args.seed)
     write_assignment(args.out, a)
     stats = edge_cut_stats(data.graph, a)
@@ -158,11 +146,16 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg_raw = apply_overrides(read_config(args.config), args)
-    if not cfg_raw.get("dataset"):
+def _read_run(args):
+    """A run command's config with its flags applied, and the dataset it names."""
+    cfg = apply_overrides(read_config(args.config), args)
+    if not cfg.get("dataset"):
         raise ConfigError("no dataset path given (config key 'dataset' or --dataset)")
-    data = load_dataset(cfg_raw["dataset"])
+    return cfg, load_dataset(cfg["dataset"])
+
+
+def cmd_train(args) -> int:
+    cfg_raw, data = _read_run(args)
     cfg = build_train_config(cfg_raw, data)
     result, best_params = train_with_params(cfg, data)
     out = Path(cfg_raw["out"])
@@ -177,16 +170,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    cfg_raw = apply_overrides(read_config(args.config), args)
-    if not cfg_raw.get("dataset"):
-        raise ConfigError("no dataset path given (config key 'dataset' or --dataset)")
+    cfg_raw, data = _read_run(args)
     try:
-        ratios = [float(t) for t in args.ratios.split(",") if t.strip()]
-    except ValueError:
-        raise ConfigError(f"bad --ratios value {args.ratios!r}") from None
-    data = load_dataset(cfg_raw["dataset"])
-    try:
-        ratios = check_ratios(data.graph, ratios)
+        ratios = check_ratios(data.graph, [float(t) for t in args.ratios.split(",") if t.strip()])
     except ValueError as e:
         raise ConfigError(f"bad --ratios value {args.ratios!r}: {e}") from None
     cfg_ce = build_train_config({**cfg_raw, "loss": "ce"}, data)

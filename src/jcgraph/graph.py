@@ -424,6 +424,8 @@ def gen_sbm(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
         raise ValueError("need 0 <= p_out < p_in <= 1")
     if feat_dim < 1:
         raise ValueError("feat_dim must be positive")
+    if not (np.isfinite(feat_noise) and feat_noise >= 0):
+        raise ValueError(f"feat_noise must be finite and >= 0, got {feat_noise}")
     rng = np.random.default_rng(seed)
     n = blocks * nodes_per_block
     block = np.arange(n, dtype=np.int64) // nodes_per_block

@@ -69,13 +69,13 @@ class ModelSpec:
             raise ValueError(f"unknown classifier {self.classifier!r}")
         min_layers = 0 if self.encoder == "sgc" else 1
         if self.layers < min_layers:
-            raise ValueError(f"{self.encoder} needs at least {min_layers} layer(s)")
+            raise ValueError(f"layers must be >= {min_layers} for {self.encoder}, got {self.layers}")
         if self.in_dim < 1 or self.num_classes < 1:
             raise ValueError("dims must be positive")
         if self.encoder != "sgc" and self.hidden < 1:
-            raise ValueError("hidden dim must be positive")
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def embed_dim(self) -> int:
@@ -443,7 +443,7 @@ def init_adam_state(params: Params) -> dict:
 
 
 def adam_step(params: Params, grads: dict, state: dict, *, lr: float,
-              betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0,
+              betas: tuple[float, float], eps: float, weight_decay: float = 0.0,
               t: int = 1):
     """One Adam update with L2 added to the gradient. t counts from 1."""
     if t < 1:

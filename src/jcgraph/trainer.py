@@ -35,6 +35,8 @@ __all__ = [
     "TrainingError",
     "train",
     "train_with_params",
+    "validate",
+    "check_clusters",
     "evaluate",
     "multi_seed",
     "config_echo",
@@ -65,12 +67,13 @@ class TrainConfig:
     spec: ModelSpec
     loss: str = "ce"
     partition: str = "metis-like"
-    num_clusters: int = 1
+    clusters: int = 1
     clusters_file: str | None = None
     lr: float = 0.01
-    betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     weight_decay: float = 5e-4
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
     epochs: int = 300
     eval_every: int = 1
     seed: int = 0
@@ -84,9 +87,9 @@ class TrainConfig:
             raise ValueError(f"unknown partition method {self.partition!r}")
         if self.partition == "file" and self.clusters_file is None:
             raise ValueError("partition method 'file' needs clusters_file")
-        for key, b in zip(("adam_beta1", "adam_beta2"), self.betas):
-            if not 0.0 <= b < 1.0:
-                raise ValueError(f"{key} must be in [0, 1), got {b}")
+        for key in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
         for key in ("lr", "adam_eps"):
             v = getattr(self, key)
             if not (math.isfinite(v) and v > 0):
@@ -95,8 +98,6 @@ class TrainConfig:
             v = getattr(self, key)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{key} must be finite and >= 0, got {v}")
-        if LOSS_KINDS[self.loss].needs_clusters and self.num_clusters < 1:
-            raise ValueError("cluster-based losses need num_clusters >= 1")
         for key in ("epochs", "seed"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
@@ -126,7 +127,8 @@ class MultiSeedResult:
     results: list
 
 
-def _validate(cfg: TrainConfig, data: Dataset) -> None:
+def validate(cfg: TrainConfig, data: Dataset) -> None:
+    """Reject a config that cannot run on data, before any work starts."""
     clf = LOSS_KINDS[cfg.loss].classifier
     if cfg.spec.classifier != clf:
         raise ValueError(f"loss {cfg.loss!r} needs classifier {clf!r}, spec has {cfg.spec.classifier!r}")
@@ -140,6 +142,18 @@ def _validate(cfg: TrainConfig, data: Dataset) -> None:
         raise ValueError("the dataset's train mask is empty")
     if data.masks.test.size == 0:
         raise ValueError("the dataset's test mask is empty")
+    if LOSS_KINDS[cfg.loss].needs_clusters:
+        check_clusters(cfg.partition, cfg.clusters, data)
+
+
+def check_clusters(method: str, m: int, data: Dataset, key: str = "clusters") -> None:
+    """Reject a cluster count that method cannot meet on data, naming it key.
+    Metis-like and k-means clusters are non-empty, so m is at most n there."""
+    if m < 1:
+        raise ValueError(f"{key} must be >= 1, got {m}")
+    if method in ("metis-like", "kmeans") and m > data.num_nodes:
+        raise ValueError(f"{key} must be at most the dataset's {data.num_nodes} nodes "
+                         f"for partition {method!r}, got {m}")
 
 
 def make_partition(method: str, data: Dataset, m: int, seed: int,
@@ -155,7 +169,7 @@ def _setup(cfg: TrainConfig, data: Dataset, targets: list):
     """One plan per target row set, cut from an all-rows plan that is not
     kept, and, if the loss reads clusters, the partition (else None)."""
     adj = normalize_adjacency(data.graph) if cfg.spec.uses_graph else None
-    assign = (make_partition(cfg.partition, data, cfg.num_clusters, cfg.seed, cfg.clusters_file)
+    assign = (make_partition(cfg.partition, data, cfg.clusters, cfg.seed, cfg.clusters_file)
               if LOSS_KINDS[cfg.loss].needs_clusters else None)
     plan = plan_rows(cfg.spec, adj, data.features)
     return [plan.restrict(t) for t in targets], assign
@@ -220,7 +234,7 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
 
 def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Params]:
     """Like train, but also returns the best-validation parameter snapshot."""
-    _validate(cfg, data)
+    validate(cfg, data)
     spec = cfg.spec
     masks = data.masks
     val_mask = masks.val if masks.val.size else masks.train
@@ -256,7 +270,7 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
             raise TrainingError(f"non-finite loss at epoch {epoch}", epoch=epoch)
         grads = model_backward(tape, res.d_embeddings)
         grads.update(res.clf_grads)
-        adam_step(params, grads, state, lr=cfg.lr, betas=cfg.betas,
+        adam_step(params, grads, state, lr=cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2),
                   eps=cfg.adam_eps, weight_decay=cfg.weight_decay, t=epoch)
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             run_eval(epoch, params)
@@ -304,25 +318,18 @@ def multi_seed(cfg: TrainConfig, data: Dataset, k: int) -> MultiSeedResult:
 # result files: flat "key = value" text plus a curves CSV
 
 
+# the run settings a .result file echoes, in file order
+ECHO_KEYS = ("encoder", "layers", "hidden", "dropout", "classifier", "loss", "partition",
+             "clusters", "lr", "weight_decay", "epochs", "eval_every", "seed",
+             "detach_cluster", "beta")
+
+
 def config_echo(cfg: TrainConfig) -> dict[str, str]:
-    spec = cfg.spec
-    return {
-        "encoder": spec.encoder,
-        "layers": str(spec.layers),
-        "hidden": str(spec.hidden),
-        "dropout": repr(spec.dropout),
-        "classifier": spec.classifier,
-        "loss": cfg.loss,
-        "partition": cfg.partition,
-        "clusters": str(cfg.num_clusters),
-        "lr": repr(cfg.lr),
-        "weight_decay": repr(cfg.weight_decay),
-        "epochs": str(cfg.epochs),
-        "eval_every": str(cfg.eval_every),
-        "seed": str(cfg.seed),
-        "detach_cluster": str(cfg.detach_cluster).lower(),
-        "beta": repr(cfg.beta),
-    }
+    """Each echoed setting by name, from the spec or the config: booleans in
+    lower case, everything else as str gives it."""
+    values = {**vars(cfg.spec), **vars(cfg)}
+    return {k: str(values[k]).lower() if isinstance(values[k], bool) else str(values[k])
+            for k in ECHO_KEYS}
 
 
 def write_result(path, cfg: TrainConfig, result: RunResult) -> None:

@@ -61,7 +61,7 @@ def pubmed():
 def citation_cfg(data, encoder: str, loss: str) -> TrainConfig:
     spec = ModelSpec(encoder, 2, 64, data.features.shape[1], data.labels.num_classes,
                      0.5, LOSS_KINDS[loss][0])
-    return TrainConfig(spec=spec, loss=loss, partition="metis-like", num_clusters=5,
+    return TrainConfig(spec=spec, loss=loss, partition="metis-like", clusters=5,
                        lr=0.01, weight_decay=5e-4, epochs=300, eval_every=1, seed=0)
 
 

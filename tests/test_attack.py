@@ -13,6 +13,40 @@ def complete_graph(n):
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def one_pair_attack(g, spec):
+    """random_attack as one pair per try, with a per-node complement in the
+    dense corner: the reference for the batched draws. Also returns whether
+    the dense corner ran."""
+    n, needed = g.num_nodes, int(spec.ratio * g.num_edges)
+    rng = np.random.default_rng(spec.seed)
+    chosen = set()
+    tries, cap_tries = 0, 50 * needed + 10_000
+    while len(chosen) < needed and tries < cap_tries:
+        tries += 1
+        u, v = int(rng.integers(n)), int(rng.integers(n))
+        if u == v:
+            continue
+        u, v = min(u, v), max(u, v)
+        if (u, v) in chosen or g.has_edge(u, v):
+            continue
+        chosen.add((u, v))
+    dense = len(chosen) < needed
+    if dense:
+        pool = [(u, int(v)) for u in range(n)
+                for v in np.setdiff1d(np.arange(u + 1, n), g.neighbors(u))
+                if (u, int(v)) not in chosen]
+        extra = rng.choice(len(pool), size=needed - len(chosen), replace=False)
+        chosen.update(pool[i] for i in extra)
+    pairs = np.concatenate([g.edge_pairs(), np.asarray(sorted(chosen), dtype=np.int64)])
+    uniq = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    return Graph.from_undirected_pairs(n, np.stack([uniq // n, uniq % n], axis=1)), dense
+
+
+def assert_same_graph(a, b):
+    assert a.num_nodes == b.num_nodes
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
 class TestRandomAttack:
     def test_ratio_zero_identical(self, easy_sbm):
         g = easy_sbm.graph
@@ -61,6 +95,31 @@ class TestRandomAttack:
         out = random_attack(g, AttackSpec(1.0, seed=3))
         out.validate()
 
+    @pytest.mark.parametrize("ratio", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_batches_match_one_pair_tries(self, easy_sbm, ratio, seed):
+        spec = AttackSpec(ratio, seed=seed)
+        expected, dense = one_pair_attack(easy_sbm.graph, spec)
+        assert not dense
+        assert_same_graph(random_attack(easy_sbm.graph, spec), expected)
+
+    @pytest.mark.parametrize("n", [120, 200])
+    @pytest.mark.parametrize("share", [0.9, 1.0])
+    def test_dense_corner_matches_one_pair_tries(self, n, share):
+        # each pair kept with p = 0.995: the tries find too few of the few
+        # free pairs, so the complement is enumerated and sampled
+        rng = np.random.default_rng(n)
+        iu, ju = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < 0.995
+        g = Graph.from_undirected_pairs(n, np.stack([iu[keep], ju[keep]], axis=1))
+        needed = int(share * (n * (n - 1) // 2 - g.num_edges))
+        spec = AttackSpec((needed + 0.5) / g.num_edges, seed=1)
+        expected, dense = one_pair_attack(g, spec)
+        assert dense
+        out = random_attack(g, spec)
+        assert out.num_edges == g.num_edges + needed
+        assert_same_graph(out, expected)
+
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):
             AttackSpec(-0.1)
@@ -70,7 +129,7 @@ def sweep_cfg(data, loss):
     clf = {"ce": "independent", "jc": "joint"}[loss]
     spec = ModelSpec("gcn", 2, 16, 8, 4, 0.5, clf)
     return TrainConfig(spec=spec, loss=loss, partition="metis-like",
-                       num_clusters=4, epochs=60, seed=0)
+                       clusters=4, epochs=60, seed=0)
 
 
 class TestRobustnessSweep:

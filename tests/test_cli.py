@@ -43,6 +43,13 @@ class TestGenSbm:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_bad_feat_noise_exit_2(self, tmp_path, capsys, noise):
+        rc = main(["gen-sbm", "--feat-noise", noise, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "error: feat_noise" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestPartitionCmd:
     def test_two_clique_toy(self, tmp_path, capsys):
@@ -81,10 +88,12 @@ class TestPartitionCmd:
         assert (written.assign == expected.assign).all()
 
     def test_bad_m_exit_2(self, sbm_dir, tmp_path, capsys):
-        rc = main(["partition", "--dataset", str(sbm_dir), "--clusters", "100",
-                   "--out", str(tmp_path / "a.txt")])
-        assert rc == 2
-        assert "error" in capsys.readouterr().err
+        for m in ("0", "100"):  # the dataset has 60 nodes
+            rc = main(["partition", "--dataset", str(sbm_dir), "--clusters", m,
+                       "--out", str(tmp_path / "a.txt")])
+            assert rc == 2
+            assert "error: --clusters" in capsys.readouterr().err
+            assert not (tmp_path / "a.txt").exists()
 
 
 class TestTrainCmd:
@@ -175,13 +184,53 @@ class TestTrainCmd:
                                                 ("--adam-eps", "inf", "adam_eps"),
                                                 ("--weight-decay", "-1", "weight_decay"),
                                                 ("--weight-decay", "nan", "weight_decay"),
-                                                ("--beta", "nan", "beta")])
-    def test_bad_epoch_counts_exit_2(self, sbm_dir, tmp_path, capsys, flag, value, key):
-        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", epochs=3, hidden=8)
-        assert main(["train", str(cfgf), flag, value]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and key in err
+                                                ("--beta", "nan", "beta"),
+                                                ("--clusters", "0", "clusters"),
+                                                ("--clusters", "100", "clusters"),
+                                                ("--hidden", "0", "hidden"),
+                                                ("--layers", "0", "layers")])
+    def test_bad_epoch_counts_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys,
+                                     flag, value, key):
+        import jcgraph.attack as attack_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("train ran before the config was checked")
+        monkeypatch.setattr(attack_mod, "train", never)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+                            clusters=3, epochs=3, hidden=8)
+        sweep = ["--ratios", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")]
+        for argv in (["train", str(cfgf)], ["attack", str(cfgf)] + sweep):
+            assert main(argv + [flag, value]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and key in err
         assert not (tmp_path / "r.result").exists()
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_config_echo_lines(self, sbm_dir, tmp_path):
+        # every echoed key away from its default; the text is that of the
+        # implementation with one hand-written line per key
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", encoder="mlp",
+                            layers=3, hidden=16, dropout=0.25, loss="ic", partition="random",
+                            clusters=4, lr=0.02, weight_decay=1e-05, epochs=2, eval_every=2,
+                            seed=3, detach_cluster="true", beta=2.5, adam_beta1=0.8,
+                            adam_beta2=0.99, adam_eps=1e-07)
+        assert main(["train", str(cfgf)]) == 0
+        assert main(["train", str(write_config(tmp_path / "d.cfg", sbm_dir, tmp_path / "d")),
+                     "--epochs", "0"]) == 0
+        lines = (tmp_path / "r.result").read_text().splitlines()[:15]
+        assert lines == [
+            "config.encoder = mlp", "config.layers = 3", "config.hidden = 16",
+            "config.dropout = 0.25", "config.classifier = in-context", "config.loss = ic",
+            "config.partition = random", "config.clusters = 4", "config.lr = 0.02",
+            "config.weight_decay = 1e-05", "config.epochs = 2", "config.eval_every = 2",
+            "config.seed = 3", "config.detach_cluster = true", "config.beta = 2.5"]
+        lines = (tmp_path / "d.result").read_text().splitlines()[:15]
+        assert lines == [
+            "config.encoder = gcn", "config.layers = 2", "config.hidden = 64",
+            "config.dropout = 0.5", "config.classifier = independent", "config.loss = ce",
+            "config.partition = metis-like", "config.clusters = 1", "config.lr = 0.01",
+            "config.weight_decay = 0.0005", "config.epochs = 0", "config.eval_every = 1",
+            "config.seed = 0", "config.detach_cluster = false", "config.beta = 1.0"]
 
     def test_bad_clusters_file_exit_2(self, sbm_dir, tmp_path, capsys):
         clusters = tmp_path / "a.txt"

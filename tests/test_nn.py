@@ -187,17 +187,20 @@ class TestGradCheck:
 
 
 class TestAdam:
+    # Adam's usual settings, which TrainConfig defaults to; adam_step has no defaults for them
+    TEXTBOOK = {"betas": (0.9, 0.999), "eps": 1e-8}
+
     def test_zero_gradient_no_change(self):
         params = Params({"w": np.array([1.0, -2.0])})
         state = init_adam_state(params)
-        adam_step(params, {"w": np.zeros(2)}, state, lr=0.1, t=1)
+        adam_step(params, {"w": np.zeros(2)}, state, lr=0.1, **self.TEXTBOOK, t=1)
         assert (params["w"] == np.array([1.0, -2.0])).all()
 
     def test_first_step_hand_computed(self):
         # g=1 at t=1: m_hat = v_hat = 1, step = -lr / (1 + eps)
         params = Params({"w": np.array([0.0])})
         state = init_adam_state(params)
-        adam_step(params, {"w": np.array([1.0])}, state, lr=0.1, eps=1e-8, t=1)
+        adam_step(params, {"w": np.array([1.0])}, state, lr=0.1, **self.TEXTBOOK, t=1)
         np.testing.assert_allclose(params["w"], [-0.1 / (1 + 1e-8)], rtol=1e-15)
 
     def test_two_steps_match_replay_oracle(self):
@@ -219,19 +222,21 @@ class TestAdam:
     def test_weight_decay_pulls_to_zero(self):
         params = Params({"w": np.array([2.0])})
         state = init_adam_state(params)
-        adam_step(params, {"w": np.zeros(1)}, state, lr=0.1, weight_decay=0.1, t=1)
+        adam_step(params, {"w": np.zeros(1)}, state, lr=0.1, **self.TEXTBOOK,
+                  weight_decay=0.1, t=1)
         assert params["w"][0] < 2.0
 
     def test_non_finite_gradients(self):
         params = Params({"w": np.array([1.0])})
         state = init_adam_state(params)
         with pytest.raises(NumericsError):
-            adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1, t=1)
+            adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1, **self.TEXTBOOK, t=1)
 
     def test_bad_t(self):
         params = Params({"w": np.array([1.0])})
         with pytest.raises(ValueError):
-            adam_step(params, {"w": np.zeros(1)}, init_adam_state(params), lr=0.1, t=0)
+            adam_step(params, {"w": np.zeros(1)}, init_adam_state(params), lr=0.1,
+                      **self.TEXTBOOK, t=0)
 
 
 class TestCheckpoint:

@@ -54,7 +54,7 @@ JC_SPEC = ModelSpec("gcn", 2, 8, 8, 4, 0.5, "joint")
 
 
 def jc_run(data, epochs):
-    return train(TrainConfig(spec=JC_SPEC, loss="jc", num_clusters=3, epochs=epochs, seed=2), data)
+    return train(TrainConfig(spec=JC_SPEC, loss="jc", clusters=3, epochs=epochs, seed=2), data)
 
 
 def test_epoch_probe_sees_one_start_per_step(probes, restore_targets, easy_sbm):

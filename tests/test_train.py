@@ -15,7 +15,7 @@ def gcn_cfg(data, loss="ce", **kw):
     classifier = train_mod.LOSS_KINDS[loss][0]
     spec = ModelSpec("gcn", 2, 16, data.features.shape[1], data.labels.num_classes,
                      kw.pop("dropout", 0.5), classifier)
-    defaults = dict(loss=loss, epochs=100, seed=0, num_clusters=4)
+    defaults = dict(loss=loss, epochs=100, seed=0, clusters=4)
     defaults.update(kw)
     return TrainConfig(spec=spec, **defaults)
 
@@ -65,12 +65,12 @@ class TestTrainLoop:
     def test_incompatible_loss_and_classifier(self, easy_sbm):
         spec = ModelSpec("gcn", 2, 16, 8, 4, 0.5, "independent")
         with pytest.raises(ValueError, match="classifier"):
-            train(TrainConfig(spec=spec, loss="jc", num_clusters=4), easy_sbm)
+            train(TrainConfig(spec=spec, loss="jc", clusters=4), easy_sbm)
 
     def test_incompatible_label_kind(self, easy_sbm):
         spec = ModelSpec("gcn", 2, 16, 8, 4, 0.5, "joint-multilabel")
         with pytest.raises(ValueError, match="label kind"):
-            train(TrainConfig(spec=spec, loss="jc-multilabel", num_clusters=4), easy_sbm)
+            train(TrainConfig(spec=spec, loss="jc-multilabel", clusters=4), easy_sbm)
 
     def test_non_finite_loss_aborts_with_epoch(self, easy_sbm, monkeypatch):
         def bad_loss(params, z, labels, mask):
@@ -126,7 +126,7 @@ class TestLossVariants:
     def test_multilabel_end_to_end(self, sbm12_multi):
         spec = ModelSpec("mlp", 1, 8, 3, 2, 0.0, "joint-multilabel")
         cfg = TrainConfig(spec=spec, loss="jc-multilabel", epochs=40,
-                          num_clusters=2, seed=1)
+                          clusters=2, seed=1)
         r = train(cfg, sbm12_multi)
         assert np.isnan(r.test_ece)  # single-label metric
         assert 0.0 <= r.test_f1_micro <= 1.0
@@ -143,7 +143,7 @@ class TestLossVariants:
         def mlp_cfg(loss):
             classifier = train_mod.LOSS_KINDS[loss][0]
             spec = ModelSpec("mlp", 2, 16, 8, 4, 0.5, classifier)
-            return TrainConfig(spec=spec, loss=loss, epochs=150, seed=0, num_clusters=4)
+            return TrainConfig(spec=spec, loss=loss, epochs=150, seed=0, clusters=4)
 
         ce = multi_seed(mlp_cfg("ce"), hard_feature_sbm, 3)
         jc = multi_seed(mlp_cfg("jc"), hard_feature_sbm, 3)
@@ -160,7 +160,7 @@ class TestLossVariants:
         r_ce = train(TrainConfig(spec=spec_ce, loss="ce", epochs=250, seed=0), data)
         r_jc = train(TrainConfig(spec=spec_jc, loss="jc", partition="file",
                                  clusters_file=str(tmp_path / "self.txt"),
-                                 num_clusters=24, epochs=250, seed=0), data)
+                                 clusters=24, epochs=250, seed=0), data)
         assert r_ce.test_acc == 1.0
         assert r_jc.test_acc == 1.0
 
