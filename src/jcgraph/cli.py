@@ -171,6 +171,9 @@ def cmd_train(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg_raw, data = _read_run(args)
+    if cfg_raw["loss"] not in ("ce", "jc"):  # the sweep trains both
+        raise ConfigError(f"attack compares ce and jc: loss must be 'ce' or 'jc', "
+                          f"got {cfg_raw['loss']!r}")
     try:
         ratios = check_ratios(data.graph, [float(t) for t in args.ratios.split(",") if t.strip()])
     except ValueError as e:

@@ -77,11 +77,10 @@ class Graph:
         """Build from already-unique u < v pairs."""
         rows = np.concatenate([uv[:, 0], uv[:, 1]])
         cols = np.concatenate([uv[:, 1], uv[:, 0]])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(rows, minlength=num_nodes))
-        return cls(num_nodes, indptr, cols)
+        # scipy sums duplicate COO entries, which leaves each row's columns sorted
+        a = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+                          shape=(num_nodes, num_nodes))
+        return cls(num_nodes, a.indptr, a.indices)
 
     @property
     def num_edges(self) -> int:
@@ -127,18 +126,13 @@ def normalize_adjacency(g: Graph) -> sp.csr_matrix:
     factors.
     """
     n = g.num_nodes
-    deg = g.degrees()
-    dinv = 1.0 / np.sqrt(deg.astype(np.float64) + 1.0)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(deg + 1)
-    # neighbor lists are sorted and hold no self loop, so one sort by
-    # (row, col) puts each diagonal entry in its slot
-    diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([np.repeat(diag, deg), diag])
-    cols = np.concatenate([g.indices, diag])
-    order = np.lexsort((cols, rows))
-    rows, indices = rows[order], cols[order]
-    return sp.csr_matrix((dinv[rows] * dinv[indices], indices, indptr), shape=(n, n))
+    dinv = sp.diags(1.0 / np.sqrt(g.degrees() + 1.0), format="csr")
+    pattern = sp.csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+    # entry (u, v) is 0 + (0 + dinv_u * 1.0) * dinv_v; the sums and the factor
+    # 1.0 are exact, so it has the bits of dinv_u * dinv_v
+    adj = dinv @ (pattern + sp.identity(n, format="csr")) @ dinv
+    adj.sort_indices()
+    return adj
 
 
 def spmm(a: sp.csr_matrix, x: np.ndarray, transpose: bool = False) -> np.ndarray:

@@ -19,7 +19,6 @@ import numpy as np
 from scipy.special import expit
 
 from .graph import LabelSet
-from .nn import Params
 from .partition import ClusterAssignment
 
 __all__ = [
@@ -119,7 +118,7 @@ def scatter_cluster_grad(d_zbar: np.ndarray, assign: ClusterAssignment,
 class LossResult:
     value: float
     d_embeddings: np.ndarray
-    clf_grads: dict[str, np.ndarray]
+    clf_grads: dict
 
 
 def joint_label(y: np.ndarray, ybar: np.ndarray) -> np.ndarray:
@@ -133,7 +132,7 @@ def joint_label(y: np.ndarray, ybar: np.ndarray) -> np.ndarray:
     return _joint(y[None], ybar[None]).reshape(len(y), len(ybar))
 
 
-def joint_forward(classifier: Params, z: np.ndarray, zbar: np.ndarray) -> np.ndarray:
+def joint_forward(classifier: dict, z: np.ndarray, zbar: np.ndarray) -> np.ndarray:
     """Predicted c x c joint table: softmax over all c^2 logits of con(z, zbar),
     computed as jc's first stream computes it for one node."""
     w, b = _clf(classifier)
@@ -160,7 +159,7 @@ def marginalize(t: np.ndarray) -> np.ndarray:
     return LOSS_KINDS["jc"].marginal(t.reshape(1, -1), len(t))[0]
 
 
-def _clf(params: Params):
+def _clf(params: dict):
     return params["clf_w"], params["clf_b"]
 
 
@@ -308,7 +307,7 @@ def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=N
     return LossResult(_value(ll, cluster), d_emb, grads)
 
 
-def ce_loss(classifier: Params, embeddings: np.ndarray, labels: LabelSet,
+def ce_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSet,
             train_mask: np.ndarray) -> LossResult:
     """Independent cross-entropy, mean over the mask.
 
@@ -317,7 +316,7 @@ def ce_loss(classifier: Params, embeddings: np.ndarray, labels: LabelSet,
     return _head("ce", classifier, embeddings, labels, train_mask)
 
 
-def jc_loss(classifier: Params, embeddings: np.ndarray, labels: LabelSet,
+def jc_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSet,
             train_mask: np.ndarray, assign: ClusterAssignment, stats: ClusterStats,
             detach_cluster: bool = False) -> LossResult:
     """Joint-cluster cross-entropy with its symmetric swapped-order term.
@@ -329,7 +328,7 @@ def jc_loss(classifier: Params, embeddings: np.ndarray, labels: LabelSet,
                  detach_cluster)
 
 
-def ic_loss(classifier: Params, embeddings: np.ndarray, stats: ClusterStats,
+def ic_loss(classifier: dict, embeddings: np.ndarray, stats: ClusterStats,
             labels: LabelSet, train_mask: np.ndarray, assign: ClusterAssignment,
             detach_cluster: bool = False) -> LossResult:
     """In-context baseline: plain CE on c logits from con(z, zbar)."""
@@ -337,7 +336,7 @@ def ic_loss(classifier: Params, embeddings: np.ndarray, stats: ClusterStats,
                  detach_cluster)
 
 
-def mixup_loss(classifier: Params, embeddings: np.ndarray, stats: ClusterStats,
+def mixup_loss(classifier: dict, embeddings: np.ndarray, stats: ClusterStats,
                labels: LabelSet, train_mask: np.ndarray, assign: ClusterAssignment,
                beta: float, detach_cluster: bool = False) -> LossResult:
     """CE on nodes plus beta times CE of the classifier on cluster means.
@@ -351,7 +350,7 @@ def mixup_loss(classifier: Params, embeddings: np.ndarray, stats: ClusterStats,
                  detach_cluster, beta)
 
 
-def jc_multilabel_loss(classifier: Params, embeddings: np.ndarray, labels: LabelSet,
+def jc_multilabel_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSet,
                        train_mask: np.ndarray, assign: ClusterAssignment,
                        stats: ClusterStats, detach_cluster: bool = False) -> LossResult:
     """Joint-cluster loss for c binary tasks, one 2x2 joint table per task.
@@ -364,7 +363,7 @@ def jc_multilabel_loss(classifier: Params, embeddings: np.ndarray, labels: Label
                  stats, detach_cluster)
 
 
-def eval_pass(kind: str, classifier: Params, embeddings: np.ndarray, labels: LabelSet,
+def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: LabelSet,
               splits: list, assign: ClusterAssignment | None = None,
               stats: ClusterStats | None = None,
               beta: float = 0.0) -> tuple[np.ndarray, list[float]]:
@@ -393,13 +392,13 @@ def eval_pass(kind: str, classifier: Params, embeddings: np.ndarray, labels: Lab
 # prediction paths
 
 
-def predict_independent(classifier: Params, embeddings: np.ndarray, kind: str = "s") -> np.ndarray:
+def predict_independent(classifier: dict, embeddings: np.ndarray, kind: str = "s") -> np.ndarray:
     w, b = _clf(classifier)
     logits = embeddings @ w + b
     return {"s": _softmax, "m": expit}[kind](logits)
 
 
-def predict_joint(classifier: Params, embeddings: np.ndarray, assign: ClusterAssignment,
+def predict_joint(classifier: dict, embeddings: np.ndarray, assign: ClusterAssignment,
                   stats: ClusterStats) -> np.ndarray:
     """Marginalized class distribution for every node from its own cluster."""
     w, b = _clf(classifier)

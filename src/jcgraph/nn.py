@@ -19,7 +19,6 @@ from .graph import Dataset, normalize_adjacency, spmm
 __all__ = [
     "NumericsError",
     "ModelSpec",
-    "Params",
     "init_params",
     "RowPlan",
     "plan_rows",
@@ -95,35 +94,13 @@ class ModelSpec:
         return CLASSIFIERS[self.classifier][1](self.num_classes)
 
 
-class Params:
-    """Named parameter tensors in a fixed order."""
-
-    def __init__(self, tensors: dict[str, np.ndarray]):
-        self.tensors = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
-
-    def __getitem__(self, name):
-        return self.tensors[name]
-
-    def __setitem__(self, name, value):
-        self.tensors[name] = np.asarray(value, dtype=np.float64)
-
-    def names(self):
-        return list(self.tensors)
-
-    def copy(self) -> "Params":
-        return Params({k: v.copy() for k, v in self.tensors.items()})
-
-    def num_scalars(self) -> int:
-        return sum(v.size for v in self.tensors.values())
-
-
 def _glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(spec: ModelSpec, seed: int) -> Params:
-    """Glorot-uniform weights, zero biases."""
+def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
+    """Glorot-uniform weights and zero biases, by name in a fixed order."""
     rng = np.random.default_rng(seed)
     t = {}
     # sgc has no encoder weights: its linear map lives in the classifier
@@ -134,7 +111,7 @@ def init_params(spec: ModelSpec, seed: int) -> Params:
             t[f"enc_b{k}"] = np.zeros(spec.hidden)
     t["clf_w"] = _glorot(rng, spec.classifier_in_dim, spec.classifier_out_dim)
     t["clf_b"] = np.zeros(spec.classifier_out_dim)
-    return Params(t)
+    return t
 
 
 def _csr_twin(x: np.ndarray):
@@ -310,7 +287,7 @@ def _dropout(rng, plan, inp, k, p):
     return _scale(inp, mask, p), mask
 
 
-def encoder_forward(params: Params, plan: RowPlan, train_mode: bool = False, seed: int = 0):
+def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed: int = 0):
     """Run plan's encoder on its rows; returns (embeddings, tape).
 
     gcn: K rounds of z <- relu(A z W), no nonlinearity after the last round.
@@ -401,8 +378,9 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5) -> fl
     if spec.dropout != 0.0:
         raise ValueError("grad_check requires dropout disabled")
     params = init_params(spec, 0)
-    if params.num_scalars() > 500:
-        raise ValueError(f"model has {params.num_scalars()} scalars, grad_check caps at 500")
+    scalars = sum(v.size for v in params.values())
+    if scalars > 500:
+        raise ValueError(f"model has {scalars} scalars, grad_check caps at 500")
 
     adj = normalize_adjacency(data.graph) if spec.uses_graph else None
     plan = plan_rows(spec, adj, data.features)
@@ -420,7 +398,7 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5) -> fl
     analytic.update(model_backward(tape, d_emb))
 
     worst = 0.0
-    for name in params.names():
+    for name in params:
         a = analytic.get(name)
         a = np.zeros_like(params[name]) if a is None else a
         flat = params[name].reshape(-1)
@@ -438,11 +416,11 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5) -> fl
     return worst
 
 
-def init_adam_state(params: Params) -> dict:
-    return {name: [np.zeros_like(v), np.zeros_like(v)] for name, v in params.tensors.items()}
+def init_adam_state(params: dict) -> dict:
+    return {name: [np.zeros_like(v), np.zeros_like(v)] for name, v in params.items()}
 
 
-def adam_step(params: Params, grads: dict, state: dict, *, lr: float,
+def adam_step(params: dict, grads: dict, state: dict, *, lr: float,
               betas: tuple[float, float], eps: float, weight_decay: float = 0.0,
               t: int = 1):
     """One Adam update with L2 added to the gradient. t counts from 1."""
@@ -451,7 +429,7 @@ def adam_step(params: Params, grads: dict, state: dict, *, lr: float,
     b1, b2 = betas
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for name, p in params.tensors.items():
+    for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p)
@@ -477,12 +455,12 @@ CHECKPOINT_HEADER = (("encoder", str), ("layers", int), ("hidden", int), ("in_di
                      ("num_classes", int), ("dropout", float), ("classifier", str))
 
 
-def save_checkpoint(path, spec: ModelSpec, params: Params) -> None:
+def save_checkpoint(path, spec: ModelSpec, params: dict) -> None:
     with open(Path(path), "w", newline="\n") as f:
         f.write("jcgraph-checkpoint 1\n")
         for key, _ in CHECKPOINT_HEADER:
             f.write(f"{key} {getattr(spec, key)}\n")
-        for name, v in params.tensors.items():
+        for name, v in params.items():
             dims = " ".join(str(d) for d in v.shape)
             f.write(f"tensor {name} {v.ndim} {dims}\n")
             rows = v.reshape(v.shape[0], -1) if v.ndim == 2 else v.reshape(1, -1)
@@ -491,7 +469,7 @@ def save_checkpoint(path, spec: ModelSpec, params: Params) -> None:
         f.write("end\n")
 
 
-def load_checkpoint(path) -> tuple[ModelSpec, Params]:
+def load_checkpoint(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
     """Read a checkpoint; a malformed or truncated file raises
     ValueError("{path}:{line}: ...")."""
     lines = Path(path).read_text().splitlines()
@@ -543,4 +521,4 @@ def load_checkpoint(path) -> tuple[ModelSpec, Params]:
                 fail(r, f"expected {width} values, got {len(vals[-1])}")
         tensors[name] = np.asarray(vals, dtype=np.float64).reshape(shape)
         i += 1 + nrows
-    return spec, Params(tensors)
+    return spec, tensors

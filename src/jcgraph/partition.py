@@ -1,8 +1,10 @@
 """Graph partitioners: multilevel (METIS-like), feature K-means, random.
 
-The multilevel scheme follows the classic recipe: coarsen by heavy-edge
-matching, partition the coarsest graph by greedy region growing, then
-uncoarsen with one boundary Kernighan-Lin pass per level. Ties are always
+The multilevel scheme follows the classic recipe (Karypis & Kumar 1998):
+coarsen by heavy-edge matching, partition the coarsest graph by greedy region
+growing, then uncoarsen with one boundary Kernighan-Lin pass per level. Each
+coarse graph is the contraction PᵀAP of the finer one's weighted adjacency A,
+with P the 0/1 fine-to-coarse matrix, minus its diagonal. Ties are always
 broken toward the lowest index so results are reproducible.
 """
 
@@ -14,6 +16,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph
 
@@ -75,12 +78,8 @@ class CutStats:
 def edge_cut_stats(g: Graph, a: ClusterAssignment) -> CutStats:
     if a.num_nodes != g.num_nodes:
         raise ValueError(f"assignment covers {a.num_nodes} nodes, graph has {g.num_nodes}")
-    uv = g.edge_pairs()
-    if uv.size == 0:
-        return CutStats(0, 0)
-    same = a.assign[uv[:, 0]] == a.assign[uv[:, 1]]
-    within = int(same.sum())
-    return CutStats(within, uv.shape[0] - within)
+    between = _cut_weight(_base_level(g), a.assign)
+    return CutStats(g.num_edges - between, between)
 
 
 def partition_random(n: int, m: int, seed: int) -> ClusterAssignment:
@@ -153,11 +152,10 @@ def _repair_empty(x, assign, centroids, m):
 
 @dataclass
 class _Level:
-    """One graph in the coarsening hierarchy (weighted CSR)."""
+    """One graph in the coarsening hierarchy: int64 edge weights in CSR form,
+    with sorted columns and no diagonal, and int64 node weights."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    eweights: np.ndarray
+    adj: sp.csr_matrix
     node_w: np.ndarray
     fine_to_coarse: np.ndarray | None = None  # map from the next finer level
 
@@ -167,19 +165,16 @@ class _Level:
 
     @cached_property
     def lists(self) -> tuple[list, list, list, list]:
-        """indptr, indices, eweights and node_w as Python lists, for the
+        """indptr, indices, edge weights and node_w as Python lists, for the
         per-vertex loops (indexing a list is far cheaper than a numpy scalar)."""
-        return (self.indptr.tolist(), self.indices.tolist(), self.eweights.tolist(),
+        return (self.adj.indptr.tolist(), self.adj.indices.tolist(), self.adj.data.tolist(),
                 self.node_w.tolist())
 
 
 def _base_level(g: Graph) -> _Level:
-    return _Level(
-        indptr=g.indptr.copy(),
-        indices=g.indices.copy(),
-        eweights=np.ones(g.indices.size, dtype=np.int64),
-        node_w=np.ones(g.num_nodes, dtype=np.int64),
-    )
+    adj = sp.csr_matrix((np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
+                        shape=(g.num_nodes, g.num_nodes))
+    return _Level(adj, np.ones(g.num_nodes, dtype=np.int64))
 
 
 def _heavy_edge_matching(lv: _Level, max_node_w: int) -> np.ndarray:
@@ -206,35 +201,24 @@ def _heavy_edge_matching(lv: _Level, max_node_w: int) -> np.ndarray:
 
 
 def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:
+    """The contracted graph PᵀAP without its diagonal, the edges internal to a
+    coarse node; P is the 0/1 fine-to-coarse matrix."""
     n = lv.n
     # coarse ids in order of each pair's lower end, as a first-seen scan gives
     reps, coarse_id = np.unique(np.minimum(np.arange(n, dtype=np.int64), mate), return_inverse=True)
-    nxt = reps.size
     # integer sums below 2**53 are exact through bincount's float64 weights
-    node_w = np.bincount(coarse_id, weights=lv.node_w, minlength=nxt).astype(np.int64)
-
-    # aggregate edge weights between coarse nodes, dropping internal edges
-    rows = coarse_id[np.repeat(np.arange(n, dtype=np.int64), np.diff(lv.indptr))]
-    cols = coarse_id[lv.indices]
-    keep = rows != cols
-    rows, cols, ws = rows[keep], cols[keep], lv.eweights[keep]
-    order = np.lexsort((cols, rows))
-    rows, cols, ws = rows[order], cols[order], ws[order]
-    if rows.size:
-        new_pair = np.ones(rows.size, dtype=bool)
-        new_pair[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        group = np.cumsum(new_pair) - 1
-        ws = np.bincount(group, weights=ws).astype(np.int64)
-        rows, cols = rows[new_pair], cols[new_pair]
-    indptr = np.zeros(nxt + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=nxt))
-    return _Level(indptr, cols, ws, node_w, fine_to_coarse=coarse_id)
+    node_w = np.bincount(coarse_id, weights=lv.node_w, minlength=reps.size).astype(np.int64)
+    p = sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), coarse_id)), shape=(n, reps.size))
+    adj = p.T @ lv.adj @ p
+    # a sparse difference stores no zero, so this drops the diagonal entries
+    adj = (adj - sp.diags(adj.diagonal(), dtype=np.int64)).tocsr()
+    adj.sort_indices()
+    return _Level(adj, node_w, fine_to_coarse=coarse_id)
 
 
 def _cut_weight(lv: _Level, part: np.ndarray) -> int:
-    rows = np.repeat(np.arange(lv.n, dtype=np.int64), np.diff(lv.indptr))
-    diff = part[rows] != part[lv.indices]
-    return int(lv.eweights[diff].sum()) // 2
+    a = lv.adj.tocoo()
+    return int(a.data[part[a.row] != part[a.col]].sum()) // 2
 
 
 def _next_vertex(heap, part, conn, node_w, room) -> int:

@@ -23,8 +23,8 @@ from . import losses
 from .graph import Dataset, normalize_adjacency
 from .losses import LOSS_KINDS
 from .metrics import accuracy, ece, f1_scores
-from .nn import (ModelSpec, Params, RowPlan, adam_step, encoder_forward, init_adam_state,
-                 init_params, model_backward, plan_rows)
+from .nn import (ModelSpec, RowPlan, adam_step, encoder_forward, init_adam_state, init_params,
+                 model_backward, plan_rows)
 from .partition import (ClusterAssignment, partition_kmeans, partition_metis_like,
                         partition_random, read_assignment)
 
@@ -232,7 +232,7 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     return result
 
 
-def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Params]:
+def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, dict[str, np.ndarray]]:
     """Like train, but also returns the best-validation parameter snapshot."""
     validate(cfg, data)
     spec = cfg.spec
@@ -245,8 +245,11 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
     params = init_params(spec, cfg.seed)
     state = init_adam_state(params)
 
+    def snapshot(p):
+        return {name: v.copy() for name, v in p.items()}
+
     curves = {"eval_epochs": [], "train_loss": [], "val_loss": [], "test_loss": [], "val_acc": []}
-    best_score, best_epoch, best_params, best_probs = -np.inf, 0, params.copy(), None
+    best_score, best_epoch, best_params, best_probs = -np.inf, 0, snapshot(params), None
 
     def run_eval(epoch, current):
         nonlocal best_score, best_epoch, best_params, best_probs
@@ -256,7 +259,7 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
         for curve, v in zip(curves.values(), (epoch, *values, score)):
             curve.append(v)
         if score > best_score:
-            best_score, best_epoch, best_params, best_probs = score, epoch, current.copy(), probs
+            best_score, best_epoch, best_params, best_probs = score, epoch, snapshot(current), probs
 
     t0 = time.perf_counter()
     if cfg.epochs == 0:
@@ -283,7 +286,7 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, Param
     return result, best_params
 
 
-def evaluate(params: Params, cfg: TrainConfig, data: Dataset,
+def evaluate(params: dict, cfg: TrainConfig, data: Dataset,
              split: np.ndarray | None = None) -> dict:
     """Metrics bundle (plus loss) for one split under the given parameters."""
     split = np.asarray(split if split is not None else data.masks.test, dtype=np.int64)

@@ -307,6 +307,21 @@ class TestAttackCmd:
         assert "--ratios" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("loss", ["nosuch", "ic"])
+    def test_bad_loss_fails_before_training(self, sbm_dir, tmp_path, monkeypatch, capsys, loss):
+        import jcgraph.attack as attack_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("train ran before the loss was checked")
+        monkeypatch.setattr(attack_mod, "train", never)
+        cfgf = write_config(tmp_path / "atk.cfg", sbm_dir, tmp_path / "r",
+                            clusters=3, epochs=3, hidden=8)
+        rc = main(["attack", str(cfgf), "--loss", loss, "--ratios", "0.5", "--seeds", "1",
+                   "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 2
+        assert "error:" in (err := capsys.readouterr().err) and "loss" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 # argparse reads the value of "--flag=--" as an empty list on every subcommand
 @pytest.mark.parametrize("argv", [

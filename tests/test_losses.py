@@ -8,7 +8,7 @@ from jcgraph.losses import (ClusterStats, _group_sum, ce_loss, cluster_stats, ic
                             jc_loss, jc_multilabel_loss, joint_forward,
                             joint_label, marginalize, mixup_loss,
                             predict_joint, scatter_cluster_grad)
-from jcgraph.nn import ModelSpec, Params, grad_check
+from jcgraph.nn import ModelSpec, grad_check
 from jcgraph.partition import ClusterAssignment
 
 
@@ -19,7 +19,7 @@ def onehot(idx, c):
 
 
 def clf(w, b):
-    return Params({"clf_w": np.asarray(w, dtype=float), "clf_b": np.asarray(b, dtype=float)})
+    return {"clf_w": np.asarray(w, dtype=float), "clf_b": np.asarray(b, dtype=float)}
 
 
 def assign_of(ids, m=None):

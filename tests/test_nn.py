@@ -7,9 +7,9 @@ from jcgraph.graph import (Dataset, Graph, LabelSet, SplitMasks,
                            normalize_adjacency, spmm)
 from jcgraph.losses import ce_loss, cluster_stats, jc_loss
 from jcgraph.nn import (SPARSE_DENSITY, SPARSE_MIN_SIZE, ModelSpec, NumericsError,
-                        Params, adam_step, encoder_forward, grad_check,
-                        init_adam_state, init_params, load_checkpoint,
-                        model_backward, plan_rows, save_checkpoint)
+                        adam_step, encoder_forward, grad_check, init_adam_state,
+                        init_params, load_checkpoint, model_backward, plan_rows,
+                        save_checkpoint)
 from jcgraph.partition import partition_metis_like
 
 from conftest import rng_graph
@@ -191,14 +191,14 @@ class TestAdam:
     TEXTBOOK = {"betas": (0.9, 0.999), "eps": 1e-8}
 
     def test_zero_gradient_no_change(self):
-        params = Params({"w": np.array([1.0, -2.0])})
+        params = {"w": np.array([1.0, -2.0])}
         state = init_adam_state(params)
         adam_step(params, {"w": np.zeros(2)}, state, lr=0.1, **self.TEXTBOOK, t=1)
         assert (params["w"] == np.array([1.0, -2.0])).all()
 
     def test_first_step_hand_computed(self):
         # g=1 at t=1: m_hat = v_hat = 1, step = -lr / (1 + eps)
-        params = Params({"w": np.array([0.0])})
+        params = {"w": np.array([0.0])}
         state = init_adam_state(params)
         adam_step(params, {"w": np.array([1.0])}, state, lr=0.1, **self.TEXTBOOK, t=1)
         np.testing.assert_allclose(params["w"], [-0.1 / (1 + 1e-8)], rtol=1e-15)
@@ -206,7 +206,7 @@ class TestAdam:
     def test_two_steps_match_replay_oracle(self):
         lr, (b1, b2), eps = 0.05, (0.9, 0.999), 1e-8
         g1, g2 = np.array([0.7]), np.array([-1.3])
-        params = Params({"w": np.array([0.4])})
+        params = {"w": np.array([0.4])}
         state = init_adam_state(params)
         adam_step(params, {"w": g1}, state, lr=lr, betas=(b1, b2), eps=eps, t=1)
         adam_step(params, {"w": g2}, state, lr=lr, betas=(b1, b2), eps=eps, t=2)
@@ -220,20 +220,20 @@ class TestAdam:
         np.testing.assert_allclose(params["w"], [w], rtol=1e-12)
 
     def test_weight_decay_pulls_to_zero(self):
-        params = Params({"w": np.array([2.0])})
+        params = {"w": np.array([2.0])}
         state = init_adam_state(params)
         adam_step(params, {"w": np.zeros(1)}, state, lr=0.1, **self.TEXTBOOK,
                   weight_decay=0.1, t=1)
         assert params["w"][0] < 2.0
 
     def test_non_finite_gradients(self):
-        params = Params({"w": np.array([1.0])})
+        params = {"w": np.array([1.0])}
         state = init_adam_state(params)
         with pytest.raises(NumericsError):
             adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1, **self.TEXTBOOK, t=1)
 
     def test_bad_t(self):
-        params = Params({"w": np.array([1.0])})
+        params = {"w": np.array([1.0])}
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(1)}, init_adam_state(params), lr=0.1,
                       **self.TEXTBOOK, t=0)
@@ -246,8 +246,8 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "m.ckpt", spec, params)
         spec2, params2 = load_checkpoint(tmp_path / "m.ckpt")
         assert spec2 == spec
-        assert params2.names() == params.names()
-        for name in params.names():
+        assert list(params2) == list(params)
+        for name in params:
             assert (params2[name] == params[name]).all()
 
     def test_rejects_garbage(self, tmp_path):

@@ -83,7 +83,7 @@ def test_cut_plan_matches_the_dense_oracle(encoder, layers, hidden, dropout, twi
     rng, graph, x, targets = case(layers * 10 + hidden, twin)
     spec = ModelSpec(encoder, layers, hidden, x.shape[1], 3, dropout, "independent")
     params = init_params(spec, 11)
-    for name in params.names():
+    for name in params:
         if name.startswith("enc_b"):
             params[name] = rng.normal(size=params[name].shape)
     adj = normalize_adjacency(graph)

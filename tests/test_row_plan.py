@@ -37,7 +37,7 @@ def random_case(seed, encoder, layers, hidden, dropout, twin):
         x = rng.normal(size=(n, d))
     spec = ModelSpec(encoder, layers, hidden, d, 2, dropout, "independent")
     params = init_params(spec, int(rng.integers(0, 1000)))
-    for name in params.names():
+    for name in params:
         if name.startswith("enc_b"):
             params[name] = rng.normal(size=params[name].shape)
     targets = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
