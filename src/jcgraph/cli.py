@@ -3,8 +3,8 @@
 Configs are flat "key = value" text files; any key can be overridden by the
 matching command-line flag. Relative paths inside a config file resolve
 against the config file's directory, flag-supplied paths against the
-working directory. Exit codes: 0 success, 1 runtime failure (non-finite
-loss), 2 usage or input error.
+working directory. Exit codes: 0 success, 1 runtime failure (a non-finite
+value in training), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -125,6 +125,14 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _make_out_dir(out) -> None:
+    """Create the directory of output out before any work; failing is a bad --out."""
+    try:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"bad value for --out: {e}") from None
+
+
 def build_train_config(cfg: dict, data) -> TrainConfig:
     """The spec from the encoder keys, the loss and the dataset; every
     TrainConfig field from the config key of its name."""
@@ -139,6 +147,7 @@ def build_train_config(cfg: dict, data) -> TrainConfig:
 def cmd_partition(args) -> int:
     data = load_dataset(args.dataset)
     check_clusters(args.method, args.clusters, data, key="--clusters")
+    _make_out_dir(args.out)
     a = make_partition(args.method, data, args.clusters, args.seed)
     write_assignment(args.out, a)
     stats = edge_cut_stats(data.graph, a)
@@ -157,9 +166,9 @@ def _read_run(args):
 def cmd_train(args) -> int:
     cfg_raw, data = _read_run(args)
     cfg = build_train_config(cfg_raw, data)
-    result, best_params = train_with_params(cfg, data)
     out = Path(cfg_raw["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
+    result, best_params = train_with_params(cfg, data)
     write_result(f"{out}.result", cfg, result)
     write_curves(f"{out}.curves.csv", result)
     save_checkpoint(f"{out}.ckpt", cfg.spec, best_params)
@@ -170,6 +179,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.num_seeds < 1:
+        raise ConfigError(f"bad value for --seeds: expected an integer >= 1, got {args.num_seeds}")
     cfg_raw, data = _read_run(args)
     if cfg_raw["loss"] not in ("ce", "jc"):  # the sweep trains both
         raise ConfigError(f"attack compares ce and jc: loss must be 'ce' or 'jc', "
@@ -180,6 +191,7 @@ def cmd_attack(args) -> int:
         raise ConfigError(f"bad --ratios value {args.ratios!r}: {e}") from None
     cfg_ce = build_train_config({**cfg_raw, "loss": "ce"}, data)
     cfg_jc = build_train_config({**cfg_raw, "loss": "jc"}, data)
+    _make_out_dir(args.sweep_out)
     rows = robustness_sweep(data, ratios, cfg_ce, cfg_jc, args.num_seeds)
     write_sweep_csv(args.sweep_out, rows)
     for r in rows:
@@ -188,6 +200,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_gen_sbm(args) -> int:
+    _make_out_dir(args.out)
     ds = gen_sbm(args.blocks, args.nodes_per_block, args.p_in, args.p_out,
                  args.feat_dim, args.feat_noise, args.seed)
     write_dataset(args.out, ds)

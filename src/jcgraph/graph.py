@@ -24,6 +24,8 @@ __all__ = [
     "Dataset",
     "normalize_adjacency",
     "spmm",
+    "read_lines",
+    "read_table",
     "load_dataset",
     "write_dataset",
     "gen_sbm",
@@ -32,7 +34,8 @@ __all__ = [
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file is missing, inconsistent, or malformed."""
+    """An input file (dataset, cluster assignment or checkpoint) is missing,
+    inconsistent, or malformed."""
 
     def __init__(self, path, line, message):
         self.path = str(path)
@@ -195,10 +198,11 @@ class Dataset:
         return self.graph.num_nodes
 
 
-def _read_lines(path: Path) -> list[str]:
-    if not path.is_file():
+def read_lines(path) -> list[str]:
+    """A text file's lines, split at each newline."""
+    if not Path(path).is_file():
         raise DatasetFormatError(path, None, "missing file")
-    return path.read_text().split("\n")
+    return Path(path).read_text().split("\n")
 
 
 def _ints(path, lineno, line, expect=None):
@@ -211,68 +215,48 @@ def _ints(path, lineno, line, expect=None):
     return vals
 
 
-def _table(lines: list[str], dtype, shape: tuple[int, int]) -> np.ndarray | None:
-    """Parse whitespace-separated rows in one C-level pass.
+def read_table(path, lines: list[str], start: int, count: int, dtype, width: int,
+               rules=()) -> np.ndarray:
+    """Lines start .. start+count-1 (numbered from 1) of a file as a
+    (count, width) table of dtype, np.int64 or np.float64.
 
-    Returns None when numpy rejects a token, warns, or the table does not
-    have the expected shape (loadtxt skips blank lines). Callers then rerun
-    their per-line parser, which accepts exactly what int()/float() accept
-    and names the offending line.
+    Each rule is a pair (bad, message): bad(table) marks the entries or rows
+    that break it, message(row) says how. One np.loadtxt pass parses the
+    table and the rules check it as whole-array masks. Only when numpy
+    rejects a token or warns, the shape is off (loadtxt skips blank lines) or
+    a rule fails are the lines parsed one by one, accepting exactly what
+    int()/float() accept, to raise DatasetFormatError at the first bad line.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
+            table = np.loadtxt(lines[start - 1:start - 1 + count], dtype=dtype, ndmin=2,
+                               comments=None)
+        if table.shape == (count, width) and not any(bad(table).any() for bad, _ in rules):
+            return table
     except (ValueError, Warning):
-        return None
-    return table if table.shape == shape else None
-
-
-def _edge_lines(gpath, glines, n, m) -> np.ndarray:
-    pairs = np.empty((m, 2), dtype=np.int64)
-    for i in range(m):
-        lineno = i + 2
-        if lineno > len(glines) or not glines[lineno - 1].strip():
-            raise DatasetFormatError(gpath, lineno, f"expected {m} edges, file ends early")
-        u, v = _ints(gpath, lineno, glines[lineno - 1], expect=2)
-        if u == v:
-            raise DatasetFormatError(gpath, lineno, f"self loop {u} {v} not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise DatasetFormatError(gpath, lineno, f"edge ({u},{v}) out of range for n={n}")
-        pairs[i] = (u, v)
-    return pairs
-
-
-def _feature_lines(fpath, flines, n, d) -> np.ndarray:
-    features = np.empty((n, d), dtype=np.float64)
-    for i in range(n):
-        lineno = i + 2
-        if lineno > len(flines):
-            raise DatasetFormatError(fpath, lineno, "file ends early")
-        toks = flines[lineno - 1].split()
-        if len(toks) != d:
-            raise DatasetFormatError(fpath, lineno, f"expected {d} values, got {len(toks)}")
-        try:
-            features[i] = [float(t) for t in toks]
-        except ValueError:
-            raise DatasetFormatError(fpath, lineno, "non-numeric feature value") from None
-    return features
-
-
-def _label_lines(lpath, llines, n, c, kind) -> np.ndarray:
-    """Class indices as (n, 1) for kind 's', 0/1 flags as (n, c) for 'm'."""
-    width = 1 if kind == "s" else c
-    table = np.empty((n, width), dtype=np.int64)
-    for i in range(n):
-        lineno = i + 2
-        if lineno > len(llines):
-            raise DatasetFormatError(lpath, lineno, "file ends early")
-        vals = _ints(lpath, lineno, llines[lineno - 1], expect=width)
-        if kind == "s" and not 0 <= vals[0] < c:
-            raise DatasetFormatError(lpath, lineno, f"class index {vals[0]} out of range for c={c}")
-        if kind == "m" and any(f not in (0, 1) for f in vals):
-            raise DatasetFormatError(lpath, lineno, "non-binary label entries")
-        table[i] = vals
+        pass
+    parse, noun = (int, "integers") if np.dtype(dtype).kind == "i" else (float, "numbers")
+    table = np.empty((0, width), dtype=dtype)
+    for i, lineno in enumerate(range(start, start + count)):
+        if lineno > len(lines):
+            raise DatasetFormatError(path, lineno, f"expected {count} rows from line {start}, "
+                                                   "file ends early")
+        toks = lines[lineno - 1].split()
+        if len(toks) != width:
+            raise DatasetFormatError(path, lineno, f"expected {width} values, got {len(toks)}")
+        row = np.empty(width, dtype=object)  # Python numbers, so a rule sees any int
+        for j, tok in enumerate(toks):
+            try:
+                row[j] = parse(tok)
+            except ValueError:
+                raise DatasetFormatError(path, lineno, f"expected {noun}, got {tok!r}") from None
+        for bad, message in rules:
+            if bad(row[None]).any():
+                raise DatasetFormatError(path, lineno, message(row))
+        if i == 0:  # sized once a line has the width; a row past the file's end raises first
+            table = np.empty((min(count, len(lines)), width), dtype=dtype)
+        table[i] = row
     return table
 
 
@@ -281,28 +265,28 @@ def load_dataset(path) -> Dataset:
 
     Errors carry the offending file and line number. Duplicate edges are
     dropped and counted in Dataset.duplicate_edges; self loops are rejected.
-    Each table is parsed in one pass and checked with whole-array masks; the
-    per-line parsers run only to locate an error or to accept a token numpy
-    rejects (such as ``1_0``), so the result is the same either way.
+    Each table goes through read_table, so the result is the same whether
+    numpy's one-pass parse or the per-line parser (which accepts tokens
+    numpy rejects, such as ``1_0``) produced it.
     """
     root = Path(path)
 
     gpath = root / "graph.txt"
-    glines = _read_lines(gpath)
+    glines = read_lines(gpath)
     if not glines or not glines[0].strip():
         raise DatasetFormatError(gpath, 1, "missing 'n m' header")
     n, m = _ints(gpath, 1, glines[0], expect=2)
     if n < 1 or m < 0:
         raise DatasetFormatError(gpath, 1, f"bad header n={n} m={m}")
-    pairs = _table(glines[1:m + 1], np.int64, (m, 2))
-    if pairs is None or (pairs[:, 0] == pairs[:, 1]).any() or (pairs < 0).any() or (pairs >= n).any():
-        pairs = _edge_lines(gpath, glines, n, m)
+    pairs = read_table(gpath, glines, 2, m, np.int64, 2, [
+        (lambda t: t[:, 0] == t[:, 1], lambda r: f"self loop {r[0]} {r[1]} not allowed"),
+        (lambda t: (t < 0) | (t >= n), lambda r: f"edge ({r[0]},{r[1]}) out of range for n={n}")])
     uv = _unique_undirected(n, pairs)
     graph = Graph.from_undirected_pairs(n, uv)
     duplicates = m - uv.shape[0]
 
     fpath = root / "features.txt"
-    flines = _read_lines(fpath)
+    flines = read_lines(fpath)
     if not flines or not flines[0].strip():
         raise DatasetFormatError(fpath, 1, "missing 'n d' header")
     fn, d = _ints(fpath, 1, flines[0], expect=2)
@@ -310,14 +294,12 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(fpath, 1, f"node count {fn} does not match graph.txt ({n})")
     if d < 1:
         raise DatasetFormatError(fpath, 1, f"bad feature dim {d}")
-    features = _table(flines[1:n + 1], np.float64, (n, d))
-    if features is None:
-        features = _feature_lines(fpath, flines, n, d)
+    features = read_table(fpath, flines, 2, n, np.float64, d)
     if not np.isfinite(features).all():
         raise DatasetFormatError(fpath, None, "non-finite feature values")
 
     lpath = root / "labels.txt"
-    llines = _read_lines(lpath)
+    llines = read_lines(lpath)
     if not llines or not llines[0].strip():
         raise DatasetFormatError(lpath, 1, "missing 'n c kind' header")
     head = llines[0].split()
@@ -331,10 +313,11 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(lpath, 1, f"label kind must be 's' or 'm', got {kind!r}")
     if c < 1:
         raise DatasetFormatError(lpath, 1, f"bad class count {c}")
-    width, bound = (1, c) if kind == "s" else (c, 2)  # class index < c, or a 0/1 flag
-    table = _table(llines[1:n + 1], np.int64, (n, width))
-    if table is None or (table < 0).any() or (table >= bound).any():
-        table = _label_lines(lpath, llines, n, c, kind)
+    if kind == "s":
+        rule = (lambda t: (t < 0) | (t >= c), lambda r: f"class index {r[0]} out of range for c={c}")
+    else:
+        rule = (lambda t: (t != 0) & (t != 1), lambda r: "non-binary label entries")
+    table = read_table(lpath, llines, 2, n, np.int64, 1 if kind == "s" else c, [rule])
     if kind == "s":
         matrix = np.zeros((n, c), dtype=np.float64)
         matrix[np.arange(n), table[:, 0]] = 1.0
@@ -343,7 +326,7 @@ def load_dataset(path) -> Dataset:
     labels = LabelSet(c, kind, matrix)
 
     mpath = root / "masks.txt"
-    mlines = _read_lines(mpath)
+    mlines = read_lines(mpath)
     masks = {}
     for idx, name in enumerate(("train", "val", "test")):
         lineno = idx + 1

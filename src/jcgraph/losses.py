@@ -56,15 +56,17 @@ def _logp(p: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ClusterStats:
-    """Per-cluster mean embedding and mean label over labeled nodes.
+    """Per-cluster mean embedding and mean label over the labeled rows.
 
     counts[m] == 0 marks a cluster without labeled nodes whose rows hold the
-    global labeled means instead.
+    global labeled means instead. rows are the labeled node ids the means
+    average, which the cluster-mean gradients flow back to.
     """
 
     zbar: np.ndarray
     ybar: np.ndarray
     counts: np.ndarray
+    rows: np.ndarray
 
 
 def _group_sum(index: np.ndarray, values: np.ndarray, groups: int) -> np.ndarray:
@@ -77,9 +79,7 @@ def _group_sum(index: np.ndarray, values: np.ndarray, groups: int) -> np.ndarray
 
 def cluster_stats(embeddings: np.ndarray, labels: LabelSet, train_mask: np.ndarray,
                   assign: ClusterAssignment) -> ClusterStats:
-    train_mask = np.asarray(train_mask, dtype=np.int64)
-    if train_mask.size == 0:
-        raise ValueError("train mask is empty")
+    train_mask = _mask(train_mask)
     m = assign.num_clusters
     a = assign.assign[train_mask]
     counts = np.bincount(a, minlength=m)
@@ -91,27 +91,23 @@ def cluster_stats(embeddings: np.ndarray, labels: LabelSet, train_mask: np.ndarr
     if (~nz).any():
         zbar[~nz] = embeddings[train_mask].mean(axis=0)
         ybar[~nz] = labels.matrix[train_mask].mean(axis=0)
-    return ClusterStats(zbar, ybar, counts)
+    return ClusterStats(zbar, ybar, counts, train_mask)
 
 
 def scatter_cluster_grad(d_zbar: np.ndarray, assign: ClusterAssignment,
-                         train_mask: np.ndarray, counts: np.ndarray,
+                         rows: np.ndarray, counts: np.ndarray,
                          out: np.ndarray) -> None:
-    """Distribute d(loss)/d(zbar) onto the labeled members (1/L_m each).
+    """Distribute d(loss)/d(zbar) onto the labeled rows the means average
+    (1/L_m per member of cluster m).
 
     Rows with counts == 0 are global-fallback means, so their gradient flows
-    to every labeled node with weight 1/L. Loss masks other than the labeled
-    set may visit fallback clusters; those rows route through the fallback
-    branch instead of the per-member division.
+    to every labeled row with weight 1/L.
     """
-    a = assign.assign[train_mask]
-    safe = np.maximum(counts, 1)
-    labeled = (counts[a] > 0)[:, None]
-    out[train_mask] += np.where(labeled, d_zbar[a] / safe[a, None], 0.0)
+    a = assign.assign[rows]
+    out[rows] += d_zbar[a] / counts[a, None]
     fb = counts == 0
     if fb.any():
-        g = d_zbar[fb].sum(axis=0) / train_mask.size
-        out[train_mask] += g
+        out[rows] += d_zbar[fb].sum(axis=0) / rows.size
 
 
 @dataclass
@@ -214,10 +210,13 @@ LOSS_KINDS = {
 
 
 def _mask(mask) -> np.ndarray:
-    """A loss mask's node ids; they are distinct, as in every SplitMasks set."""
+    """A mask's node ids: a gradient scattered onto them adds once per id, so
+    they must be distinct, as in every SplitMasks set."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("empty mask")
+    if np.unique(mask).size != mask.size:
+        raise ValueError("mask repeats a node id")
     return mask
 
 
@@ -302,7 +301,7 @@ def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=N
                   else np.zeros_like(stats.zbar))
         if "k" in acc:
             d_zbar[stats.counts > 0] += acc["k"]
-        scatter_cluster_grad(d_zbar, assign, mask, stats.counts, d_emb)
+        scatter_cluster_grad(d_zbar, assign, stats.rows, stats.counts, d_emb)
     grads = {"clf_w": acc["clf_w"], "clf_b": acc["clf_b"]}
     return LossResult(_value(ll, cluster), d_emb, grads)
 

@@ -8,13 +8,14 @@ net. Dropout uses inverted scaling, applied to layer inputs in train mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Dataset, normalize_adjacency, spmm
+from .graph import Dataset, DatasetFormatError, normalize_adjacency, read_lines, read_table, spmm
 
 __all__ = [
     "NumericsError",
@@ -471,11 +472,11 @@ def save_checkpoint(path, spec: ModelSpec, params: dict) -> None:
 
 def load_checkpoint(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
     """Read a checkpoint; a malformed or truncated file raises
-    ValueError("{path}:{line}: ...")."""
-    lines = Path(path).read_text().splitlines()
+    DatasetFormatError naming the file and line."""
+    lines = read_lines(path)
 
     def fail(i, msg):
-        raise ValueError(f"{path}:{i + 1}: {msg}")
+        raise DatasetFormatError(path, i + 1, msg)
 
     def line(i):
         if i >= len(lines):
@@ -508,17 +509,7 @@ def load_checkpoint(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
             ndim, shape = -1, ()
         if toks[:1] != ["tensor"] or len(shape) != ndim or min(shape, default=0) < 0:
             fail(i, f"expected 'tensor <name> <ndim> <dims>', got {lines[i]!r}")
-        nrows = shape[0] if ndim == 2 else 1
-        width = int(np.prod(shape)) // nrows if nrows else 0
-        vals = []
-        for r in range(i + 1, i + 1 + nrows):
-            toks = line(r).split()
-            try:
-                vals.append([float(t) for t in toks])
-            except ValueError:
-                fail(r, "bad tensor value")
-            if len(vals[-1]) != width:
-                fail(r, f"expected {width} values, got {len(vals[-1])}")
-        tensors[name] = np.asarray(vals, dtype=np.float64).reshape(shape)
-        i += 1 + nrows
+        rows, width = shape if ndim == 2 else (1, math.prod(shape))
+        tensors[name] = read_table(path, lines, i + 2, rows, np.float64, width).reshape(shape)
+        i += 1 + rows
     return spec, tensors

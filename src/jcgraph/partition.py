@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph
+from .graph import DatasetFormatError, Graph, read_lines, read_table
 
 __all__ = [
     "ClusterAssignment",
@@ -504,16 +504,15 @@ def write_assignment(path, a: ClusterAssignment) -> None:
 
 
 def read_assignment(path) -> ClusterAssignment:
-    p = Path(path)
-    if not p.is_file():
-        raise ValueError(f"{p}: missing assignment file")
-    lines = p.read_text().split("\n")
+    """An 'n m' header, then n cluster ids below m, one per line; a malformed
+    file raises DatasetFormatError naming the file and line."""
+    lines = read_lines(path)
     try:
         n, m = (int(t) for t in lines[0].split())
-        ids = [int(lines[i + 1]) for i in range(n)]
-    except (ValueError, IndexError):
-        raise ValueError(f"{p}: malformed assignment file") from None
-    for i, c in enumerate(ids):
-        if not 0 <= c < m:
-            raise ValueError(f"{p}:{i + 2}: cluster id {c} out of range for m={m}")
-    return ClusterAssignment(m, np.asarray(ids, dtype=np.int64))
+    except ValueError:
+        raise DatasetFormatError(path, 1, f"expected an 'n m' header, got {lines[0]!r}") from None
+    if n < 0:
+        raise DatasetFormatError(path, 1, f"bad header n={n} m={m}")
+    ids = read_table(path, lines, 2, n, np.int64, 1, [
+        (lambda t: (t < 0) | (t >= m), lambda r: f"cluster id {r[0]} out of range for m={m}")])
+    return ClusterAssignment(m, ids[:, 0])

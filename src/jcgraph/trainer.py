@@ -23,8 +23,8 @@ from . import losses
 from .graph import Dataset, normalize_adjacency
 from .losses import LOSS_KINDS
 from .metrics import accuracy, ece, f1_scores
-from .nn import (ModelSpec, RowPlan, adam_step, encoder_forward, init_adam_state, init_params,
-                 model_backward, plan_rows)
+from .nn import (ModelSpec, NumericsError, RowPlan, adam_step, encoder_forward, init_adam_state,
+                 init_params, model_backward, plan_rows)
 from .partition import (ClusterAssignment, partition_kmeans, partition_metis_like,
                         partition_random, read_assignment)
 
@@ -265,18 +265,23 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, dict[
     if cfg.epochs == 0:
         run_eval(0, params)
     for epoch in range(1, cfg.epochs + 1):
-        z, tape = encoder_forward(params, train_plan, train_mode=True, seed=[cfg.seed, 1, epoch])
-        stats = (losses.cluster_stats(z, data.labels, masks.train, assign)
-                 if assign is not None else None)
-        res = _loss_on(cfg, params, z, data, masks.train, assign, stats)
-        if not np.isfinite(res.value):
-            raise TrainingError(f"non-finite loss at epoch {epoch}", epoch=epoch)
-        grads = model_backward(tape, res.d_embeddings)
-        grads.update(res.clf_grads)
-        adam_step(params, grads, state, lr=cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2),
-                  eps=cfg.adam_eps, weight_decay=cfg.weight_decay, t=epoch)
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            run_eval(epoch, params)
+        try:  # the finite checks find a failure, so numpy's float warnings stay quiet
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                z, tape = encoder_forward(params, train_plan, train_mode=True,
+                                          seed=[cfg.seed, 1, epoch])
+                stats = (losses.cluster_stats(z, data.labels, masks.train, assign)
+                         if assign is not None else None)
+                res = _loss_on(cfg, params, z, data, masks.train, assign, stats)
+                if not np.isfinite(res.value):
+                    raise NumericsError("non-finite loss")
+                grads = model_backward(tape, res.d_embeddings)
+                grads.update(res.clf_grads)
+                adam_step(params, grads, state, lr=cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2),
+                          eps=cfg.adam_eps, weight_decay=cfg.weight_decay, t=epoch)
+                if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
+                    run_eval(epoch, params)
+        except NumericsError as e:
+            raise TrainingError(f"{e} at epoch {epoch}", epoch=epoch) from e
     seconds = (time.perf_counter() - t0) / max(1, cfg.epochs)
     # the best epoch's predictions are those of the checkpointed parameters
     test = _split_metrics(best_probs, data, masks.test)

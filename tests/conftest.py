@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jcgraph.graph import Dataset, LabelSet, gen_sbm
+
+# every property runs the same examples on every run: no random draws, no
+# example database and no deadline; a test sets only its max_examples
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -359,3 +359,77 @@ def test_negative_seed_exit_2(sbm_dir, tmp_path, monkeypatch, capsys, argv):
     assert rc == 2
     assert "error:" in (err := capsys.readouterr().err) and "seed" in err
     assert sorted(tmp_path.rglob("*")) == before  # no output file
+
+
+def _command(name, sbm_dir, cfgf, out):
+    return {"train": ["train", str(cfgf), "--out", str(out)],
+            "attack": ["attack", str(cfgf), "--ratios", "0.5", "--seeds", "1", "--out", str(out)],
+            "partition": ["partition", "--dataset", str(sbm_dir), "--clusters", "3",
+                          "--out", str(out)],
+            "gen-sbm": ["gen-sbm", "--out", str(out)]}[name]
+
+
+def _stub_work(monkeypatch, out):
+    """Replace each command's work by a stub that records whether out's
+    directory exists, then stops the run with exit 1."""
+    import jcgraph.cli as cli_mod
+    seen = []
+
+    def stub(*args, **kwargs):
+        seen.append(out.parent.is_dir())
+        raise TrainingError("stopped")
+    for name in ("train_with_params", "robustness_sweep", "make_partition", "gen_sbm"):
+        monkeypatch.setattr(cli_mod, name, stub)
+    return seen
+
+
+class TestOutBeforeWork:
+    """Each command makes its output's directory before its work runs."""
+
+    @pytest.mark.parametrize("command", ["train", "attack", "partition", "gen-sbm"])
+    def test_missing_directory_made_first(self, sbm_dir, tmp_path, monkeypatch, command):
+        out = tmp_path / "new" / "dir" / "out"
+        seen = _stub_work(monkeypatch, out)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", clusters=3)
+        assert main(_command(command, sbm_dir, cfgf, out)) == 1
+        assert seen == [True]
+
+    @pytest.mark.parametrize("command", ["train", "attack", "partition", "gen-sbm"])
+    def test_directory_that_cannot_be_made_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys,
+                                                  command):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        seen = _stub_work(monkeypatch, out)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", clusters=3)
+        assert main(_command(command, sbm_dir, cfgf, out)) == 2
+        assert "error: bad value for --out: " in capsys.readouterr().err
+        assert seen == []
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_attack_seeds_checked_before_the_load(self, sbm_dir, tmp_path, monkeypatch,
+                                                  capsys, seeds):
+        import jcgraph.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the dataset loaded before --seeds was checked")
+        monkeypatch.setattr(cli_mod, "load_dataset", never)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", clusters=3)
+        rc = main(["attack", str(cfgf), "--ratios", "0.5", "--seeds", seeds,
+                   "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 2
+        assert "error: bad value for --seeds: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "attack"])
+def test_numerics_failure_names_its_run(sbm_dir, tmp_path, capsys, command):
+    # lr 1e300 overflows the weights after the first step; the suite turns
+    # any numpy warning into an error, so this also checks none is raised
+    cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc", clusters=3,
+                        epochs=3, hidden=8, lr="1e300", seed=4)
+    out = tmp_path / ("sweep.csv" if command == "attack" else "r")
+    assert main(_command(command, sbm_dir, cfgf, out)) == 1
+    err = capsys.readouterr().err
+    assert "runtime error: " in err and "at epoch 1" in err
+    assert "warning" not in err.lower()
+    if command == "attack":
+        assert "ratio 0.5 seed 4: " in err

@@ -75,7 +75,7 @@ def random_case(seed, kind, multilabel):
     return params, z, labels, train, others, assign
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(LOSS_KINDS)),
        multilabel=st.booleans(), beta=st.sampled_from([0.0, 0.5, 1.3]))
 def test_eval_pass_matches_losses_and_predictors(seed, kind, multilabel, beta):
@@ -109,7 +109,7 @@ def test_eval_pass_rejects_empty_split(easy_sbm):
                          [easy_sbm.masks.train, np.array([], dtype=np.int64)])
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_single_node_helpers_match_eval_pass(seed):
     """marginalize(joint_forward(...)) is jc's batched eval on one row; the

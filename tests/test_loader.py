@@ -1,5 +1,6 @@
-"""Properties of the dataset loader: bit-exact round trips, file:line errors,
-and the tokens where numpy's table parser and int()/float() disagree."""
+"""Properties of the table reader behind the dataset loader, assignment files
+and checkpoints: bit-exact round trips, file:line errors, and the tokens
+where numpy's table parser and int()/float() disagree."""
 
 import re
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from jcgraph.graph import (Dataset, DatasetFormatError, LabelSet, SplitMasks,
                            load_dataset, write_dataset)
+from jcgraph.nn import ModelSpec, init_params, load_checkpoint, save_checkpoint
+from jcgraph.partition import ClusterAssignment, read_assignment, write_assignment
 
 from conftest import rng_graph
 
@@ -41,7 +44,7 @@ edge_values = st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 2.22507
                                -0.0, 0.0, 0.1, 1 / 3])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(rows=st.integers(4, 8).flatmap(
            lambda n: st.integers(1, 4).flatmap(
                lambda d: st.lists(st.lists(finite | edge_values, min_size=d, max_size=d),
@@ -84,7 +87,7 @@ MUTATIONS = {
 }
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(seed=st.integers(0, 2**32 - 1),
        mutation=st.sampled_from(sorted(MUTATIONS) + ["truncated"]),
        truncated=st.sampled_from(["graph.txt", "features.txt", "labels.txt"]),
@@ -105,6 +108,90 @@ def test_single_mutation_names_file_and_line(tmp_path_factory, seed, mutation, t
         path.write_text("\n".join(lines))
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(root)
+    assert str(err.value).startswith(f"{path}:{lineno}:")
+
+
+def small_assignment(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    return ClusterAssignment(m, rng.integers(0, m, int(rng.integers(1, 12))))
+
+
+def small_spec(seed):
+    rng = np.random.default_rng(seed)
+    encoder = ("gcn", "sgc", "mlp")[int(rng.integers(3))]
+    return ModelSpec(encoder, int(rng.integers(1, 3)), int(rng.integers(1, 5)),
+                     int(rng.integers(1, 5)), int(rng.integers(2, 4)), 0.5,
+                     ("independent", "joint")[int(rng.integers(2))])
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_assignment_roundtrip_is_exact(tmp_path_factory, seed):
+    a = small_assignment(seed)
+    path = tmp_path_factory.mktemp("a") / "a.txt"
+    write_assignment(path, a)
+    back = read_assignment(path)
+    assert back.num_clusters == a.num_clusters
+    np.testing.assert_array_equal(back.assign, a.assign)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), values=st.lists(finite | edge_values, min_size=1))
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, seed, values):
+    spec = small_spec(seed)
+    params = init_params(spec, seed)
+    for v in params.values():  # the drawn values, repeated to fill every tensor
+        v.flat[:] = np.resize(np.asarray(values, dtype=np.float64), v.size)
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(path, spec, params)
+    spec2, back = load_checkpoint(path)
+    assert spec2 == spec and list(back) == list(params)
+    for name, v in params.items():
+        np.testing.assert_array_equal(back[name].view(np.int64), v.view(np.int64))
+
+
+# mutation -> how a table line is rewritten; "out-of-range" applies to
+# assignment files only, whose ids must lie below m
+TABLE_MUTATIONS = {
+    "non-numeric": lambda line, bound: _replace_token(line, "x"),
+    "token-count": lambda line, bound: line + " 0",
+    "blank": lambda line, bound: "",
+    "out-of-range": lambda line, bound: str(bound),
+}
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from([("assignment", m) for m in sorted(TABLE_MUTATIONS) + ["truncated"]]
+                            + [("checkpoint", m) for m in ("non-numeric", "token-count",
+                                                           "blank", "truncated")]),
+       where=st.floats(0.0, 1.0, exclude_max=True))
+def test_assignment_and_checkpoint_mutation_names_file_and_line(tmp_path_factory, seed, case,
+                                                                where):
+    kind, mutation = case
+    root = tmp_path_factory.mktemp("mut")
+    if kind == "assignment":
+        a = small_assignment(seed)
+        path, read, bound = root / "a.txt", read_assignment, a.num_clusters
+        write_assignment(path, a)
+    else:
+        spec = small_spec(seed)
+        path, read, bound = root / "m.ckpt", load_checkpoint, None
+        save_checkpoint(path, spec, init_params(spec, seed))
+    lines = path.read_text().split("\n")[:-1]  # the file ends with a newline
+    # the table lines: an assignment's ids, a checkpoint's tensor rows
+    table = ([i + 1 for i in range(1, len(lines))] if kind == "assignment" else
+             [i + 1 for i, line in enumerate(lines)
+              if line and (line[0].isdigit() or line[0] == "-")])
+    lineno = table[int(where * len(table))]
+    if mutation == "truncated":
+        path.write_text("".join(line + "\n" for line in lines[:lineno - 1]))
+    else:
+        lines[lineno - 1] = TABLE_MUTATIONS[mutation](lines[lineno - 1], bound)
+        path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(DatasetFormatError) as err:
+        read(path)
     assert str(err.value).startswith(f"{path}:{lineno}:")
 
 
@@ -130,12 +217,12 @@ def _labels(token):
 TOKEN_TABLE = [
     ("graph 1_0", dict(graph="12 1\n0 1_0\n"), lambda ds: ds.graph.has_edge(0, 10), None),
     ("graph #", dict(graph="12 1\n0 #\n"), None, r"graph.txt:2: expected integers"),
-    ("graph 0 1 #", dict(graph="12 1\n0 1 #\n"), None, r"graph.txt:2: expected integers"),
+    ("graph 0 1 #", dict(graph="12 1\n0 1 #\n"), None, r"graph.txt:2: expected 2 values, got 3"),
     ("graph +1", dict(graph="12 1\n0 +1\n"), lambda ds: ds.graph.has_edge(0, 1), None),
     ("graph 1.0", dict(graph="12 1\n0 1.0\n"), None, r"graph.txt:2: expected integers"),
     ("graph nan", dict(graph="12 1\n0 nan\n"), None, r"graph.txt:2: expected integers"),
     ("features 1_0", dict(features=_features("1_0")), lambda ds: ds.features[0, 0] == 10.0, None),
-    ("features #", dict(features=_features("#")), None, r"features.txt:2: non-numeric feature value"),
+    ("features #", dict(features=_features("#")), None, r"features.txt:2: expected numbers"),
     ("features 0.5 #", dict(features=_features("0.5 #")), None, r"features.txt:2: expected 1 values, got 2"),
     ("features +1", dict(features=_features("+1")), lambda ds: ds.features[0, 0] == 1.0, None),
     ("features nan", dict(features=_features("nan")), None, r"features.txt: non-finite feature values"),

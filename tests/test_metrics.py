@@ -106,7 +106,7 @@ class TestF1:
         with pytest.raises(ValueError, match="empty"):
             f1_scores(np.zeros((0, 2)), np.zeros((0, 2)))
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), c=st.integers(1, 6),
            multi=st.booleans())
     def test_matches_the_per_class_loop(self, seed, n, c, multi):

@@ -231,7 +231,7 @@ def multi_component_graph(rng, n, parts):
     return Graph.from_edges(n, np.concatenate(pairs).tolist() if pairs else [])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 500), m=st.integers(2, 6),
        parts=st.integers(1, 4))
 def test_partition_covers_every_node_within_balance(seed, n, m, parts):

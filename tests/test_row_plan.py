@@ -68,7 +68,7 @@ def dense(a):
     return a.toarray() if sp.issparse(a) else a
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(seed=st.integers(0, 2**32 - 1), encoder=st.sampled_from(ENCODERS),
        layers=st.integers(1, 3), hidden=st.sampled_from([1, 2, 3, 4, 5, 64]),
        dropout=st.sampled_from([0.0, 0.5]), twin=st.booleans(), train_mode=st.booleans())
@@ -168,7 +168,7 @@ def row_sets(draw):
     return n, np.array(sorted(rows), dtype=np.int64)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(case=row_sets(), width=st.integers(1, 8), gap=st.integers(1, 40),
        seed=st.integers(0, 2**32 - 1))
 @example(case=(1, np.array([0])), width=3, gap=DRAW_THROUGH, seed=0)  # single row

@@ -81,7 +81,7 @@ def graphs(draw):
     return n, [(u, v) for u, v in pairs if u != v]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(case=graphs(), max_node_w=st.integers(2, 6))
 @example(case=(1, []), max_node_w=2)  # one node
 @example(case=(5, []), max_node_w=2)  # no edges
