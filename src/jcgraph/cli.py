@@ -125,6 +125,14 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _check_out(out, directory=False) -> None:
+    """Before the load: an output path that exists as the other kind (a
+    directory for a file, a file for a directory) is a bad --out."""
+    if Path(out).exists() and Path(out).is_dir() != directory:
+        kind = "a file" if directory else "a directory"
+        raise ConfigError(f"bad value for --out: {out} is {kind}")
+
+
 def _make_out_dir(out) -> None:
     """Create the directory of output out before any work; failing is a bad --out."""
     try:
@@ -145,6 +153,7 @@ def build_train_config(cfg: dict, data) -> TrainConfig:
 
 
 def cmd_partition(args) -> int:
+    _check_out(args.out)
     data = load_dataset(args.dataset)
     check_clusters(args.method, args.clusters, data, key="--clusters")
     _make_out_dir(args.out)
@@ -155,16 +164,20 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _read_run(args):
-    """A run command's config with its flags applied, and the dataset it names."""
+def _read_run(args, outs):
+    """A run command's config with its flags applied, and the dataset it
+    names, loaded once the output paths outs(config) are checked."""
     cfg = apply_overrides(read_config(args.config), args)
     if not cfg.get("dataset"):
         raise ConfigError("no dataset path given (config key 'dataset' or --dataset)")
+    for out in outs(cfg):
+        _check_out(out)
     return cfg, load_dataset(cfg["dataset"])
 
 
 def cmd_train(args) -> int:
-    cfg_raw, data = _read_run(args)
+    cfg_raw, data = _read_run(args, lambda cfg: [f"{cfg['out']}{suffix}" for suffix in
+                                                 (".result", ".curves.csv", ".ckpt")])
     cfg = build_train_config(cfg_raw, data)
     out = Path(cfg_raw["out"])
     _make_out_dir(out)
@@ -181,7 +194,7 @@ def cmd_train(args) -> int:
 def cmd_attack(args) -> int:
     if args.num_seeds < 1:
         raise ConfigError(f"bad value for --seeds: expected an integer >= 1, got {args.num_seeds}")
-    cfg_raw, data = _read_run(args)
+    cfg_raw, data = _read_run(args, lambda cfg: [args.sweep_out])
     if cfg_raw["loss"] not in ("ce", "jc"):  # the sweep trains both
         raise ConfigError(f"attack compares ce and jc: loss must be 'ce' or 'jc', "
                           f"got {cfg_raw['loss']!r}")
@@ -200,6 +213,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_gen_sbm(args) -> int:
+    _check_out(args.out, directory=True)
     _make_out_dir(args.out)
     ds = gen_sbm(args.blocks, args.nodes_per_block, args.p_in, args.p_out,
                  args.feat_dim, args.feat_noise, args.seed)

@@ -4,7 +4,8 @@ Graphs are undirected and stored in compressed (CSR-like) form: a flat array
 of neighbor indices plus per-node offsets. Neighbor lists are sorted, every
 edge is stored in both directions, and self loops are never stored (the
 normalized adjacency adds its own diagonal). All dense numerics are float64,
-all graph indices int64; Â is a scipy CSR matrix.
+all graph indices int64; Â is a scipy CSR matrix, and so is a large sparse
+feature table.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ __all__ = [
     "LabelSet",
     "SplitMasks",
     "Dataset",
+    "SPARSE_DENSITY",
+    "SPARSE_MIN_SIZE",
+    "dense_features",
     "normalize_adjacency",
     "spmm",
     "read_lines",
@@ -31,6 +35,14 @@ __all__ = [
     "gen_sbm",
     "imbalance_ratio",
 ]
+
+
+# a feature table of at least SPARSE_MIN_SIZE entries with at most
+# SPARSE_DENSITY of them nonzero is loaded, and multiplied at layer 0, in CSR form
+SPARSE_DENSITY = 0.25
+SPARSE_MIN_SIZE = 50_000
+# entries in each row block of a feature table that is read block by block
+FEATURE_BLOCK = 1 << 18
 
 
 class DatasetFormatError(ValueError):
@@ -188,7 +200,7 @@ class SplitMasks:
 @dataclass
 class Dataset:
     graph: Graph
-    features: np.ndarray
+    features: np.ndarray | sp.csr_matrix
     labels: LabelSet
     masks: SplitMasks
     duplicate_edges: int = 0
@@ -196,6 +208,12 @@ class Dataset:
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
+
+
+def dense_features(x: np.ndarray | sp.csr_matrix) -> np.ndarray:
+    """A feature table as a dense array: a CSR table's stored entries with
+    +0.0 in every other place."""
+    return x.toarray() if sp.issparse(x) else x
 
 
 def read_lines(path) -> list[str]:
@@ -216,9 +234,11 @@ def _ints(path, lineno, line, expect=None):
 
 
 def read_table(path, lines: list[str], start: int, count: int, dtype, width: int,
-               rules=()) -> np.ndarray:
+               rules=(), rows: range | None = None) -> np.ndarray:
     """Lines start .. start+count-1 (numbered from 1) of a file as a
-    (count, width) table of dtype, np.int64 or np.float64.
+    (count, width) table of dtype, np.int64 or np.float64; given rows, a
+    range of row numbers, only those rows of the table, with errors that
+    still speak of the whole table.
 
     Each rule is a pair (bad, message): bad(table) marks the entries or rows
     that break it, message(row) says how. One np.loadtxt pass parses the
@@ -227,18 +247,20 @@ def read_table(path, lines: list[str], start: int, count: int, dtype, width: int
     a rule fails are the lines parsed one by one, accepting exactly what
     int()/float() accept, to raise DatasetFormatError at the first bad line.
     """
+    rows = range(count) if rows is None else rows
+    first = start + rows.start  # line number of the first row read
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines[start - 1:start - 1 + count], dtype=dtype, ndmin=2,
+            table = np.loadtxt(lines[first - 1:first - 1 + len(rows)], dtype=dtype, ndmin=2,
                                comments=None)
-        if table.shape == (count, width) and not any(bad(table).any() for bad, _ in rules):
+        if table.shape == (len(rows), width) and not any(bad(table).any() for bad, _ in rules):
             return table
     except (ValueError, Warning):
         pass
     parse, noun = (int, "integers") if np.dtype(dtype).kind == "i" else (float, "numbers")
     table = np.empty((0, width), dtype=dtype)
-    for i, lineno in enumerate(range(start, start + count)):
+    for i, lineno in enumerate(range(first, first + len(rows))):
         if lineno > len(lines):
             raise DatasetFormatError(path, lineno, f"expected {count} rows from line {start}, "
                                                    "file ends early")
@@ -255,9 +277,46 @@ def read_table(path, lines: list[str], start: int, count: int, dtype, width: int
             if bad(row[None]).any():
                 raise DatasetFormatError(path, lineno, message(row))
         if i == 0:  # sized once a line has the width; a row past the file's end raises first
-            table = np.empty((min(count, len(lines)), width), dtype=dtype)
+            table = np.empty((min(len(rows), len(lines)), width), dtype=dtype)
         table[i] = row
     return table
+
+
+def _csr(x: np.ndarray) -> sp.csr_matrix:
+    """The entries of sp.csr_matrix(x), found in one pass over the flat matrix."""
+    flat = np.flatnonzero(x)
+    n, d = x.shape
+    indptr = np.searchsorted(flat, np.arange(n + 1) * d)
+    return sp.csr_matrix((x.ravel()[flat], flat % d, indptr), shape=x.shape)
+
+
+def _read_features(path, lines: list[str], n: int, d: int) -> np.ndarray | sp.csr_matrix:
+    """The n x d table on lines 2 .. n+1 of a features file, in the form layer
+    0 multiplies: CSR when it has at least SPARSE_MIN_SIZE entries and at most
+    SPARSE_DENSITY of them are nonzero, dense otherwise. A CSR table stores
+    the entries that are != 0, so it drops -0.0 entries.
+
+    A large table is read through read_table in row blocks of about
+    FEATURE_BLOCK entries, each converted to CSR at once, so a sparse table
+    never exists as one dense array. Once the nonzeros read so far make the
+    table dense, the blocks are dropped and the table is read again into one
+    dense array, which keeps every bit.
+    """
+    if n * d < SPARSE_MIN_SIZE:
+        return read_table(path, lines, 2, n, np.float64, d)
+    step = max(1, FEATURE_BLOCK // d)
+    blocks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
+    parts, nnz = [], 0
+    for rows in blocks:
+        parts.append(_csr(read_table(path, lines, 2, n, np.float64, d, rows=rows)))
+        nnz += parts[-1].nnz
+        if nnz / (n * d) > SPARSE_DENSITY:
+            parts = None
+            x = np.empty((n, d))
+            for rows in blocks:
+                x[rows.start:rows.stop] = read_table(path, lines, 2, n, np.float64, d, rows=rows)
+            return x
+    return sp.vstack(parts, format="csr")
 
 
 def load_dataset(path) -> Dataset:
@@ -294,8 +353,8 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(fpath, 1, f"node count {fn} does not match graph.txt ({n})")
     if d < 1:
         raise DatasetFormatError(fpath, 1, f"bad feature dim {d}")
-    features = read_table(fpath, flines, 2, n, np.float64, d)
-    if not np.isfinite(features).all():
+    features = _read_features(fpath, flines, n, d)
+    if not np.isfinite(features.data if sp.issparse(features) else features).all():
         raise DatasetFormatError(fpath, None, "non-finite feature values")
 
     lpath = root / "labels.txt"
@@ -367,9 +426,10 @@ def write_dataset(path, ds: Dataset) -> None:
             f.write(f"{u} {v}\n")
 
     with open(root / "features.txt", "w", newline="\n") as f:
-        n, d = ds.features.shape
+        features = dense_features(ds.features)
+        n, d = features.shape
         f.write(f"{n} {d}\n")
-        for row in ds.features:
+        for row in features:
             f.write(" ".join(_fmt(x) for x in row) + "\n")
 
     with open(root / "labels.txt", "w", newline="\n") as f:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .graph import LabelSet
 from .partition import ClusterAssignment
@@ -48,6 +47,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    # scipy.special takes ~0.13 s to import and only multi-label sets need it
+    from scipy.special import expit
+    return expit(logits)
 
 
 def _logp(p: np.ndarray) -> np.ndarray:
@@ -247,7 +252,7 @@ def _forward(streams, src, w, b, multi, beta):
         t = target(*ys)
         logits = x @ w + b
         if multi and group is None:
-            p = expit(logits)
+            p = _sigmoid(logits)
             r = t * _logp(p) + (1.0 - t) * _logp(1.0 - p)
         else:
             p = _softmax(logits if group is None else logits.reshape(len(x), -1, group))
@@ -394,7 +399,7 @@ def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: Label
 def predict_independent(classifier: dict, embeddings: np.ndarray, kind: str = "s") -> np.ndarray:
     w, b = _clf(classifier)
     logits = embeddings @ w + b
-    return {"s": _softmax, "m": expit}[kind](logits)
+    return {"s": _softmax, "m": _sigmoid}[kind](logits)
 
 
 def predict_joint(classifier: dict, embeddings: np.ndarray, assign: ClusterAssignment,

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Dataset, DatasetFormatError, normalize_adjacency, read_lines, read_table, spmm
+from .graph import (Dataset, DatasetFormatError, dense_features, normalize_adjacency, read_lines,
+                    read_table, spmm)
 
 __all__ = [
     "NumericsError",
@@ -40,10 +41,6 @@ CLASSIFIERS = {
     "joint": (2, lambda c: c * c),
     "joint-multilabel": (2, lambda c: 4 * c),
 }
-
-# below this density the input feature matrix is multiplied in CSR form
-SPARSE_DENSITY = 0.25
-SPARSE_MIN_SIZE = 50_000
 
 
 class NumericsError(RuntimeError):
@@ -115,20 +112,6 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     return t
 
 
-def _csr_twin(x: np.ndarray):
-    """x in the form layer 0 multiplies: CSR when large and sparse enough."""
-    if x.size < SPARSE_MIN_SIZE:
-        return x
-    nonzero = x != 0
-    if np.count_nonzero(nonzero) / x.size > SPARSE_DENSITY:
-        return x
-    # the entries of sp.csr_matrix(x), found in one pass over the flat matrix
-    flat = np.flatnonzero(nonzero)
-    n, d = x.shape
-    indptr = np.searchsorted(flat, np.arange(n + 1) * d)
-    return sp.csr_matrix((x.ravel()[flat], flat % d, indptr), shape=x.shape)
-
-
 def _cut_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """indptr of a CSR matrix cut to the given rows, and its entries' positions."""
     counts = np.diff(indptr)[rows]
@@ -150,9 +133,10 @@ class RowPlan:
     numbered by position in rows[k], each row's entries in Â's order), and
     its backward pass the transpose of that block; the entries a block drops
     meet only zero rows in a product over all rows.
-    x is the input as layer 0 multiplies it (dense, or a CSR twin), x_rows
-    its rows[0] rows and x_pos, for a CSR twin, the positions of x_rows'
-    entries in x. sgc holds Â^K X for every row.
+    x is the input as layer 0 multiplies it (dense, or CSR as load_dataset
+    gives a large sparse feature table), x_rows its rows[0] rows and x_pos,
+    for a CSR input, the positions of x_rows' entries in x. sgc holds Â^K X
+    for every row.
     """
 
     spec: ModelSpec
@@ -193,21 +177,23 @@ class RowPlan:
         return RowPlan(self.spec, self.adj, self.x, None, tuple(rows), adj_rows, x_rows, x_pos)
 
 
-def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None, x: np.ndarray) -> RowPlan:
-    """The plan that computes every row; restrict() cuts it to target rows."""
-    x = np.asarray(x, dtype=np.float64)
+def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None,
+              x: np.ndarray | sp.csr_matrix) -> RowPlan:
+    """The plan that computes every row; restrict() cuts it to target rows.
+    Layer 0 multiplies x in the form given; sgc multiplies Â^K by its dense
+    form."""
+    if not sp.issparse(x):
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_dim:
         raise ValueError(f"features have shape {x.shape}, spec.in_dim={spec.in_dim}")
     if spec.uses_graph and adj is None:
         raise ValueError(f"{spec.encoder} encoder requires a normalized adjacency")
     sgc = x_pos = None
     if spec.encoder == "sgc":
-        sgc = x
+        sgc = dense_features(x)
         for _ in range(spec.layers):
             sgc = spmm(adj, sgc)
         _check_finite(sgc)
-    else:
-        x = _csr_twin(x)
     if sp.issparse(x):
         x_pos = np.arange(x.nnz)
     every = np.arange(x.shape[0])
@@ -271,7 +257,7 @@ def _dropout(rng, plan, inp, k, p):
     """Inverted dropout on layer k's compact input.
 
     Returns (input, mask); the mask is kept for the backward pass and is None
-    at layer 0, whose input gets no gradient. A CSR twin draws one value per
+    at layer 0, whose input gets no gradient. A CSR input draws one value per
     stored entry of x and keeps those of x_rows: its rows' entries lie too
     close together for skipping to pay. A dense input draws one value per
     entry of an all-rows input, only for its computed rows. A hidden input is

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import DatasetFormatError, Graph, read_lines, read_table
+from .graph import DatasetFormatError, Graph, dense_features, read_lines, read_table
 
 __all__ = [
     "ClusterAssignment",
@@ -90,13 +90,14 @@ def partition_random(n: int, m: int, seed: int) -> ClusterAssignment:
     return ClusterAssignment(m, rng.integers(0, m, size=n, dtype=np.int64))
 
 
-def partition_kmeans(x: np.ndarray, m: int, seed: int, max_iter: int = 100) -> ClusterAssignment:
-    """Lloyd's algorithm with k-means++ seeding on feature rows.
+def partition_kmeans(x: np.ndarray | sp.csr_matrix, m: int, seed: int,
+                     max_iter: int = 100) -> ClusterAssignment:
+    """Lloyd's algorithm with k-means++ seeding on feature rows, dense or CSR.
 
     Empty clusters are repaired by stealing the point farthest from the
     largest cluster's centroid.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(dense_features(x), dtype=np.float64)
     n = x.shape[0]
     if m < 1:
         raise ValueError("m must be >= 1")

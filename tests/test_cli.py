@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -405,6 +408,29 @@ class TestOutBeforeWork:
         assert "error: bad value for --out: " in capsys.readouterr().err
         assert seen == []
 
+    @pytest.mark.parametrize("command", ["train", "attack", "partition", "gen-sbm"])
+    def test_output_of_the_wrong_kind_exit_2_before_the_load(self, sbm_dir, tmp_path,
+                                                             monkeypatch, capsys, command):
+        import jcgraph.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the work started before --out was checked")
+        for name in ("load_dataset", "gen_sbm"):
+            monkeypatch.setattr(cli_mod, name, never)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", clusters=3)
+        out = tmp_path / "out"
+        # gen-sbm writes a directory, train three files named from its --out
+        wrong = {"gen-sbm": out, "train": tmp_path / "out.ckpt"}.get(command, out)
+        if command == "gen-sbm":
+            wrong.write_text("")
+        else:
+            wrong.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(_command(command, sbm_dir, cfgf, out)) == 2
+        kind = "a file" if command == "gen-sbm" else "a directory"
+        assert capsys.readouterr().err == f"error: bad value for --out: {wrong} is {kind}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_attack_seeds_checked_before_the_load(self, sbm_dir, tmp_path, monkeypatch,
                                                   capsys, seeds):
@@ -433,3 +459,11 @@ def test_numerics_failure_names_its_run(sbm_dir, tmp_path, capsys, command):
     assert "warning" not in err.lower()
     if command == "attack":
         assert "ratio 0.5 seed 4: " in err
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # scipy.special takes ~0.13 s to import; only multi-label sigmoids need it
+    import jcgraph
+    code = "import sys, jcgraph.cli; sys.exit('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(jcgraph.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from jcgraph.cli import main
-from jcgraph.graph import Dataset, gen_sbm, write_dataset
-from jcgraph.nn import SPARSE_DENSITY, SPARSE_MIN_SIZE
+from jcgraph.graph import SPARSE_DENSITY, SPARSE_MIN_SIZE, Dataset, gen_sbm, write_dataset
 
 SUFFIXES = (".result", ".curves.csv", ".ckpt")
 

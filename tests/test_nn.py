@@ -3,13 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from jcgraph.graph import (Dataset, Graph, LabelSet, SplitMasks,
-                           normalize_adjacency, spmm)
+from jcgraph.graph import (SPARSE_DENSITY, SPARSE_MIN_SIZE, Dataset, Graph, LabelSet,
+                           SplitMasks, normalize_adjacency, spmm)
 from jcgraph.losses import ce_loss, cluster_stats, jc_loss
-from jcgraph.nn import (SPARSE_DENSITY, SPARSE_MIN_SIZE, ModelSpec, NumericsError,
-                        adam_step, encoder_forward, grad_check, init_adam_state,
-                        init_params, load_checkpoint, model_backward, plan_rows,
-                        save_checkpoint)
+from jcgraph.nn import (ModelSpec, NumericsError, adam_step, encoder_forward, grad_check,
+                        init_adam_state, init_params, load_checkpoint, model_backward,
+                        plan_rows, save_checkpoint)
 from jcgraph.partition import partition_metis_like
 
 from conftest import rng_graph

@@ -14,24 +14,25 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jcgraph.graph import Graph, normalize_adjacency, spmm
-from jcgraph.nn import (DRAW_THROUGH, ENCODERS, SPARSE_MIN_SIZE, ModelSpec, _draws_on_rows,
-                        encoder_forward, init_params, model_backward, plan_rows)
+from jcgraph.graph import SPARSE_MIN_SIZE, Graph, normalize_adjacency, spmm
+from jcgraph.nn import (DRAW_THROUGH, ENCODERS, ModelSpec, _draws_on_rows, encoder_forward,
+                        init_params, model_backward, plan_rows)
 
 from conftest import assert_within
 
 
-def random_case(seed, encoder, layers, hidden, dropout, twin):
-    """A graph with isolated nodes, features, parameters and a target set."""
+def random_case(seed, encoder, layers, hidden, dropout, csr):
+    """A graph with isolated nodes, features (CSR, sized as load_dataset's CSR
+    tables, when csr is set), parameters and a target set."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 80))
     iu, ju = np.triu_indices(n, k=1)
     isolated = rng.random(n) < 0.2
     keep = (rng.random(iu.size) < rng.choice([0.02, 0.1, 0.4])) & ~isolated[iu] & ~isolated[ju]
     graph = Graph.from_undirected_pairs(n, np.stack([iu[keep], ju[keep]], axis=1))
-    if twin:
+    if csr:
         d = -(-SPARSE_MIN_SIZE // n)
-        x = np.where(rng.random((n, d)) < 0.1, rng.normal(size=(n, d)), 0.0)
+        x = sp.csr_matrix(np.where(rng.random((n, d)) < 0.1, rng.normal(size=(n, d)), 0.0))
     else:
         d = int(rng.integers(1, 6))
         x = rng.normal(size=(n, d))
@@ -71,22 +72,21 @@ def dense(a):
 @settings(max_examples=120)
 @given(seed=st.integers(0, 2**32 - 1), encoder=st.sampled_from(ENCODERS),
        layers=st.integers(1, 3), hidden=st.sampled_from([1, 2, 3, 4, 5, 64]),
-       dropout=st.sampled_from([0.0, 0.5]), twin=st.booleans(), train_mode=st.booleans())
+       dropout=st.sampled_from([0.0, 0.5]), csr=st.booleans(), train_mode=st.booleans())
 # A hidden row of 64 units is 64 draws, so the dropout draw skips gaps of
 # DRAW_THROUGH / 64 = 16 rows or more, unless its stretches count as
 # STRETCH_SHARE of the full draw. In these cases every hidden layer's computed
 # rows have such a gap. The gcn case (7 of 68 rows one layer down) makes the
-# full draw; gcn with 3 layers and a CSR twin (5 and 4 of 59 rows) and mlp
+# full draw; gcn with 3 layers and CSR input (5 and 4 of 59 rows) and mlp
 # (1 of 52) skip gaps in their last hidden layer.
-@example(seed=0, encoder="gcn", layers=2, hidden=64, dropout=0.5, twin=False, train_mode=True)
-@example(seed=83, encoder="gcn", layers=3, hidden=64, dropout=0.5, twin=True, train_mode=True)
-@example(seed=90, encoder="mlp", layers=2, hidden=64, dropout=0.5, twin=False, train_mode=True)
-def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, twin, train_mode):
-    rng, adj, x, spec, params, targets = random_case(seed, encoder, layers, hidden, dropout,
-                                                     twin)
+@example(seed=0, encoder="gcn", layers=2, hidden=64, dropout=0.5, csr=False, train_mode=True)
+@example(seed=83, encoder="gcn", layers=3, hidden=64, dropout=0.5, csr=True, train_mode=True)
+@example(seed=90, encoder="mlp", layers=2, hidden=64, dropout=0.5, csr=False, train_mode=True)
+def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, csr, train_mode):
+    rng, adj, x, spec, params, targets = random_case(seed, encoder, layers, hidden, dropout, csr)
     full = plan_rows(spec, adj, x)
     cut = full.restrict(targets)
-    assert sp.issparse(full.x) == (twin and encoder != "sgc")
+    assert full.x is x
     if encoder != "sgc":
         # rows[k-1] is the Â-neighbourhood of rows[k] for gcn, the targets for mlp
         reach = adj.toarray() != 0.0
@@ -100,7 +100,7 @@ def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, twin,
     assert state_cut == state_all
     assert_within(z_cut[targets], z_all[targets], name="embeddings")
     if encoder != "sgc":
-        outside = np.ones(len(x), dtype=bool)
+        outside = np.ones(x.shape[0], dtype=bool)
         outside[targets] = False
         assert (z_cut[outside] == 0.0).all()
     # dropout: the same mask bits on the computed rows, and at layer 0 the
