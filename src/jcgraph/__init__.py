@@ -5,7 +5,7 @@ from .graph import (Dataset, DatasetFormatError, Graph, LabelSet, SplitMasks,
                     gen_sbm, imbalance_ratio, load_dataset, normalize_adjacency,
                     spmm, write_dataset)
 from .losses import (ClusterStats, ce_loss, cluster_stats, ic_loss, jc_loss,
-                     jc_multilabel_loss, joint_forward, joint_label,
+                     jc_multilabel_loss, joint_forward, joint_label, loss_fn,
                      marginalize, mixup_loss)
 from .metrics import accuracy, ece, f1_scores, loss_gap
 from .nn import (ModelSpec, NumericsError, adam_step, encoder_forward, grad_check,

@@ -215,8 +215,12 @@ def cmd_attack(args) -> int:
 def cmd_gen_sbm(args) -> int:
     _check_out(args.out, directory=True)
     _make_out_dir(args.out)
-    ds = gen_sbm(args.blocks, args.nodes_per_block, args.p_in, args.p_out,
-                 args.feat_dim, args.feat_noise, args.seed)
+    try:
+        ds = gen_sbm(args.blocks, args.nodes_per_block, args.p_in, args.p_out,
+                     args.feat_dim, args.feat_noise, args.seed)
+    except MemoryError as e:  # the edge draw is one dense n x n array
+        raise ConfigError(f"bad value for --nodes-per-block: the n x n edge draw of n = "
+                          f"{args.blocks * args.nodes_per_block} nodes does not fit ({e})") from None
     write_dataset(args.out, ds)
     print(f"wrote {ds.num_nodes} nodes, {ds.graph.num_edges} edges to {args.out}")
     return 0

@@ -290,18 +290,26 @@ def _csr(x: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((x.ravel()[flat], flat % d, indptr), shape=x.shape)
 
 
-def _read_features(path, lines: list[str], n: int, d: int) -> np.ndarray | sp.csr_matrix:
-    """The n x d table on lines 2 .. n+1 of a features file, in the form layer
-    0 multiplies: CSR when it has at least SPARSE_MIN_SIZE entries and at most
-    SPARSE_DENSITY of them are nonzero, dense otherwise. A CSR table stores
-    the entries that are != 0, so it drops -0.0 entries.
+def _read_features(path, n: int) -> np.ndarray | sp.csr_matrix:
+    """The n x d table of a features file with its 'n d' header, in the form
+    layer 0 multiplies: CSR when it has at least SPARSE_MIN_SIZE entries and
+    at most SPARSE_DENSITY of them are nonzero, dense otherwise. A CSR table
+    stores the entries that are != 0, so it drops -0.0 entries.
 
     A large table is read through read_table in row blocks of about
     FEATURE_BLOCK entries, each converted to CSR at once, so a sparse table
     never exists as one dense array. Once the nonzeros read so far make the
     table dense, the blocks are dropped and the table is read again into one
-    dense array, which keeps every bit.
+    dense array, which keeps every bit. The file's lines go on return.
     """
+    lines = read_lines(path)
+    if not lines or not lines[0].strip():
+        raise DatasetFormatError(path, 1, "missing 'n d' header")
+    fn, d = _ints(path, 1, lines[0], expect=2)
+    if fn != n:
+        raise DatasetFormatError(path, 1, f"node count {fn} does not match graph.txt ({n})")
+    if d < 1:
+        raise DatasetFormatError(path, 1, f"bad feature dim {d}")
     if n * d < SPARSE_MIN_SIZE:
         return read_table(path, lines, 2, n, np.float64, d)
     step = max(1, FEATURE_BLOCK // d)
@@ -345,15 +353,7 @@ def load_dataset(path) -> Dataset:
     duplicates = m - uv.shape[0]
 
     fpath = root / "features.txt"
-    flines = read_lines(fpath)
-    if not flines or not flines[0].strip():
-        raise DatasetFormatError(fpath, 1, "missing 'n d' header")
-    fn, d = _ints(fpath, 1, flines[0], expect=2)
-    if fn != n:
-        raise DatasetFormatError(fpath, 1, f"node count {fn} does not match graph.txt ({n})")
-    if d < 1:
-        raise DatasetFormatError(fpath, 1, f"bad feature dim {d}")
-    features = _read_features(fpath, flines, n, d)
+    features = _read_features(fpath, n)
     if not np.isfinite(features.data if sp.issparse(features) else features).all():
         raise DatasetFormatError(fpath, None, "non-finite feature values")
 

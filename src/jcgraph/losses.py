@@ -26,6 +26,7 @@ __all__ = [
     "LOSS_KINDS",
     "ClusterStats",
     "LossResult",
+    "loss_fn",
     "cluster_stats",
     "joint_label",
     "joint_forward",
@@ -65,13 +66,15 @@ class ClusterStats:
 
     counts[m] == 0 marks a cluster without labeled nodes whose rows hold the
     global labeled means instead. rows are the labeled node ids the means
-    average, which the cluster-mean gradients flow back to.
+    average, which the cluster-mean gradients flow back to; assign[u] is the
+    cluster of node u.
     """
 
     zbar: np.ndarray
     ybar: np.ndarray
     counts: np.ndarray
     rows: np.ndarray
+    assign: np.ndarray
 
 
 def _group_sum(index: np.ndarray, values: np.ndarray, groups: int) -> np.ndarray:
@@ -96,27 +99,25 @@ def cluster_stats(embeddings: np.ndarray, labels: LabelSet, train_mask: np.ndarr
     if (~nz).any():
         zbar[~nz] = embeddings[train_mask].mean(axis=0)
         ybar[~nz] = labels.matrix[train_mask].mean(axis=0)
-    return ClusterStats(zbar, ybar, counts, train_mask)
+    return ClusterStats(zbar, ybar, counts, train_mask, assign.assign)
 
 
-def scatter_cluster_grad(d_zbar: np.ndarray, assign: ClusterAssignment,
-                         rows: np.ndarray, counts: np.ndarray,
-                         out: np.ndarray) -> None:
+def scatter_cluster_grad(d_zbar: np.ndarray, stats: ClusterStats, out: np.ndarray) -> None:
     """Distribute d(loss)/d(zbar) onto the labeled rows the means average
     (1/L_m per member of cluster m).
 
     Rows with counts == 0 are global-fallback means, so their gradient flows
     to every labeled row with weight 1/L.
     """
-    a = assign.assign[rows]
+    rows, counts = stats.rows, stats.counts
+    a = stats.assign[rows]
     out[rows] += d_zbar[a] / counts[a, None]
     fb = counts == 0
     if fb.any():
         out[rows] += d_zbar[fb].sum(axis=0) / rows.size
 
 
-@dataclass
-class LossResult:
+class LossResult(NamedTuple):
     value: float
     d_embeddings: np.ndarray
     clf_grads: dict
@@ -225,11 +226,13 @@ def _mask(mask) -> np.ndarray:
     return mask
 
 
-def _sources(embeddings, labels, rows, assign, stats) -> dict:
-    """(inputs, labels) blocks by order letter for the given node rows."""
+def _sources(kind, embeddings, labels, rows, stats) -> dict:
+    """(inputs, labels) blocks by order letter for the node rows; c and k only if kind reads them."""
     src = {"z": (embeddings[rows], labels.matrix[rows])}
-    if assign is not None:
-        a, nz = assign.assign[rows], stats.counts > 0
+    if LOSS_KINDS[kind].needs_clusters:
+        if stats is None:
+            raise ValueError(f"{kind} loss needs cluster stats")
+        a, nz = stats.assign[rows], stats.counts > 0
         src["c"] = (stats.zbar[a], stats.ybar[a])
         src["k"] = (stats.zbar[nz], stats.ybar[nz])
     return src
@@ -275,8 +278,8 @@ def _add(acc: dict, key: str, v: np.ndarray) -> None:
     acc[key] = acc[key] + v if key in acc else v
 
 
-def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=None,
-          detach_cluster=False, beta=0.0) -> LossResult:
+def _head(kind, classifier, embeddings, labels, train_mask, stats, detach_cluster,
+          beta) -> LossResult:
     """The training head behind every *_loss: value and analytic gradients.
 
     Node streams are summed per node and averaged over the mask; the cluster
@@ -288,7 +291,7 @@ def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=N
         raise ValueError(f"{kind} loss does not support label kind {labels.kind!r}")
     w, b = _clf(classifier)
     mask = _mask(train_mask)
-    outs, ll, cluster = _forward(LOSS_KINDS[kind].streams, _sources(embeddings, labels, mask, assign, stats),
+    outs, ll, cluster = _forward(LOSS_KINDS[kind].streams, _sources(kind, embeddings, labels, mask, stats),
                                  w, b, labels.multi, beta)
     acc = {}
     for order, x, t, p in outs:
@@ -302,74 +305,76 @@ def _head(kind, classifier, embeddings, labels, train_mask, assign=None, stats=N
     d_emb = np.zeros_like(embeddings)
     d_emb[mask] += acc["z"]
     if not detach_cluster and ("c" in acc or "k" in acc):
-        d_zbar = (_group_sum(assign.assign[mask], acc["c"], len(stats.zbar)) if "c" in acc
+        d_zbar = (_group_sum(stats.assign[mask], acc["c"], len(stats.zbar)) if "c" in acc
                   else np.zeros_like(stats.zbar))
         if "k" in acc:
             d_zbar[stats.counts > 0] += acc["k"]
-        scatter_cluster_grad(d_zbar, assign, stats.rows, stats.counts, d_emb)
+        scatter_cluster_grad(d_zbar, stats, d_emb)
     grads = {"clf_w": acc["clf_w"], "clf_b": acc["clf_b"]}
     return LossResult(_value(ll, cluster), d_emb, grads)
 
 
-def ce_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSet,
-            train_mask: np.ndarray) -> LossResult:
+def loss_fn(kind: str) -> Callable[..., LossResult]:
+    """<kind>_loss, looked up on this module at each call, so a swapped module
+    attribute is what runs. Every *_loss has ce_loss's signature; stats is
+    cluster_stats' result, which a kind with cluster streams needs."""
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss {kind!r}")
+    return globals()[kind.replace("-", "_") + "_loss"]
+
+
+def ce_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSet, train_mask: np.ndarray,
+            stats: ClusterStats | None = None, *, detach_cluster=False, beta=0.0) -> LossResult:
     """Independent cross-entropy, mean over the mask.
 
     Multi-label sets use per-class sigmoid cross-entropy.
     """
-    return _head("ce", classifier, embeddings, labels, train_mask)
+    return _head("ce", classifier, embeddings, labels, train_mask, stats, detach_cluster, beta)
 
 
-def jc_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSet,
-            train_mask: np.ndarray, assign: ClusterAssignment, stats: ClusterStats,
-            detach_cluster: bool = False) -> LossResult:
+def jc_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSet, train_mask: np.ndarray,
+            stats: ClusterStats | None = None, *, detach_cluster=False, beta=0.0) -> LossResult:
     """Joint-cluster cross-entropy with its symmetric swapped-order term.
 
     Per node: target y ybar^T against softmax(g(con(z, zbar))) plus target
     ybar y^T against softmax(g(con(zbar, z))), averaged over the mask.
     """
-    return _head("jc", classifier, embeddings, labels, train_mask, assign, stats,
-                 detach_cluster)
+    return _head("jc", classifier, embeddings, labels, train_mask, stats, detach_cluster, beta)
 
 
-def ic_loss(classifier: dict, embeddings: np.ndarray, stats: ClusterStats,
-            labels: LabelSet, train_mask: np.ndarray, assign: ClusterAssignment,
-            detach_cluster: bool = False) -> LossResult:
+def ic_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSet, train_mask: np.ndarray,
+            stats: ClusterStats | None = None, *, detach_cluster=False, beta=0.0) -> LossResult:
     """In-context baseline: plain CE on c logits from con(z, zbar)."""
-    return _head("ic", classifier, embeddings, labels, train_mask, assign, stats,
-                 detach_cluster)
+    return _head("ic", classifier, embeddings, labels, train_mask, stats, detach_cluster, beta)
 
 
-def mixup_loss(classifier: dict, embeddings: np.ndarray, stats: ClusterStats,
-               labels: LabelSet, train_mask: np.ndarray, assign: ClusterAssignment,
-               beta: float, detach_cluster: bool = False) -> LossResult:
+def mixup_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSet, train_mask: np.ndarray,
+               stats: ClusterStats | None = None, *, detach_cluster=False, beta=0.0) -> LossResult:
     """CE on nodes plus beta times CE of the classifier on cluster means.
 
     The cluster term targets the soft mean label ybar and averages over
-    clusters that contain labeled nodes.
+    clusters that contain labeled nodes. Only this loss reads beta.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return _head("mixup", classifier, embeddings, labels, train_mask, assign, stats,
-                 detach_cluster, beta)
+    return _head("mixup", classifier, embeddings, labels, train_mask, stats, detach_cluster, beta)
 
 
 def jc_multilabel_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSet,
-                       train_mask: np.ndarray, assign: ClusterAssignment,
-                       stats: ClusterStats, detach_cluster: bool = False) -> LossResult:
+                       train_mask: np.ndarray, stats: ClusterStats | None = None, *,
+                       detach_cluster=False, beta=0.0) -> LossResult:
     """Joint-cluster loss for c binary tasks, one 2x2 joint table per task.
 
     Each task's 4 logits are softmaxed against the outer product of
     [1-y_t, y_t] and [1-ybar_t, ybar_t]; the symmetric swapped-order term is
     included as in the single-label loss. The classifier emits 4c logits.
     """
-    return _head("jc-multilabel", classifier, embeddings, labels, train_mask, assign,
-                 stats, detach_cluster)
+    return _head("jc-multilabel", classifier, embeddings, labels, train_mask, stats,
+                 detach_cluster, beta)
 
 
 def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: LabelSet,
-              splits: list, assign: ClusterAssignment | None = None,
-              stats: ClusterStats | None = None,
+              splits: list, stats: ClusterStats | None = None,
               beta: float = 0.0) -> tuple[np.ndarray, list[float]]:
     """Class probabilities on the split rows and the loss value on each split.
 
@@ -384,7 +389,7 @@ def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: Label
     splits = [_mask(s) for s in splits]
     rows = np.unique(np.concatenate(splits))
     loss = LOSS_KINDS[kind]
-    outs, ll, cluster = _forward(loss.streams, _sources(embeddings, labels, rows, assign, stats),
+    outs, ll, cluster = _forward(loss.streams, _sources(kind, embeddings, labels, rows, stats),
                                  w, b, labels.multi, beta)
     values = [_value(ll[np.searchsorted(rows, s)], cluster) for s in splits]
     probs = np.full((len(embeddings), labels.num_classes), np.nan)

@@ -359,8 +359,8 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5) -> fl
     """Max relative error between analytic and central-difference gradients.
 
     loss_fn(params, embeddings, data) must return (loss, d_embeddings,
-    classifier_grads). Dropout must be disabled and the model must have at
-    most 500 scalars.
+    classifier_grads), as a public loss's LossResult is. Dropout must be
+    disabled and the model must have at most 500 scalars.
     """
     if spec.dropout != 0.0:
         raise ValueError("grad_check requires dropout disabled")

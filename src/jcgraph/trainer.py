@@ -87,6 +87,9 @@ class TrainConfig:
             raise ValueError(f"unknown partition method {self.partition!r}")
         if self.partition == "file" and self.clusters_file is None:
             raise ValueError("partition method 'file' needs clusters_file")
+        if self.partition != "file" and self.clusters_file is not None:
+            raise ValueError(f"clusters_file is read by partition method 'file' only, "
+                             f"got partition {self.partition!r}")
         for key in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
@@ -175,20 +178,6 @@ def _setup(cfg: TrainConfig, data: Dataset, targets: list):
     return [plan.restrict(t) for t in targets], assign
 
 
-def _loss_on(cfg, params, z, data, mask, assign, stats) -> losses.LossResult:
-    """cfg.loss's public losses.*_loss, looked up on the module at each call."""
-    if cfg.loss == "ce":
-        return losses.ce_loss(params, z, data.labels, mask)
-    if cfg.loss == "ic":
-        return losses.ic_loss(params, z, stats, data.labels, mask, assign,
-                              detach_cluster=cfg.detach_cluster)
-    if cfg.loss == "mixup":
-        return losses.mixup_loss(params, z, stats, data.labels, mask, assign,
-                                 cfg.beta, detach_cluster=cfg.detach_cluster)
-    joint = losses.jc_loss if cfg.loss == "jc" else losses.jc_multilabel_loss
-    return joint(params, z, data.labels, mask, assign, stats, detach_cluster=cfg.detach_cluster)
-
-
 def _eval_pass(cfg, params, plan: RowPlan, data, assign, splits):
     """Predictions and the loss on each split: the one eval path.
 
@@ -198,7 +187,7 @@ def _eval_pass(cfg, params, plan: RowPlan, data, assign, splits):
     z, _ = encoder_forward(params, plan, train_mode=False)
     stats = (losses.cluster_stats(z, data.labels, data.masks.train, assign)
              if assign is not None else None)
-    return losses.eval_pass(cfg.loss, params, z, data.labels, splits, assign, stats, cfg.beta)
+    return losses.eval_pass(cfg.loss, params, z, data.labels, splits, stats, cfg.beta)
 
 
 def _indicators(probs, data, mask):
@@ -271,7 +260,8 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, dict[
                                           seed=[cfg.seed, 1, epoch])
                 stats = (losses.cluster_stats(z, data.labels, masks.train, assign)
                          if assign is not None else None)
-                res = _loss_on(cfg, params, z, data, masks.train, assign, stats)
+                res = losses.loss_fn(cfg.loss)(params, z, data.labels, masks.train, stats,
+                                               detach_cluster=cfg.detach_cluster, beta=cfg.beta)
                 if not np.isfinite(res.value):
                     raise NumericsError("non-finite loss")
                 grads = model_backward(tape, res.d_embeddings)

@@ -17,9 +17,8 @@ import pytest
 from jcgraph.attack import robustness_sweep
 from jcgraph.cli import main as cli_main
 from jcgraph.graph import gen_sbm, load_dataset, normalize_adjacency, spmm, write_dataset
-from jcgraph.losses import (ce_loss, cluster_stats, ic_loss, jc_loss,
-                            jc_multilabel_loss, joint_forward, joint_label,
-                            marginalize, mixup_loss, predict_joint)
+from jcgraph.losses import (cluster_stats, joint_forward, joint_label, loss_fn, marginalize,
+                            predict_joint)
 from jcgraph.metrics import loss_gap
 from jcgraph.nn import ModelSpec, grad_check, init_params
 from jcgraph.partition import (edge_cut_stats, partition_kmeans,
@@ -151,19 +150,8 @@ class TestCriterion7PropertySuite:
 
         def closure(loss):
             def fn(params, z, data):
-                if loss == "ce":
-                    r = ce_loss(params, z, data.labels, mask)
-                else:
-                    st = cluster_stats(z, data.labels, mask, assign)
-                    if loss == "jc":
-                        r = jc_loss(params, z, data.labels, mask, assign, st)
-                    elif loss == "ic":
-                        r = ic_loss(params, z, st, data.labels, mask, assign)
-                    elif loss == "mixup":
-                        r = mixup_loss(params, z, st, data.labels, mask, assign, beta=0.7)
-                    else:
-                        r = jc_multilabel_loss(params, z, data.labels, mask, assign, st)
-                return r.value, r.d_embeddings, r.clf_grads
+                st = cluster_stats(z, data.labels, mask, assign)
+                return loss_fn(loss)(params, z, data.labels, mask, st, beta=0.7)
             return fn
 
         worst = 0.0

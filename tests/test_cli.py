@@ -54,6 +54,20 @@ class TestGenSbm:
         assert not (tmp_path / "x").exists()
 
 
+    def test_unallocatable_draw_exit_2(self, tmp_path, monkeypatch, capsys):
+        import jcgraph.cli as cli_mod
+
+        def too_big(*args):  # what numpy raises for the 400000 x 400000 draw
+            raise MemoryError("Unable to allocate 1.16 TiB")
+        monkeypatch.setattr(cli_mod, "gen_sbm", too_big)
+        rc = main(["gen-sbm", "--nodes-per-block", "100000", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for --nodes-per-block: ")
+        assert "n = 400000 nodes" in err and "Unable to allocate" in err
+        assert not (tmp_path / "x").exists()
+
+
 class TestPartitionCmd:
     def test_two_clique_toy(self, tmp_path, capsys):
         # two disjoint cliques: metis-like finds the zero cut
@@ -257,6 +271,28 @@ class TestTrainCmd:
         err = capsys.readouterr().err
         assert "error:" in err and "clusters_file" in err
         assert not (tmp_path / "r.result").exists()
+
+    @pytest.mark.parametrize("partition", ["metis-like", "kmeans", "random"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_clusters_file_for_another_partition_exit_2(self, sbm_dir, tmp_path, monkeypatch,
+                                                        capsys, partition, where):
+        import jcgraph.trainer as train_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("an epoch ran before the config was checked")
+        monkeypatch.setattr(train_mod, "encoder_forward", never)
+        missing = tmp_path / "nope.txt"
+        extra = {"clusters_file": missing} if where == "config" else {}
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+                            partition=partition, clusters=3, epochs=3, hidden=8, **extra)
+        flag = ["--clusters-file", str(missing)] if where == "flag" else []
+        sweep = ["--ratios", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")]
+        for argv in (["train", str(cfgf)], ["attack", str(cfgf)] + sweep):
+            assert main(argv + flag) == 2
+            err = capsys.readouterr().err
+            assert err == ("error: clusters_file is read by partition method 'file' only, "
+                           f"got partition {partition!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_runtime_failure_exit_1(self, sbm_dir, tmp_path, monkeypatch):
         import jcgraph.cli as cli_mod

@@ -36,18 +36,6 @@ def reference_probs(kind, params, z, ids, stats, label_kind):
     return p[:, :, 2] + p[:, :, 3]
 
 
-def loss_value(kind, params, z, labels, mask, assign, stats, beta):
-    if kind == "ce":
-        return losses.ce_loss(params, z, labels, mask).value
-    if kind == "jc":
-        return losses.jc_loss(params, z, labels, mask, assign, stats).value
-    if kind == "ic":
-        return losses.ic_loss(params, z, stats, labels, mask, assign).value
-    if kind == "mixup":
-        return losses.mixup_loss(params, z, stats, labels, mask, assign, beta).value
-    return losses.jc_multilabel_loss(params, z, labels, mask, assign, stats).value
-
-
 def random_case(seed, kind, multilabel):
     """A random small graph, its gcn embeddings, labels, masks and a partition
     with at least one cluster that holds no labeled node."""
@@ -86,9 +74,9 @@ def test_eval_pass_matches_losses_and_predictors(seed, kind, multilabel, beta):
     if kind == "ce":
         assign, stats = None, None
     splits = [train, *others]
-    probs, values = losses.eval_pass(kind, params, z, labels, splits, assign, stats, beta)
+    probs, values = losses.eval_pass(kind, params, z, labels, splits, stats, beta)
     for mask, value in zip(splits, values):
-        ref = loss_value(kind, params, z, labels, mask, assign, stats, beta)
+        ref = losses.loss_fn(kind)(params, z, labels, mask, stats, beta=beta).value
         assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
     # predictions exist on the split rows only; the other rows are NaN
     rows = np.unique(np.concatenate(splits))
@@ -116,7 +104,7 @@ def test_single_node_helpers_match_eval_pass(seed):
     bits can differ, since its logit GEMM has one row."""
     params, z, labels, train, others, assign = random_case(seed, "jc", False)
     stats = losses.cluster_stats(z, labels, train, assign)
-    probs, _ = losses.eval_pass("jc", params, z, labels, [train, *others], assign, stats)
+    probs, _ = losses.eval_pass("jc", params, z, labels, [train, *others], stats)
     for u in np.unique(np.concatenate([train, *others])):
         table = losses.joint_forward(params, z[u], stats.zbar[assign.assign[u]])
         np.testing.assert_allclose(losses.marginalize(table), probs[u], rtol=0, atol=1e-12)

@@ -73,7 +73,7 @@ class TestTrainLoop:
             train(TrainConfig(spec=spec, loss="jc-multilabel", clusters=4), easy_sbm)
 
     def test_non_finite_loss_aborts_with_epoch(self, easy_sbm, monkeypatch):
-        def bad_loss(params, z, labels, mask):
+        def bad_loss(params, z, labels, mask, stats=None, *, detach_cluster=False, beta=0.0):
             return LossResult(float("nan"), np.zeros_like(z),
                               {"clf_w": 0.0, "clf_b": 0.0})
         monkeypatch.setattr(train_mod.losses, "ce_loss", bad_loss)
