@@ -2,7 +2,7 @@
 against joint-cluster training with marginalized inference."""
 
 from .graph import (Dataset, DatasetFormatError, Graph, LabelSet, SplitMasks,
-                    gen_sbm, imbalance_ratio, load_dataset, normalize_adjacency,
+                    gen_sbm, load_dataset, normalize_adjacency,
                     spmm, write_dataset)
 from .losses import (ClusterStats, ce_loss, cluster_stats, ic_loss, jc_loss,
                      jc_multilabel_loss, joint_forward, joint_label, loss_fn,
@@ -14,6 +14,6 @@ from .partition import (ClusterAssignment, CutStats, edge_cut_stats,
                         partition_kmeans, partition_metis_like, partition_random)
 from .attack import AttackSpec, random_attack, robustness_sweep
 from .trainer import (MultiSeedResult, RunResult, TrainConfig, TrainingError,
-                    evaluate, multi_seed, train)
+                      multi_seed, train)
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import Dataset, Graph
-from .trainer import TrainConfig, TrainingError, train, validate
+from .trainer import TrainConfig, TrainingError, make_partition, train, validate
 
 __all__ = [
     "AttackSpec",
@@ -110,13 +110,15 @@ def robustness_sweep(data: Dataset, ratios, cfg_ce: TrainConfig, cfg_jc: TrainCo
     For every (ratio, seed) cell the graph is re-poisoned with that seed and
     both configs are trained on the same poisoned graph. Every ratio, and
     both configs on the clean graph (poisoning keeps the nodes), are checked
-    before the first training.
+    before the first training, and so is a cluster file, which every jc run reads.
     """
     ratios = check_ratios(data.graph, ratios)
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     for cfg in (cfg_ce, cfg_jc):
         validate(cfg, data)
+    if cfg_jc.partition == "file":
+        make_partition("file", data, cfg_jc.clusters, cfg_jc.seed, cfg_jc.clusters_file)
     rows = []
     for ratio in ratios:
         accs = {"ce": [], "jc": []}
@@ -124,12 +126,11 @@ def robustness_sweep(data: Dataset, ratios, cfg_ce: TrainConfig, cfg_jc: TrainCo
             poisoned = random_attack(data.graph, AttackSpec(ratio, seed=cfg_ce.seed + s))
             pdata = Dataset(poisoned, data.features, data.labels, data.masks)
             for name, cfg in (("ce", cfg_ce), ("jc", cfg_jc)):
-                try:
-                    result = train(replace(cfg, seed=cfg.seed + s), pdata)
+                try:  # the accuracy only, so no run's parameters outlive it
+                    accs[name].append(train(replace(cfg, seed=cfg.seed + s), pdata).test_acc)
                 except TrainingError as e:
                     raise TrainingError(f"ratio {ratio} seed {cfg.seed + s}: {e}",
                                         epoch=e.epoch, seed=cfg.seed + s) from e
-                accs[name].append(result.test_acc)
         for name in ("ce", "jc"):
             vals = np.asarray(accs[name])
             rows.append(SweepRow(ratio, name, float(vals.mean()), float(vals.std()), seeds))

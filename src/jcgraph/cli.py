@@ -20,7 +20,7 @@ from .losses import LOSS_KINDS
 from .nn import ModelSpec, NumericsError, save_checkpoint
 from .partition import edge_cut_stats, write_assignment
 from .trainer import (PARTITION_METHODS, TrainConfig, TrainingError, check_clusters,
-                      make_partition, train_with_params, write_curves, write_result)
+                      make_partition, train, write_curves, write_result)
 
 __all__ = ["main"]
 
@@ -155,7 +155,7 @@ def build_train_config(cfg: dict, data) -> TrainConfig:
 def cmd_partition(args) -> int:
     _check_out(args.out)
     data = load_dataset(args.dataset)
-    check_clusters(args.method, args.clusters, data, key="--clusters")
+    check_clusters(args.clusters, data, key="--clusters")
     _make_out_dir(args.out)
     a = make_partition(args.method, data, args.clusters, args.seed)
     write_assignment(args.out, a)
@@ -181,10 +181,10 @@ def cmd_train(args) -> int:
     cfg = build_train_config(cfg_raw, data)
     out = Path(cfg_raw["out"])
     _make_out_dir(out)
-    result, best_params = train_with_params(cfg, data)
+    result = train(cfg, data)
     write_result(f"{out}.result", cfg, result)
     write_curves(f"{out}.curves.csv", result)
-    save_checkpoint(f"{out}.ckpt", cfg.spec, best_params)
+    save_checkpoint(f"{out}.ckpt", cfg.spec, result.params)
     print(f"seconds_per_epoch={result.seconds_per_epoch:.4f}", file=sys.stderr)
     print(f"test_acc={result.test_acc!r} f1_micro={result.test_f1_micro!r} "
           f"ece={result.test_ece!r}")

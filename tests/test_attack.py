@@ -10,7 +10,7 @@ from conftest import rng_graph
 
 
 def complete_graph(n):
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph.from_undirected_pairs(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def one_pair_attack(g, spec):

@@ -67,6 +67,24 @@ class TestGenSbm:
         assert "n = 400000 nodes" in err and "Unable to allocate" in err
         assert not (tmp_path / "x").exists()
 
+    def test_unallocatable_features_exit_2(self, tmp_path, monkeypatch, capsys):
+        import jcgraph.graph as graph_mod
+
+        class NoRoom:  # what numpy raises for the 4 x 10^12 centroid draw
+            def __init__(self, seed):
+                pass
+
+            def normal(self, size):
+                raise MemoryError("Unable to allocate 29.1 TiB")
+        monkeypatch.setattr(graph_mod.np.random, "default_rng", NoRoom)
+        rc = main(["gen-sbm", "--feat-dim", "1000000000000", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: feat_dim = 1000000000000: the 200 x 1000000000000 "
+                              "feature table does not fit (Unable to allocate")
+        assert "nodes-per-block" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestPartitionCmd:
     def test_two_clique_toy(self, tmp_path, capsys):
@@ -75,7 +93,7 @@ class TestPartitionCmd:
         import numpy as np
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         edges += [(u + 4, v + 4) for u, v in edges]
-        g = Graph.from_edges(8, edges)
+        g = Graph.from_undirected_pairs(8, edges)
         mat = np.zeros((8, 2))
         mat[np.arange(8), np.arange(8) // 4] = 1
         ds = Dataset(g, np.eye(8), LabelSet(2, "s", mat),
@@ -105,9 +123,11 @@ class TestPartitionCmd:
         assert (written.assign == expected.assign).all()
 
     def test_bad_m_exit_2(self, sbm_dir, tmp_path, capsys):
-        for m in ("0", "100"):  # the dataset has 60 nodes
-            rc = main(["partition", "--dataset", str(sbm_dir), "--clusters", m,
-                       "--out", str(tmp_path / "a.txt")])
+        # the dataset has 60 nodes, and no method makes more clusters than nodes
+        for method, m in (("metis-like", "0"), ("metis-like", "100"),
+                          ("random", "1000000000000")):
+            rc = main(["partition", "--dataset", str(sbm_dir), "--method", method,
+                       "--clusters", m, "--out", str(tmp_path / "a.txt")])
             assert rc == 2
             assert "error: --clusters" in capsys.readouterr().err
             assert not (tmp_path / "a.txt").exists()
@@ -258,6 +278,48 @@ class TestTrainCmd:
         assert f"error: {clusters}:61: cluster id 3 out of range" in capsys.readouterr().err
         assert not (tmp_path / "r.result").exists()
 
+    def test_clusters_file_with_more_clusters_than_nodes_exit_2(self, sbm_dir, tmp_path,
+                                                                capsys):
+        clusters = tmp_path / "a.txt"
+        clusters.write_text("60 1000000000000\n" + "0\n" * 60)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+                            partition="file", clusters_file=clusters, epochs=3, hidden=8)
+        assert main(["train", str(cfgf)]) == 2
+        assert capsys.readouterr().err == (f"error: {clusters}:1: bad header n=60 "
+                                           "m=1000000000000: need 0 <= n and m <= n\n")
+        assert not (tmp_path / "r.result").exists()
+
+    def test_random_clusters_above_n_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys):
+        # the --clusters 100 row above covers metis-like
+        import jcgraph.trainer as train_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("an epoch ran before the config was checked")
+        monkeypatch.setattr(train_mod, "encoder_forward", never)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+                            partition="random", clusters=1000000000000, epochs=3, hidden=8)
+        sweep = ["--ratios", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")]
+        for argv in (["train", str(cfgf)], ["attack", str(cfgf)] + sweep):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == ("error: clusters must be in 1 .. the dataset's 60 "
+                                               "nodes, got 1000000000000\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_unallocatable_weights_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys):
+        import jcgraph.trainer as train_mod
+
+        def no_room(spec, seed):  # what numpy raises for the 6 x 10^12 first weight
+            raise MemoryError("Unable to allocate 43.7 TiB")
+        monkeypatch.setattr(train_mod, "init_params", no_room)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+                            clusters=3, epochs=3, hidden=1000000000000)
+        sweep = ["--ratios", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")]
+        for argv in (["train", str(cfgf)], ["attack", str(cfgf)] + sweep):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == ("error: hidden = 1000000000000: the model's "
+                                               "weights do not fit (Unable to allocate 43.7 TiB)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_file_partition_without_clusters_file_exit_2(self, sbm_dir, tmp_path, capsys,
                                                          monkeypatch):
         import jcgraph.trainer as train_mod
@@ -298,7 +360,7 @@ class TestTrainCmd:
         import jcgraph.cli as cli_mod
         def boom(cfg, data):
             raise TrainingError("non-finite loss at epoch 3", epoch=3)
-        monkeypatch.setattr(cli_mod, "train_with_params", boom)
+        monkeypatch.setattr(cli_mod, "train", boom)
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r")
         assert main(["train", str(cfgf)]) == 1
 
@@ -344,6 +406,23 @@ class TestAttackCmd:
                    "--out", str(tmp_path / "sweep.csv")])
         assert rc == 2
         assert "--ratios" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_bad_clusters_file_fails_before_training(self, sbm_dir, tmp_path, monkeypatch,
+                                                     capsys):
+        import jcgraph.attack as attack_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("train ran before the cluster file was read")
+        monkeypatch.setattr(attack_mod, "train", never)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("60 3\n0\n1\nx\n" + "0\n" * 57)
+        cfgf = write_config(tmp_path / "atk.cfg", sbm_dir, tmp_path / "r", partition="file",
+                            clusters_file=bad, epochs=3, hidden=8)
+        rc = main(["attack", str(cfgf), "--ratios", "0.5", "--seeds", "1",
+                   "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}:4: expected integers, got 'x'\n"
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("loss", ["nosuch", "ic"])
@@ -417,7 +496,7 @@ def _stub_work(monkeypatch, out):
     def stub(*args, **kwargs):
         seen.append(out.parent.is_dir())
         raise TrainingError("stopped")
-    for name in ("train_with_params", "robustness_sweep", "make_partition", "gen_sbm"):
+    for name in ("train", "robustness_sweep", "make_partition", "gen_sbm"):
         monkeypatch.setattr(cli_mod, name, stub)
     return seen
 

