@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .attack import check_ratios, robustness_sweep, write_sweep_csv
-from .graph import DatasetFormatError, gen_sbm, load_dataset, write_dataset
+from .graph import DatasetFormatError, gen_sbm, load_dataset, read_lines, write_dataset
 from .losses import LOSS_KINDS
 from .nn import ModelSpec, NumericsError, save_checkpoint
 from .partition import edge_cut_stats, write_assignment
@@ -85,11 +85,9 @@ DEFAULTS = {"dataset": None, "out": "run", "encoder": "gcn", "layers": 2, "hidde
 def read_config(path) -> dict:
     """Parse a flat key=value config; unknown and repeated keys are rejected."""
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"{p}: missing config file")
     cfg = dict(DEFAULTS)
     first = {}  # key -> line that set it
-    for lineno, line in enumerate(p.read_text().split("\n"), start=1):
+    for lineno, line in enumerate(read_lines(p), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

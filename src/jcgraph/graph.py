@@ -198,10 +198,14 @@ def dense_features(x: np.ndarray | sp.csr_matrix) -> np.ndarray:
 
 
 def read_lines(path) -> list[str]:
-    """A text file's lines, split at each newline."""
+    """A UTF-8 text file's lines, split at each newline."""
     if not Path(path).is_file():
         raise DatasetFormatError(path, None, "missing file")
-    return Path(path).read_text().split("\n")
+    try:
+        return Path(path).read_text().split("\n")
+    except UnicodeDecodeError as e:  # named at the line that holds the bad byte
+        bad = f"byte {e.object[e.start]:#04x} is not {e.encoding} text ({e.reason})"
+        raise DatasetFormatError(path, len(e.object[:e.start + 1].splitlines()), bad) from None
 
 
 def _ints(path, lineno, line, expect=None):
@@ -329,7 +333,10 @@ def load_dataset(path) -> Dataset:
     pairs = read_table(gpath, glines, 2, m, np.int64, 2, [
         (lambda t: t[:, 0] == t[:, 1], lambda r: f"self loop {r[0]} {r[1]} not allowed"),
         (lambda t: (t < 0) | (t >= n), lambda r: f"edge ({r[0]},{r[1]}) out of range for n={n}")])
-    graph = Graph.from_undirected_pairs(n, pairs)
+    try:  # numpy raises ValueError for a size past its index range
+        graph = Graph.from_undirected_pairs(n, pairs)
+    except (MemoryError, ValueError) as e:
+        raise DatasetFormatError(gpath, 1, f"node count {n}: the graph does not fit ({e})") from None
     duplicates = m - graph.num_edges
 
     fpath = root / "features.txt"
@@ -358,7 +365,10 @@ def load_dataset(path) -> Dataset:
         rule = (lambda t: (t != 0) & (t != 1), lambda r: "non-binary label entries")
     table = read_table(lpath, llines, 2, n, np.int64, 1 if kind == "s" else c, [rule])
     if kind == "s":
-        matrix = np.zeros((n, c), dtype=np.float64)
+        try:  # numpy raises ValueError for a size past its index range
+            matrix = np.zeros((n, c), dtype=np.float64)
+        except (MemoryError, ValueError) as e:
+            raise DatasetFormatError(lpath, 1, f"class count {c}: the labels do not fit ({e})") from None
         matrix[np.arange(n), table[:, 0]] = 1.0
     else:
         matrix = table.astype(np.float64)
@@ -389,11 +399,6 @@ def load_dataset(path) -> Dataset:
     return Dataset(graph, features, labels, SplitMasks(**masks), duplicate_edges=duplicates)
 
 
-def _fmt(x: float) -> str:
-    # repr of a python float is the shortest exact round-trip form
-    return repr(float(x))
-
-
 def write_dataset(path, ds: Dataset) -> None:
     """Write the four-file text format; load_dataset round-trips bit-exactly."""
     root = Path(path)
@@ -410,7 +415,8 @@ def write_dataset(path, ds: Dataset) -> None:
         n, d = features.shape
         f.write(f"{n} {d}\n")
         for row in features:
-            f.write(" ".join(_fmt(x) for x in row) + "\n")
+            # repr of a python float is the shortest exact round-trip form
+            f.write(" ".join(repr(float(x)) for x in row) + "\n")
 
     with open(root / "labels.txt", "w", newline="\n") as f:
         f.write(f"{ds.num_nodes} {ds.labels.num_classes} {ds.labels.kind}\n")

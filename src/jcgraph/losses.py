@@ -65,9 +65,9 @@ class ClusterStats:
     """Per-cluster mean embedding and mean label over the labeled rows.
 
     counts[m] == 0 marks a cluster without labeled nodes whose rows hold the
-    global labeled means instead. rows are the labeled node ids the means
-    average, which the cluster-mean gradients flow back to; assign[u] is the
-    cluster of node u.
+    global labeled means instead. rows are the labeled rows of the embeddings
+    that the means average, which the cluster-mean gradients flow back to;
+    assign[u] is the cluster of embedding row u.
     """
 
     zbar: np.ndarray
@@ -375,15 +375,15 @@ def jc_multilabel_loss(classifier: dict, embeddings: np.ndarray, labels: LabelSe
 
 def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: LabelSet,
               splits: list, stats: ClusterStats | None = None,
-              beta: float = 0.0) -> tuple[np.ndarray, list[float]]:
-    """Class probabilities on the split rows and the loss value on each split.
+              beta: float = 0.0) -> tuple[list[np.ndarray], list[float]]:
+    """Class probabilities and the loss value on each split: one block per
+    split, row i for the split's i-th row.
 
     The values equal <kind>_loss(...).value on each split, with no gradient
     work. Every stream, its logit GEMM included, runs on the union of the
     split rows only, so the probabilities are the bits that the predictor
     formulas give on those rows; they can differ in the last bits from an
-    all-nodes pass, whose GEMM has another height. Rows outside the splits
-    hold NaN.
+    all-nodes pass, whose GEMM has another height.
     """
     w, b = _clf(classifier)
     splits = [_mask(s) for s in splits]
@@ -391,10 +391,9 @@ def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: Label
     loss = LOSS_KINDS[kind]
     outs, ll, cluster = _forward(loss.streams, _sources(kind, embeddings, labels, rows, stats),
                                  w, b, labels.multi, beta)
-    values = [_value(ll[np.searchsorted(rows, s)], cluster) for s in splits]
-    probs = np.full((len(embeddings), labels.num_classes), np.nan)
-    probs[rows] = loss.marginal(outs[0][3], labels.num_classes)
-    return probs, values
+    probs = loss.marginal(outs[0][3], labels.num_classes)
+    at = [np.searchsorted(rows, s) for s in splits]
+    return [probs[i] for i in at], [_value(ll[i], cluster) for i in at]
 
 
 # ---------------------------------------------------------------------------

@@ -126,13 +126,14 @@ class RowPlan:
     the blocks a step multiplies: the one input of encoder_forward.
 
     rows[L] are the sorted target ids and rows[k-1] the Â-neighbourhood of
-    rows[k] (the targets again for mlp); the all-rows plan lists every id. A
-    step holds layer k's input, dropout mask and gradient as compact blocks
-    of the rows[k] rows. Layer k multiplies adj_rows[k], the rows[k+1] x
-    rows[k] block of Â as scipy cuts it (adj[rows[k + 1]][:, rows[k]]: columns
-    numbered by position in rows[k], each row's entries in Â's order), and
-    its backward pass the transpose of that block; the entries a block drops
-    meet only zero rows in a product over all rows.
+    rows[k] (the targets again for mlp); the all-rows plan, and every sgc
+    plan, lists every id. A step holds layer k's input, dropout mask and
+    gradient as compact blocks of the rows[k] rows, and the embeddings as the
+    block of the rows[L] rows. Layer k multiplies adj_rows[k], the rows[k+1]
+    x rows[k] block of Â as scipy cuts it (adj[rows[k + 1]][:, rows[k]]:
+    columns numbered by position in rows[k], each row's entries in Â's
+    order), and its backward pass the transpose of that block; the entries a
+    block drops meet only zero rows in a product over all rows.
     x is the input as layer 0 multiplies it (dense, or CSR as load_dataset
     gives a large sparse feature table), x_rows its rows[0] rows and x_pos,
     for a CSR input, the positions of x_rows' entries in x. sgc holds Â^K X
@@ -282,9 +283,8 @@ def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed:
     mlp: K rounds of z <- relu(z W + b). Dropout precedes every linear layer
     in train mode.
 
-    Every layer runs on compact blocks of its plan rows, and the targets'
-    embeddings are placed into rows of zeros at the end (plan_rows computes
-    every row). sgc's embeddings are the plan's own array: do not change them.
+    Every layer runs on compact blocks of its plan rows; the embeddings are
+    the block of plan.rows[-1], for sgc the plan's own array: do not change it.
     """
     spec = plan.spec
     if spec.encoder == "sgc":
@@ -311,9 +311,7 @@ def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed:
         h = np.maximum(s, 0.0, out=s) if relu else s
         caches.append({"inp": inp, "mask": mask, "out": h, "relu": relu, "k": k, "w": w})
     _check_finite(h)
-    z = np.zeros((plan.x.shape[0], h.shape[1]))
-    z[plan.rows[-1]] = h
-    return z, GradientTape(plan, caches)
+    return h, GradientTape(plan, caches)
 
 
 def _check_finite(z):
@@ -322,21 +320,19 @@ def _check_finite(z):
 
 
 def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic gradients of every encoder parameter given d(loss)/d(embeddings).
-
-    Rows of loss_grad outside the plan's targets are ignored.
-    """
+    """Analytic gradients of every encoder parameter given d(loss)/d(embeddings),
+    a block of encoder_forward's shape."""
     if tape.used:
         raise RuntimeError("gradient tape already consumed")
     tape.used = True
     plan = tape.plan
     spec = plan.spec
+    shape = (plan.rows[-1].size, spec.embed_dim)
+    if np.shape(loss_grad) != shape:
+        raise ValueError(f"loss gradient has shape {np.shape(loss_grad)}, the embeddings {shape}")
     if spec.encoder == "sgc":
         return {}
-    d = np.asarray(loss_grad, dtype=np.float64)
-    if d.shape[1] != spec.embed_dim:
-        raise ValueError(f"loss gradient has shape {d.shape}, embed dim is {spec.embed_dim}")
-    d = d[plan.rows[-1]]  # a copy, updated in place below
+    d = np.array(loss_grad, dtype=np.float64)  # a copy, updated in place below
     grads = {}
     for cache in reversed(tape.layers):
         k = cache["k"]
@@ -386,10 +382,8 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5) -> fl
 
     worst = 0.0
     for name in params:
-        a = analytic.get(name)
-        a = np.zeros_like(params[name]) if a is None else a
         flat = params[name].reshape(-1)
-        aflat = np.asarray(a, dtype=np.float64).reshape(-1)
+        aflat = np.asarray(analytic.get(name, np.zeros_like(flat)), dtype=np.float64).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -417,9 +411,7 @@ def adam_step(params: dict, grads: dict, state: dict, *, lr: float,
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
+        g = grads.get(name, 0.0)  # no gradient: zero
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for {name}")
         if weight_decay:

@@ -6,7 +6,8 @@ epoch's embeddings (gradients flow through them unless detach_cluster is
 set), and from each evaluated model's embeddings for inference, always
 over labeled nodes only. A training step computes only the embeddings of
 the train rows and their receptive field, an eval those of every split, on
-compact blocks of those rows (see nn.RowPlan). Sparse products, dropout and
+compact blocks of those rows (see nn.RowPlan); labels, cluster ids and
+masks are cut to the embeddings' rows once. Sparse products, dropout and
 element-wise steps give the bits of a pass over every row; a dense product
 over fewer rows can differ from it in the last bits.
 """
@@ -166,27 +167,26 @@ def make_partition(method: str, data: Dataset, m: int, seed: int,
     return a
 
 
-def _indicators(probs, data, mask):
-    """Predicted and true 0/1 class matrices on mask: the argmax one-hot rows
-    (single-label) or each class's probability >= 0.5 (multi-label)."""
-    p = probs[mask]
+def _indicators(p, data, mask):
+    """Predicted and true 0/1 class matrices of mask's rows, p their class
+    probabilities: argmax one-hot rows, or p >= 0.5 for multi-label sets."""
     pred = p >= 0.5 if data.labels.multi else np.eye(p.shape[1], dtype=bool)[np.argmax(p, axis=1)]
     return pred, data.labels.matrix[mask]
 
 
-def _split_score(probs, data, mask) -> float:
+def _split_score(p, data, mask) -> float:
     """Checkpoint metric: accuracy (single-label) or micro-F1 (multi-label)."""
     if data.labels.multi:
-        return f1_scores(*_indicators(probs, data, mask))[0]
-    return accuracy(probs[mask], data.labels.class_index()[mask])
+        return f1_scores(*_indicators(p, data, mask))[0]
+    return accuracy(p, data.labels.class_index()[mask])
 
 
-def _split_metrics(probs, data, mask) -> dict:
-    micro, macro, weighted = f1_scores(*_indicators(probs, data, mask))
+def _split_metrics(p, data, mask) -> dict:
+    micro, macro, weighted = f1_scores(*_indicators(p, data, mask))
     if data.labels.multi:
         return {"acc": micro, "f1_micro": micro, "f1_macro": macro,
                 "f1_weighted": weighted, "ece": float("nan")}
-    p, y = probs[mask], data.labels.class_index()[mask]
+    y = data.labels.class_index()[mask]
     return {"acc": accuracy(p, y), "f1_micro": micro, "f1_macro": macro,
             "f1_weighted": weighted, "ece": ece(p, y)}
 
@@ -208,9 +208,18 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     train_plan, eval_plan = full.restrict(masks.train), full.restrict(np.concatenate(splits))
     del full
 
-    def stats_of(z):  # the cluster means over the train rows, if the loss reads them
-        return (losses.cluster_stats(z, data.labels, masks.train, assign)
-                if assign is not None else None)
+    def cut(plan, ids):
+        """The labels of plan's target rows (the rows of its embeddings z),
+        each mask in ids as positions among them, and the map from z to its
+        cluster means over the first mask's rows (None without clusters)."""
+        rows = plan.rows[-1]
+        labels = replace(data.labels, matrix=data.labels.matrix[rows])
+        at = [np.searchsorted(rows, mask) for mask in ids]
+        a = None if assign is None else ClusterAssignment(assign.num_clusters, assign.assign[rows])
+        return labels, at, lambda z: a and losses.cluster_stats(z, labels, at[0], a)
+
+    train_labels, (train_rows,), train_stats = cut(train_plan, [masks.train])
+    eval_labels, eval_splits, eval_stats = cut(eval_plan, splits)
 
     try:  # numpy raises ValueError for a size past its index range
         params = init_params(spec, cfg.seed)
@@ -228,17 +237,13 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
         """Predictions and the loss on each split: the one eval path."""
         nonlocal best_score, best_epoch, best_params, best_probs
         z, _ = encoder_forward(current, eval_plan, train_mode=False)
-        probs, values = losses.eval_pass(cfg.loss, current, z, data.labels, splits,
-                                         stats_of(z), cfg.beta)
-        # free the n-row embeddings before the snapshot allocates: holding them
-        # raised the PubMed-shaped benchmark's peak RSS from 135 to 140-144 MiB
-        # in half the runs (glibc heap, 2-vCPU Xeon)
-        del z
-        score = _split_score(probs, data, val_mask)
+        (_, val_probs, test_probs), values = losses.eval_pass(cfg.loss, current, z, eval_labels,
+                                                              eval_splits, eval_stats(z), cfg.beta)
+        score = _split_score(val_probs, data, val_mask)
         for curve, v in zip(curves.values(), (epoch, *values, score)):
             curve.append(v)
         if score > best_score:
-            best_score, best_epoch, best_params, best_probs = score, epoch, snapshot(current), probs
+            best_score, best_epoch, best_params, best_probs = score, epoch, snapshot(current), test_probs
 
     t0 = time.perf_counter()
     if cfg.epochs == 0:
@@ -248,7 +253,7 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 z, tape = encoder_forward(params, train_plan, train_mode=True,
                                           seed=[cfg.seed, 1, epoch])
-                res = losses.loss_fn(cfg.loss)(params, z, data.labels, masks.train, stats_of(z),
+                res = losses.loss_fn(cfg.loss)(params, z, train_labels, train_rows, train_stats(z),
                                                detach_cluster=cfg.detach_cluster, beta=cfg.beta)
                 if not np.isfinite(res.value):
                     raise NumericsError("non-finite loss")

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -582,3 +583,45 @@ def test_cli_import_leaves_out_scipy_special():
     code = "import sys, jcgraph.cli; sys.exit('scipy.special' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(jcgraph.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestInputFileErrors:
+    """A bad byte or an oversized count in an input file exits 2 naming file:line."""
+
+    @pytest.mark.parametrize("where", ["config", "labels.txt", "clusters file"])
+    def test_byte_that_is_not_utf8_exit_2(self, sbm_dir, tmp_path, capsys, where):
+        data = tmp_path / "data"
+        shutil.copytree(sbm_dir, data)
+        clusters = tmp_path / "a.txt"
+        clusters.write_text("60 3\n" + "0\n1\n2\n" * 20)
+        cfgf = write_config(tmp_path / "run.cfg", data, tmp_path / "r", loss="jc", clusters=3,
+                            partition="file", clusters_file=clusters, epochs=3, hidden=8)
+        path = {"config": cfgf, "labels.txt": data / "labels.txt", "clusters file": clusters}[where]
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        assert main(["train", str(cfgf)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}:3: byte 0xff is not utf-8 text "
+                                           "(invalid start byte)\n")
+        assert not (tmp_path / "r.result").exists()
+
+    # the counts ask for more than 2**47 bytes, which no overcommit grants
+    @pytest.mark.parametrize("name,header,message", [
+        ("graph.txt", "100000000000000 0", "node count 100000000000000: the graph does not fit "
+                                           "(Unable to allocate"),
+        ("graph.txt", "9223372036854775807 0", "node count 9223372036854775807: the graph does "
+                                               "not fit (Maximum allowed dimension exceeded)"),
+        ("labels.txt", "60 1000000000000 s", "class count 1000000000000: the labels do not fit "
+                                             "(Unable to allocate 437. TiB"),
+    ])
+    def test_oversized_header_count_exit_2(self, sbm_dir, tmp_path, capsys, name, header,
+                                           message):
+        data = tmp_path / "data"
+        shutil.copytree(sbm_dir, data)
+        lines = (data / name).read_text().split("\n")
+        (data / name).write_text("\n".join([header] + lines[1:]))
+        rc = main(["partition", "--dataset", str(data), "--clusters", "2",
+                   "--out", str(tmp_path / "a.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {data / name}:1: {message}")
+        assert not (tmp_path / "a.txt").exists()

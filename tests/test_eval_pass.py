@@ -78,14 +78,28 @@ def test_eval_pass_matches_losses_and_predictors(seed, kind, multilabel, beta):
     for mask, value in zip(splits, values):
         ref = losses.loss_fn(kind)(params, z, labels, mask, stats, beta=beta).value
         assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
-    # predictions exist on the split rows only; the other rows are NaN
+    # predictions exist on the split rows only: one block per split
     rows = np.unique(np.concatenate(splits))
-    outside = np.ones(len(z), dtype=bool)
-    outside[rows] = False
     ids = None if assign is None else assign.assign[rows]
     expected = reference_probs(kind, params, z[rows], ids, stats, labels.kind)
-    assert probs[rows].tobytes() == expected.tobytes()
-    assert np.isnan(probs[outside]).all()
+    assert len(probs) == len(splits)
+    for mask, p in zip(splits, probs):
+        assert p.tobytes() == expected[np.searchsorted(rows, mask)].tobytes()
+
+
+def test_eval_pass_gives_one_block_per_split(easy_sbm):
+    # row i of a split's block is the split's i-th row, in the split's order
+    spec = ModelSpec("mlp", 1, 4, 8, 4, 0.0, "independent")
+    params = init_params(spec, 0)
+    z, _ = encoder_forward(params, plan_rows(spec, None, easy_sbm.features))
+    splits = [np.array([5, 2, 9]), np.array([7]), np.array([2, 40, 3, 11])]
+    probs, values = losses.eval_pass("ce", params, z, easy_sbm.labels, splits)
+    assert [p.shape for p in probs] == [(3, 4), (1, 4), (4, 4)]
+    assert len(values) == 3
+    rows = np.unique(np.concatenate(splits))
+    every = losses.predict_independent(params, z[rows])
+    for mask, p in zip(splits, probs):
+        assert p.tobytes() == every[np.searchsorted(rows, mask)].tobytes()
 
 
 def test_eval_pass_rejects_empty_split(easy_sbm):
@@ -104,7 +118,9 @@ def test_single_node_helpers_match_eval_pass(seed):
     bits can differ, since its logit GEMM has one row."""
     params, z, labels, train, others, assign = random_case(seed, "jc", False)
     stats = losses.cluster_stats(z, labels, train, assign)
-    probs, _ = losses.eval_pass("jc", params, z, labels, [train, *others], stats)
-    for u in np.unique(np.concatenate([train, *others])):
-        table = losses.joint_forward(params, z[u], stats.zbar[assign.assign[u]])
-        np.testing.assert_allclose(losses.marginalize(table), probs[u], rtol=0, atol=1e-12)
+    splits = [train, *others]
+    probs, _ = losses.eval_pass("jc", params, z, labels, splits, stats)
+    for mask, p in zip(splits, probs):
+        for u, row in zip(mask, p):
+            table = losses.joint_forward(params, z[u], stats.zbar[assign.assign[u]])
+            np.testing.assert_allclose(losses.marginalize(table), row, rtol=0, atol=1e-12)

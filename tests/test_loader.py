@@ -246,3 +246,22 @@ def test_tokens_where_parsers_differ(tmp_path, files, check, error):
     else:
         with pytest.raises(DatasetFormatError, match=re.escape(str(root)) + "/" + error):
             load_dataset(root)
+
+
+@pytest.mark.parametrize("kind", ["dataset", "assignment", "checkpoint"])
+def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, kind):
+    # the line that holds the bad byte, counted as the reader splits lines
+    if kind == "dataset":
+        path, read = _write(tmp_path) / "features.txt", lambda p: load_dataset(p.parent)
+    elif kind == "assignment":
+        path, read = tmp_path / "a.txt", read_assignment
+        write_assignment(path, small_assignment(0))
+    else:
+        path, read = tmp_path / "m.ckpt", load_checkpoint
+        save_checkpoint(path, small_spec(0), init_params(small_spec(0), 0))
+    text = path.read_bytes()
+    cut = text.index(b"\n", text.index(b"\n") + 1) + 1  # the start of line 3
+    path.write_bytes(text[:cut] + b"1\xfe" + text[cut:])
+    with pytest.raises(DatasetFormatError) as err:
+        read(path)
+    assert str(err.value) == f"{path}:3: byte 0xfe is not utf-8 text (invalid start byte)"

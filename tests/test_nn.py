@@ -145,6 +145,22 @@ class TestModelBackward:
         with pytest.raises(RuntimeError, match="consumed"):
             model_backward(tape, np.zeros_like(z))
 
+    @pytest.mark.parametrize("encoder", ["gcn", "sgc", "mlp"])
+    def test_gradient_of_another_shape_rejected(self, sbm12, encoder):
+        # the gradient is a block of the embeddings' shape: the targets' rows
+        spec = ModelSpec(encoder, 2, 4, 3, 2, 0.0, "independent")
+        plan = plan_rows(spec, normalize_adjacency(sbm12.graph), sbm12.features)
+        cut = plan.restrict([1, 4, 7])
+        z, _ = encoder_forward(init_params(spec, 0), cut)
+        assert z.shape == (cut.rows[-1].size, spec.embed_dim)
+        assert z.shape[0] == (12 if encoder == "sgc" else 3)
+        for bad in ((sbm12.num_nodes + 1, spec.embed_dim), (z.shape[0] - 1, spec.embed_dim),
+                    (z.shape[0], spec.embed_dim + 1), (z.size,)):
+            _, tape = encoder_forward(init_params(spec, 0), cut)
+            message = f"loss gradient has shape {bad}, the embeddings {z.shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                model_backward(tape, np.zeros(bad))
+
 
 class TestGradCheck:
     def test_linear_model_ce(self):

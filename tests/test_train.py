@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import jcgraph.trainer as train_mod
 from jcgraph.cli import main
-from jcgraph.graph import (Dataset, SplitMasks, gen_sbm, load_dataset, normalize_adjacency,
-                           write_dataset)
+from jcgraph.graph import (Dataset, Graph, LabelSet, SplitMasks, gen_sbm, load_dataset,
+                           normalize_adjacency, write_dataset)
 from jcgraph.losses import LossResult, cluster_stats, eval_pass
 from jcgraph.metrics import accuracy, ece, loss_gap
 from jcgraph.nn import ModelSpec, encoder_forward, load_checkpoint, plan_rows
@@ -180,13 +182,56 @@ def test_checkpoint_reproduces_the_result(easy_sbm, tmp_path):
     spec, params = load_checkpoint(tmp_path / "run.ckpt")
     splits = [data.masks.train, data.masks.val, data.masks.test]
     plan = plan_rows(spec, normalize_adjacency(data.graph), data.features)
-    z, _ = encoder_forward(params, plan.restrict(np.concatenate(splits)))
-    stats = cluster_stats(z, data.labels, data.masks.train, partition_metis_like(data.graph, 4, 3))
-    probs, _ = eval_pass("jc", params, z, data.labels, splits, stats)
-    p, y = probs[data.masks.test], data.labels.class_index()[data.masks.test]
+    cut = plan.restrict(np.concatenate(splits))
+    z, _ = encoder_forward(params, cut)
+    # the embeddings are the block of the eval rows: labels, clusters and
+    # masks are indexed by position in it
+    rows = cut.rows[-1]
+    at = [np.searchsorted(rows, s) for s in splits]
+    labels = LabelSet(data.labels.num_classes, data.labels.kind, data.labels.matrix[rows])
+    assign = partition_metis_like(data.graph, 4, 3)
+    stats = cluster_stats(z, labels, at[0], ClusterAssignment(4, assign.assign[rows]))
+    probs, _ = eval_pass("jc", params, z, labels, at, stats)
+    p, y = probs[2], data.labels.class_index()[data.masks.test]
     result = (tmp_path / "run.result").read_text().splitlines()
     assert f"test_acc = {accuracy(p, y)!r}" in result
     assert f"test_ece = {ece(p, y)!r}" in result
+
+
+def large_sparse_split(n=40_000, seed=0):
+    """A ring with n // 2 random chords, 4 features and 3 classes, with
+    20/20/40 split nodes: the splits' receptive fields are a few % of n."""
+    rng = np.random.default_rng(seed)
+    ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    chords = rng.integers(0, n, size=(n // 2, 2))
+    pairs = np.concatenate([ring, chords[chords[:, 0] != chords[:, 1]]])
+    labels = LabelSet(3, "s", np.eye(3)[rng.integers(0, 3, n)])
+    split = rng.choice(n, size=80, replace=False)
+    masks = SplitMasks(np.sort(split[:20]), np.sort(split[20:40]), np.sort(split[40:]))
+    return Dataset(Graph.from_undirected_pairs(n, pairs), rng.normal(size=(n, 4)), labels, masks)
+
+
+@pytest.mark.parametrize("loss", ["ce", "jc"])
+def test_no_epoch_allocates_an_n_row_array(monkeypatch, loss):
+    # every epoch array is a block of its plan's rows: from the first train
+    # step on, the traced peak stays far below one n x hidden array
+    data = large_sparse_split()
+    spec = ModelSpec("gcn", 2, 64, 4, 3, 0.5, train_mod.LOSS_KINDS[loss].classifier)
+    inner, base = train_mod.encoder_forward, []
+
+    def first_step_resets_peak(params, plan, train_mode=False, seed=0):
+        if train_mode and not base:
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+        return inner(params, plan, train_mode, seed)
+    monkeypatch.setattr(train_mod, "encoder_forward", first_step_resets_peak)
+    tracemalloc.start()
+    try:
+        train(TrainConfig(spec=spec, loss=loss, partition="random", clusters=8, epochs=3), data)
+        peak = tracemalloc.get_traced_memory()[1] - base[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.num_nodes * spec.hidden * 8 / 4
 
 
 class TestMultiSeed:
