@@ -341,8 +341,13 @@ def load_dataset(path) -> Dataset:
 
     fpath = root / "features.txt"
     features = _read_features(fpath, n)
-    if not np.isfinite(features.data if sp.issparse(features) else features).all():
-        raise DatasetFormatError(fpath, None, "non-finite feature values")
+    csr = sp.issparse(features)
+    values = features.data if csr else features.reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:  # named at the line of the first one in file order
+        indptr = features.indptr if csr else np.arange(n + 1) * features.shape[1]
+        line = int(np.searchsorted(indptr, bad[0], side="right")) + 1
+        raise DatasetFormatError(fpath, line, f"non-finite feature value {values[bad[0]]}")
 
     lpath = root / "labels.txt"
     llines = read_lines(lpath)
@@ -391,10 +396,10 @@ def load_dataset(path) -> Dataset:
         masks[name] = arr
     if masks["train"].size == 0:
         raise DatasetFormatError(mpath, 1, "train mask is empty")
-    for a, b in (("train", "val"), ("train", "test"), ("val", "test")):
+    for a, b, lineno in (("train", "val", 2), ("train", "test", 3), ("val", "test", 3)):
         overlap = np.intersect1d(masks[a], masks[b])
-        if overlap.size:
-            raise DatasetFormatError(mpath, None, f"masks {a} and {b} overlap at node {overlap[0]}")
+        if overlap.size:  # named at the later mask's line
+            raise DatasetFormatError(mpath, lineno, f"masks {a} and {b} overlap at node {overlap[0]}")
 
     return Dataset(graph, features, labels, SplitMasks(**masks), duplicate_edges=duplicates)
 

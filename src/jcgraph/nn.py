@@ -56,8 +56,8 @@ class ModelSpec:
     hidden: int
     in_dim: int
     num_classes: int
-    dropout: float = 0.0
-    classifier: str = "independent"
+    dropout: float
+    classifier: str
 
     def __post_init__(self):
         if self.encoder not in ENCODERS:
@@ -73,6 +73,11 @@ class ModelSpec:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+
+    @property
+    def weight_layers(self) -> int:
+        """Encoder layers with weights; sgc's linear map lives in the classifier."""
+        return 0 if self.encoder == "sgc" else self.layers
 
     @property
     def embed_dim(self) -> int:
@@ -101,8 +106,7 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     """Glorot-uniform weights and zero biases, by name in a fixed order."""
     rng = np.random.default_rng(seed)
     t = {}
-    # sgc has no encoder weights: its linear map lives in the classifier
-    for k in range(0 if spec.encoder == "sgc" else spec.layers):
+    for k in range(spec.weight_layers):
         fan_in = spec.in_dim if k == 0 else spec.hidden
         t[f"enc_w{k}"] = _glorot(rng, fan_in, spec.hidden)
         if spec.encoder == "mlp":
@@ -122,84 +126,70 @@ def _cut_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class RowPlan:
-    """The rows each encoder layer computes for a set of target rows, and
-    the blocks a step multiplies: the one input of encoder_forward.
+    """The rows each weight layer computes for a set of target rows, and the
+    blocks a step multiplies: the one input of encoder_forward.
 
-    rows[L] are the sorted target ids and rows[k-1] the Â-neighbourhood of
-    rows[k] (the targets again for mlp); the all-rows plan, and every sgc
-    plan, lists every id. A step holds layer k's input, dropout mask and
-    gradient as compact blocks of the rows[k] rows, and the embeddings as the
-    block of the rows[L] rows. Layer k multiplies adj_rows[k], the rows[k+1]
-    x rows[k] block of Â as scipy cuts it (adj[rows[k + 1]][:, rows[k]]:
-    columns numbered by position in rows[k], each row's entries in Â's
-    order), and its backward pass the transpose of that block; the entries a
-    block drops meet only zero rows in a product over all rows.
-    x is the input as layer 0 multiplies it (dense, or CSR as load_dataset
-    gives a large sparse feature table), x_rows its rows[0] rows and x_pos,
-    for a CSR input, the positions of x_rows' entries in x. sgc holds Â^K X
-    for every row.
+    With L = spec.weight_layers, rows[L] are the sorted target ids and
+    rows[k-1] the Â-neighbourhood of rows[k] (the targets again for mlp). A
+    step holds layer k's input, dropout mask and gradient as compact blocks of
+    the rows[k] rows, and the embeddings as the block of the rows[L] rows.
+    Layer k multiplies adj_rows[k], the rows[k+1] x rows[k] block of Â as
+    scipy cuts it (adj[rows[k + 1]][:, rows[k]]: columns numbered by position
+    in rows[k], each row's entries in Â's order), and its backward pass the
+    transpose of that block; the entries a block drops meet only zero rows in
+    a product over all rows.
+    x is the input of layer 0 for every row (dense, or CSR as load_dataset
+    gives a large sparse feature table; Â^K X for sgc), x_rows its rows[0]
+    rows and x_pos, for a CSR input, the positions of x_rows' entries in x.
     """
 
     spec: ModelSpec
-    adj: sp.csr_matrix | None
     x: np.ndarray | sp.csr_matrix
-    sgc: np.ndarray | None
     rows: tuple
     adj_rows: tuple
     x_rows: np.ndarray | sp.csr_matrix
     x_pos: np.ndarray | None
 
-    def restrict(self, targets) -> "RowPlan":
-        """The plan that computes only what the target rows' embeddings read."""
-        if self.spec.encoder == "sgc":
-            return self
-        n, levels = self.x.shape[0], self.spec.layers
 
-        def row_set(ids):
-            keep = np.zeros(n, dtype=bool)
-            keep[ids] = True
-            return np.flatnonzero(keep)
-
-        rows = [row_set(np.asarray(targets, dtype=np.int64))]
-        for _ in range(levels):
-            below = rows[0]
-            if self.spec.uses_graph:
-                below = row_set(self.adj[below].indices)
-            rows.insert(0, below)
-        adj_rows = ()
-        if self.spec.uses_graph:
-            adj_rows = tuple(self.adj[rows[k + 1]][:, rows[k]] for k in range(levels))
-        if sp.issparse(self.x):
-            indptr, x_pos = _cut_rows(self.x.indptr, rows[0])
-            x_rows = sp.csr_matrix((self.x.data[x_pos], self.x.indices[x_pos], indptr),
-                                   shape=(rows[0].size, self.x.shape[1]))
-        else:
-            x_rows, x_pos = self.x[rows[0]], None
-        return RowPlan(self.spec, self.adj, self.x, None, tuple(rows), adj_rows, x_rows, x_pos)
-
-
-def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None,
-              x: np.ndarray | sp.csr_matrix) -> RowPlan:
-    """The plan that computes every row; restrict() cuts it to target rows.
-    Layer 0 multiplies x in the form given; sgc multiplies Â^K by its dense
-    form."""
+def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None, x: np.ndarray | sp.csr_matrix,
+              *targets) -> tuple[RowPlan, ...]:
+    """One plan per target set, each computing only what its target rows'
+    embeddings read. The input is prepared once: layer 0 multiplies x in the
+    form given, and sgc's plans share Â^K X, computed from x's dense form."""
     if not sp.issparse(x):
         x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_dim:
         raise ValueError(f"features have shape {x.shape}, spec.in_dim={spec.in_dim}")
     if spec.uses_graph and adj is None:
         raise ValueError(f"{spec.encoder} encoder requires a normalized adjacency")
-    sgc = x_pos = None
     if spec.encoder == "sgc":
-        sgc = dense_features(x)
+        x = dense_features(x)
         for _ in range(spec.layers):
-            sgc = spmm(adj, sgc)
-        _check_finite(sgc)
-    if sp.issparse(x):
-        x_pos = np.arange(x.nnz)
-    every = np.arange(x.shape[0])
-    blocks = (adj,) * spec.layers if spec.uses_graph else ()
-    return RowPlan(spec, adj, x, sgc, (every,) * (spec.layers + 1), blocks, x, x_pos)
+            x = spmm(adj, x)
+        _check_finite(x)
+    n, levels = x.shape[0], spec.weight_layers
+
+    def row_set(ids):
+        keep = np.zeros(n, dtype=bool)
+        keep[ids] = True
+        return np.flatnonzero(keep)
+
+    plans = []
+    for ids in targets:
+        rows = [row_set(np.asarray(ids, dtype=np.int64))]
+        for _ in range(levels):
+            rows.insert(0, row_set(adj[rows[0]].indices) if spec.uses_graph else rows[0])
+        adj_rows = ()
+        if spec.uses_graph:
+            adj_rows = tuple(adj[rows[k + 1]][:, rows[k]] for k in range(levels))
+        if sp.issparse(x):
+            indptr, x_pos = _cut_rows(x.indptr, rows[0])
+            x_rows = sp.csr_matrix((x.data[x_pos], x.indices[x_pos], indptr),
+                                   shape=(rows[0].size, x.shape[1]))
+        else:
+            x_rows, x_pos = x[rows[0]], None
+        plans.append(RowPlan(spec, x, tuple(rows), adj_rows, x_rows, x_pos))
+    return tuple(plans)
 
 
 @dataclass
@@ -279,22 +269,19 @@ def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed:
     """Run plan's encoder on its rows; returns (embeddings, tape).
 
     gcn: K rounds of z <- relu(A z W), no nonlinearity after the last round.
-    sgc: A^K x, computed once per plan; the linear map lives in the classifier.
-    mlp: K rounds of z <- relu(z W + b). Dropout precedes every linear layer
-    in train mode.
+    mlp: K rounds of z <- relu(z W + b).
+    sgc: no weight layer: plan.x is A^K x, and the classifier is the linear map.
+    Dropout precedes every weight layer in train mode, so sgc runs none.
 
     Every layer runs on compact blocks of its plan rows; the embeddings are
-    the block of plan.rows[-1], for sgc the plan's own array: do not change it.
+    the block of plan.rows[-1], with no weight layer plan.x_rows: do not change it.
     """
     spec = plan.spec
-    if spec.encoder == "sgc":
-        return plan.sgc, GradientTape(plan, [])
-
     rng = np.random.default_rng(seed)
     drop = train_mode and spec.dropout > 0.0
     h = plan.x_rows
     caches = []
-    for k in range(spec.layers):
+    for k in range(spec.weight_layers):
         w = params[f"enc_w{k}"]
         inp, mask = h, None
         if drop:
@@ -304,7 +291,7 @@ def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed:
             s = spmm(plan.adj_rows[k], u)
         else:
             s = np.add(u, params[f"enc_b{k}"], out=u)
-        relu = spec.encoder == "mlp" or k < spec.layers - 1
+        relu = spec.encoder == "mlp" or k < spec.weight_layers - 1
         # The next layer's dropout scales h in place: out > 0 still gives the
         # ReLU gradient, since an entry that dropout zeroes gets a zero
         # gradient anyway.
@@ -320,8 +307,8 @@ def _check_finite(z):
 
 
 def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic gradients of every encoder parameter given d(loss)/d(embeddings),
-    a block of encoder_forward's shape."""
+    """Analytic gradients of every encoder weight given d(loss)/d(embeddings),
+    a block of encoder_forward's shape: none for a plan with no weight layer."""
     if tape.used:
         raise RuntimeError("gradient tape already consumed")
     tape.used = True
@@ -330,8 +317,6 @@ def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.nd
     shape = (plan.rows[-1].size, spec.embed_dim)
     if np.shape(loss_grad) != shape:
         raise ValueError(f"loss gradient has shape {np.shape(loss_grad)}, the embeddings {shape}")
-    if spec.encoder == "sgc":
-        return {}
     d = np.array(loss_grad, dtype=np.float64)  # a copy, updated in place below
     grads = {}
     for cache in reversed(tape.layers):
@@ -366,7 +351,7 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5) -> fl
         raise ValueError(f"model has {scalars} scalars, grad_check caps at 500")
 
     adj = normalize_adjacency(data.graph) if spec.uses_graph else None
-    plan = plan_rows(spec, adj, data.features)
+    plan, = plan_rows(spec, adj, data.features, np.arange(data.num_nodes))
 
     def forward_loss(p):
         z, _ = encoder_forward(p, plan)

@@ -6,10 +6,11 @@ epoch's embeddings (gradients flow through them unless detach_cluster is
 set), and from each evaluated model's embeddings for inference, always
 over labeled nodes only. A training step computes only the embeddings of
 the train rows and their receptive field, an eval those of every split, on
-compact blocks of those rows (see nn.RowPlan); labels, cluster ids and
-masks are cut to the embeddings' rows once. Sparse products, dropout and
-element-wise steps give the bits of a pass over every row; a dense product
-over fewer rows can differ from it in the last bits.
+compact blocks of those rows: one nn.plan_rows call cuts both plans, for
+every encoder. Labels, cluster ids and masks are cut to the embeddings'
+rows once. Sparse products, dropout and element-wise steps give the bits of
+a pass over every row; a dense product over fewer rows can differ from it in
+the last bits.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import losses
-from .graph import Dataset, normalize_adjacency
+from .graph import Dataset, DatasetFormatError, normalize_adjacency
 from .losses import LOSS_KINDS
 from .metrics import accuracy, ece, f1_scores
 from .nn import (ModelSpec, NumericsError, adam_step, encoder_forward, init_adam_state,
@@ -163,7 +164,8 @@ def make_partition(method: str, data: Dataset, m: int, seed: int,
     """data's nodes in m clusters by the named method: the one partition dispatch."""
     a = PARTITION_METHODS[method](data, m, seed, clusters_file)
     if a.num_nodes != data.num_nodes:  # only a file can cover another graph
-        raise ValueError(f"{clusters_file}: covers {a.num_nodes} nodes, dataset has {data.num_nodes}")
+        raise DatasetFormatError(clusters_file, 1, f"covers {a.num_nodes} nodes, "
+                                                   f"dataset has {data.num_nodes}")
     return a
 
 
@@ -178,7 +180,7 @@ def _split_score(p, data, mask) -> float:
     """Checkpoint metric: accuracy (single-label) or micro-F1 (multi-label)."""
     if data.labels.multi:
         return f1_scores(*_indicators(p, data, mask))[0]
-    return accuracy(p, data.labels.class_index()[mask])
+    return accuracy(p, np.argmax(data.labels.matrix[mask], axis=1))
 
 
 def _split_metrics(p, data, mask) -> dict:
@@ -186,7 +188,7 @@ def _split_metrics(p, data, mask) -> dict:
     if data.labels.multi:
         return {"acc": micro, "f1_micro": micro, "f1_macro": macro,
                 "f1_weighted": weighted, "ece": float("nan")}
-    y = data.labels.class_index()[mask]
+    y = np.argmax(data.labels.matrix[mask], axis=1)
     return {"acc": accuracy(p, y), "f1_micro": micro, "f1_macro": macro,
             "f1_weighted": weighted, "ece": ece(p, y)}
 
@@ -202,11 +204,9 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     adj = normalize_adjacency(data.graph) if spec.uses_graph else None
     assign = (make_partition(cfg.partition, data, cfg.clusters, cfg.seed, cfg.clusters_file)
               if LOSS_KINDS[cfg.loss].needs_clusters else None)
-    # a step reads the train rows' embeddings, an eval those of every split;
-    # both plans are cut from an all-rows plan that is not kept
-    full = plan_rows(spec, adj, data.features)
-    train_plan, eval_plan = full.restrict(masks.train), full.restrict(np.concatenate(splits))
-    del full
+    # a step reads the train rows' embeddings, an eval those of every split
+    train_plan, eval_plan = plan_rows(spec, adj, data.features, masks.train,
+                                      np.concatenate(splits))
 
     def cut(plan, ids):
         """The labels of plan's target rows (the rows of its embeddings z),

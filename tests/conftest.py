@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from jcgraph.graph import Dataset, LabelSet, gen_sbm
+from jcgraph.nn import plan_rows
 
 # every property runs the same examples on every run: no random draws, no
 # example database and no deadline; a test sets only its max_examples
@@ -42,6 +43,13 @@ def rng_graph(rng, n, p):
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(iu.size) < p
     return Graph.from_undirected_pairs(n, np.stack([iu[keep], ju[keep]], axis=1))
+
+
+def all_rows(spec, adj, x):
+    """The plan that computes every row: the oracle that cut plans are
+    compared with."""
+    plan, = plan_rows(spec, adj, x, np.arange(x.shape[0]))
+    return plan
 
 
 def assert_within(got, want, rel=1e-12, name=""):

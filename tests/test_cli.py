@@ -625,3 +625,38 @@ class TestInputFileErrors:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {data / name}:1: {message}")
         assert not (tmp_path / "a.txt").exists()
+
+    # errors found once a whole file has parsed name the line that holds them
+    @pytest.mark.parametrize("where", ["features.txt", "masks.txt train-val", "masks.txt val-test",
+                                       "clusters file"])
+    def test_error_found_after_the_parse_names_its_line_exit_2(self, sbm_dir, tmp_path, capsys,
+                                                              where):
+        data = tmp_path / "data"
+        shutil.copytree(sbm_dir, data)
+        clusters = tmp_path / "a.txt"
+        clusters.write_text("5 3\n0\n1\n2\n0\n1\n")
+        cfgf = write_config(tmp_path / "run.cfg", data, tmp_path / "r", loss="jc", clusters=3,
+                            partition="file", clusters_file=clusters, epochs=3, hidden=8)
+        if where == "clusters file":
+            message = f"{clusters}:1: covers 5 nodes, dataset has 60"
+        elif where == "features.txt":
+            # the first non-finite entry in file order: line 6, not line 9's nan
+            lines = (data / where).read_text().split("\n")
+            for lineno, col, token in ((9, 0, "nan"), (6, 4, "-inf")):
+                toks = lines[lineno - 1].split()
+                toks[col] = token
+                lines[lineno - 1] = " ".join(toks)
+            (data / where).write_text("\n".join(lines))
+            message = f"{data / where}:6: non-finite feature value -inf"
+        else:
+            lines = (data / "masks.txt").read_text().split("\n")
+            a, b = (0, 1) if where.endswith("train-val") else (1, 2)
+            node = lines[a].split()[1]
+            lines[b] += f" {node}"
+            (data / "masks.txt").write_text("\n".join(lines))
+            names = ("train", "val", "test")
+            message = (f"{data / 'masks.txt'}:{b + 1}: masks {names[a]} and {names[b]} "
+                       f"overlap at node {node}")
+        assert main(["train", str(cfgf)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.result").exists()

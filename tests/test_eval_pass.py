@@ -8,11 +8,11 @@ from scipy.special import expit
 
 from jcgraph import losses
 from jcgraph.graph import LabelSet, normalize_adjacency
-from jcgraph.nn import ModelSpec, encoder_forward, init_params, plan_rows
+from jcgraph.nn import ModelSpec, encoder_forward, init_params
 from jcgraph.partition import ClusterAssignment
 from jcgraph.trainer import LOSS_KINDS
 
-from conftest import rng_graph
+from conftest import all_rows, rng_graph
 
 
 def softmax(x):
@@ -48,7 +48,7 @@ def random_case(seed, kind, multilabel):
     params = init_params(spec, seed)
     params["clf_b"] = rng.normal(size=params["clf_b"].shape)
     features = rng.normal(size=(n, 4))
-    z, _ = encoder_forward(params, plan_rows(spec, normalize_adjacency(graph), features))
+    z, _ = encoder_forward(params, all_rows(spec, normalize_adjacency(graph), features))
     if multilabel:
         labels = LabelSet(c, "m", (rng.random((n, c)) < 0.4).astype(float))
     else:
@@ -91,7 +91,7 @@ def test_eval_pass_gives_one_block_per_split(easy_sbm):
     # row i of a split's block is the split's i-th row, in the split's order
     spec = ModelSpec("mlp", 1, 4, 8, 4, 0.0, "independent")
     params = init_params(spec, 0)
-    z, _ = encoder_forward(params, plan_rows(spec, None, easy_sbm.features))
+    z, _ = encoder_forward(params, all_rows(spec, None, easy_sbm.features))
     splits = [np.array([5, 2, 9]), np.array([7]), np.array([2, 40, 3, 11])]
     probs, values = losses.eval_pass("ce", params, z, easy_sbm.labels, splits)
     assert [p.shape for p in probs] == [(3, 4), (1, 4), (4, 4)]

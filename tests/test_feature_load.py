@@ -132,7 +132,8 @@ def test_non_finite_value_in_a_later_block(tmp_path):
     rows = binary_rows(np.random.default_rng(5), N, D, 0.05)
     rows[LINE - 2][3] = "inf"
     root = write_table(tmp_path / "ds", rows)
-    with pytest.raises(DatasetFormatError, match=r"features.txt: non-finite feature values$"):
+    with pytest.raises(DatasetFormatError,
+                       match=rf"features.txt:{LINE}: non-finite feature value inf$"):
         load_dataset(root)
 
 

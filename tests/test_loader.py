@@ -226,8 +226,8 @@ TOKEN_TABLE = [
     ("features #", dict(features=_features("#")), None, r"features.txt:2: expected numbers"),
     ("features 0.5 #", dict(features=_features("0.5 #")), None, r"features.txt:2: expected 1 values, got 2"),
     ("features +1", dict(features=_features("+1")), lambda ds: ds.features[0, 0] == 1.0, None),
-    ("features nan", dict(features=_features("nan")), None, r"features.txt: non-finite feature values"),
-    ("features 1e999", dict(features=_features("1e999")), None, r"features.txt: non-finite feature values"),
+    ("features nan", dict(features=_features("nan")), None, r"features.txt:2: non-finite feature value nan"),
+    ("features 1e999", dict(features=_features("1e999")), None, r"features.txt:2: non-finite feature value inf"),
     ("features 2.5e-324", dict(features=_features("2.5e-324")),
      lambda ds: ds.features[0, 0] == 5e-324, None),
     ("labels 1_0", dict(labels=_labels("1_0")), None, r"labels.txt:2: class index 10 out of range"),

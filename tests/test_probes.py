@@ -89,9 +89,9 @@ def test_spmm_flops_count_the_plan_blocks(probes, restore_targets, easy_sbm):
     tracer.install()
     jc_run(easy_sbm, 3)
     masks = easy_sbm.masks
-    plan = plan_rows(JC_SPEC, normalize_adjacency(easy_sbm.graph), easy_sbm.features)
-    train_plan = plan.restrict(masks.train)
-    eval_plan = plan.restrict(np.concatenate([masks.train, masks.val, masks.test]))
+    train_plan, eval_plan = plan_rows(JC_SPEC, normalize_adjacency(easy_sbm.graph),
+                                      easy_sbm.features, masks.train,
+                                      np.concatenate([masks.train, masks.val, masks.test]))
     assert train_plan.rows[1].size < easy_sbm.num_nodes  # the train step multiplies cut blocks
 
     def flops(blocks):

@@ -89,9 +89,8 @@ def test_cut_plan_matches_the_dense_oracle(encoder, layers, hidden, dropout, csr
             params[name] = rng.normal(size=params[name].shape)
     adj = normalize_adjacency(graph)
     features = sp.csr_matrix(x) if csr else x
-    plan = plan_rows(spec, adj, features)
-    assert plan.x is features  # layer 0 multiplies the form it is given
-    cut = plan.restrict(targets)
+    cut, = plan_rows(spec, adj, features, targets)
+    assert cut.x is features  # layer 0 multiplies the form it is given
     assert cut.rows[0].size < len(x)
 
     train_mode = dropout > 0.0

@@ -14,11 +14,12 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jcgraph.nn as nn
 from jcgraph.graph import SPARSE_MIN_SIZE, Graph, normalize_adjacency, spmm
 from jcgraph.nn import (DRAW_THROUGH, ENCODERS, ModelSpec, _draws_on_rows, encoder_forward,
                         init_params, model_backward, plan_rows)
 
-from conftest import assert_within
+from conftest import all_rows, assert_within
 
 
 def random_case(seed, encoder, layers, hidden, dropout, csr):
@@ -84,26 +85,33 @@ def dense(a):
 @example(seed=90, encoder="mlp", layers=2, hidden=64, dropout=0.5, csr=False, train_mode=True)
 def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, csr, train_mode):
     rng, adj, x, spec, params, targets = random_case(seed, encoder, layers, hidden, dropout, csr)
-    full = plan_rows(spec, adj, x)
-    cut = full.restrict(targets)
-    assert full.x is x
-    if encoder != "sgc":
-        # rows[k-1] is the Â-neighbourhood of rows[k] for gcn, the targets for mlp
-        reach = adj.toarray() != 0.0
-        for k in range(layers, 0, -1):
-            above = cut.rows[k]
-            below = np.flatnonzero(reach[above].any(axis=0)) if encoder == "gcn" else above
-            assert cut.rows[k - 1].tobytes() == below.tobytes()
+    full = all_rows(spec, adj, x)
+    cut, = plan_rows(spec, adj, x, targets)
+    # layer 0 multiplies x in the form given, and an sgc plan Â^K X of x's
+    # dense form
+    if encoder == "sgc":
+        prepared = dense(x)
+        for _ in range(layers):
+            prepared = spmm(adj, prepared)
+        assert full.x.tobytes() == prepared.tobytes()
+    else:
+        assert full.x is x
+    # rows[k-1] is the Â-neighbourhood of rows[k] for gcn, the targets for mlp;
+    # sgc has no weight layer, so its only row set is the targets
+    assert len(cut.rows) == spec.weight_layers + 1
+    reach = adj.toarray() != 0.0
+    for k in range(spec.weight_layers, 0, -1):
+        above = cut.rows[k]
+        below = np.flatnonzero(reach[above].any(axis=0)) if encoder == "gcn" else above
+        assert cut.rows[k - 1].tobytes() == below.tobytes()
 
     z_all, tape_all, state_all = forward(params, train_mode, full)
     z_cut, tape_cut, state_cut = forward(params, train_mode, cut)
     assert state_cut == state_all
-    # the embeddings are the block of the plan's targets: the sorted targets,
-    # every row for sgc
+    # the embeddings are the block of the plan's targets, the sorted targets
     at = np.searchsorted(cut.rows[-1], targets)
     assert_within(z_cut[at], z_all[targets], name="embeddings")
-    if encoder != "sgc":
-        assert len(z_cut) == targets.size
+    assert len(z_cut) == targets.size
     # dropout: the same mask bits on the computed rows, and at layer 0 the
     # same dropped input, since an element-wise step keeps its bits
     for k, (got, want) in enumerate(zip(tape_cut.layers, tape_all.layers)):
@@ -134,9 +142,9 @@ def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, csr, 
 def test_every_target_keeps_every_row(sbm12):
     spec = ModelSpec("gcn", 2, 4, 3, 2, 0.5, "independent")
     adj = normalize_adjacency(sbm12.graph)
-    full = plan_rows(spec, adj, sbm12.features)
     every = np.arange(sbm12.num_nodes)
-    for plan in (full, full.restrict(every[::-1])):
+    for plan in (all_rows(spec, adj, sbm12.features),
+                 *plan_rows(spec, adj, sbm12.features, every[::-1])):
         assert all(r.tobytes() == every.tobytes() for r in plan.rows)
         assert len(plan.adj_rows) == 2
         for a in plan.adj_rows:
@@ -145,11 +153,28 @@ def test_every_target_keeps_every_row(sbm12):
                 assert getattr(a, name).tobytes() == getattr(adj, name).tobytes(), name
 
 
+def test_one_call_propagates_sgc_once(sbm12, monkeypatch):
+    # the plans of one call share the prepared input: K products of Â for
+    # two target sets, not 2K
+    spec = ModelSpec("sgc", 3, 1, 3, 2, 0.0, "independent")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return spmm(*args, **kwargs)
+    monkeypatch.setattr(nn, "spmm", counted)
+    a, b = plan_rows(spec, normalize_adjacency(sbm12.graph), sbm12.features, [0, 5], [1, 2, 7])
+    assert calls == [(12, 12)] * 3
+    assert a.x is b.x
+    assert [r.tolist() for r in a.rows + b.rows] == [[0, 5], [1, 2, 7]]
+    assert a.x_rows.tobytes() == a.x[[0, 5]].tobytes()
+
+
 def test_rows_grow_by_one_hop_per_layer():
     # path 0-1-2-3-4: the target 0 reads {0, 1} one layer down, {0, 1, 2} two down
     graph = Graph.from_undirected_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     spec = ModelSpec("gcn", 2, 2, 1, 2, 0.0, "independent")
-    cut = plan_rows(spec, normalize_adjacency(graph), np.ones((5, 1))).restrict([0])
+    cut, = plan_rows(spec, normalize_adjacency(graph), np.ones((5, 1)), [0])
     assert [r.tolist() for r in cut.rows] == [[0, 1, 2], [0, 1], [0]]
     # layer k multiplies the rows[k+1] x rows[k] block, its backward the transpose
     assert [(a.shape, int(a.indices.size)) for a in cut.adj_rows] == [((2, 3), 5), ((1, 2), 2)]

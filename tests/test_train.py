@@ -181,8 +181,7 @@ def test_checkpoint_reproduces_the_result(easy_sbm, tmp_path):
     data = load_dataset(tmp_path / "data")
     spec, params = load_checkpoint(tmp_path / "run.ckpt")
     splits = [data.masks.train, data.masks.val, data.masks.test]
-    plan = plan_rows(spec, normalize_adjacency(data.graph), data.features)
-    cut = plan.restrict(np.concatenate(splits))
+    cut, = plan_rows(spec, normalize_adjacency(data.graph), data.features, np.concatenate(splits))
     z, _ = encoder_forward(params, cut)
     # the embeddings are the block of the eval rows: labels, clusters and
     # masks are indexed by position in it
@@ -212,11 +211,12 @@ def large_sparse_split(n=40_000, seed=0):
 
 
 @pytest.mark.parametrize("loss", ["ce", "jc"])
-def test_no_epoch_allocates_an_n_row_array(monkeypatch, loss):
+@pytest.mark.parametrize("encoder", ["gcn", "mlp", "sgc"])
+def test_no_epoch_allocates_an_n_row_array(monkeypatch, encoder, loss):
     # every epoch array is a block of its plan's rows: from the first train
-    # step on, the traced peak stays far below one n x hidden array
+    # step on, the traced peak stays far below one n x embed_dim array
     data = large_sparse_split()
-    spec = ModelSpec("gcn", 2, 64, 4, 3, 0.5, train_mod.LOSS_KINDS[loss].classifier)
+    spec = ModelSpec(encoder, 2, 64, 4, 3, 0.5, train_mod.LOSS_KINDS[loss].classifier)
     inner, base = train_mod.encoder_forward, []
 
     def first_step_resets_peak(params, plan, train_mode=False, seed=0):
@@ -231,7 +231,26 @@ def test_no_epoch_allocates_an_n_row_array(monkeypatch, loss):
         peak = tracemalloc.get_traced_memory()[1] - base[0]
     finally:
         tracemalloc.stop()
-    assert peak < data.num_nodes * spec.hidden * 8 / 4
+    assert peak < data.num_nodes * spec.embed_dim * 8 / 4
+
+
+@pytest.mark.parametrize("encoder", ["gcn", "mlp", "sgc"])
+def test_train_cuts_both_plans_in_one_call(monkeypatch, easy_sbm, encoder):
+    # one plan_rows call with the train rows and the split union, none with
+    # every row: the splits here leave most nodes out
+    masks = SplitMasks(easy_sbm.masks.train[:8], easy_sbm.masks.val[:8], easy_sbm.masks.test[:16])
+    data = Dataset(easy_sbm.graph, easy_sbm.features, easy_sbm.labels, masks)
+    calls = []
+
+    def recorded(spec, adj, x, *targets):
+        calls.append(targets)
+        return plan_rows(spec, adj, x, *targets)
+    monkeypatch.setattr(train_mod, "plan_rows", recorded)
+    spec = ModelSpec(encoder, 2, 16, 8, 4, 0.5, "joint")
+    train(TrainConfig(spec=spec, loss="jc", clusters=4, epochs=2), data)
+    (train_rows, eval_rows), = calls
+    assert np.asarray(train_rows).tobytes() == masks.train.tobytes()
+    assert sorted(eval_rows) == sorted(np.concatenate([masks.train, masks.val, masks.test]))
 
 
 class TestMultiSeed:
