@@ -103,37 +103,37 @@ class SweepRow:
     seeds: int
 
 
-def robustness_sweep(data: Dataset, ratios, cfg_ce: TrainConfig, cfg_jc: TrainConfig,
-                     seeds: int) -> list[SweepRow]:
-    """Poison, retrain both losses from scratch, report test accuracy.
+def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> list[SweepRow]:
+    """Poison, retrain cfg with the ce loss and with the jc loss from scratch,
+    report test accuracy.
 
     For every (ratio, seed) cell the graph is re-poisoned with that seed and
-    both configs are trained on the same poisoned graph. Every ratio, and
-    both configs on the clean graph (poisoning keeps the nodes), are checked
+    both losses are trained on the same poisoned graph. Every ratio, and both
+    runs' configs on the clean graph (poisoning keeps the nodes), are checked
     before the first training, and so is a cluster file, which every jc run reads.
     """
     ratios = check_ratios(data.graph, ratios)
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    for cfg in (cfg_ce, cfg_jc):
-        validate(cfg, data)
-    if cfg_jc.partition == "file":
-        make_partition("file", data, cfg_jc.clusters, cfg_jc.seed, cfg_jc.clusters_file)
+    for loss in ("ce", "jc"):
+        validate(replace(cfg, loss=loss), data)
+    if cfg.partition == "file":
+        make_partition("file", data, cfg.clusters, cfg.seed, cfg.clusters_file)
     rows = []
     for ratio in ratios:
         accs = {"ce": [], "jc": []}
         for s in range(seeds):
-            poisoned = random_attack(data.graph, AttackSpec(ratio, seed=cfg_ce.seed + s))
+            poisoned = random_attack(data.graph, AttackSpec(ratio, seed=cfg.seed + s))
             pdata = Dataset(poisoned, data.features, data.labels, data.masks)
-            for name, cfg in (("ce", cfg_ce), ("jc", cfg_jc)):
+            for loss in accs:
+                run = replace(cfg, loss=loss, seed=cfg.seed + s)
                 try:  # the accuracy only, so no run's parameters outlive it
-                    accs[name].append(train(replace(cfg, seed=cfg.seed + s), pdata).test_acc)
+                    accs[loss].append(train(run, pdata).test_acc)
                 except TrainingError as e:
-                    raise TrainingError(f"ratio {ratio} seed {cfg.seed + s}: {e}",
-                                        epoch=e.epoch, seed=cfg.seed + s) from e
-        for name in ("ce", "jc"):
-            vals = np.asarray(accs[name])
-            rows.append(SweepRow(ratio, name, float(vals.mean()), float(vals.std()), seeds))
+                    raise TrainingError(f"ratio {ratio} seed {run.seed}: {e}",
+                                        epoch=e.epoch, seed=run.seed) from e
+        for loss, vals in accs.items():
+            rows.append(SweepRow(ratio, loss, float(np.mean(vals)), float(np.std(vals)), seeds))
     return rows
 
 

@@ -16,11 +16,10 @@ from pathlib import Path
 
 from .attack import check_ratios, robustness_sweep, write_sweep_csv
 from .graph import DatasetFormatError, gen_sbm, load_dataset, read_lines, write_dataset
-from .losses import LOSS_KINDS
-from .nn import ModelSpec, NumericsError, save_checkpoint
+from .nn import NumericsError, save_checkpoint
 from .partition import edge_cut_stats, write_assignment
 from .trainer import (PARTITION_METHODS, TrainConfig, TrainingError, check_clusters,
-                      make_partition, train, write_curves, write_result)
+                      make_partition, train, validate, write_curves, write_result)
 
 __all__ = ["main"]
 
@@ -75,11 +74,9 @@ CONFIG_KEYS = {
     "detach_cluster": _to_bool,
     "beta": float,
 }
-SPEC_KEYS = ("encoder", "layers", "hidden", "dropout")
-# every TrainConfig field but the spec is the config key of its name
-TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.name != "spec"}
-DEFAULTS = {"dataset": None, "out": "run", "encoder": "gcn", "layers": 2, "hidden": 64,
-            "dropout": 0.5, **TRAIN_DEFAULTS}
+# every TrainConfig field is the config key of its name
+TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+DEFAULTS = {"dataset": None, "out": "run", **TRAIN_DEFAULTS}
 
 
 def read_config(path) -> dict:
@@ -139,15 +136,9 @@ def _make_out_dir(out) -> None:
         raise ConfigError(f"bad value for --out: {e}") from None
 
 
-def build_train_config(cfg: dict, data) -> TrainConfig:
-    """The spec from the encoder keys, the loss and the dataset; every
-    TrainConfig field from the config key of its name."""
-    if cfg["loss"] not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss {cfg['loss']!r}")
-    spec = ModelSpec(**{k: cfg[k] for k in SPEC_KEYS}, in_dim=data.features.shape[1],
-                     num_classes=data.labels.num_classes,
-                     classifier=LOSS_KINDS[cfg["loss"]].classifier)
-    return TrainConfig(spec, **{k: cfg[k] for k in TRAIN_DEFAULTS})
+def build_train_config(cfg: dict) -> TrainConfig:
+    """Every TrainConfig field from the config key of its name."""
+    return TrainConfig(**{k: cfg[k] for k in TRAIN_DEFAULTS})
 
 
 def cmd_partition(args) -> int:
@@ -176,13 +167,14 @@ def _read_run(args, outs):
 def cmd_train(args) -> int:
     cfg_raw, data = _read_run(args, lambda cfg: [f"{cfg['out']}{suffix}" for suffix in
                                                  (".result", ".curves.csv", ".ckpt")])
-    cfg = build_train_config(cfg_raw, data)
+    cfg = build_train_config(cfg_raw)
+    spec = validate(cfg, data)
     out = Path(cfg_raw["out"])
     _make_out_dir(out)
     result = train(cfg, data)
-    write_result(f"{out}.result", cfg, result)
+    write_result(f"{out}.result", cfg, spec, result)
     write_curves(f"{out}.curves.csv", result)
-    save_checkpoint(f"{out}.ckpt", cfg.spec, result.params)
+    save_checkpoint(f"{out}.ckpt", spec, result.params)
     print(f"seconds_per_epoch={result.seconds_per_epoch:.4f}", file=sys.stderr)
     print(f"test_acc={result.test_acc!r} f1_micro={result.test_f1_micro!r} "
           f"ece={result.test_ece!r}")
@@ -200,10 +192,9 @@ def cmd_attack(args) -> int:
         ratios = check_ratios(data.graph, [float(t) for t in args.ratios.split(",") if t.strip()])
     except ValueError as e:
         raise ConfigError(f"bad --ratios value {args.ratios!r}: {e}") from None
-    cfg_ce = build_train_config({**cfg_raw, "loss": "ce"}, data)
-    cfg_jc = build_train_config({**cfg_raw, "loss": "jc"}, data)
+    cfg = build_train_config(cfg_raw)
     _make_out_dir(args.sweep_out)
-    rows = robustness_sweep(data, ratios, cfg_ce, cfg_jc, args.num_seeds)
+    rows = robustness_sweep(data, ratios, cfg, args.num_seeds)
     write_sweep_csv(args.sweep_out, rows)
     for r in rows:
         print(f"ratio={r.ratio} loss={r.loss} mean_acc={r.mean_acc!r} std_acc={r.std_acc!r}")

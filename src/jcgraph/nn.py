@@ -69,7 +69,7 @@ class ModelSpec:
             raise ValueError(f"layers must be >= {min_layers} for {self.encoder}, got {self.layers}")
         if self.in_dim < 1 or self.num_classes < 1:
             raise ValueError("dims must be positive")
-        if self.encoder != "sgc" and self.hidden < 1:
+        if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -138,24 +138,27 @@ class RowPlan:
     in rows[k], each row's entries in Â's order), and its backward pass the
     transpose of that block; the entries a block drops meet only zero rows in
     a product over all rows.
-    x is the input of layer 0 for every row (dense, or CSR as load_dataset
-    gives a large sparse feature table; Â^K X for sgc), x_rows its rows[0]
-    rows and x_pos, for a CSR input, the positions of x_rows' entries in x.
+    x_rows is the rows[0] rows of layer 0's input x (dense, or CSR as
+    load_dataset gives a large sparse feature table; Â^K X for sgc), n the
+    node count, and for a CSR input x_pos the positions of x_rows' entries
+    among x's x_nnz stored entries: all that dropout's draws read of x.
     """
 
     spec: ModelSpec
-    x: np.ndarray | sp.csr_matrix
+    n: int
     rows: tuple
     adj_rows: tuple
     x_rows: np.ndarray | sp.csr_matrix
     x_pos: np.ndarray | None
+    x_nnz: int | None
 
 
 def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None, x: np.ndarray | sp.csr_matrix,
               *targets) -> tuple[RowPlan, ...]:
     """One plan per target set, each computing only what its target rows'
     embeddings read. The input is prepared once: layer 0 multiplies x in the
-    form given, and sgc's plans share Â^K X, computed from x's dense form."""
+    form given, and sgc's plans cut their rows from one Â^K X, computed from
+    x's dense form."""
     if not sp.issparse(x):
         x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_dim:
@@ -186,9 +189,10 @@ def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None, x: np.ndarray | sp.csr
             indptr, x_pos = _cut_rows(x.indptr, rows[0])
             x_rows = sp.csr_matrix((x.data[x_pos], x.indices[x_pos], indptr),
                                    shape=(rows[0].size, x.shape[1]))
+            x_nnz = x.data.size
         else:
-            x_rows, x_pos = x[rows[0]], None
-        plans.append(RowPlan(spec, x, tuple(rows), adj_rows, x_rows, x_pos))
+            x_rows, x_pos, x_nnz = x[rows[0]], None, None
+        plans.append(RowPlan(spec, n, tuple(rows), adj_rows, x_rows, x_pos, x_nnz))
     return tuple(plans)
 
 
@@ -249,17 +253,17 @@ def _dropout(rng, plan, inp, k, p):
 
     Returns (input, mask); the mask is kept for the backward pass and is None
     at layer 0, whose input gets no gradient. A CSR input draws one value per
-    stored entry of x and keeps those of x_rows: its rows' entries lie too
-    close together for skipping to pay. A dense input draws one value per
-    entry of an all-rows input, only for its computed rows. A hidden input is
-    scaled in place, since nothing else reads it.
+    stored entry of the all-rows input (x_nnz) and keeps those at x_pos: its
+    rows' entries lie too close together for skipping to pay. A dense input
+    draws one value per entry of an all-rows input, only for its computed
+    rows. A hidden input is scaled in place, since nothing else reads it.
     """
     if sp.issparse(inp):
-        u = rng.random(plan.x.data.shape)
+        u = rng.random(plan.x_nnz)
         kept = u[plan.x_pos] >= p
         data = inp.data * kept / (1.0 - p)
         return sp.csr_matrix((data, inp.indices, inp.indptr), shape=inp.shape), None
-    mask = _draws_on_rows(rng, (plan.x.shape[0], inp.shape[1]), plan.rows[k]) >= p
+    mask = _draws_on_rows(rng, (plan.n, inp.shape[1]), plan.rows[k]) >= p
     if k == 0:
         return inp * mask / (1.0 - p), None
     return _scale(inp, mask, p), mask
@@ -270,7 +274,7 @@ def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed:
 
     gcn: K rounds of z <- relu(A z W), no nonlinearity after the last round.
     mlp: K rounds of z <- relu(z W + b).
-    sgc: no weight layer: plan.x is A^K x, and the classifier is the linear map.
+    sgc: no weight layer: plan.x_rows holds A^K x, and the classifier is the linear map.
     Dropout precedes every weight layer in train mode, so sgc runs none.
 
     Every layer runs on compact blocks of its plan rows; the embeddings are

@@ -64,7 +64,14 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    spec: ModelSpec
+    """Every run key but dataset and out, each field the config key of its
+    name with its only default. The model's shape is not a field: validate
+    derives it from the encoder keys, the loss and the dataset."""
+
+    encoder: str = "gcn"
+    layers: int = 2
+    hidden: int = 64
+    dropout: float = 0.5
     loss: str = "ce"
     partition: str = "metis-like"
     clusters: int = 1
@@ -132,23 +139,20 @@ class MultiSeedResult:
     results: list
 
 
-def validate(cfg: TrainConfig, data: Dataset) -> None:
-    """Reject a config that cannot run on data, before any work starts."""
-    clf = LOSS_KINDS[cfg.loss].classifier
-    if cfg.spec.classifier != clf:
-        raise ValueError(f"loss {cfg.loss!r} needs classifier {clf!r}, spec has {cfg.spec.classifier!r}")
+def validate(cfg: TrainConfig, data: Dataset) -> ModelSpec:
+    """Reject a config that cannot run on data, before any work starts; the
+    model spec of the run: the encoder keys, data's feature and class counts
+    and the loss's classifier."""
+    spec = ModelSpec(cfg.encoder, cfg.layers, cfg.hidden, data.features.shape[1],
+                     data.labels.num_classes, cfg.dropout, LOSS_KINDS[cfg.loss].classifier)
     if data.labels.kind not in LOSS_KINDS[cfg.loss].label_kinds:
         raise ValueError(f"loss {cfg.loss!r} does not support label kind {data.labels.kind!r}")
-    if cfg.spec.in_dim != data.features.shape[1]:
-        raise ValueError("spec.in_dim does not match the dataset")
-    if cfg.spec.num_classes != data.labels.num_classes:
-        raise ValueError("spec.num_classes does not match the dataset")
     if data.masks.train.size == 0:
         raise ValueError("the dataset's train mask is empty")
     if data.masks.test.size == 0:
         raise ValueError("the dataset's test mask is empty")
-    if LOSS_KINDS[cfg.loss].needs_clusters:
-        check_clusters(cfg.clusters, data)
+    check_clusters(cfg.clusters, data)
+    return spec
 
 
 def check_clusters(m: int, data: Dataset, key: str = "clusters") -> None:
@@ -196,8 +200,7 @@ def _split_metrics(p, data, mask) -> dict:
 def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     """Run the full training loop; the result carries the test metrics and
     the parameters of the best-validation checkpoint."""
-    validate(cfg, data)
-    spec = cfg.spec
+    spec = validate(cfg, data)
     masks = data.masks
     val_mask = masks.val if masks.val.size else masks.train
     splits = [masks.train, val_mask, masks.test]
@@ -302,18 +305,18 @@ ECHO_KEYS = ("encoder", "layers", "hidden", "dropout", "classifier", "loss", "pa
              "detach_cluster", "beta")
 
 
-def config_echo(cfg: TrainConfig) -> dict[str, str]:
-    """Each echoed setting by name, from the spec or the config: booleans in
+def config_echo(cfg: TrainConfig, spec: ModelSpec) -> dict[str, str]:
+    """Each echoed setting by name, from the config or its spec: booleans in
     lower case, everything else as str gives it."""
-    values = {**vars(cfg.spec), **vars(cfg)}
+    values = {**vars(spec), **vars(cfg)}
     return {k: str(values[k]).lower() if isinstance(values[k], bool) else str(values[k])
             for k in ECHO_KEYS}
 
 
-def write_result(path, cfg: TrainConfig, result: RunResult) -> None:
+def write_result(path, cfg: TrainConfig, spec: ModelSpec, result: RunResult) -> None:
     """Self-describing flat result file. Timing is deliberately excluded so
     identical seeded runs produce byte-identical files."""
-    lines = [f"config.{k} = {v}" for k, v in config_echo(cfg).items()]
+    lines = [f"config.{k} = {v}" for k, v in config_echo(cfg, spec).items()]
     lines.append(f"best_val_epoch = {result.best_val_epoch}")
     for key in METRIC_KEYS:
         lines.append(f"{key} = {repr(float(getattr(result, key)))}")

@@ -57,25 +57,23 @@ def pubmed():
     return load_or_skip("pubmed", (19717, 500, 3))
 
 
-def citation_cfg(data, encoder: str, loss: str) -> TrainConfig:
-    spec = ModelSpec(encoder, 2, 64, data.features.shape[1], data.labels.num_classes,
-                     0.5, LOSS_KINDS[loss][0])
-    return TrainConfig(spec=spec, loss=loss, partition="metis-like", clusters=5,
+def citation_cfg(encoder: str, loss: str) -> TrainConfig:
+    return TrainConfig(encoder, 2, 64, 0.5, loss=loss, partition="metis-like", clusters=5,
                        lr=0.01, weight_decay=5e-4, epochs=300, eval_every=1, seed=0)
 
 
 @pytest.fixture(scope="module")
 def pubmed_runs(pubmed):
-    ce = multi_seed(citation_cfg(pubmed, "gcn", "ce"), pubmed, 10)
-    jc = multi_seed(citation_cfg(pubmed, "gcn", "jc"), pubmed, 10)
+    ce = multi_seed(citation_cfg("gcn", "ce"), pubmed, 10)
+    jc = multi_seed(citation_cfg("gcn", "jc"), pubmed, 10)
     return ce, jc
 
 
 class TestCriteria:
     def test_criterion_1_cora_gcn_accuracy(self, cora):
         t0 = perf_counter()
-        ce = multi_seed(citation_cfg(cora, "gcn", "ce"), cora, 10)
-        jc = multi_seed(citation_cfg(cora, "gcn", "jc"), cora, 10)
+        ce = multi_seed(citation_cfg("gcn", "ce"), cora, 10)
+        jc = multi_seed(citation_cfg("gcn", "jc"), cora, 10)
         runtime = perf_counter() - t0
         ce_acc = 100 * ce.metrics["test_acc"][0]
         jc_acc = 100 * jc.metrics["test_acc"][0]
@@ -85,14 +83,14 @@ class TestCriteria:
                       f"diff={jc_acc - ce_acc:+.2f} runtime={runtime:.0f}s")
 
     def test_criterion_2_cora_mlp_gain(self, cora):
-        ce = multi_seed(citation_cfg(cora, "mlp", "ce"), cora, 10)
-        jc = multi_seed(citation_cfg(cora, "mlp", "jc"), cora, 10)
+        ce = multi_seed(citation_cfg("mlp", "ce"), cora, 10)
+        jc = multi_seed(citation_cfg("mlp", "jc"), cora, 10)
         diff = 100 * (jc.metrics["test_acc"][0] - ce.metrics["test_acc"][0])
         report(2, diff >= 5.0, f"mlp jc-ce={diff:+.2f} (needs >= +5.0)")
 
     def test_criterion_3_cora_sgc_gain(self, cora):
-        ce = multi_seed(citation_cfg(cora, "sgc", "ce"), cora, 10)
-        jc = multi_seed(citation_cfg(cora, "sgc", "jc"), cora, 10)
+        ce = multi_seed(citation_cfg("sgc", "ce"), cora, 10)
+        jc = multi_seed(citation_cfg("sgc", "jc"), cora, 10)
         diff = 100 * (jc.metrics["test_acc"][0] - ce.metrics["test_acc"][0])
         report(3, diff >= 0.8, f"sgc jc-ce={diff:+.2f} (needs >= +0.8)")
 
@@ -103,8 +101,7 @@ class TestCriteria:
 
     def test_criterion_5_cora_random_attack(self, cora):
         ratios = [0.2, 0.4, 0.6, 0.8, 1.0]
-        rows = robustness_sweep(cora, ratios, citation_cfg(cora, "gcn", "ce"),
-                                citation_cfg(cora, "gcn", "jc"), seeds=5)
+        rows = robustness_sweep(cora, ratios, citation_cfg("gcn", "ce"), seeds=5)
         acc = {(r.ratio, r.loss): r.mean_acc for r in rows}
         wins = sum(acc[(r, "jc")] >= acc[(r, "ce")] for r in ratios)
         ok = acc[(1.0, "jc")] >= acc[(1.0, "ce")] and wins >= 4

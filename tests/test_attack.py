@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from jcgraph.attack import AttackSpec, random_attack, robustness_sweep, write_sweep_csv
 from jcgraph.graph import Graph, gen_sbm
-from jcgraph.nn import ModelSpec
 from jcgraph.trainer import TrainConfig, train
 
 from conftest import rng_graph
@@ -125,40 +126,40 @@ class TestRandomAttack:
             AttackSpec(-0.1)
 
 
-def sweep_cfg(data, loss):
-    clf = {"ce": "independent", "jc": "joint"}[loss]
-    spec = ModelSpec("gcn", 2, 16, 8, 4, 0.5, clf)
-    return TrainConfig(spec=spec, loss=loss, partition="metis-like",
-                       clusters=4, epochs=60, seed=0)
+SWEEP_CFG = TrainConfig(hidden=16, partition="metis-like", clusters=4, epochs=60)
 
 
 class TestRobustnessSweep:
     def test_ratio_zero_reproduces_clean_run(self, easy_sbm):
-        cfg_ce = sweep_cfg(easy_sbm, "ce")
-        cfg_jc = sweep_cfg(easy_sbm, "jc")
-        rows = robustness_sweep(easy_sbm, [0.0], cfg_ce, cfg_jc, seeds=1)
-        clean_ce = train(cfg_ce, easy_sbm).test_acc
-        clean_jc = train(cfg_jc, easy_sbm).test_acc
+        rows = robustness_sweep(easy_sbm, [0.0], SWEEP_CFG, seeds=1)
+        clean = {loss: train(replace(SWEEP_CFG, loss=loss), easy_sbm).test_acc
+                 for loss in ("ce", "jc")}
         assert all(r.ratio == 0.0 for r in rows)
-        assert {r.loss: r.mean_acc for r in rows} == {"ce": clean_ce, "jc": clean_jc}
+        assert {r.loss: r.mean_acc for r in rows} == clean
 
     def test_accuracy_degrades_with_noise(self, hard_feature_sbm):
-        rows = robustness_sweep(hard_feature_sbm, [0.2, 1.0],
-                                sweep_cfg(hard_feature_sbm, "ce"),
-                                sweep_cfg(hard_feature_sbm, "jc"), seeds=2)
+        rows = robustness_sweep(hard_feature_sbm, [0.2, 1.0], SWEEP_CFG, seeds=2)
         acc = {(r.ratio, r.loss): r.mean_acc for r in rows}
         assert acc[(1.0, "ce")] <= acc[(0.2, "ce")]
         assert acc[(1.0, "jc")] <= acc[(0.2, "jc")]
 
     def test_unsorted_ratios_rejected(self, easy_sbm):
         with pytest.raises(ValueError, match="sorted"):
-            robustness_sweep(easy_sbm, [1.0, 0.2], sweep_cfg(easy_sbm, "ce"),
-                             sweep_cfg(easy_sbm, "jc"), seeds=1)
+            robustness_sweep(easy_sbm, [1.0, 0.2], SWEEP_CFG, seeds=1)
 
     def test_empty_ratios_rejected(self, easy_sbm):
         with pytest.raises(ValueError, match="no ratios"):
-            robustness_sweep(easy_sbm, [], sweep_cfg(easy_sbm, "ce"),
-                             sweep_cfg(easy_sbm, "jc"), seeds=1)
+            robustness_sweep(easy_sbm, [], SWEEP_CFG, seeds=1)
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_seed_count_below_one_rejected(self, easy_sbm, monkeypatch, seeds):
+        import jcgraph.attack as attack_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("train ran before the seed count was checked")
+        monkeypatch.setattr(attack_mod, "train", never)
+        with pytest.raises(ValueError, match="^seeds must be >= 1$"):
+            robustness_sweep(easy_sbm, [0.5], SWEEP_CFG, seeds=seeds)
 
     def test_csv_layout(self, tmp_path):
         from jcgraph.attack import SweepRow

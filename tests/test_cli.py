@@ -244,6 +244,37 @@ class TestTrainCmd:
         assert not (tmp_path / "r.result").exists()
         assert not (tmp_path / "sweep.csv").exists()
 
+    # a key's rule holds whether or not the run reads it: sgc has no hidden
+    # layer, and ce reads no clusters
+    @pytest.mark.parametrize("command,flags,message", [
+        ("train", ["--encoder", "sgc", "--hidden", "-5"], "hidden must be >= 1, got -5"),
+        ("attack", ["--encoder", "sgc", "--hidden", "-5"], "hidden must be >= 1, got -5"),
+        ("train", ["--loss", "ce", "--clusters", "-3"],
+         "clusters must be in 1 .. the dataset's 60 nodes, got -3"),
+    ], ids=["train-sgc-hidden", "attack-sgc-hidden", "train-ce-clusters"])
+    def test_key_the_run_does_not_read_is_checked_exit_2(self, sbm_dir, tmp_path, monkeypatch,
+                                                         capsys, command, flags, message):
+        import jcgraph.trainer as train_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("an epoch ran before the config was checked")
+        monkeypatch.setattr(train_mod, "encoder_forward", never)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+                            clusters=3, epochs=3, hidden=8)
+        out = tmp_path / ("sweep.csv" if command == "attack" else "r")
+        assert main(_command(command, sbm_dir, cfgf, out) + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("key,message", [("encoder", "unknown encoder 'nosuch'"),
+                                             ("loss", "unknown loss 'nosuch'"),
+                                             ("partition", "unknown partition method 'nosuch'")])
+    def test_unknown_name_exit_2(self, sbm_dir, tmp_path, capsys, key, message):
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", epochs=3, hidden=8)
+        assert main(["train", str(cfgf), f"--{key}", "nosuch"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_config_echo_lines(self, sbm_dir, tmp_path):
         # every echoed key away from its default; the text is that of the
         # implementation with one hand-written line per key

@@ -1,8 +1,11 @@
-"""README's table of config keys says what the code does."""
+"""README's table of config keys says what the code does, and the keys are
+the run config's."""
 
+from dataclasses import fields
 from pathlib import Path
 
 from jcgraph.cli import CONFIG_KEYS, DEFAULTS
+from jcgraph.trainer import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +32,10 @@ def test_key_table_lists_every_key_once_with_its_default():
     for key, text in pairs:
         value = None if text in ("(required)", "none") else CONFIG_KEYS[key](text)
         assert value == DEFAULTS[key], key
+
+
+def test_config_keys_are_the_run_config_fields():
+    # every key has a parser and a default, and every key but the two paths
+    # is a TrainConfig field: a key cannot drift from the config
+    assert set(CONFIG_KEYS) == set(DEFAULTS) == {"dataset", "out"} | {
+        f.name for f in fields(TrainConfig)}

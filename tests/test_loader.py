@@ -196,10 +196,11 @@ def test_assignment_and_checkpoint_mutation_names_file_and_line(tmp_path_factory
     assert str(err.value).startswith(f"{path}:{lineno}:")
 
 
-def _write(root, graph="12 1\n0 1\n", features=None, labels=None):
+def _write(root, graph="12 1\n0 1\n", features=None, labels=None,
+           masks="train: 0\nval: 1\ntest: 2\n"):
     features = features or "12 1\n" + "0.5\n" * 12
     labels = labels or "12 2 s\n" + "0\n1\n" * 6
-    for name, text in zip(FILES, (graph, features, labels, "train: 0\nval: 1\ntest: 2\n")):
+    for name, text in zip(FILES, (graph, features, labels, masks)):
         (root / name).write_text(text)
     return root
 
@@ -246,6 +247,33 @@ def test_tokens_where_parsers_differ(tmp_path, files, check, error):
     else:
         with pytest.raises(DatasetFormatError, match=re.escape(str(root)) + "/" + error):
             load_dataset(root)
+
+
+# (file, its text, line, message): one bad header or mask line each
+HEADER_AND_MASK_ERRORS = [
+    ("graph.txt", "", 1, "missing 'n m' header"),
+    ("graph.txt", "0 0\n", 1, "bad header n=0 m=0"),
+    ("features.txt", "\n", 1, "missing 'n d' header"),
+    ("features.txt", "12 0\n", 1, "bad feature dim 0"),
+    ("labels.txt", "\n", 1, "missing 'n c kind' header"),
+    ("labels.txt", "12 2\n" + "0\n" * 12, 1, "expected 'n c kind' header, got '12 2'"),
+    ("labels.txt", "11 2 s\n" + "0\n" * 11, 1, "node count 11 does not match graph.txt (12)"),
+    ("labels.txt", "12 2 x\n" + "0\n" * 12, 1, "label kind must be 's' or 'm', got 'x'"),
+    ("labels.txt", "12 0 s\n" + "0\n" * 12, 1, "bad class count 0"),
+    ("masks.txt", "train: 0\ntest: 2\n", 2, "expected line starting with 'val:'"),
+    ("masks.txt", "train: 0\nval: 12\ntest: 2\n", 2, "val index out of range for n=12"),
+    ("masks.txt", "train: 0 3 0\nval: 1\ntest: 2\n", 1, "duplicate index in train mask"),
+    ("masks.txt", "train:\nval: 1\ntest: 2\n", 1, "train mask is empty"),
+]
+
+
+@pytest.mark.parametrize("name,text,line,message", HEADER_AND_MASK_ERRORS,
+                         ids=[case[3].split(" ")[0] + "-" + case[0] for case in HEADER_AND_MASK_ERRORS])
+def test_header_and_mask_errors_name_file_and_line(tmp_path, name, text, line, message):
+    root = _write(tmp_path, **{name.split(".")[0]: text})
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(root)
+    assert str(err.value) == f"{root / name}:{line}: {message}"
 
 
 @pytest.mark.parametrize("kind", ["dataset", "assignment", "checkpoint"])

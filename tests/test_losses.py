@@ -14,7 +14,7 @@ from jcgraph.losses import (LOSS_KINDS, ClusterStats, _group_sum, ce_loss, clust
                             predict_joint, scatter_cluster_grad)
 from jcgraph.nn import ModelSpec, grad_check, init_params
 from jcgraph.partition import ClusterAssignment, partition_metis_like
-from jcgraph.trainer import TrainConfig, train
+from jcgraph.trainer import TrainConfig, train, validate
 
 
 def onehot(idx, c):
@@ -472,8 +472,8 @@ def test_every_loss_kind_is_one_call(kind, sbm12, sbm12_multi, monkeypatch):
     assert inspect.signature(loss_fn(kind)) == inspect.signature(ce_loss)
 
     data = sbm12 if "s" in LOSS_KINDS[kind].label_kinds else sbm12_multi
-    spec = ModelSpec("gcn", 1, 3, 3, 2, 0.0, LOSS_KINDS[kind].classifier)
-    params = init_params(spec, 0)
+    cfg = TrainConfig("gcn", 1, 3, 0.0, loss=kind, clusters=2, epochs=2)
+    params = init_params(validate(cfg, data), 0)
     z = np.random.default_rng(0).normal(size=(data.num_nodes, 3))
     if LOSS_KINDS[kind].needs_clusters:
         no_stats = f"^{re.escape(kind)} loss needs cluster stats"
@@ -489,5 +489,5 @@ def test_every_loss_kind_is_one_call(kind, sbm12, sbm12_multi, monkeypatch):
         calls.append(kind)
         return original(*args, **kwargs)
     monkeypatch.setattr(losses, name, counted)
-    train(TrainConfig(spec=spec, loss=kind, clusters=2, epochs=2), data)
+    train(cfg, data)
     assert calls == [kind, kind]

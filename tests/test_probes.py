@@ -8,6 +8,7 @@ touching perfbench/ and fail on the refactor that would break it.
 import importlib
 import inspect
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ import pytest
 
 import jcgraph.trainer as trainer
 from jcgraph.graph import normalize_adjacency
-from jcgraph.nn import ModelSpec, plan_rows
-from jcgraph.trainer import TrainConfig, train
+from jcgraph.nn import plan_rows
+from jcgraph.trainer import TrainConfig, train, validate
 
 PROBES = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
 
@@ -50,11 +51,11 @@ def test_encoder_forward_binds_train_mode():
     assert sig.bind(None, None, True).arguments["train_mode"] is True
 
 
-JC_SPEC = ModelSpec("gcn", 2, 8, 8, 4, 0.5, "joint")
+JC_CFG = TrainConfig(hidden=8, loss="jc", clusters=3, seed=2)
 
 
 def jc_run(data, epochs):
-    return train(TrainConfig(spec=JC_SPEC, loss="jc", clusters=3, epochs=epochs, seed=2), data)
+    return train(replace(JC_CFG, epochs=epochs), data)
 
 
 def test_epoch_probe_sees_one_start_per_step(probes, restore_targets, easy_sbm):
@@ -89,13 +90,14 @@ def test_spmm_flops_count_the_plan_blocks(probes, restore_targets, easy_sbm):
     tracer.install()
     jc_run(easy_sbm, 3)
     masks = easy_sbm.masks
-    train_plan, eval_plan = plan_rows(JC_SPEC, normalize_adjacency(easy_sbm.graph),
+    spec = validate(JC_CFG, easy_sbm)
+    train_plan, eval_plan = plan_rows(spec, normalize_adjacency(easy_sbm.graph),
                                       easy_sbm.features, masks.train,
                                       np.concatenate([masks.train, masks.val, masks.test]))
     assert train_plan.rows[1].size < easy_sbm.num_nodes  # the train step multiplies cut blocks
 
     def flops(blocks):
-        return [{"flop": 2 * int(b.indices.size) * JC_SPEC.hidden} for b in blocks]
+        return [{"flop": 2 * int(b.indices.size) * spec.hidden} for b in blocks]
 
     # the backward multiplies the transpose of each layer's block, last layer first
     step = flops(train_plan.adj_rows + train_plan.adj_rows[::-1])

@@ -93,9 +93,10 @@ def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, csr, 
         prepared = dense(x)
         for _ in range(layers):
             prepared = spmm(adj, prepared)
-        assert full.x.tobytes() == prepared.tobytes()
+        assert full.x_rows.tobytes() == prepared.tobytes()
     else:
-        assert full.x is x
+        assert sp.issparse(full.x_rows) == csr
+        assert dense(full.x_rows).tobytes() == dense(x).tobytes()
     # rows[k-1] is the Â-neighbourhood of rows[k] for gcn, the targets for mlp;
     # sgc has no weight layer, so its only row set is the targets
     assert len(cut.rows) == spec.weight_layers + 1
@@ -165,9 +166,10 @@ def test_one_call_propagates_sgc_once(sbm12, monkeypatch):
     monkeypatch.setattr(nn, "spmm", counted)
     a, b = plan_rows(spec, normalize_adjacency(sbm12.graph), sbm12.features, [0, 5], [1, 2, 7])
     assert calls == [(12, 12)] * 3
-    assert a.x is b.x
     assert [r.tolist() for r in a.rows + b.rows] == [[0, 5], [1, 2, 7]]
-    assert a.x_rows.tobytes() == a.x[[0, 5]].tobytes()
+    full = all_rows(spec, normalize_adjacency(sbm12.graph), sbm12.features)
+    for plan in (a, b):
+        assert plan.x_rows.tobytes() == full.x_rows[plan.rows[0]].tobytes()
 
 
 def test_rows_grow_by_one_hop_per_layer():
