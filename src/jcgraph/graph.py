@@ -10,6 +10,8 @@ feature table.
 
 from __future__ import annotations
 
+import io
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,10 +201,19 @@ def dense_features(x: np.ndarray | sp.csr_matrix) -> np.ndarray:
 
 def read_lines(path) -> list[str]:
     """A UTF-8 text file's lines, split at each newline."""
+    return _decode(path, _read_bytes(path)).split("\n")
+
+
+def _read_bytes(path) -> bytes:
     if not Path(path).is_file():
         raise DatasetFormatError(path, None, "missing file")
+    return Path(path).read_bytes()
+
+
+def _decode(path, raw: bytes) -> str:
+    """A file's bytes decoded as Path.read_text decodes them."""
     try:
-        return Path(path).read_text().split("\n")
+        return io.TextIOWrapper(io.BytesIO(raw)).read()
     except UnicodeDecodeError as e:  # named at the line that holds the bad byte
         bad = f"byte {e.object[e.start]:#04x} is not {e.encoding} text ({e.reason})"
         raise DatasetFormatError(path, len(e.object[:e.start + 1].splitlines()), bad) from None
@@ -268,11 +279,43 @@ def read_table(path, lines: list[str], start: int, count: int, dtype, width: int
 
 
 def _csr(x: np.ndarray) -> sp.csr_matrix:
-    """The entries of sp.csr_matrix(x), found in one pass over the flat matrix."""
+    """The entries of sp.csr_matrix(x) as float64, found in one pass over the
+    flat matrix."""
     flat = np.flatnonzero(x)
     n, d = x.shape
     indptr = np.searchsorted(flat, np.arange(n + 1) * d)
-    return sp.csr_matrix((x.ravel()[flat], flat % d, indptr), shape=x.shape)
+    return sp.csr_matrix((x.ravel()[flat].astype(np.float64, copy=False), flat % d, indptr),
+                         shape=x.shape)
+
+
+class _NotDigits(Exception):
+    """A features file is not laid out as one-digit tokens."""
+
+
+def _digit_blocks(raw: bytes, n: int):
+    """d and a reader of row blocks of a features file's bytes that are 'n d\\n'
+    then n rows of d one-digit tokens, each followed by one space or, at the
+    row's end, by '\\n'. A block reader returns the rows' digits as uint8
+    and raises _NotDigits at a row that breaks the layout; so does this call
+    for a header that is not two plain decimals or a body of the wrong size."""
+    end = raw.find(b"\n")
+    header = re.fullmatch(rb"(\d+) (\d+)", raw[:max(end, 0)])
+    if header is None or int(header[1]) != n or int(header[2]) < 1:
+        raise _NotDigits
+    d = int(header[2])
+    if len(raw) - end - 1 != n * 2 * d:
+        raise _NotDigits
+    body = np.frombuffer(raw, dtype=np.uint8, offset=end + 1).reshape(n, 2 * d)
+    seps = np.full(d, ord(" "), dtype=np.uint8)
+    seps[-1] = ord("\n")
+
+    def block(rows: range) -> np.ndarray:
+        text = body[rows.start:rows.stop]
+        digits = text[:, 0::2] - ord("0")  # a byte below '0' wraps past 9
+        if (digits > 9).any() or (text[:, 1::2] != seps).any():
+            raise _NotDigits
+        return digits
+    return d, block
 
 
 def _read_features(path, n: int) -> np.ndarray | sp.csr_matrix:
@@ -281,13 +324,23 @@ def _read_features(path, n: int) -> np.ndarray | sp.csr_matrix:
     at most SPARSE_DENSITY of them are nonzero, dense otherwise. A CSR table
     stores the entries that are != 0, so it drops -0.0 entries.
 
-    A large table is read through read_table in row blocks of about
-    FEATURE_BLOCK entries, each converted to CSR at once, so a sparse table
-    never exists as one dense array. Once the nonzeros read so far make the
-    table dense, the blocks are dropped and the table is read again into one
-    dense array, which keeps every bit. The file's lines go on return.
+    The file is read once, as bytes. A file of one-digit tokens in the exact
+    layout _digit_blocks names gives its digits straight from the bytes; any
+    other file (or one that breaks the layout at a later row) is decoded
+    into lines as read_lines decodes it and read through read_table, with
+    its errors. Both feed the same block loop, so a table has the same bits
+    either way.
     """
-    lines = read_lines(path)
+    raw = _read_bytes(path)
+    try:
+        d, block = _digit_blocks(raw, n)
+        return _table_blocks(n, d, block)
+    except _NotDigits:
+        pass
+    text = _decode(path, raw)
+    del raw  # each whole-file buffer goes once the next holds the text, as in read_lines
+    lines = text.split("\n")
+    del text
     if not lines or not lines[0].strip():
         raise DatasetFormatError(path, 1, "missing 'n d' header")
     fn, d = _ints(path, 1, lines[0], expect=2)
@@ -295,19 +348,33 @@ def _read_features(path, n: int) -> np.ndarray | sp.csr_matrix:
         raise DatasetFormatError(path, 1, f"node count {fn} does not match graph.txt ({n})")
     if d < 1:
         raise DatasetFormatError(path, 1, f"bad feature dim {d}")
+    return _table_blocks(n, d, lambda rows: read_table(path, lines, 2, n, np.float64, d,
+                                                       rows=rows))
+
+
+def _table_blocks(n: int, d: int, block) -> np.ndarray | sp.csr_matrix:
+    """The n x d float64 table whose rows block(rows) gives for a range of
+    rows, CSR or dense as _read_features says.
+
+    A large table is read in row blocks of about FEATURE_BLOCK entries, each
+    converted to CSR at once, so a sparse table never exists as one dense
+    array. Once the nonzeros read so far make the table dense, the blocks
+    are dropped and the table is read again into one dense array, which
+    keeps every bit.
+    """
     if n * d < SPARSE_MIN_SIZE:
-        return read_table(path, lines, 2, n, np.float64, d)
+        return block(range(n)).astype(np.float64, copy=False)
     step = max(1, FEATURE_BLOCK // d)
     blocks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
     parts, nnz = [], 0
     for rows in blocks:
-        parts.append(_csr(read_table(path, lines, 2, n, np.float64, d, rows=rows)))
+        parts.append(_csr(block(rows)))
         nnz += parts[-1].nnz
         if nnz / (n * d) > SPARSE_DENSITY:
             parts = None
             x = np.empty((n, d))
             for rows in blocks:
-                x[rows.start:rows.stop] = read_table(path, lines, 2, n, np.float64, d, rows=rows)
+                x[rows.start:rows.stop] = block(rows)
             return x
     return sp.vstack(parts, format="csr")
 

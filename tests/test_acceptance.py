@@ -7,7 +7,6 @@ explanation when the data is absent. README.md documents the converter.
 """
 
 import os
-from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -17,8 +16,7 @@ import pytest
 from jcgraph.attack import robustness_sweep
 from jcgraph.cli import main as cli_main
 from jcgraph.graph import gen_sbm, load_dataset, normalize_adjacency, spmm, write_dataset
-from jcgraph.losses import (cluster_stats, joint_forward, joint_label, loss_fn, marginalize,
-                            predict_joint)
+from jcgraph.losses import cluster_stats, joint_forward, joint_label, loss_fn, marginalize
 from jcgraph.metrics import loss_gap
 from jcgraph.nn import ModelSpec, grad_check, init_params
 from jcgraph.partition import (edge_cut_stats, partition_kmeans,

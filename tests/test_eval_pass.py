@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 from jcgraph import losses
 from jcgraph.graph import LabelSet, normalize_adjacency

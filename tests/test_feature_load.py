@@ -1,6 +1,7 @@
 """A large feature table loads block by block in the form layer 0 multiplies:
 CSR when sparse, dense otherwise, with the same entries, bits and errors as a
-parse of the whole table."""
+parse of the whole table, whether its one-digit tokens are read from the
+file's bytes or any other table is parsed as text."""
 
 import re
 import tracemalloc
@@ -30,9 +31,10 @@ def binary_rows(rng, n, d, density):
     return [["1" if v else "0" for v in row] for row in rng.random((n, d)) < density]
 
 
-def dense_parse(root):
-    """The table parsed whole, with the values float() gives each token."""
-    lines = (root / "features.txt").read_text().split("\n")[1:-1]
+def dense_parse(root, n=None):
+    """The table parsed whole, with the values float() gives each token; its
+    first n rows, given n."""
+    lines = (root / "features.txt").read_text().splitlines()[1:][:n]
     return np.array([[float(t) for t in line.split()] for line in lines])
 
 
@@ -148,3 +150,125 @@ def test_csr_dataset_roundtrips(tmp_path):
         assert getattr(back.features, name).tobytes() == getattr(ds.features, name).tobytes()
     assert back.graph.indices.tobytes() == ds.graph.indices.tobytes()
     assert back.labels.matrix.tobytes() == ds.labels.matrix.tobytes()
+
+
+def digit_rows(rng, n, d, density):
+    """Tokens of an n x d table of one-digit numbers, about density of them
+    nonzero (1 to 9)."""
+    digits = rng.integers(1, 10, size=(n, d)) * (rng.random((n, d)) < density)
+    return np.array(list("0123456789"))[digits].tolist()
+
+
+def assert_same_table(x, want):
+    """x has the dtype and bytes of the dense table want, in x's form: CSR
+    stores the entries of want that are != 0, in row-major order."""
+    if sp.issparse(x):
+        want = sp.csr_matrix(want)
+        for name in ("data", "indices", "indptr"):
+            got, expect = getattr(x, name), getattr(want, name)
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), name
+    else:
+        assert x.dtype == want.dtype and x.shape == want.shape
+        assert x.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+
+def digit_table(kind, rng):
+    """Rows of a one-digit table: CSR-sized, dense from a later block on,
+    or below SPARSE_MIN_SIZE."""
+    if kind == "csr":
+        return digit_rows(rng, N, D, 0.05)
+    if kind == "small":
+        return digit_rows(rng, 40, 50, 0.3)
+    sparse_rows = FEATURE_BLOCK // D + 5
+    return digit_rows(rng, sparse_rows, D, 0.01) + digit_rows(rng, N - sparse_rows, D, 0.9)
+
+
+@pytest.mark.parametrize("kind", ["csr", "later-dense", "small"])
+def test_digit_table_loads_as_a_dense_parse(tmp_path, kind):
+    root = write_table(tmp_path / "ds", digit_table(kind, np.random.default_rng(8)))
+    x = load_dataset(root).features
+    assert sp.issparse(x) == (kind == "csr")
+    assert_same_table(x, dense_parse(root))
+
+
+def at_line(edit):
+    """The change of a file's text that edits its line LINE."""
+    def change(text):
+        lines = text.split("\n")
+        lines[LINE - 1] = edit(lines[LINE - 1])
+        return "\n".join(lines)
+    return change
+
+
+def join_rows(text):
+    """The text with the newline that ends line LINE made a space."""
+    lines = text.split("\n")
+    lines[LINE - 1:LINE + 1] = [lines[LINE - 1] + " " + lines[LINE]]
+    return "\n".join(lines)
+
+
+# a change of one thing in a file of one-digit rows -> the change of its text
+# (a lone surrogate "\udcXX" stands for the byte 0xXX)
+OFF_LAYOUT = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "tab": at_line(lambda line: line.replace(" ", "\t", 1)),
+    "double-space": at_line(lambda line: line.replace(" ", "  ", 1)),
+    "two-digits": at_line(lambda line: "10" + line[1:]),
+    "plus-sign": at_line(lambda line: "+1" + line[1:]),
+    "minus-zero": at_line(lambda line: "-0" + line[1:]),
+    "decimal": at_line(lambda line: "1.0" + line[1:]),
+    "non-ascii-digit": at_line(lambda line: "\u0663" + line[1:]),  # ARABIC-INDIC DIGIT THREE
+    "no-final-newline": lambda text: text[:-1],
+    "extra-row": lambda text: text + "1 " * (D - 1) + "1\n",
+}
+
+# the same for changes that a text parse rejects -> its error; the last two
+# keep the file's size, so only the per-row checks of the layout find them
+OFF_LAYOUT_ERRORS = {
+    "not-utf8": (at_line(lambda line: "\udcff" + line[1:]),
+                 f"{LINE}: byte 0xff is not utf-8 text (invalid start byte)"),
+    "wrong-node-count": (lambda text: text.replace(f"{N} {D}", f"{N - 1} {D}", 1),
+                         f"1: node count {N - 1} does not match graph.txt ({N})"),
+    "digit-for-space": (at_line(lambda line: line[0] + "0" + line[2:]),
+                        f"{LINE}: expected {D} values, got {D - 1}"),
+    "joined-rows": (join_rows, f"{LINE}: expected {D} values, got {2 * D}"),
+}
+
+
+def changed_digit_table(root, kind, change):
+    root = write_table(root, digit_table(kind, np.random.default_rng(9)))
+    path = root / "features.txt"
+    path.write_bytes(change(path.read_text()).encode("utf-8", "surrogateescape"))
+    return root
+
+
+# the later-dense table breaks the layout in a block that is read after its
+# nonzeros made it dense
+@pytest.mark.parametrize("kind, change", [("csr", c) for c in sorted(OFF_LAYOUT)] +
+                         [("later-dense", "decimal")])
+def test_table_off_the_digit_layout_loads_as_a_dense_parse(tmp_path, kind, change):
+    root = changed_digit_table(tmp_path / "ds", kind, OFF_LAYOUT[change])
+    assert_same_table(load_dataset(root).features, dense_parse(root, N))
+
+
+@pytest.mark.parametrize("change", sorted(OFF_LAYOUT_ERRORS))
+def test_table_off_the_digit_layout_raises_the_text_error(tmp_path, change):
+    edit, error = OFF_LAYOUT_ERRORS[change]
+    root = changed_digit_table(tmp_path / "ds", "csr", edit)
+    with pytest.raises(DatasetFormatError,
+                       match=re.escape(f"{root / 'features.txt'}:{error}") + "$"):
+        load_dataset(root)
+
+
+def test_digit_table_load_holds_the_file_once(tmp_path):
+    # a text parse holds the decoded string and its lines, ~3.1x the file
+    # on this table; the bytes, their CSR blocks and the table peak ~1.7x
+    root = write_table(tmp_path / "ds", binary_rows(np.random.default_rng(7), N, D, 0.05))
+    size = (root / "features.txt").stat().st_size
+    tracemalloc.start()
+    try:
+        load_dataset(root)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size

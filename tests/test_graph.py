@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from jcgraph.graph import (Dataset, DatasetFormatError, Graph, SplitMasks,
-                           gen_sbm, load_dataset, normalize_adjacency,
+from jcgraph.graph import (DatasetFormatError, Graph, gen_sbm, load_dataset, normalize_adjacency,
                            spmm, write_dataset)
 
 from conftest import rng_graph

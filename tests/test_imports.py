@@ -1,0 +1,36 @@
+"""Every top-level import of a module under src/ and tests/ is read somewhere
+in that module; a package __init__.py imports to re-export, so it is exempt."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that the module's top-level imports bind and that no
+    expression of the module reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_the_scan_finds_an_unused_import():
+    assert unused_imports("import os\nimport numpy as np\nfrom a.b import c, d\nnp.x(c)\n") == \
+        ["os", "d"]
+    assert unused_imports("from __future__ import annotations\nimport a.b\na.b.c()\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_reads_every_import(path):
+    assert unused_imports(path.read_text()) == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcgraph import losses
-from jcgraph.graph import Dataset, Graph, LabelSet, SplitMasks, gen_sbm
+from jcgraph.graph import Dataset, LabelSet, gen_sbm
 from jcgraph.losses import (LOSS_KINDS, ClusterStats, _group_sum, ce_loss, cluster_stats, ic_loss,
                             jc_loss, jc_multilabel_loss, joint_forward,
                             joint_label, loss_fn, marginalize, mixup_loss,
