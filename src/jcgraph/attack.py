@@ -110,16 +110,15 @@ def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> lis
     For every (ratio, seed) cell the graph is re-poisoned with that seed and
     both losses are trained on the same poisoned graph. Every ratio, and both
     runs' configs on the clean graph (poisoning keeps the nodes), are checked
-    before the first training, and so is a cluster file, read once for every
-    jc run.
+    before the first training, and so is a cluster file, which every jc run reads.
     """
     ratios = check_ratios(data.graph, ratios)
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     for loss in ("ce", "jc"):
         validate(replace(cfg, loss=loss), data)
-    assign = (make_partition("file", data, cfg.clusters, cfg.seed, cfg.clusters_file)
-              if cfg.partition == "file" else None)
+    if cfg.partition == "file":
+        make_partition("file", data, cfg.clusters, cfg.seed, cfg.clusters_file)
     rows = []
     for ratio in ratios:
         accs = {"ce": [], "jc": []}
@@ -129,7 +128,7 @@ def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> lis
             for loss in accs:
                 run = replace(cfg, loss=loss, seed=cfg.seed + s)
                 try:  # the accuracy only, so no run's parameters outlive it
-                    accs[loss].append(train(run, pdata, assign).test_acc)
+                    accs[loss].append(train(run, pdata).test_acc)
                 except TrainingError as e:
                     raise TrainingError(f"ratio {ratio} seed {run.seed}: {e}",
                                         epoch=e.epoch, seed=run.seed) from e

@@ -486,9 +486,13 @@ def write_dataset(path, ds: Dataset) -> None:
         features = dense_features(ds.features)
         n, d = features.shape
         f.write(f"{n} {d}\n")
+        # a table of the numbers 0 to 9 (no -0.0) is written in the one-digit
+        # layout _read_features reads from the bytes; any other as the repr
+        # of each python float, the shortest exact round-trip form
+        digits = np.isin(features, np.arange(10)).all() and not np.signbit(features).any()
+        token = (lambda x: str(int(x))) if digits else (lambda x: repr(float(x)))
         for row in features:
-            # repr of a python float is the shortest exact round-trip form
-            f.write(" ".join(repr(float(x)) for x in row) + "\n")
+            f.write(" ".join(map(token, row)) + "\n")
 
     with open(root / "labels.txt", "w", newline="\n") as f:
         f.write(f"{ds.num_nodes} {ds.labels.num_classes} {ds.labels.kind}\n")

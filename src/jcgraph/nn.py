@@ -387,20 +387,13 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5) -> fl
 
 
 def init_adam_state(params: dict) -> dict:
-    """Each parameter's Adam moments m and v, then two scratch arrays of its
-    shape that a step writes its temporaries into."""
-    return {name: [np.zeros_like(v) for _ in range(4)] for name, v in params.items()}
+    return {name: [np.zeros_like(v), np.zeros_like(v)] for name, v in params.items()}
 
 
 def adam_step(params: dict, grads: dict, state: dict, *, lr: float,
               betas: tuple[float, float], eps: float, weight_decay: float = 0.0,
               t: int = 1):
-    """One Adam update with L2 added to the gradient. t counts from 1.
-
-    Every operation writes into p, m, v or the state's two scratch arrays,
-    in the order of the textbook expressions
-    g + wd*p, m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
-    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), so a step allocates no float array."""
+    """One Adam update with L2 added to the gradient. t counts from 1."""
     if t < 1:
         raise ValueError("step count t starts at 1")
     b1, b2 = betas
@@ -410,16 +403,14 @@ def adam_step(params: dict, grads: dict, state: dict, *, lr: float,
         g = grads.get(name, 0.0)  # no gradient: zero
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for {name}")
-        m, v, s1, s2 = state[name]
         if weight_decay:
-            g = np.add(g, np.multiply(weight_decay, p, out=s1), out=s1)
+            g = g + weight_decay * p
+        m, v = state[name]
         m *= b1
-        m += np.multiply(1.0 - b1, g, out=s2)
+        m += (1.0 - b1) * g
         v *= b2
-        v += np.multiply(1.0 - b2, np.multiply(g, g, out=s2), out=s2)
-        step = np.multiply(lr, np.divide(m, bc1, out=s1), out=s1)
-        step /= np.add(np.sqrt(np.divide(v, bc2, out=s2), out=s2), eps, out=s2)
-        p -= step
+        v += (1.0 - b2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return params, state
 
 

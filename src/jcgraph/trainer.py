@@ -197,20 +197,16 @@ def _split_metrics(p, data, mask) -> dict:
             "f1_weighted": weighted, "ece": ece(p, y)}
 
 
-def train(cfg: TrainConfig, data: Dataset, assign: ClusterAssignment | None = None) -> RunResult:
+def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     """Run the full training loop; the result carries the test metrics and
-    the parameters of the best-validation checkpoint. A loss with clusters
-    uses assign, data's nodes in clusters, when given and cfg's partition
-    otherwise."""
+    the parameters of the best-validation checkpoint."""
     spec = validate(cfg, data)
     masks = data.masks
     val_mask = masks.val if masks.val.size else masks.train
     splits = [masks.train, val_mask, masks.test]
     adj = normalize_adjacency(data.graph) if spec.uses_graph else None
-    if not LOSS_KINDS[cfg.loss].needs_clusters:
-        assign = None
-    elif assign is None:
-        assign = make_partition(cfg.partition, data, cfg.clusters, cfg.seed, cfg.clusters_file)
+    assign = (make_partition(cfg.partition, data, cfg.clusters, cfg.seed, cfg.clusters_file)
+              if LOSS_KINDS[cfg.loss].needs_clusters else None)
     # a step reads the train rows' embeddings, an eval those of every split
     train_plan, eval_plan = plan_rows(spec, adj, data.features, masks.train,
                                       np.concatenate(splits))

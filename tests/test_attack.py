@@ -5,7 +5,6 @@ import pytest
 
 from jcgraph.attack import AttackSpec, random_attack, robustness_sweep, write_sweep_csv
 from jcgraph.graph import Graph
-from jcgraph.partition import partition_metis_like, read_assignment, write_assignment
 from jcgraph.trainer import TrainConfig, train
 
 from conftest import rng_graph
@@ -161,26 +160,6 @@ class TestRobustnessSweep:
         monkeypatch.setattr(attack_mod, "train", never)
         with pytest.raises(ValueError, match="^seeds must be >= 1$"):
             robustness_sweep(easy_sbm, [0.5], SWEEP_CFG, seeds=seeds)
-
-    def test_cluster_file_is_read_once(self, easy_sbm, tmp_path, monkeypatch):
-        import jcgraph.attack as attack_mod
-        import jcgraph.trainer as trainer_mod
-
-        write_assignment(tmp_path / "c.txt", partition_metis_like(easy_sbm.graph, 4, 0))
-        cfg = replace(SWEEP_CFG, partition="file", clusters_file=str(tmp_path / "c.txt"),
-                      epochs=10)
-        reads = []
-
-        def spy(path):
-            reads.append(path)
-            return read_assignment(path)
-        monkeypatch.setattr(trainer_mod, "read_assignment", spy)
-        rows = robustness_sweep(easy_sbm, [0.5, 1.0], cfg, seeds=2)
-        assert len(reads) == 1
-        # each jc run reading the file itself gives the same rows
-        monkeypatch.setattr(attack_mod, "train", lambda run, data, assign: train(run, data))
-        assert robustness_sweep(easy_sbm, [0.5, 1.0], cfg, seeds=2) == rows
-        assert len(reads) == 1 + 1 + 4
 
     def test_csv_layout(self, tmp_path):
         from jcgraph.attack import SweepRow

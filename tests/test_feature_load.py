@@ -5,6 +5,7 @@ file's bytes or any other table is parsed as text."""
 
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +190,33 @@ def test_digit_table_loads_as_a_dense_parse(tmp_path, kind):
     x = load_dataset(root).features
     assert sp.issparse(x) == (kind == "csr")
     assert_same_table(x, dense_parse(root))
+
+
+@pytest.mark.parametrize("kind", ["csr", "later-dense", "small"])
+def test_written_digit_table_is_read_from_its_bytes(tmp_path, monkeypatch, kind):
+    import jcgraph.graph as graph_mod
+
+    src = write_table(tmp_path / "a", digit_table(kind, np.random.default_rng(10)))
+    write_dataset(tmp_path / "b", load_dataset(src))
+    assert (tmp_path / "b" / "features.txt").read_bytes() == (src / "features.txt").read_bytes()
+    decoded, decode = [], graph_mod._decode
+
+    def spy(path, raw):
+        decoded.append(Path(path).name)
+        return decode(path, raw)
+    monkeypatch.setattr(graph_mod, "_decode", spy)
+    assert_same_table(load_dataset(tmp_path / "b").features, dense_parse(src))
+    assert "features.txt" not in decoded and "graph.txt" in decoded
+
+
+@pytest.mark.parametrize("value", ["-0.0", "0.5", "10.0"])
+def test_written_table_with_a_non_digit_keeps_its_bits(tmp_path, value):
+    rows = digit_rows(np.random.default_rng(11), 40, 50, 0.3)
+    rows[7][3] = value
+    src = write_table(tmp_path / "a", rows)
+    write_dataset(tmp_path / "b", load_dataset(src))
+    assert f" {value} " in (tmp_path / "b" / "features.txt").read_text()
+    assert_same_table(load_dataset(tmp_path / "b").features, dense_parse(src))
 
 
 def at_line(edit):
