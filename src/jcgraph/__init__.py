@@ -13,7 +13,6 @@ from .nn import (ModelSpec, NumericsError, adam_step, encoder_forward, grad_chec
 from .partition import (ClusterAssignment, CutStats, edge_cut_stats,
                         partition_kmeans, partition_metis_like, partition_random)
 from .attack import AttackSpec, random_attack, robustness_sweep
-from .trainer import (MultiSeedResult, RunResult, TrainConfig, TrainingError,
-                      multi_seed, train)
+from .trainer import RunResult, TrainConfig, TrainingError, train
 
 __version__ = "0.1.0"

@@ -4,12 +4,12 @@ clean-vs-poisoned retraining sweep comparing loss functions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graph import Dataset, Graph
-from .trainer import TrainConfig, TrainingError, make_partition, train, validate
+from .trainer import RunResult, TrainConfig, TrainingError, make_partition, train, validate
 
 __all__ = [
     "AttackSpec",
@@ -44,14 +44,15 @@ def _fake_edge_count(g: Graph, spec: AttackSpec) -> int:
 
 
 def check_ratios(g: Graph, ratios) -> list[float]:
-    """The sweep's ratios, each one checked as random_attack on g would check it."""
+    """The sweep's ratios, each one checked as random_attack on g would check it,
+    strictly ascending: a repeated ratio would train its runs twice."""
     ratios = list(ratios)
     if not ratios:
         raise ValueError("no ratios given")
     for ratio in ratios:
         _fake_edge_count(g, AttackSpec(ratio))
-    if ratios != sorted(ratios):
-        raise ValueError("ratios must be sorted ascending")
+    if ratios != sorted(set(ratios)):
+        raise ValueError("ratios must be sorted ascending, each one once")
     return ratios
 
 
@@ -96,21 +97,27 @@ def random_attack(g: Graph, spec: AttackSpec) -> Graph:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One loss at one ratio: the mean and population std of its runs' test
+    accuracy, and the runs themselves, in seed order and without parameters."""
+
     ratio: float
     loss: str
     mean_acc: float
     std_acc: float
     seeds: int
+    runs: list[RunResult] = field(compare=False)
 
 
 def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> list[SweepRow]:
     """Poison, retrain cfg with the ce loss and with the jc loss from scratch,
-    report test accuracy.
+    report test accuracy: the one multi-seed loop. Ratio 0 poisons nothing, so
+    its rows are the clean ce-vs-jc comparison over seeds.
 
     For every (ratio, seed) cell the graph is re-poisoned with that seed and
-    both losses are trained on the same poisoned graph. Every ratio, and both
-    runs' configs on the clean graph (poisoning keeps the nodes), are checked
-    before the first training, and so is a cluster file, which every jc run reads.
+    both losses are trained on the same poisoned graph, ce first, each through
+    this module's train attribute. Every ratio, and both runs' configs on the
+    clean graph (poisoning keeps the nodes), are checked before the first
+    training, and so is a cluster file, which every jc run reads.
     """
     ratios = check_ratios(data.graph, ratios)
     if seeds < 1:
@@ -121,19 +128,20 @@ def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> lis
         make_partition("file", data, cfg.clusters, cfg.seed, cfg.clusters_file)
     rows = []
     for ratio in ratios:
-        accs = {"ce": [], "jc": []}
+        runs = {"ce": [], "jc": []}
         for s in range(seeds):
             poisoned = random_attack(data.graph, AttackSpec(ratio, seed=cfg.seed + s))
             pdata = Dataset(poisoned, data.features, data.labels, data.masks)
-            for loss in accs:
+            for loss in runs:
                 run = replace(cfg, loss=loss, seed=cfg.seed + s)
-                try:  # the accuracy only, so no run's parameters outlive it
-                    accs[loss].append(train(run, pdata).test_acc)
+                try:  # kept without parameters, so no run's parameters outlive it
+                    runs[loss].append(replace(train(run, pdata), params={}))
                 except TrainingError as e:
                     raise TrainingError(f"ratio {ratio} seed {run.seed}: {e}",
                                         epoch=e.epoch, seed=run.seed) from e
-        for loss, vals in accs.items():
-            rows.append(SweepRow(ratio, loss, float(np.mean(vals)), float(np.std(vals)), seeds))
+        for loss, kept in runs.items():
+            accs = [r.test_acc for r in kept]
+            rows.append(SweepRow(ratio, loss, float(np.mean(accs)), float(np.std(accs)), seeds, kept))
     return rows
 
 

@@ -1,5 +1,5 @@
 """Training orchestration: epoch loop, cluster refresh, checkpoint at best
-validation score, evaluation, and multi-seed aggregation.
+validation score and evaluation.
 
 Training is full batch. Cluster statistics are recomputed from the current
 epoch's embeddings (gradients flow through them unless detach_cluster is
@@ -33,12 +33,10 @@ from .partition import (ClusterAssignment, partition_kmeans, partition_metis_lik
 __all__ = [
     "TrainConfig",
     "RunResult",
-    "MultiSeedResult",
     "TrainingError",
     "train",
     "validate",
     "check_clusters",
-    "multi_seed",
     "config_echo",
     "write_result",
     "write_curves",
@@ -131,12 +129,6 @@ class RunResult:
     seconds_per_epoch: float
     # the best-validation parameter snapshot, which the .ckpt holds
     params: dict[str, np.ndarray] = field(compare=False)
-
-
-@dataclass
-class MultiSeedResult:
-    metrics: dict[str, tuple[float, float]]
-    results: list
 
 
 def validate(cfg: TrainConfig, data: Dataset) -> ModelSpec:
@@ -275,26 +267,6 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
                      **curves, **{f"test_{k}": v for k, v in test.items()})
 
 
-METRIC_KEYS = ("test_acc", "test_f1_micro", "test_f1_macro", "test_f1_weighted", "test_ece")
-
-
-def multi_seed(cfg: TrainConfig, data: Dataset, k: int) -> MultiSeedResult:
-    """Run seeds cfg.seed .. cfg.seed+k-1; report mean and population std."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    results = []
-    for s in range(cfg.seed, cfg.seed + k):
-        try:
-            results.append(train(replace(cfg, seed=s), data))
-        except TrainingError as e:
-            raise TrainingError(f"seed {s}: {e}", epoch=e.epoch, seed=s) from e
-    metrics = {}
-    for key in METRIC_KEYS:
-        vals = np.asarray([getattr(r, key) for r in results], dtype=np.float64)
-        metrics[key] = (float(vals.mean()), float(vals.std()))
-    return MultiSeedResult(metrics, results)
-
-
 # ---------------------------------------------------------------------------
 # result files: flat "key = value" text plus a curves CSV
 
@@ -303,6 +275,8 @@ def multi_seed(cfg: TrainConfig, data: Dataset, k: int) -> MultiSeedResult:
 ECHO_KEYS = ("encoder", "layers", "hidden", "dropout", "classifier", "loss", "partition",
              "clusters", "lr", "weight_decay", "epochs", "eval_every", "seed",
              "detach_cluster", "beta")
+# the test metrics a .result file reports, in file order
+METRIC_KEYS = ("test_acc", "test_f1_micro", "test_f1_macro", "test_f1_weighted", "test_ece")
 
 
 def config_echo(cfg: TrainConfig, spec: ModelSpec) -> dict[str, str]:

@@ -3,10 +3,13 @@
 Criterion 7 is hermetic and always runs. Criteria 1-6 and 8 replicate the
 published citation-network numbers and therefore need the converted Cora and
 PubMed datasets under data/ (or $JCGRAPH_DATA_DIR); they skip with an
-explanation when the data is absent. README.md documents the converter.
+explanation when the data is absent. README.md documents the converter. Their
+bodies also run once, briefly, on small generated graphs, which checks that
+every detail line is formed.
 """
 
 import os
+import re
 from pathlib import Path
 from time import perf_counter
 
@@ -21,7 +24,7 @@ from jcgraph.metrics import loss_gap
 from jcgraph.nn import ModelSpec, grad_check, init_params
 from jcgraph.partition import (edge_cut_stats, partition_kmeans,
                                partition_metis_like)
-from jcgraph.trainer import LOSS_KINDS, TrainConfig, multi_seed
+from jcgraph.trainer import LOSS_KINDS, TrainConfig
 
 from conftest import rng_graph
 from test_partition import brute_force_min_cut
@@ -55,71 +58,137 @@ def pubmed():
     return load_or_skip("pubmed", (19717, 500, 3))
 
 
-def citation_cfg(encoder: str, loss: str) -> TrainConfig:
-    return TrainConfig(encoder, 2, 64, 0.5, loss=loss, partition="metis-like", clusters=5,
-                       lr=0.01, weight_decay=5e-4, epochs=300, eval_every=1, seed=0)
+def citation_cfg(encoder: str, epochs: int) -> TrainConfig:
+    return TrainConfig(encoder, 2, 64, 0.5, partition="metis-like", clusters=5,
+                       lr=0.01, weight_decay=5e-4, epochs=epochs, eval_every=1, seed=0)
+
+
+# the published recipe: 300 epochs, 10 seeds (5 for the attack sweep)
+EPOCHS, SEEDS, ATTACK_SEEDS = 300, 10, 5
+ATTACK_RATIOS = [0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+def clean_rows(data, encoder: str, epochs: int, seeds: int):
+    """The ce and jc rows of seeds 0 .. seeds-1 on the clean graph: the sweep's
+    ratio 0, which poisons nothing."""
+    return robustness_sweep(data, [0.0], citation_cfg(encoder, epochs), seeds)
+
+
+# Each criterion's body returns its verdict and detail line. Criteria 4 and 8
+# read the same PubMed runs, so their bodies take clean_rows' pair; criterion
+# 6 trains nothing, so its body takes the data alone.
+
+def criterion_1(cora, epochs: int, seeds: int):
+    t0 = perf_counter()
+    ce, jc = clean_rows(cora, "gcn", epochs, seeds)
+    runtime = perf_counter() - t0
+    ce_acc, jc_acc = 100 * ce.mean_acc, 100 * jc.mean_acc
+    ok = (79.5 <= ce_acc <= 83.5 and 81.5 <= jc_acc <= 85.0
+          and jc_acc - ce_acc >= 0.8 and runtime <= 300)
+    return ok, (f"gcn ce={ce_acc:.2f} jc={jc_acc:.2f} "
+                f"diff={jc_acc - ce_acc:+.2f} runtime={runtime:.0f}s")
+
+
+def criterion_2(cora, epochs: int, seeds: int):
+    ce, jc = clean_rows(cora, "mlp", epochs, seeds)
+    diff = 100 * (jc.mean_acc - ce.mean_acc)
+    return diff >= 5.0, f"mlp jc-ce={diff:+.2f} (needs >= +5.0)"
+
+
+def criterion_3(cora, epochs: int, seeds: int):
+    ce, jc = clean_rows(cora, "sgc", epochs, seeds)
+    diff = 100 * (jc.mean_acc - ce.mean_acc)
+    return diff >= 0.8, f"sgc jc-ce={diff:+.2f} (needs >= +0.8)"
+
+
+def criterion_4(rows):
+    ce_ece, jc_ece = (np.mean([r.test_ece for r in row.runs]) for row in rows)
+    return jc_ece < ce_ece, f"pubmed ece ce={ce_ece:.4f} jc={jc_ece:.4f}"
+
+
+def criterion_5(cora, epochs: int, seeds: int):
+    rows = robustness_sweep(cora, ATTACK_RATIOS, citation_cfg("gcn", epochs), seeds)
+    acc = {(r.ratio, r.loss): r.mean_acc for r in rows}
+    wins = sum(acc[(r, "jc")] >= acc[(r, "ce")] for r in ATTACK_RATIOS)
+    ok = acc[(1.0, "jc")] >= acc[(1.0, "ce")] and wins >= 4
+    return ok, (f"attack ratio=1.0 ce={100 * acc[(1.0, 'ce')]:.2f} "
+                f"jc={100 * acc[(1.0, 'jc')]:.2f}; jc wins {wins}/{len(ATTACK_RATIOS)} ratios")
+
+
+def criterion_6(cora):
+    metis = edge_cut_stats(cora.graph, partition_metis_like(cora.graph, 7, seed=0))
+    km = edge_cut_stats(cora.graph, partition_kmeans(cora.features, 7, seed=0))
+    ok = metis.rate >= 5.0 and metis.rate >= 3.0 * km.rate
+    return ok, f"metis rate={metis.rate:.2f} kmeans rate={km.rate:.2f}"
+
+
+def criterion_8(rows):
+    ce, jc = rows
+    wins = 0
+    for rc, rj in zip(ce.runs, jc.runs):
+        gap_ce = loss_gap(rc.train_loss, rc.test_loss)[-1]
+        gap_jc = loss_gap(rj.train_loss, rj.test_loss)[-1]
+        wins += gap_jc <= gap_ce
+    seeds = len(ce.runs)  # at least 7 in 10
+    return 10 * wins >= 7 * seeds, f"pubmed final-epoch gap: jc <= ce in {wins}/{seeds} seeds"
 
 
 @pytest.fixture(scope="module")
 def pubmed_runs(pubmed):
-    ce = multi_seed(citation_cfg("gcn", "ce"), pubmed, 10)
-    jc = multi_seed(citation_cfg("gcn", "jc"), pubmed, 10)
-    return ce, jc
+    return clean_rows(pubmed, "gcn", EPOCHS, SEEDS)
 
 
 class TestCriteria:
     def test_criterion_1_cora_gcn_accuracy(self, cora):
-        t0 = perf_counter()
-        ce = multi_seed(citation_cfg("gcn", "ce"), cora, 10)
-        jc = multi_seed(citation_cfg("gcn", "jc"), cora, 10)
-        runtime = perf_counter() - t0
-        ce_acc = 100 * ce.metrics["test_acc"][0]
-        jc_acc = 100 * jc.metrics["test_acc"][0]
-        ok = (79.5 <= ce_acc <= 83.5 and 81.5 <= jc_acc <= 85.0
-              and jc_acc - ce_acc >= 0.8 and runtime <= 300)
-        report(1, ok, f"gcn ce={ce_acc:.2f} jc={jc_acc:.2f} "
-                      f"diff={jc_acc - ce_acc:+.2f} runtime={runtime:.0f}s")
+        report(1, *criterion_1(cora, EPOCHS, SEEDS))
 
     def test_criterion_2_cora_mlp_gain(self, cora):
-        ce = multi_seed(citation_cfg("mlp", "ce"), cora, 10)
-        jc = multi_seed(citation_cfg("mlp", "jc"), cora, 10)
-        diff = 100 * (jc.metrics["test_acc"][0] - ce.metrics["test_acc"][0])
-        report(2, diff >= 5.0, f"mlp jc-ce={diff:+.2f} (needs >= +5.0)")
+        report(2, *criterion_2(cora, EPOCHS, SEEDS))
 
     def test_criterion_3_cora_sgc_gain(self, cora):
-        ce = multi_seed(citation_cfg("sgc", "ce"), cora, 10)
-        jc = multi_seed(citation_cfg("sgc", "jc"), cora, 10)
-        diff = 100 * (jc.metrics["test_acc"][0] - ce.metrics["test_acc"][0])
-        report(3, diff >= 0.8, f"sgc jc-ce={diff:+.2f} (needs >= +0.8)")
+        report(3, *criterion_3(cora, EPOCHS, SEEDS))
 
     def test_criterion_4_pubmed_calibration(self, pubmed_runs):
-        ce, jc = pubmed_runs
-        ce_ece, jc_ece = ce.metrics["test_ece"][0], jc.metrics["test_ece"][0]
-        report(4, jc_ece < ce_ece, f"pubmed ece ce={ce_ece:.4f} jc={jc_ece:.4f}")
+        report(4, *criterion_4(pubmed_runs))
 
     def test_criterion_5_cora_random_attack(self, cora):
-        ratios = [0.2, 0.4, 0.6, 0.8, 1.0]
-        rows = robustness_sweep(cora, ratios, citation_cfg("gcn", "ce"), seeds=5)
-        acc = {(r.ratio, r.loss): r.mean_acc for r in rows}
-        wins = sum(acc[(r, "jc")] >= acc[(r, "ce")] for r in ratios)
-        ok = acc[(1.0, "jc")] >= acc[(1.0, "ce")] and wins >= 4
-        report(5, ok, f"attack ratio=1.0 ce={100 * acc[(1.0, 'ce')]:.2f} "
-                      f"jc={100 * acc[(1.0, 'jc')]:.2f}; jc wins {wins}/5 ratios")
+        report(5, *criterion_5(cora, EPOCHS, ATTACK_SEEDS))
 
     def test_criterion_6_cora_partition_quality(self, cora):
-        metis = edge_cut_stats(cora.graph, partition_metis_like(cora.graph, 7, seed=0))
-        km = edge_cut_stats(cora.graph, partition_kmeans(cora.features, 7, seed=0))
-        ok = metis.rate >= 5.0 and metis.rate >= 3.0 * km.rate
-        report(6, ok, f"metis rate={metis.rate:.2f} kmeans rate={km.rate:.2f}")
+        report(6, *criterion_6(cora))
 
     def test_criterion_8_pubmed_generalization_gap(self, pubmed_runs):
-        ce, jc = pubmed_runs
-        wins = 0
-        for rc, rj in zip(ce.results, jc.results):
-            gap_ce = loss_gap(rc.train_loss, rc.test_loss)[-1]
-            gap_jc = loss_gap(rj.train_loss, rj.test_loss)[-1]
-            wins += gap_jc <= gap_ce
-        report(8, wins >= 7, f"pubmed final-epoch gap: jc <= ce in {wins}/10 seeds")
+        report(8, *criterion_8(pubmed_runs))
+
+
+# each body's detail line, its numbers as groups, on 2 seeds
+DETAIL_FORMS = {
+    1: r"gcn ce=(\S+) jc=(\S+) diff=(\S+) runtime=(\S+)s",
+    2: r"mlp jc-ce=(\S+) \(needs >= \+5\.0\)",
+    3: r"sgc jc-ce=(\S+) \(needs >= \+0\.8\)",
+    4: r"pubmed ece ce=(\S+) jc=(\S+)",
+    5: r"attack ratio=1\.0 ce=(\S+) jc=(\S+); jc wins (\S+)/5 ratios",
+    6: r"metis rate=(\S+) kmeans rate=(\S+)",
+    8: r"pubmed final-epoch gap: jc <= ce in (\S+)/2 seeds",
+}
+
+
+def test_criteria_bodies_on_generated_stand_ins():
+    # every body once on small generated graphs, a few epochs and 2 seeds:
+    # the lines are formed and their numbers finite; the verdicts are not
+    # the paper's and are not checked
+    cora = gen_sbm(7, 20, 0.3, 0.02, 16, 1.0, seed=5)
+    pubmed = gen_sbm(3, 40, 0.2, 0.02, 8, 1.0, seed=6)
+    epochs, seeds = 3, 2
+    rows = clean_rows(pubmed, "gcn", epochs, seeds)
+    outcomes = {1: criterion_1(cora, epochs, seeds), 2: criterion_2(cora, epochs, seeds),
+                3: criterion_3(cora, epochs, seeds), 4: criterion_4(rows),
+                5: criterion_5(cora, epochs, seeds), 6: criterion_6(cora), 8: criterion_8(rows)}
+    for criterion, (ok, detail) in outcomes.items():
+        assert ok in (True, False), criterion
+        match = re.fullmatch(DETAIL_FORMS[criterion], detail)
+        assert match, f"criterion {criterion}: {detail!r}"
+        assert all(np.isfinite(float(v)) for v in match.groups()), f"criterion {criterion}: {detail!r}"
 
 
 class TestCriterion7PropertySuite:

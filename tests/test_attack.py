@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jcgraph.attack import AttackSpec, random_attack, robustness_sweep, write_sweep_csv
+import jcgraph.attack as attack_mod
+from jcgraph.attack import AttackSpec, SweepRow, random_attack, robustness_sweep, write_sweep_csv
 from jcgraph.graph import Graph
-from jcgraph.trainer import TrainConfig, train
+from jcgraph.trainer import TrainConfig, TrainingError, train
 
 from conftest import rng_graph
 
@@ -129,13 +130,73 @@ class TestRandomAttack:
 SWEEP_CFG = TrainConfig(hidden=16, partition="metis-like", clusters=4, epochs=60)
 
 
+def untimed(result):
+    """result without its wall-clock measurement, the one field a rerun changes."""
+    return replace(result, seconds_per_epoch=0.0)
+
+
 class TestRobustnessSweep:
     def test_ratio_zero_reproduces_clean_run(self, easy_sbm):
-        rows = robustness_sweep(easy_sbm, [0.0], SWEEP_CFG, seeds=1)
-        clean = {loss: train(replace(SWEEP_CFG, loss=loss), easy_sbm).test_acc
-                 for loss in ("ce", "jc")}
-        assert all(r.ratio == 0.0 for r in rows)
-        assert {r.loss: r.mean_acc for r in rows} == clean
+        rows = robustness_sweep(easy_sbm, [0.0], SWEEP_CFG, seeds=2)
+        assert [(r.ratio, r.loss) for r in rows] == [(0.0, "ce"), (0.0, "jc")]
+        for row in rows:
+            clean = [train(replace(SWEEP_CFG, loss=row.loss, seed=s), easy_sbm) for s in (0, 1)]
+            assert [untimed(r) for r in row.runs] == [untimed(r) for r in clean]
+            assert row.mean_acc == np.mean([r.test_acc for r in clean])
+
+    def test_single_seed_zero_std(self, easy_sbm):
+        rows = robustness_sweep(easy_sbm, [0.0, 0.5], replace(SWEEP_CFG, epochs=10), seeds=1)
+        assert [r.std_acc for r in rows] == [0.0] * 4
+
+    def test_repeat_identical(self, easy_sbm, tmp_path):
+        cfg = replace(SWEEP_CFG, epochs=10)
+        a = robustness_sweep(easy_sbm, [0.0, 0.5], cfg, seeds=2)
+        b = robustness_sweep(easy_sbm, [0.0, 0.5], cfg, seeds=2)
+        assert a == b
+        write_sweep_csv(tmp_path / "a.csv", a)
+        write_sweep_csv(tmp_path / "b.csv", b)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_population_std(self, easy_sbm):
+        rows = robustness_sweep(easy_sbm, [0.0, 0.5], replace(SWEEP_CFG, epochs=10), seeds=3)
+        for row in rows:
+            accs = [r.test_acc for r in row.runs]
+            assert len(accs) == row.seeds == 3
+            assert row.mean_acc == np.mean(accs)
+            assert row.std_acc == np.std(accs)
+
+    def test_errors_tagged_with_ratio_and_seed(self, easy_sbm, monkeypatch):
+        clean_edges = easy_sbm.graph.num_edges
+
+        def fail_on_poisoned_seed_one(cfg, data):
+            if cfg.seed == 1 and data.graph.num_edges > clean_edges:
+                raise TrainingError("non-finite loss at epoch 7", epoch=7)
+            return train(cfg, data)
+        monkeypatch.setattr(attack_mod, "train", fail_on_poisoned_seed_one)
+        with pytest.raises(TrainingError, match="^ratio 0.5 seed 1: non-finite loss at epoch 7$") as e:
+            robustness_sweep(easy_sbm, [0.0, 0.5], replace(SWEEP_CFG, epochs=1), seeds=3)
+        assert (e.value.seed, e.value.epoch) == (1, 7)
+
+    def test_train_called_per_run_in_grid_order(self, easy_sbm, monkeypatch):
+        # a hook on the module's train attribute sees every run, in (ratio,
+        # seed, ce then jc) order, and the rows keep those results
+        ratios, m = [0.2, 0.5], easy_sbm.graph.num_edges
+        calls, results = [], {}
+
+        def recorded(cfg, data):
+            result = train(cfg, data)
+            assert result.params
+            ratio = next(r for r in ratios if data.graph.num_edges == m + int(r * m))
+            calls.append((ratio, cfg.seed, cfg.loss))
+            results.setdefault((ratio, cfg.loss), []).append(result)
+            return result
+        monkeypatch.setattr(attack_mod, "train", recorded)
+        rows = robustness_sweep(easy_sbm, ratios, replace(SWEEP_CFG, epochs=5, seed=3), seeds=2)
+        assert calls == [(r, s, loss) for r in ratios for s in (3, 4) for loss in ("ce", "jc")]
+        assert [(r.ratio, r.loss) for r in rows] == [(r, loss) for r in ratios for loss in ("ce", "jc")]
+        for row in rows:
+            assert row.runs == results[(row.ratio, row.loss)]
+            assert all(run.params == {} for run in row.runs)
 
     def test_accuracy_degrades_with_noise(self, hard_feature_sbm):
         rows = robustness_sweep(hard_feature_sbm, [0.2, 1.0], SWEEP_CFG, seeds=2)
@@ -144,8 +205,10 @@ class TestRobustnessSweep:
         assert acc[(1.0, "jc")] <= acc[(0.2, "jc")]
 
     def test_unsorted_ratios_rejected(self, easy_sbm):
-        with pytest.raises(ValueError, match="sorted"):
-            robustness_sweep(easy_sbm, [1.0, 0.2], SWEEP_CFG, seeds=1)
+        # a repeated ratio would train its runs twice and give two equal rows
+        for ratios in ([1.0, 0.2], [0.0, 0.5, 0.5, 1.0]):
+            with pytest.raises(ValueError, match="sorted"):
+                robustness_sweep(easy_sbm, ratios, SWEEP_CFG, seeds=1)
 
     def test_empty_ratios_rejected(self, easy_sbm):
         with pytest.raises(ValueError, match="no ratios"):
@@ -153,8 +216,6 @@ class TestRobustnessSweep:
 
     @pytest.mark.parametrize("seeds", [0, -1])
     def test_seed_count_below_one_rejected(self, easy_sbm, monkeypatch, seeds):
-        import jcgraph.attack as attack_mod
-
         def never(*args, **kwargs):
             raise AssertionError("train ran before the seed count was checked")
         monkeypatch.setattr(attack_mod, "train", never)
@@ -162,8 +223,7 @@ class TestRobustnessSweep:
             robustness_sweep(easy_sbm, [0.5], SWEEP_CFG, seeds=seeds)
 
     def test_csv_layout(self, tmp_path):
-        from jcgraph.attack import SweepRow
-        rows = [SweepRow(0.2, "ce", 0.5, 0.01, 2), SweepRow(0.2, "jc", 0.6, 0.02, 2)]
+        rows = [SweepRow(0.2, "ce", 0.5, 0.01, 2, []), SweepRow(0.2, "jc", 0.6, 0.02, 2, [])]
         write_sweep_csv(tmp_path / "s.csv", rows)
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0] == "ratio,loss,mean_acc,std_acc,seeds"

@@ -424,7 +424,8 @@ class TestAttackCmd:
         assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    @pytest.mark.parametrize("ratios", ["0.1,inf", "0.1,nan", "0.1,1e9", ",", ""])
+    @pytest.mark.parametrize("ratios", ["0.1,inf", "0.1,nan", "0.1,1e9", ",", "", "0.5,0.2",
+                                        "0.5,0.5"])
     def test_bad_ratio_fails_before_training(self, sbm_dir, tmp_path, monkeypatch, capsys,
                                              ratios):
         import jcgraph.attack as attack_mod

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import jcgraph.trainer as train_mod
+from jcgraph.attack import robustness_sweep
 from jcgraph.cli import main
 from jcgraph.graph import (Dataset, Graph, LabelSet, SplitMasks, gen_sbm, load_dataset,
                            normalize_adjacency, write_dataset)
@@ -12,7 +13,7 @@ from jcgraph.losses import LossResult, cluster_stats, eval_pass
 from jcgraph.metrics import accuracy, ece, loss_gap
 from jcgraph.nn import encoder_forward, load_checkpoint, plan_rows
 from jcgraph.partition import ClusterAssignment, partition_metis_like, write_assignment
-from jcgraph.trainer import TrainConfig, TrainingError, multi_seed, train
+from jcgraph.trainer import TrainConfig, TrainingError, train
 
 
 def gcn_cfg(**kw):
@@ -133,12 +134,9 @@ class TestLossVariants:
     def test_mlp_jc_beats_ce_on_weak_features(self, hard_feature_sbm):
         # structure is strong but features are noisy: the cluster reference
         # signal carries the mlp far beyond plain cross-entropy
-        def mlp_cfg(loss):
-            return TrainConfig("mlp", 2, 16, 0.5, loss=loss, epochs=150, clusters=4)
-
-        ce = multi_seed(mlp_cfg("ce"), hard_feature_sbm, 3)
-        jc = multi_seed(mlp_cfg("jc"), hard_feature_sbm, 3)
-        assert jc.metrics["test_acc"][0] >= ce.metrics["test_acc"][0] + 0.15
+        cfg = TrainConfig("mlp", 2, 16, 0.5, epochs=150, clusters=4)
+        ce, jc = robustness_sweep(hard_feature_sbm, [0.0], cfg, 3)
+        assert jc.mean_acc >= ce.mean_acc + 0.15
 
     def test_degenerate_singleton_clusters_match_ce_argmax(self, tmp_path):
         # every node its own cluster on a separable toy: both objectives
@@ -235,36 +233,3 @@ def test_train_cuts_both_plans_in_one_call(monkeypatch, easy_sbm, encoder):
     (train_rows, eval_rows), = calls
     assert np.asarray(train_rows).tobytes() == masks.train.tobytes()
     assert sorted(eval_rows) == sorted(np.concatenate([masks.train, masks.val, masks.test]))
-
-
-class TestMultiSeed:
-    def test_single_seed_zero_std(self, easy_sbm):
-        out = multi_seed(gcn_cfg(epochs=10), easy_sbm, 1)
-        assert out.metrics["test_acc"][1] == 0.0
-
-    def test_repeat_identical(self, easy_sbm):
-        cfg = gcn_cfg(epochs=10)
-        a = multi_seed(cfg, easy_sbm, 2)
-        b = multi_seed(cfg, easy_sbm, 2)
-        assert a.metrics == b.metrics
-
-    def test_population_std(self, easy_sbm):
-        out = multi_seed(gcn_cfg(epochs=10), easy_sbm, 3)
-        accs = [r.test_acc for r in out.results]
-        assert out.metrics["test_acc"][1] == pytest.approx(np.std(accs))
-
-    def test_k_must_be_positive(self, easy_sbm):
-        with pytest.raises(ValueError):
-            multi_seed(gcn_cfg(), easy_sbm, 0)
-
-    def test_errors_tagged_with_seed(self, easy_sbm, monkeypatch):
-        orig = train_mod.train
-
-        def fail_on_seed_one(cfg, data):
-            if cfg.seed == 1:
-                raise TrainingError("non-finite loss at epoch 7", epoch=7)
-            return orig(cfg, data)
-
-        monkeypatch.setattr(train_mod, "train", fail_on_seed_one)
-        with pytest.raises(TrainingError, match="seed 1"):
-            multi_seed(gcn_cfg(epochs=1), easy_sbm, 3)
