@@ -222,6 +222,14 @@ class TestRobustnessSweep:
         with pytest.raises(ValueError, match="^seeds must be >= 1$"):
             robustness_sweep(easy_sbm, [0.5], SWEEP_CFG, seeds=seeds)
 
+    def test_clean_comparison_needs_a_seed(self, easy_sbm, monkeypatch):
+        # ratio 0 alone is the clean ce-vs-jc comparison; zero seeds is refused there too
+        def never(*args, **kwargs):
+            raise AssertionError("train ran before the seed count was checked")
+        monkeypatch.setattr(attack_mod, "train", never)
+        with pytest.raises(ValueError, match="^seeds must be >= 1$"):
+            robustness_sweep(easy_sbm, [0.0], SWEEP_CFG, seeds=0)
+
     def test_csv_layout(self, tmp_path):
         rows = [SweepRow(0.2, "ce", 0.5, 0.01, 2, []), SweepRow(0.2, "jc", 0.6, 0.02, 2, [])]
         write_sweep_csv(tmp_path / "s.csv", rows)
