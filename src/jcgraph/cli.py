@@ -46,37 +46,15 @@ def _seed(s: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {s!r}")
 
 
-def _path(s: str) -> str:
-    """A path: a config value resolves against the file's directory, a flag against the cwd."""
-    return s
-
-
-# config key -> value parser; every key is also a flag
-CONFIG_KEYS = {
-    "dataset": _path,
-    "out": _path,
-    "encoder": str,
-    "layers": int,
-    "hidden": int,
-    "dropout": float,
-    "loss": str,
-    "partition": str,
-    "clusters": int,
-    "clusters_file": _path,
-    "lr": float,
-    "weight_decay": float,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-    "epochs": int,
-    "eval_every": int,
-    "seed": int,
-    "detach_cluster": _to_bool,
-    "beta": float,
-}
 # every TrainConfig field is the config key of its name
 TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 DEFAULTS = {"dataset": None, "out": "run", **TRAIN_DEFAULTS}
+# a path resolves against the config file's directory, or as a flag against the cwd
+PATH_KEYS = ("dataset", "out", "clusters_file")
+# config key -> value parser, by its default's exact type; every key is also a flag
+_PARSERS = {bool: _to_bool, int: int, float: float, str: str}
+CONFIG_KEYS = {key: str if key in PATH_KEYS else _PARSERS[type(default)]
+               for key, default in DEFAULTS.items()}
 
 
 def read_config(path) -> dict:
@@ -102,8 +80,8 @@ def read_config(path) -> dict:
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"{p}:{lineno}: bad value for {key}: {e}") from None
     # resolve config-file-relative paths up front
-    for key, conv in CONFIG_KEYS.items():
-        if conv is _path and cfg[key]:
+    for key in PATH_KEYS:
+        if cfg[key]:
             cfg[key] = str((p.parent / cfg[key]).resolve())
     return cfg
 
@@ -114,7 +92,7 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
         if raw is None:
             continue
         try:
-            cfg[key] = str(Path(raw).resolve()) if conv is _path else conv(raw)
+            cfg[key] = str(Path(raw).resolve()) if key in PATH_KEYS else conv(raw)
         except (ValueError, ConfigError) as e:
             raise ConfigError(f"bad value for --{key.replace('_', '-')}: {e}") from None
     return cfg

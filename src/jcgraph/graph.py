@@ -229,6 +229,15 @@ def _ints(path, lineno, line, expect=None):
     return vals
 
 
+def _check_end(path, lines: list[str], last: int) -> None:
+    """A file ends at line last (numbered from 1): each line after it is
+    blank, or the first that is not raises DatasetFormatError at its line.
+    Only the lines after line last are read."""
+    for lineno, line in enumerate(lines[last:], start=last + 1):
+        if line.strip():
+            raise DatasetFormatError(path, lineno, f"expected only blank lines after line {last}")
+
+
 def read_table(path, lines: list[str], start: int, count: int, dtype, width: int,
                rules=(), rows: range | None = None) -> np.ndarray:
     """Lines start .. start+count-1 (numbered from 1) of a file as a
@@ -348,8 +357,10 @@ def _read_features(path, n: int) -> np.ndarray | sp.csr_matrix:
         raise DatasetFormatError(path, 1, f"node count {fn} does not match graph.txt ({n})")
     if d < 1:
         raise DatasetFormatError(path, 1, f"bad feature dim {d}")
-    return _table_blocks(n, d, lambda rows: read_table(path, lines, 2, n, np.float64, d,
-                                                       rows=rows))
+    table = _table_blocks(n, d, lambda rows: read_table(path, lines, 2, n, np.float64, d,
+                                                        rows=rows))
+    _check_end(path, lines, n + 1)
+    return table
 
 
 def _table_blocks(n: int, d: int, block) -> np.ndarray | sp.csr_matrix:
@@ -405,6 +416,7 @@ def load_dataset(path) -> Dataset:
     except (MemoryError, ValueError) as e:
         raise DatasetFormatError(gpath, 1, f"node count {n}: the graph does not fit ({e})") from None
     duplicates = m - graph.num_edges
+    _check_end(gpath, glines, m + 1)
 
     fpath = root / "features.txt"
     features = _read_features(fpath, n)
@@ -445,6 +457,7 @@ def load_dataset(path) -> Dataset:
     else:
         matrix = table.astype(np.float64)
     labels = LabelSet(c, kind, matrix)
+    _check_end(lpath, llines, n + 1)
 
     mpath = root / "masks.txt"
     mlines = read_lines(mpath)
@@ -467,6 +480,7 @@ def load_dataset(path) -> Dataset:
         overlap = np.intersect1d(masks[a], masks[b])
         if overlap.size:  # named at the later mask's line
             raise DatasetFormatError(mpath, lineno, f"masks {a} and {b} overlap at node {overlap[0]}")
+    _check_end(mpath, mlines, 3)
 
     return Dataset(graph, features, labels, SplitMasks(**masks), duplicate_edges=duplicates)
 

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (Dataset, DatasetFormatError, dense_features, normalize_adjacency, read_lines,
-                    read_table, spmm)
+from .graph import (Dataset, DatasetFormatError, _check_end, dense_features, normalize_adjacency,
+                    read_lines, read_table, spmm)
 
 __all__ = [
     "NumericsError",
@@ -438,8 +438,8 @@ def save_checkpoint(path, spec: ModelSpec, params: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
-    """Read a checkpoint; a malformed or truncated file raises
-    DatasetFormatError naming the file and line."""
+    """Read a checkpoint; a malformed or truncated file, or a non-blank line
+    after 'end', raises DatasetFormatError naming the file and line."""
     lines = read_lines(path)
 
     def fail(i, msg):
@@ -479,4 +479,5 @@ def load_checkpoint(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
         rows, width = shape if ndim == 2 else (1, math.prod(shape))
         tensors[name] = read_table(path, lines, i + 2, rows, np.float64, width).reshape(shape)
         i += 1 + rows
+    _check_end(path, lines, i + 1)
     return spec, tensors

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import DatasetFormatError, Graph, dense_features, read_lines, read_table
+from .graph import DatasetFormatError, Graph, _check_end, dense_features, read_lines, read_table
 
 __all__ = [
     "ClusterAssignment",
@@ -114,8 +114,10 @@ def partition_kmeans(x: np.ndarray | sp.csr_matrix, m: int, seed: int,
         d2 = np.minimum(d2, ((x - centroids[j]) ** 2).sum(axis=1))
 
     assign = np.full(n, -1, dtype=np.int64)
+    dist = np.empty((n, m), dtype=np.float64)
     for _ in range(max_iter):
-        dist = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        for j in range(m):  # one n x d temporary at a time, not an n x m x d one
+            dist[:, j] = ((x - centroids[j]) ** 2).sum(axis=1)
         new_assign = np.argmin(dist, axis=1).astype(np.int64)
         new_assign, centroids = _repair_empty(x, new_assign, centroids, m)
         if (new_assign == assign).all():
@@ -501,7 +503,8 @@ def write_assignment(path, a: ClusterAssignment) -> None:
 
 def read_assignment(path) -> ClusterAssignment:
     """An 'n m' header with m at most n, then n cluster ids below m, one per
-    line; a malformed file raises DatasetFormatError naming the file and line."""
+    line, and nothing after them but blank lines; a malformed file raises
+    DatasetFormatError naming the file and line."""
     lines = read_lines(path)
     try:
         n, m = (int(t) for t in lines[0].split())
@@ -511,4 +514,5 @@ def read_assignment(path) -> ClusterAssignment:
         raise DatasetFormatError(path, 1, f"bad header n={n} m={m}: need 0 <= n and m <= n")
     ids = read_table(path, lines, 2, n, np.int64, 1, [
         (lambda t: (t < 0) | (t >= m), lambda r: f"cluster id {r[0]} out of range for m={m}")])
+    _check_end(path, lines, n + 1)
     return ClusterAssignment(m, ids[:, 0])

@@ -658,6 +658,27 @@ class TestInputFileErrors:
         assert capsys.readouterr().err.startswith(f"error: {data / name}:1: {message}")
         assert not (tmp_path / "a.txt").exists()
 
+    # a line past a table's declared rows (after a blank one) is named at its
+    # line: an extra edge, feature row, label, mask line or cluster id
+    @pytest.mark.parametrize("where", ["graph.txt", "features.txt", "labels.txt", "masks.txt",
+                                       "clusters file"])
+    def test_line_past_the_table_exit_2(self, sbm_dir, tmp_path, capsys, where):
+        data = tmp_path / "data"
+        shutil.copytree(sbm_dir, data)
+        clusters = tmp_path / "a.txt"
+        clusters.write_text("60 3\n" + "0\n1\n2\n" * 20)
+        cfgf = write_config(tmp_path / "run.cfg", data, tmp_path / "r", loss="jc", clusters=3,
+                            partition="file", clusters_file=clusters, epochs=3, hidden=8)
+        path = clusters if where == "clusters file" else data / where
+        text = path.read_text()
+        last = text.count("\n")
+        path.write_text(text + "\n" + ("7" if where == "clusters file" else text.split("\n")[1])
+                        + "\n")
+        assert main(["train", str(cfgf)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}:{last + 2}: expected only blank "
+                                           f"lines after line {last}\n")
+        assert not list(tmp_path.glob("r.*"))
+
     # errors found once a whole file has parsed name the line that holds them
     @pytest.mark.parametrize("where", ["features.txt", "masks.txt train-val", "masks.txt val-test",
                                        "clusters file"])

@@ -3,8 +3,9 @@ the run config's."""
 
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
-from jcgraph.cli import CONFIG_KEYS, DEFAULTS
+from jcgraph.cli import CONFIG_KEYS, DEFAULTS, PATH_KEYS
 from jcgraph.trainer import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,3 +40,16 @@ def test_config_keys_are_the_run_config_fields():
     # is a TrainConfig field: a key cannot drift from the config
     assert set(CONFIG_KEYS) == set(DEFAULTS) == {"dataset", "out"} | {
         f.name for f in fields(TrainConfig)}
+
+
+def test_each_default_is_of_its_annotated_type():
+    # a key parses by its default's type, so a float key written with an int
+    # default would parse as int; the paths parse as text
+    hints = get_type_hints(TrainConfig)
+    for f in fields(TrainConfig):
+        assert type(f.default) in (get_args(hints[f.name]) or (hints[f.name],)), f.name
+    for key in PATH_KEYS:
+        assert CONFIG_KEYS[key] is str, key
+    for key, default in DEFAULTS.items():
+        if key not in PATH_KEYS:
+            assert CONFIG_KEYS[key](str(default)) == default, key

@@ -247,7 +247,7 @@ OFF_LAYOUT = {
     "decimal": at_line(lambda line: "1.0" + line[1:]),
     "non-ascii-digit": at_line(lambda line: "\u0663" + line[1:]),  # ARABIC-INDIC DIGIT THREE
     "no-final-newline": lambda text: text[:-1],
-    "extra-row": lambda text: text + "1 " * (D - 1) + "1\n",
+    "blank-lines-past-the-end": lambda text: text + "\n \n",
 }
 
 # the same for changes that a text parse rejects -> its error; the last two
@@ -257,6 +257,8 @@ OFF_LAYOUT_ERRORS = {
                  f"{LINE}: byte 0xff is not utf-8 text (invalid start byte)"),
     "wrong-node-count": (lambda text: text.replace(f"{N} {D}", f"{N - 1} {D}", 1),
                          f"1: node count {N - 1} does not match graph.txt ({N})"),
+    "extra-row": (lambda text: text + "1 " * (D - 1) + "1\n",
+                  f"{N + 2}: expected only blank lines after line {N + 1}"),
     "digit-for-space": (at_line(lambda line: line[0] + "0" + line[2:]),
                         f"{LINE}: expected {D} values, got {D - 1}"),
     "joined-rows": (join_rows, f"{LINE}: expected {D} values, got {2 * D}"),

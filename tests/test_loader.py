@@ -196,6 +196,36 @@ def test_assignment_and_checkpoint_mutation_names_file_and_line(tmp_path_factory
     assert str(err.value).startswith(f"{path}:{lineno}:")
 
 
+def _written(root, kind, seed):
+    """A valid file of the kind (a dataset file's name, "assignment" or
+    "checkpoint") and the call that loads it."""
+    if kind == "assignment":
+        write_assignment(root / "a.txt", small_assignment(seed))
+        return root / "a.txt", read_assignment
+    if kind == "checkpoint":
+        spec = small_spec(seed)
+        save_checkpoint(root / "m.ckpt", spec, init_params(spec, seed))
+        return root / "m.ckpt", load_checkpoint
+    write_dataset(root, small_dataset(seed))
+    return root / kind, lambda path: load_dataset(root)
+
+
+@pytest.mark.parametrize("kind", FILES + ("assignment", "checkpoint"))
+def test_line_past_the_end_names_its_line(tmp_path, kind):
+    # a table's file ends at its declared rows (a checkpoint at 'end'): blank
+    # lines past it load, and the first other line is an error at its line
+    path, read = _written(tmp_path, kind, seed=3)
+    text = path.read_text()
+    last = text.count("\n")  # the file's last line ends with a newline
+    path.write_text(text + "\n \t\n")
+    read(path)
+    extra = "tensor extra 1 1\n0.5" if kind == "checkpoint" else text.split("\n")[1]
+    path.write_text(text + "\n \t\n" + extra + "\n\n")
+    with pytest.raises(DatasetFormatError, match=re.escape(
+            f"{path}:{last + 3}: expected only blank lines after line {last}") + "$"):
+        read(path)
+
+
 def _write(root, graph="12 1\n0 1\n", features=None, labels=None,
            masks="train: 0\nval: 1\ntest: 2\n"):
     features = features or "12 1\n" + "0.5\n" * 12
