@@ -4,7 +4,8 @@ Configs are flat "key = value" text files; any key can be overridden by the
 matching command-line flag. Relative paths inside a config file resolve
 against the config file's directory, flag-supplied paths against the
 working directory. Exit codes: 0 success, 1 runtime failure (a non-finite
-value in training), 2 usage or input error.
+value or any other ValueError once the first epoch starts, after every input
+check), 2 usage or input error.
 """
 
 from __future__ import annotations

@@ -391,12 +391,12 @@ def init_adam_state(params: dict) -> dict:
 
 
 def adam_step(params: dict, grads: dict, state: dict, *, lr: float,
-              betas: tuple[float, float], eps: float, weight_decay: float = 0.0,
-              t: int = 1):
-    """One Adam update with L2 added to the gradient. t counts from 1."""
+              weight_decay: float = 0.0, t: int = 1):
+    """One Adam update with L2 added to the gradient. t counts from 1. β₁, β₂
+    and ε are Kingma & Ba's settings (arXiv:1412.6980), which every run uses."""
     if t < 1:
         raise ValueError("step count t starts at 1")
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name, p in params.items():

@@ -451,19 +451,15 @@ def _initial_partition(lv: _Level, m: int, cap: int, rng) -> np.ndarray:
 
 
 def partition_metis_like(g: Graph, m: int, seed: int) -> ClusterAssignment:
-    assign, _ = _multilevel(g, m, seed)
-    return assign
-
-
-def _multilevel(g: Graph, m: int, seed: int):
-    """Full multilevel run; also returns the per-stage cut trace for tests."""
+    """Multilevel partition: coarsen by heavy-edge matching, partition the
+    coarsest level, then project back up, refining once at each level."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > g.num_nodes:
         raise ValueError(f"m={m} exceeds {g.num_nodes} nodes")
     n = g.num_nodes
     if m == 1:
-        return ClusterAssignment(1, np.zeros(n, dtype=np.int64)), [0]
+        return ClusterAssignment(1, np.zeros(n, dtype=np.int64))
 
     rng = np.random.default_rng(seed)
     cap = max(int(np.ceil(BALANCE_TOLERANCE * n / m)), 1)
@@ -479,15 +475,11 @@ def _multilevel(g: Graph, m: int, seed: int):
         levels.append(coarse)
 
     part = _initial_partition(levels[-1], m, cap, rng)
-    trace = [_cut_weight(levels[-1], part)]
-
     for fine, coarse in zip(reversed(levels[:-1]), reversed(levels[1:])):
         part = part[coarse.fine_to_coarse]
         size = np.bincount(part, weights=fine.node_w, minlength=m).astype(np.int64)
         _refine_pass(fine, part, size, cap)
-        trace.append(_cut_weight(fine, part))
-
-    return ClusterAssignment(m, part), trace
+    return ClusterAssignment(m, part)
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,6 @@ class TrainConfig:
     clusters_file: str | None = None
     lr: float = 0.01
     weight_decay: float = 5e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 300
     eval_every: int = 1
     seed: int = 0
@@ -95,13 +92,8 @@ class TrainConfig:
         if self.partition != "file" and self.clusters_file is not None:
             raise ValueError(f"clusters_file is read by partition method 'file' only, "
                              f"got partition {self.partition!r}")
-        for key in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
-        for key in ("lr", "adam_eps"):
-            v = getattr(self, key)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{key} must be finite and > 0, got {v}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         for key in ("weight_decay", "beta"):
             v = getattr(self, key)
             if not (math.isfinite(v) and v >= 0):
@@ -159,9 +151,13 @@ def make_partition(method: str, data: Dataset, m: int, seed: int,
                    clusters_file=None) -> ClusterAssignment:
     """data's nodes in m clusters by the named method: the one partition dispatch."""
     a = PARTITION_METHODS[method](data, m, seed, clusters_file)
-    if a.num_nodes != data.num_nodes:  # only a file can cover another graph
+    # only a file can cover another graph or declare another count
+    if a.num_nodes != data.num_nodes:
         raise DatasetFormatError(clusters_file, 1, f"covers {a.num_nodes} nodes, "
                                                    f"dataset has {data.num_nodes}")
+    if a.num_clusters != m:
+        raise DatasetFormatError(clusters_file, 1, f"declares {a.num_clusters} clusters, "
+                                                   f"config has clusters = {m}")
     return a
 
 
@@ -254,11 +250,10 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
                     raise NumericsError("non-finite loss")
                 grads = model_backward(tape, res.d_embeddings)
                 grads.update(res.clf_grads)
-                adam_step(params, grads, state, lr=cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2),
-                          eps=cfg.adam_eps, weight_decay=cfg.weight_decay, t=epoch)
+                adam_step(params, grads, state, lr=cfg.lr, weight_decay=cfg.weight_decay, t=epoch)
                 if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
                     run_eval(epoch, params)
-        except NumericsError as e:
+        except (NumericsError, ValueError) as e:  # every input check ran before epoch 1
             raise TrainingError(f"{e} at epoch {epoch}", epoch=epoch) from e
     seconds = (time.perf_counter() - t0) / max(1, cfg.epochs)
     # the best epoch's predictions are those of the checkpointed parameters

@@ -213,13 +213,9 @@ class TestTrainCmd:
 
     @pytest.mark.parametrize("flag,value,key", [("--eval-every", "0", "eval_every"),
                                                 ("--epochs", "-1", "epochs"),
-                                                ("--adam-beta1", "1.0", "adam_beta1"),
-                                                ("--adam-beta2", "1.5", "adam_beta2"),
                                                 ("--lr", "-1", "lr"),
                                                 ("--lr", "0", "lr"),
                                                 ("--lr", "nan", "lr"),
-                                                ("--adam-eps", "-1", "adam_eps"),
-                                                ("--adam-eps", "inf", "adam_eps"),
                                                 ("--weight-decay", "-1", "weight_decay"),
                                                 ("--weight-decay", "nan", "weight_decay"),
                                                 ("--beta", "nan", "beta"),
@@ -281,8 +277,7 @@ class TestTrainCmd:
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", encoder="mlp",
                             layers=3, hidden=16, dropout=0.25, loss="ic", partition="random",
                             clusters=4, lr=0.02, weight_decay=1e-05, epochs=2, eval_every=2,
-                            seed=3, detach_cluster="true", beta=2.5, adam_beta1=0.8,
-                            adam_beta2=0.99, adam_eps=1e-07)
+                            seed=3, detach_cluster="true", beta=2.5)
         assert main(["train", str(cfgf)]) == 0
         assert main(["train", str(write_config(tmp_path / "d.cfg", sbm_dir, tmp_path / "d")),
                      "--epochs", "0"]) == 0
@@ -609,6 +604,27 @@ def test_numerics_failure_names_its_run(sbm_dir, tmp_path, capsys, command):
         assert "ratio 0.5 seed 4: " in err
 
 
+@pytest.mark.parametrize("command", ["train", "attack"])
+def test_value_error_in_an_epoch_exits_1(sbm_dir, tmp_path, monkeypatch, capsys, command):
+    # every input check runs before epoch 1, so a ValueError raised inside
+    # the epoch loop is a program failure, not a bad input
+    import jcgraph.trainer as train_mod
+    adam = train_mod.adam_step
+
+    def failing(*args, t, **kwargs):
+        if t == 2:
+            raise ValueError("injected fault")
+        return adam(*args, t=t, **kwargs)
+    monkeypatch.setattr(train_mod, "adam_step", failing)
+    cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc", clusters=3,
+                        epochs=3, hidden=8, seed=4)
+    out = tmp_path / ("sweep.csv" if command == "attack" else "r")
+    assert main(_command(command, sbm_dir, cfgf, out)) == 1
+    run = "ratio 0.5 seed 4: " if command == "attack" else ""
+    assert capsys.readouterr().err == f"runtime error: {run}injected fault at epoch 2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_cli_import_leaves_out_scipy_special():
     # scipy.special takes ~0.13 s to import; only multi-label sigmoids need it
     import jcgraph
@@ -713,3 +729,24 @@ class TestInputFileErrors:
         assert main(["train", str(cfgf)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r.result").exists()
+
+    @pytest.mark.parametrize("command", ["train", "attack"])
+    def test_cluster_count_other_than_clusters_exit_2(self, sbm_dir, tmp_path, monkeypatch,
+                                                      capsys, command):
+        # the run trains on the file's m, and the .result echoes clusters
+        import jcgraph.attack as attack_mod
+        import jcgraph.trainer as train_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("training started before the cluster file was checked")
+        monkeypatch.setattr(train_mod, "encoder_forward", never)
+        monkeypatch.setattr(attack_mod, "train", never)
+        clusters = tmp_path / "a.txt"
+        clusters.write_text("60 4\n" + "0\n1\n2\n3\n" * 15)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+                            partition="file", clusters_file=clusters, epochs=3, hidden=8)
+        out = tmp_path / ("sweep.csv" if command == "attack" else "r")
+        assert main(_command(command, sbm_dir, cfgf, out)) == 2
+        assert capsys.readouterr().err == (f"error: {clusters}:1: declares 4 clusters, "
+                                           "config has clusters = 1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "run.cfg"]

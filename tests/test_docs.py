@@ -1,12 +1,12 @@
-"""README's table of config keys says what the code does, and the keys are
-the run config's."""
+"""README's table of config keys says what the code does, the keys are the
+run config's, and a .result echoes every one of them that sets the run."""
 
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from jcgraph.cli import CONFIG_KEYS, DEFAULTS, PATH_KEYS
-from jcgraph.trainer import TrainConfig
+from jcgraph.trainer import ECHO_KEYS, TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,6 +40,13 @@ def test_config_keys_are_the_run_config_fields():
     # is a TrainConfig field: a key cannot drift from the config
     assert set(CONFIG_KEYS) == set(DEFAULTS) == {"dataset", "out"} | {
         f.name for f in fields(TrainConfig)}
+
+
+def test_result_echo_covers_every_run_key():
+    # a new TrainConfig field is echoed too; the cluster file's path is not,
+    # and the classifier is the spec's, which the loss names
+    assert sorted(ECHO_KEYS) == sorted(
+        {f.name for f in fields(TrainConfig)} - {"clusters_file"} | {"classifier"})
 
 
 def test_each_default_is_of_its_annotated_type():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jcgraph import partition
 from jcgraph.graph import Graph, gen_sbm, normalize_adjacency
-from jcgraph.partition import (BALANCE_TOLERANCE, ClusterAssignment, CutStats, _multilevel,
-                               edge_cut_stats, partition_kmeans,
-                               partition_metis_like, partition_random,
+from jcgraph.partition import (BALANCE_TOLERANCE, ClusterAssignment, CutStats, edge_cut_stats,
+                               partition_kmeans, partition_metis_like, partition_random,
                                read_assignment, write_assignment)
 
 from conftest import rng_graph
@@ -101,12 +101,23 @@ class TestMetisLike:
         b = partition_metis_like(ds.graph, 4, seed=9)
         assert (a.assign == b.assign).all()
 
-    def test_refinement_cut_non_increasing(self):
-        # trace covers the coarsest initial cut plus one entry per level
+    def test_refinement_cut_non_increasing(self, monkeypatch):
+        # every sweep, in the initial partition and at each level on the way
+        # up, lowers the cut if it moves a vertex and keeps it otherwise
+        refine, sweeps = partition._refine_pass, []
+
+        def spy(lv, part, size, cap):
+            before = partition._cut_weight(lv, part)
+            moved = refine(lv, part, size, cap)
+            sweeps.append((lv.n, moved, before, partition._cut_weight(lv, part)))
+            return moved
+        monkeypatch.setattr(partition, "_refine_pass", spy)
         ds = gen_sbm(4, 120, 0.08, 0.003, 4, 0.5, seed=3)
-        _, trace = _multilevel(ds.graph, 4, seed=5)
-        assert len(trace) >= 2  # coarsening actually happened
-        assert all(trace[i + 1] <= trace[i] for i in range(len(trace) - 1))
+        partition_metis_like(ds.graph, 4, seed=5)
+        sizes = {n for n, *_ in sweeps}
+        assert ds.num_nodes in sizes and len(sizes) >= 2  # coarsened, then refined at the top
+        assert all(after < before if moved else after == before
+                   for _, moved, before, after in sweeps)
 
     def test_beats_random_on_sbm(self):
         ds = gen_sbm(4, 60, 0.15, 0.01, 3, 0.5, seed=8)
@@ -332,6 +343,20 @@ GOLDEN_SMALL_PARTITION = {
 }
 
 
+def kept_levels(monkeypatch) -> list[int]:
+    """A list that gains the node count of each coarsening level that
+    partition_metis_like keeps, one under 0.95 of its finer level's nodes."""
+    coarsen, kept = partition._coarsen, []
+
+    def spy(lv, mate):
+        coarse = coarsen(lv, mate)
+        if coarse.n < int(0.95 * lv.n):
+            kept.append(coarse.n)
+        return coarse
+    monkeypatch.setattr(partition, "_coarsen", spy)
+    return kept
+
+
 @pytest.fixture(scope="module")
 def golden_graphs():
     return {name: gen_sbm(b, k, p_in, p_out, 3, 0.5, seed=seed).graph
@@ -347,14 +372,16 @@ class TestGoldenFingerprints:
         assert _sha256((a.indptr, "<i8"), (a.indices, "<i8"), (a.data, "<f8")) == GOLDEN_NORM[name]
 
     @pytest.mark.parametrize("name,m,seed", sorted(GOLDEN_PARTITION))
-    def test_partition_metis_like(self, golden_graphs, name, m, seed):
-        assign, trace = _multilevel(golden_graphs[name], m, seed)
-        assert len(trace) >= 3  # the graph was coarsened at least twice
+    def test_partition_metis_like(self, golden_graphs, monkeypatch, name, m, seed):
+        kept = kept_levels(monkeypatch)
+        assign = partition_metis_like(golden_graphs[name], m, seed)
+        assert len(kept) >= 2  # the graph was coarsened at least twice
         assert _sha256((assign.assign, "<i8")) == GOLDEN_PARTITION[(name, m, seed)]
 
     @pytest.mark.parametrize("name,m,seed", sorted(GOLDEN_SMALL_PARTITION))
-    def test_partition_metis_like_small(self, golden_graphs, name, m, seed):
+    def test_partition_metis_like_small(self, golden_graphs, monkeypatch, name, m, seed):
         g = golden_graphs[name]
-        assign, trace = _multilevel(g, m, seed)
-        assert len(trace) == 1 and g.num_nodes <= 100  # one level, refined thoroughly
+        kept = kept_levels(monkeypatch)
+        assign = partition_metis_like(g, m, seed)
+        assert kept == [] and g.num_nodes <= 100  # one level, refined thoroughly
         assert _sha256((assign.assign, "<i8")) == GOLDEN_SMALL_PARTITION[(name, m, seed)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from jcgraph import partition
 from jcgraph.graph import Graph, gen_sbm, normalize_adjacency
-from jcgraph.partition import _base_level, _heavy_edge_matching, _multilevel
+from jcgraph.partition import _base_level, _heavy_edge_matching, partition_metis_like
 
 
 def lexsort_graph(num_nodes, pairs):
@@ -127,7 +127,7 @@ def test_every_multilevel_level_matches_lexsort_reference(monkeypatch, blocks, s
         calls.append((lv, mate, coarse))
         return coarse
     monkeypatch.setattr(partition, "_coarsen", recording)
-    _multilevel(gen_sbm(blocks, size, p_in, p_out, 3, 0.5, seed=seed).graph, m, seed=0)
+    partition_metis_like(gen_sbm(blocks, size, p_in, p_out, 3, 0.5, seed=seed).graph, m, seed=0)
     assert len(calls) >= 2
     for fine, mate, coarse in calls:
         assert_level_matches(fine, mate, coarse)
