@@ -168,7 +168,7 @@ def cmd_attack(args) -> int:
         raise ConfigError(f"attack compares ce and jc: loss must be 'ce' or 'jc', "
                           f"got {cfg_raw['loss']!r}")
     try:
-        ratios = check_ratios(data.graph, [float(t) for t in args.ratios.split(",") if t.strip()])
+        ratios = check_ratios(data.graph, [float(t) for t in args.ratios.split(",")])
     except ValueError as e:
         raise ConfigError(f"bad --ratios value {args.ratios!r}: {e}") from None
     cfg = build_train_config(cfg_raw)

@@ -47,8 +47,8 @@ FEATURE_BLOCK = 1 << 18
 
 
 class DatasetFormatError(ValueError):
-    """An input file (dataset, cluster assignment or checkpoint) is missing,
-    inconsistent, or malformed."""
+    """An input file (dataset or cluster assignment) is missing, inconsistent,
+    or malformed."""
 
     def __init__(self, path, line, message):
         self.path = str(path)

@@ -1,5 +1,5 @@
 """Dense building blocks: encoders (gcn, sgc, mlp), analytic backprop,
-finite-difference gradient checking, Adam, and checkpoint I/O.
+finite-difference gradient checking, Adam, and the checkpoint writer.
 
 The architectures are small and fixed, so gradients are written per layer
 instead of going through a general autodiff graph; grad_check is the safety
@@ -8,15 +8,12 @@ net. Dropout uses inverted scaling, applied to layer inputs in train mode.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import (Dataset, DatasetFormatError, _check_end, dense_features, normalize_adjacency,
-                    read_lines, read_table, spmm)
+from .graph import Dataset, dense_features, normalize_adjacency, spmm
 
 __all__ = [
     "NumericsError",
@@ -30,7 +27,6 @@ __all__ = [
     "init_adam_state",
     "adam_step",
     "save_checkpoint",
-    "load_checkpoint",
 ]
 
 ENCODERS = ("gcn", "sgc", "mlp")
@@ -414,70 +410,11 @@ def adam_step(params: dict, grads: dict, state: dict, *, lr: float,
     return params, state
 
 
-# ---------------------------------------------------------------------------
-# checkpoint I/O: text header with the spec fields, then row-major tensors
-
-
-# header lines after the magic line, in file order, with their parsers
-CHECKPOINT_HEADER = (("encoder", str), ("layers", int), ("hidden", int), ("in_dim", int),
-                     ("num_classes", int), ("dropout", float), ("classifier", str))
-
-
 def save_checkpoint(path, spec: ModelSpec, params: dict) -> None:
-    with open(Path(path), "w", newline="\n") as f:
-        f.write("jcgraph-checkpoint 1\n")
-        for key, _ in CHECKPOINT_HEADER:
-            f.write(f"{key} {getattr(spec, key)}\n")
-        for name, v in params.items():
-            dims = " ".join(str(d) for d in v.shape)
-            f.write(f"tensor {name} {v.ndim} {dims}\n")
-            rows = v.reshape(v.shape[0], -1) if v.ndim == 2 else v.reshape(1, -1)
-            for row in rows:
-                f.write(" ".join(repr(float(x)) for x in row) + "\n")
-        f.write("end\n")
-
-
-def load_checkpoint(path) -> tuple[ModelSpec, dict[str, np.ndarray]]:
-    """Read a checkpoint; a malformed or truncated file, or a non-blank line
-    after 'end', raises DatasetFormatError naming the file and line."""
-    lines = read_lines(path)
-
-    def fail(i, msg):
-        raise DatasetFormatError(path, i + 1, msg)
-
-    def line(i):
-        if i >= len(lines):
-            fail(i, "truncated checkpoint")
-        return lines[i]
-
-    if line(0) != "jcgraph-checkpoint 1":
-        fail(0, "not a checkpoint file")
-    head = {}
-    for i, (key, parse) in enumerate(CHECKPOINT_HEADER, start=1):
-        found, _, val = line(i).partition(" ")
-        if found != key:
-            fail(i, f"expected header key {key!r}, got {lines[i]!r}")
-        try:
-            head[key] = parse(val)
-        except ValueError:
-            fail(i, f"bad value for {key}: {val!r}")
-    try:
-        spec = ModelSpec(**head)
-    except ValueError as e:
-        fail(1, f"bad model header: {e}")
-    tensors = {}
-    i = len(CHECKPOINT_HEADER) + 1
-    while line(i) != "end":
-        toks = lines[i].split()
-        try:
-            name, ndim = toks[1], int(toks[2])
-            shape = tuple(int(t) for t in toks[3:])
-        except (IndexError, ValueError):
-            ndim, shape = -1, ()
-        if toks[:1] != ["tensor"] or len(shape) != ndim or min(shape, default=0) < 0:
-            fail(i, f"expected 'tensor <name> <ndim> <dims>', got {lines[i]!r}")
-        rows, width = shape if ndim == 2 else (1, math.prod(shape))
-        tensors[name] = read_table(path, lines, i + 2, rows, np.float64, width).reshape(shape)
-        i += 1 + rows
-    _check_end(path, lines, i + 1)
-    return spec, tensors
+    """Write one uncompressed .npz archive, for np.load: a 0-d array
+    'spec.<field>' for each ModelSpec field, in field order, then every
+    parameter by name. numpy dates each zip entry 1980-01-01, so equal inputs
+    give equal bytes."""
+    entries = {f"spec.{key}": value for key, value in asdict(spec).items()}
+    with open(path, "wb") as f:  # a file object keeps numpy from appending '.npz'
+        np.savez(f, allow_pickle=False, **entries, **params)

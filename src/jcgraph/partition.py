@@ -494,7 +494,7 @@ def write_assignment(path, a: ClusterAssignment) -> None:
 
 
 def read_assignment(path) -> ClusterAssignment:
-    """An 'n m' header with m at most n, then n cluster ids below m, one per
+    """An 'n m' header with 1 <= m <= n, then n cluster ids below m, one per
     line, and nothing after them but blank lines; a malformed file raises
     DatasetFormatError naming the file and line."""
     lines = read_lines(path)
@@ -502,8 +502,8 @@ def read_assignment(path) -> ClusterAssignment:
         n, m = (int(t) for t in lines[0].split())
     except ValueError:
         raise DatasetFormatError(path, 1, f"expected an 'n m' header, got {lines[0]!r}") from None
-    if n < 0 or m > n:
-        raise DatasetFormatError(path, 1, f"bad header n={n} m={m}: need 0 <= n and m <= n")
+    if not 1 <= m <= n:
+        raise DatasetFormatError(path, 1, f"bad header n={n} m={m}: need 1 <= m <= n")
     ids = read_table(path, lines, 2, n, np.int64, 1, [
         (lambda t: (t < 0) | (t >= m), lambda r: f"cluster id {r[0]} out of range for m={m}")])
     _check_end(path, lines, n + 1)

@@ -305,15 +305,15 @@ class TestTrainCmd:
         assert f"error: {clusters}:61: cluster id 3 out of range" in capsys.readouterr().err
         assert not (tmp_path / "r.result").exists()
 
-    def test_clusters_file_with_more_clusters_than_nodes_exit_2(self, sbm_dir, tmp_path,
-                                                                capsys):
+    @pytest.mark.parametrize("m", ["1000000000000", "0", "-1"])
+    def test_clusters_file_with_m_outside_1_to_n_exit_2(self, sbm_dir, tmp_path, capsys, m):
         clusters = tmp_path / "a.txt"
-        clusters.write_text("60 1000000000000\n" + "0\n" * 60)
+        clusters.write_text(f"60 {m}\n" + "0\n" * 60)
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
                             partition="file", clusters_file=clusters, epochs=3, hidden=8)
         assert main(["train", str(cfgf)]) == 2
-        assert capsys.readouterr().err == (f"error: {clusters}:1: bad header n=60 "
-                                           "m=1000000000000: need 0 <= n and m <= n\n")
+        assert capsys.readouterr().err == (f"error: {clusters}:1: bad header n=60 m={m}: "
+                                           "need 1 <= m <= n\n")
         assert not (tmp_path / "r.result").exists()
 
     def test_random_clusters_above_n_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys):
@@ -420,7 +420,7 @@ class TestAttackCmd:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.parametrize("ratios", ["0.1,inf", "0.1,nan", "0.1,1e9", ",", "", "0.5,0.2",
-                                        "0.5,0.5"])
+                                        "0.5,0.5", "0.5,,1.0", "0.5,"])
     def test_bad_ratio_fails_before_training(self, sbm_dir, tmp_path, monkeypatch, capsys,
                                              ratios):
         import jcgraph.attack as attack_mod

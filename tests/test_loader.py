@@ -1,17 +1,19 @@
-"""Properties of the table reader behind the dataset loader, assignment files
-and checkpoints: bit-exact round trips, file:line errors, and the tokens
-where numpy's table parser and int()/float() disagree."""
+"""Properties of the table reader behind the dataset loader and assignment
+files (bit-exact round trips, file:line errors, and the tokens where numpy's
+table parser and int()/float() disagree), and the bit-exact round trip of a
+checkpoint through np.load."""
 
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jcgraph.graph import (Dataset, DatasetFormatError, LabelSet, SplitMasks,
                            load_dataset, write_dataset)
-from jcgraph.nn import ModelSpec, init_params, load_checkpoint, save_checkpoint
+from jcgraph.nn import ModelSpec, init_params, save_checkpoint
 from jcgraph.partition import ClusterAssignment, read_assignment, write_assignment
 
 from conftest import rng_graph
@@ -137,23 +139,40 @@ def test_assignment_roundtrip_is_exact(tmp_path_factory, seed):
     np.testing.assert_array_equal(back.assign, a.assign)
 
 
+# float64 bit patterns: -0.0, the smallest and largest subnormals, +-inf, a
+# quiet and a signalling NaN, and NaNs with payloads of either sign
+edge_bits = st.sampled_from([0x8000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF,
+                             0x800FFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+                             0x7FF8000000000000, 0x7FF0000000000001, 0x7FF4000000000123,
+                             0xFFFFFFFFFFFFFFFF])
+
+
 @settings(max_examples=40)
-@given(seed=st.integers(0, 2**32 - 1), values=st.lists(finite | edge_values, min_size=1))
-def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, seed, values):
-    spec = small_spec(seed)
+@given(spec=st.integers(0, 2**32 - 1).map(small_spec), seed=st.integers(0, 2**32 - 1),
+       bits=st.none() | st.lists(st.integers(0, 2**64 - 1) | edge_bits, min_size=1))
+@example(spec=ModelSpec("gcn", 2, 8, 5, 3, 0.5, "joint"), seed=123, bits=None)
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path_factory, spec, seed, bits):
+    # the drawn bit patterns, repeated to fill every tensor; None keeps the
+    # weights that init_params draws
     params = init_params(spec, seed)
-    for v in params.values():  # the drawn values, repeated to fill every tensor
-        v.flat[:] = np.resize(np.asarray(values, dtype=np.float64), v.size)
+    if bits is not None:
+        for v in params.values():
+            v.view(np.uint64).flat[:] = np.resize(np.array(bits, dtype=np.uint64), v.size)
     path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
     save_checkpoint(path, spec, params)
-    spec2, back = load_checkpoint(path)
-    assert spec2 == spec and list(back) == list(params)
+    with np.load(path, allow_pickle=False) as archive:
+        back = {name: archive[name] for name in archive.files}
+    keys = [f.name for f in fields(ModelSpec)]
+    assert list(back) == [f"spec.{key}" for key in keys] + list(params)
+    assert all(back[f"spec.{key}"].shape == () for key in keys)
+    assert ModelSpec(**{key: back[f"spec.{key}"].item() for key in keys}) == spec
     for name, v in params.items():
-        np.testing.assert_array_equal(back[name].view(np.int64), v.view(np.int64))
+        assert back[name].dtype == v.dtype and back[name].shape == v.shape
+        np.testing.assert_array_equal(back[name].view(np.uint64), v.view(np.uint64))
 
 
-# mutation -> how a table line is rewritten; "out-of-range" applies to
-# assignment files only, whose ids must lie below m
+# mutation -> how an assignment's id line is rewritten; "out-of-range" puts
+# an id at m
 TABLE_MUTATIONS = {
     "non-numeric": lambda line, bound: _replace_token(line, "x"),
     "token-count": lambda line, bound: line + " 0",
@@ -164,63 +183,45 @@ TABLE_MUTATIONS = {
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1),
-       case=st.sampled_from([("assignment", m) for m in sorted(TABLE_MUTATIONS) + ["truncated"]]
-                            + [("checkpoint", m) for m in ("non-numeric", "token-count",
-                                                           "blank", "truncated")]),
+       mutation=st.sampled_from(sorted(TABLE_MUTATIONS) + ["truncated"]),
        where=st.floats(0.0, 1.0, exclude_max=True))
-def test_assignment_and_checkpoint_mutation_names_file_and_line(tmp_path_factory, seed, case,
+def test_assignment_and_checkpoint_mutation_names_file_and_line(tmp_path_factory, seed, mutation,
                                                                 where):
-    kind, mutation = case
-    root = tmp_path_factory.mktemp("mut")
-    if kind == "assignment":
-        a = small_assignment(seed)
-        path, read, bound = root / "a.txt", read_assignment, a.num_clusters
-        write_assignment(path, a)
-    else:
-        spec = small_spec(seed)
-        path, read, bound = root / "m.ckpt", load_checkpoint, None
-        save_checkpoint(path, spec, init_params(spec, seed))
+    a = small_assignment(seed)
+    path = tmp_path_factory.mktemp("mut") / "a.txt"
+    write_assignment(path, a)
     lines = path.read_text().split("\n")[:-1]  # the file ends with a newline
-    # the table lines: an assignment's ids, a checkpoint's tensor rows
-    table = ([i + 1 for i in range(1, len(lines))] if kind == "assignment" else
-             [i + 1 for i, line in enumerate(lines)
-              if line and (line[0].isdigit() or line[0] == "-")])
-    lineno = table[int(where * len(table))]
+    lineno = 2 + int(where * (len(lines) - 1))  # an id line, after the header
     if mutation == "truncated":
         path.write_text("".join(line + "\n" for line in lines[:lineno - 1]))
     else:
-        lines[lineno - 1] = TABLE_MUTATIONS[mutation](lines[lineno - 1], bound)
+        lines[lineno - 1] = TABLE_MUTATIONS[mutation](lines[lineno - 1], a.num_clusters)
         path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(DatasetFormatError) as err:
-        read(path)
+        read_assignment(path)
     assert str(err.value).startswith(f"{path}:{lineno}:")
 
 
 def _written(root, kind, seed):
-    """A valid file of the kind (a dataset file's name, "assignment" or
-    "checkpoint") and the call that loads it."""
+    """A valid file of the kind (a dataset file's name or "assignment") and
+    the call that loads it."""
     if kind == "assignment":
         write_assignment(root / "a.txt", small_assignment(seed))
         return root / "a.txt", read_assignment
-    if kind == "checkpoint":
-        spec = small_spec(seed)
-        save_checkpoint(root / "m.ckpt", spec, init_params(spec, seed))
-        return root / "m.ckpt", load_checkpoint
     write_dataset(root, small_dataset(seed))
     return root / kind, lambda path: load_dataset(root)
 
 
-@pytest.mark.parametrize("kind", FILES + ("assignment", "checkpoint"))
+@pytest.mark.parametrize("kind", FILES + ("assignment",))
 def test_line_past_the_end_names_its_line(tmp_path, kind):
-    # a table's file ends at its declared rows (a checkpoint at 'end'): blank
-    # lines past it load, and the first other line is an error at its line
+    # a table's file ends at its declared rows: blank lines past it load, and
+    # the first other line is an error at its line
     path, read = _written(tmp_path, kind, seed=3)
     text = path.read_text()
     last = text.count("\n")  # the file's last line ends with a newline
     path.write_text(text + "\n \t\n")
     read(path)
-    extra = "tensor extra 1 1\n0.5" if kind == "checkpoint" else text.split("\n")[1]
-    path.write_text(text + "\n \t\n" + extra + "\n\n")
+    path.write_text(text + "\n \t\n" + text.split("\n")[1] + "\n\n")
     with pytest.raises(DatasetFormatError, match=re.escape(
             f"{path}:{last + 3}: expected only blank lines after line {last}") + "$"):
         read(path)
@@ -306,17 +307,14 @@ def test_header_and_mask_errors_name_file_and_line(tmp_path, name, text, line, m
     assert str(err.value) == f"{root / name}:{line}: {message}"
 
 
-@pytest.mark.parametrize("kind", ["dataset", "assignment", "checkpoint"])
+@pytest.mark.parametrize("kind", ["dataset", "assignment"])
 def test_byte_that_is_not_utf8_names_file_and_line(tmp_path, kind):
     # the line that holds the bad byte, counted as the reader splits lines
     if kind == "dataset":
         path, read = _write(tmp_path) / "features.txt", lambda p: load_dataset(p.parent)
-    elif kind == "assignment":
+    else:
         path, read = tmp_path / "a.txt", read_assignment
         write_assignment(path, small_assignment(0))
-    else:
-        path, read = tmp_path / "m.ckpt", load_checkpoint
-        save_checkpoint(path, small_spec(0), init_params(small_spec(0), 0))
     text = path.read_bytes()
     cut = text.index(b"\n", text.index(b"\n") + 1) + 1  # the start of line 3
     path.write_bytes(text[:cut] + b"1\xfe" + text[cut:])

@@ -7,8 +7,7 @@ from jcgraph.graph import (SPARSE_DENSITY, SPARSE_MIN_SIZE, Dataset, Graph, Labe
                            SplitMasks, normalize_adjacency, spmm)
 from jcgraph.losses import ce_loss, cluster_stats, jc_loss
 from jcgraph.nn import (ModelSpec, NumericsError, adam_step, encoder_forward, grad_check,
-                        init_adam_state, init_params, load_checkpoint, model_backward,
-                        plan_rows, save_checkpoint)
+                        init_adam_state, init_params, model_backward, plan_rows)
 from jcgraph.partition import partition_metis_like
 
 from conftest import all_rows, rng_graph
@@ -244,43 +243,3 @@ class TestAdam:
         params = {"w": np.array([1.0])}
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(1)}, init_adam_state(params), lr=0.1, t=0)
-
-
-class TestCheckpoint:
-    def test_exact_roundtrip(self, tmp_path):
-        spec = ModelSpec("gcn", 2, 8, 5, 3, 0.5, "joint")
-        params = init_params(spec, 123)
-        save_checkpoint(tmp_path / "m.ckpt", spec, params)
-        spec2, params2 = load_checkpoint(tmp_path / "m.ckpt")
-        assert spec2 == spec
-        assert list(params2) == list(params)
-        for name in params:
-            assert (params2[name] == params[name]).all()
-
-    def test_rejects_garbage(self, tmp_path):
-        (tmp_path / "x.ckpt").write_text("not a checkpoint\n")
-        with pytest.raises(ValueError):
-            load_checkpoint(tmp_path / "x.ckpt")
-
-    def test_truncated_at_every_line_names_file_and_line(self, tmp_path):
-        spec = ModelSpec("gcn", 2, 3, 4, 2, 0.5, "joint")
-        save_checkpoint(tmp_path / "m.ckpt", spec, init_params(spec, 0))
-        lines = (tmp_path / "m.ckpt").read_text().splitlines(keepends=True)
-        cut = tmp_path / "cut.ckpt"
-        for k in range(len(lines)):
-            cut.write_text("".join(lines[:k]))
-            with pytest.raises(ValueError, match=rf"^{re.escape(str(cut))}:\d+: "):
-                load_checkpoint(cut)
-
-    @pytest.mark.parametrize("line,bad", [(2, "layers"), (2, "layersx 2"), (2, "layers two"),
-                                          (6, "dropout"), (8, "tensor enc_w0 2 4"),
-                                          (9, "0.1 zz 0.3")])
-    def test_malformed_line_names_file_and_line(self, tmp_path, line, bad):
-        spec = ModelSpec("gcn", 2, 3, 4, 2, 0.5, "joint")
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, spec, init_params(spec, 0))
-        lines = path.read_text().splitlines()
-        lines[line] = bad
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{line + 1}: "):
-            load_checkpoint(path)

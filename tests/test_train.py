@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from jcgraph.graph import (Dataset, Graph, LabelSet, SplitMasks, gen_sbm, load_d
                            normalize_adjacency, write_dataset)
 from jcgraph.losses import LossResult, cluster_stats, eval_pass
 from jcgraph.metrics import accuracy, ece, loss_gap
-from jcgraph.nn import encoder_forward, load_checkpoint, plan_rows
+from jcgraph.nn import ModelSpec, encoder_forward, plan_rows
 from jcgraph.partition import ClusterAssignment, partition_metis_like, write_assignment
 from jcgraph.trainer import TrainConfig, TrainingError, train
 
@@ -153,15 +153,19 @@ class TestLossVariants:
 
 
 def test_checkpoint_reproduces_the_result(easy_sbm, tmp_path):
-    # the .ckpt's parameters, run through training's eval by hand, give the
-    # test metrics of the .result bit for bit
+    # the .ckpt's spec is the run's, and its parameters, run through
+    # training's eval by hand, give the test metrics of the .result bit for bit
     write_dataset(tmp_path / "data", easy_sbm)
     (tmp_path / "run.cfg").write_text(f"dataset = {tmp_path / 'data'}\nout = {tmp_path / 'run'}\n"
                                       "loss = jc\npartition = metis-like\nclusters = 4\n"
                                       "hidden = 16\nepochs = 30\nseed = 3\n")
     assert main(["train", str(tmp_path / "run.cfg")]) == 0
     data = load_dataset(tmp_path / "data")
-    spec, params = load_checkpoint(tmp_path / "run.ckpt")
+    with np.load(tmp_path / "run.ckpt", allow_pickle=False) as archive:
+        params = {name: archive[name] for name in archive.files}
+    spec = ModelSpec(**{f.name: params.pop(f"spec.{f.name}").item() for f in fields(ModelSpec)})
+    assert spec == train_mod.validate(TrainConfig(loss="jc", partition="metis-like", clusters=4,
+                                                  hidden=16, epochs=30, seed=3), data)
     splits = [data.masks.train, data.masks.val, data.masks.test]
     cut, = plan_rows(spec, normalize_adjacency(data.graph), data.features, np.concatenate(splits))
     z, _ = encoder_forward(params, cut)
