@@ -7,7 +7,8 @@ from jcgraph.graph import (SPARSE_DENSITY, SPARSE_MIN_SIZE, Dataset, Graph, Labe
                            SplitMasks, normalize_adjacency, spmm)
 from jcgraph.losses import ce_loss, cluster_stats, jc_loss
 from jcgraph.nn import (ModelSpec, NumericsError, adam_step, encoder_forward, grad_check,
-                        init_adam_state, init_params, model_backward, plan_rows)
+                        init_adam_state, init_params, model_backward, plan_rows,
+                        save_checkpoint)
 from jcgraph.partition import partition_metis_like
 
 from conftest import all_rows, rng_graph
@@ -243,3 +244,19 @@ class TestAdam:
         params = {"w": np.array([1.0])}
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(1)}, init_adam_state(params), lr=0.1, t=0)
+
+
+class TestCheckpoint:
+    def test_exact_roundtrip(self, tmp_path):
+        spec = ModelSpec("gcn", 2, 8, 5, 3, 0.5, "joint")
+        params = init_params(spec, 123)
+        save_checkpoint(tmp_path / "m.ckpt", spec, params)
+        with np.load(tmp_path / "m.ckpt", allow_pickle=False) as archive:
+            spec2 = ModelSpec(**{name[len("spec."):]: archive[name].item()
+                                 for name in archive.files if name.startswith("spec.")})
+            params2 = {name: archive[name] for name in archive.files
+                       if not name.startswith("spec.")}
+        assert spec2 == spec
+        assert list(params2) == list(params)
+        for name in params:
+            assert (params2[name] == params[name]).all()
