@@ -287,16 +287,6 @@ def read_table(path, lines: list[str], start: int, count: int, dtype, width: int
     return table
 
 
-def _csr(x: np.ndarray) -> sp.csr_matrix:
-    """The entries of sp.csr_matrix(x) as float64, found in one pass over the
-    flat matrix."""
-    flat = np.flatnonzero(x)
-    n, d = x.shape
-    indptr = np.searchsorted(flat, np.arange(n + 1) * d)
-    return sp.csr_matrix((x.ravel()[flat].astype(np.float64, copy=False), flat % d, indptr),
-                         shape=x.shape)
-
-
 class _NotDigits(Exception):
     """A features file is not laid out as one-digit tokens."""
 
@@ -363,15 +353,27 @@ def _read_features(path, n: int) -> np.ndarray | sp.csr_matrix:
     return table
 
 
+def _nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of a row block that are != 0 (so not -0.0), in row-major
+    order: their values in x's dtype, their columns in the smallest integer
+    type that holds them, and the count in each row."""
+    flat = np.flatnonzero(x)
+    n, d = x.shape
+    return (x.ravel()[flat], (flat % d).astype(np.min_scalar_type(d - 1)),
+            np.bincount(flat // d, minlength=n))
+
+
 def _table_blocks(n: int, d: int, block) -> np.ndarray | sp.csr_matrix:
     """The n x d float64 table whose rows block(rows) gives for a range of
     rows, CSR or dense as _read_features says.
 
-    A large table is read in row blocks of about FEATURE_BLOCK entries, each
-    converted to CSR at once, so a sparse table never exists as one dense
-    array. Once the nonzeros read so far make the table dense, the blocks
-    are dropped and the table is read again into one dense array, which
-    keeps every bit.
+    A large table is read in row blocks of about FEATURE_BLOCK entries, so a
+    sparse table never exists as one dense array. Each block keeps only its
+    _nonzeros, one byte for each digit of a digit table and a narrow type
+    for each column, and the CSR arrays are filled from them once the last
+    block is read. Once the nonzeros read so far make the table dense, the
+    blocks are dropped and the table is read again into one dense array,
+    which keeps every bit.
     """
     if n * d < SPARSE_MIN_SIZE:
         return block(range(n)).astype(np.float64, copy=False)
@@ -379,15 +381,24 @@ def _table_blocks(n: int, d: int, block) -> np.ndarray | sp.csr_matrix:
     blocks = [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
     parts, nnz = [], 0
     for rows in blocks:
-        parts.append(_csr(block(rows)))
-        nnz += parts[-1].nnz
+        parts.append(_nonzeros(block(rows)))
+        nnz += parts[-1][0].size
         if nnz / (n * d) > SPARSE_DENSITY:
             parts = None
             x = np.empty((n, d))
             for rows in blocks:
                 x[rows.start:rows.stop] = block(rows)
             return x
-    return sp.vstack(parts, format="csr")
+    index = np.int32 if max(n, d, nnz) <= np.iinfo(np.int32).max else np.int64
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=index)
+    indptr = np.zeros(n + 1, dtype=index)
+    lo = 0
+    for rows, (values, cols, counts) in zip(blocks, parts):
+        data[lo:lo + values.size] = values
+        indices[lo:lo + values.size] = cols
+        indptr[rows.start + 1:rows.stop + 1] = lo + np.cumsum(counts)
+        lo += values.size
+    return sp.csr_matrix((data, indices, indptr), shape=(n, d))
 
 
 def load_dataset(path) -> Dataset:

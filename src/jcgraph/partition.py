@@ -10,7 +10,6 @@ broken toward the lowest index so results are reproducible.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -168,6 +167,11 @@ class _Level:
         return (self.adj.indptr.tolist(), self.adj.indices.tolist(), self.adj.data.tolist(),
                 self.node_w.tolist())
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each stored edge; adj.indices holds its column."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.adj.indptr))
+
 
 def _base_level(g: Graph) -> _Level:
     adj = sp.csr_matrix((np.ones(g.indices.size, dtype=np.int64), g.indices, g.indptr),
@@ -215,21 +219,7 @@ def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:
 
 
 def _cut_weight(lv: _Level, part: np.ndarray) -> int:
-    a = lv.adj.tocoo()
-    return int(a.data[part[a.row] != part[a.col]].sum()) // 2
-
-
-def _next_vertex(heap, part, conn, node_w, room) -> int:
-    """Pop the unassigned vertex of largest conn, lowest index on ties, whose
-    weight fits in room; vertices that do not fit get conn 0. -1 if none."""
-    while heap:
-        negc, v = heapq.heappop(heap)
-        if part[v] != -1 or conn[v] != -negc:
-            continue  # stale: v joined a region or its conn changed since
-        if node_w[v] <= room:
-            return v
-        conn[v] = 0
-    return -1
+    return int(lv.adj.data[part[lv.rows] != part[lv.adj.indices]].sum()) // 2
 
 
 def _grow_regions(lv: _Level, m: int, cap: int, rng) -> np.ndarray:
@@ -241,11 +231,11 @@ def _grow_regions(lv: _Level, m: int, cap: int, rng) -> np.ndarray:
     """
     n = lv.n
     indptr, indices, eweights, node_w = lv.lists
-    part = [-1] * n
+    part = np.full(n, -1, dtype=np.int64)
     size = [0] * m
     unassigned = n
     for j in range(m):
-        free = np.flatnonzero(np.asarray(part) == -1)
+        free = np.flatnonzero(part == -1)
         remaining_w = int(lv.node_w[free].sum())
         target = -(-remaining_w // (m - j))  # ceil
         if m - j > 1:
@@ -253,22 +243,32 @@ def _grow_regions(lv: _Level, m: int, cap: int, rng) -> np.ndarray:
             lower = max(1, remaining_w - (m - j - 1) * cap)
             target = min(max(jittered, lower), cap)
         v = int(free[rng.integers(free.size)])  # the seed
-        conn = [0] * n  # connectivity of unassigned vertices to region j
-        heap = []  # (-conn, vertex) entries, stale once a vertex's conn moved
+        # connectivity of each unassigned vertex to region j, -1 once assigned
+        conn = np.where(part == -1, 0, -1)
         while v >= 0:
             part[v] = j
+            conn[v] = -1
             size[j] += node_w[v]
             unassigned -= 1
-            for i in range(indptr[v], indptr[v + 1]):
-                x = indices[i]
-                if part[x] == -1:
-                    conn[x] += eweights[i]
-                    heapq.heappush(heap, (-conn[x], x))
-            grow = size[j] < target and unassigned > (m - j - 1)
+            s, e = indptr[v], indptr[v + 1]
+            nbrs = lv.adj.indices[s:e]
+            free_nbr = conn[nbrs] >= 0
+            conn[nbrs[free_nbr]] += lv.adj.data[s:e][free_nbr]
             # -1 once the component is exhausted; later seeds pick the rest up
-            v = _next_vertex(heap, part, conn, node_w, cap - size[j]) if grow else -1
+            v = -1
+            if size[j] < target and unassigned > (m - j - 1):
+                room = cap - size[j]
+                # the unassigned vertex of largest conn, lowest index on ties
+                # (argmax's first index), whose weight fits; a vertex that
+                # does not fit gets conn 0 until a new link raises it
+                while conn[x := int(conn.argmax())] > 0:
+                    if node_w[x] <= room:
+                        v = x
+                        break
+                    conn[x] = 0
     # leftovers: most-connected fitting cluster (lowest id on ties), else
     # the lightest
+    part = part.tolist()
     for v in [u for u in range(n) if part[u] == -1]:
         links = [0] * m
         for i in range(indptr[v], indptr[v + 1]):
@@ -288,12 +288,32 @@ def _grow_regions(lv: _Level, m: int, cap: int, rng) -> np.ndarray:
 
 def _refine_pass(lv: _Level, part: np.ndarray, size: np.ndarray, cap: int) -> int:
     """One boundary Kernighan-Lin sweep; only strictly positive gains move
-    (lowest cluster id on ties). Updates part and size in place."""
+    (lowest cluster id on ties). Updates part and size in place.
+
+    A vertex is visited only if it had a positive-gain cluster at the start
+    or a neighbour moved earlier in the sweep: any other vertex's links are
+    unchanged at its turn, and no change in sizes makes a gain of zero or
+    less positive. When no vertex has a positive gain toward a cluster it
+    fits into at the start sizes, the sweep returns 0 before any visit.
+    """
+    n, m = lv.n, size.size
+    # table[u, c]: edge weight from u into cluster c; integer sums below
+    # 2**53 are exact through bincount's float64 weights
+    table = np.bincount(lv.rows * m + part[lv.adj.indices], weights=lv.adj.data,
+                        minlength=n * m).astype(np.int64).reshape(n, m)
+    positive = table > table[np.arange(n), part][:, None]
+    fits = (size <= cap - lv.node_w[:, None]) & (size[part] - lv.node_w >= 1)[:, None]
+    movable = (positive & fits).any(axis=1)
+    if not movable.any():
+        return 0
+    first = int(movable.argmax())
+    visit = positive.any(axis=1).tolist()
     indptr, indices, eweights, node_w = lv.lists
     p, sz = part.tolist(), size.tolist()
-    m = len(sz)
     moved = 0
-    for u in range(lv.n):
+    for u in range(first, n):
+        if not visit[u]:
+            continue
         s, e = indptr[u], indptr[u + 1]
         own = p[u]
         for i in range(s, e):
@@ -317,6 +337,8 @@ def _refine_pass(lv: _Level, part: np.ndarray, size: np.ndarray, cap: int) -> in
             sz[own] -= node_w[u]
             sz[best_c] += node_w[u]
             moved += 1
+            for i in range(s, e):
+                visit[indices[i]] = True
     part[:] = p
     size[:] = sz
     return moved
@@ -469,16 +491,17 @@ def partition_metis_like(g: Graph, m: int, seed: int) -> ClusterAssignment:
     max_node_w = max(1, cap // 2)
     while levels[-1].n > coarse_target:
         mate = _heavy_edge_matching(levels[-1], max_node_w)
-        coarse = _coarsen(levels[-1], mate)
-        if coarse.n >= int(0.95 * levels[-1].n):
+        # one coarse node per pair and per unmatched vertex
+        if np.count_nonzero(mate >= np.arange(mate.size)) >= int(0.95 * levels[-1].n):
             break  # matching stalled
-        levels.append(coarse)
+        levels.append(_coarsen(levels[-1], mate))
 
     part = _initial_partition(levels[-1], m, cap, rng)
-    for fine, coarse in zip(reversed(levels[:-1]), reversed(levels[1:])):
-        part = part[coarse.fine_to_coarse]
-        size = np.bincount(part, weights=fine.node_w, minlength=m).astype(np.int64)
-        _refine_pass(fine, part, size, cap)
+    while len(levels) > 1:
+        # a level is dropped, with its lists, once its part is projected
+        part = part[levels.pop().fine_to_coarse]
+        size = np.bincount(part, weights=levels[-1].node_w, minlength=m).astype(np.int64)
+        _refine_pass(levels[-1], part, size, cap)
     return ClusterAssignment(m, part)
 
 

@@ -302,3 +302,29 @@ def test_digit_table_load_holds_the_file_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * size
+
+
+def test_csr_table_is_filled_without_a_second_copy(tmp_path):
+    # twelve row blocks of one-digit tokens at 10%, written as bytes. The
+    # blocks keep a byte for each digit and each column until the CSR arrays
+    # are filled, so the load peaks near the file and one table (~1.3x the
+    # table over the file); CSR blocks stacked at the end would hold two
+    # tables at once (~2.1x)
+    n, d = 12 * (FEATURE_BLOCK // 100), 100
+    rng = np.random.default_rng(12)
+    digits = rng.integers(1, 10, size=(n, d)) * (rng.random((n, d)) < 0.1)
+    root = write_table(tmp_path / "ds", [["0"]] * n)
+    body = np.full((n, 2 * d), ord(" "), dtype=np.uint8)
+    body[:, 0::2] = digits + ord("0")
+    body[:, -1] = ord("\n")
+    (root / "features.txt").write_bytes(f"{n} {d}\n".encode() + body.tobytes())
+    size = (root / "features.txt").stat().st_size
+    tracemalloc.start()
+    try:
+        x = load_dataset(root).features
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_table(x, digits.astype(np.float64))
+    table = x.data.nbytes + x.indices.nbytes + x.indptr.nbytes
+    assert peak < size + 1.5 * table

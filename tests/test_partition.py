@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import re
+import sys
 import tracemalloc
+import types
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -385,3 +389,51 @@ class TestGoldenFingerprints:
         assign = partition_metis_like(g, m, seed)
         assert kept == [] and g.num_nodes <= 100  # one level, refined thoroughly
         assert _sha256((assign.assign, "<i8")) == GOLDEN_SMALL_PARTITION[(name, m, seed)]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# SHA-256 of partition_metis_like's assignment (little-endian int64) with
+# partition seed 1 on the benchmark's graphs, by (graph, graph seed, m)
+GOLDEN_BENCH_PARTITION = {
+    ("cora", 1, 5): "7f4f733381ca5697351f50a415353f720912ca39b69c3eac26622eebab58488d",
+    ("cora", 1, 7): "3c1a49f38febdb8acef5e1bdd7e9bb200156e053dc4bd3098298e1966c08c588",
+    ("cora", 2, 5): "50d5747af864b39c47572c65c805331c59b3da57952b2b3c2248299b945d74c7",
+    ("cora", 2, 7): "e8f074f93aba11b9fa44190f08a8d746bb560dbc48c74b10a26cdee3bffdf37c",
+    ("cora", 3, 5): "fb97f8124624834c84edef8500ec51ee4140fd3dd2bed28e3b2af3763f379b42",
+    ("cora", 3, 7): "3207d86a4fc54b0891c40f55d234cfe7d244b3496785a62d1d91a2e3fbb372c8",
+    ("pubmed", 1, 5): "1af06d4b9778335e1c2f64ebde623f01a5b153313bbf214212aa7407f6376e96",
+    ("pubmed", 1, 7): "19dbd1c7a237d87f821eb546b3959f52f306dcd544f58e9d3d26f25688162cda",
+    ("pubmed", 2, 5): "219e649867ef79542fda3c7ca986e0210d9b1787f92a6ffe2d0f9613c8339cd7",
+    ("pubmed", 2, 7): "b739b35b6079a3c6ce7b00a75eec19fa6ed8a9aec0ad0c6ea8c72886b05a6fb2",
+    ("pubmed", 3, 5): "abc8f3e1396fe2d1c08954b91694dfd0c04de1ea48169c54663e933e7af7940e",
+    ("pubmed", 3, 7): "79378dbb560bea6091811c698972c30bb65600ff3011059e81e4c3c05cdd9dc7",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_graph():
+    """The graph perfbench generates for (name, seed), from gen.py and
+    workloads.py run in memory, so nothing is written under perfbench/."""
+    def load(name):
+        path = PERFBENCH / f"{name}.py"
+        module = sys.modules[name] = types.ModuleType(name)
+        module.__file__ = str(path)
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+        return module
+    with mock.patch.dict(sys.modules):  # workloads.py imports gen by name
+        gen, workloads = load("gen"), load("workloads")
+
+    def build(name, seed):
+        g = gen.generate(workloads.GRAPHS[name], seed)
+        return Graph.from_undirected_pairs(g.num_nodes, g.pairs)
+    return build
+
+
+@pytest.mark.parametrize("name,seed,m", sorted(GOLDEN_BENCH_PARTITION))
+def test_partition_metis_like_on_benchmark_graphs(bench_graph, monkeypatch, name, seed, m):
+    kept = kept_levels(monkeypatch)
+    assign = partition_metis_like(bench_graph(name, seed), m, 1)
+    assert _sha256((assign.assign, "<i8")) == GOLDEN_BENCH_PARTITION[(name, seed, m)]
+    if name == "pubmed":  # matching stalls above the coarse target, on heavy vertices
+        assert kept[-1] > max(30 * m, 200)
