@@ -3,9 +3,10 @@
 Configs are flat "key = value" text files; any key can be overridden by the
 matching command-line flag. Relative paths inside a config file resolve
 against the config file's directory, flag-supplied paths against the
-working directory. Exit codes: 0 success, 1 runtime failure (a non-finite
-value or any other ValueError once the first epoch starts, after every input
-check), 2 usage or input error.
+working directory; an empty path names no file and is an input error. Exit
+codes: 0 success, 1 runtime failure (a non-finite value or any other
+ValueError once the first epoch starts, after every input check), 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .attack import check_ratios, robustness_sweep, write_sweep_csv
-from .graph import DatasetFormatError, gen_sbm, load_dataset, read_lines, write_dataset
+from .graph import gen_sbm, load_dataset, read_lines, write_dataset
 from .nn import NumericsError, save_checkpoint
 from .partition import edge_cut_stats, write_assignment
 from .trainer import (PARTITION_METHODS, TrainConfig, TrainingError, check_clusters,
@@ -45,6 +46,13 @@ def _seed(s: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {s!r}")
+
+
+def _path(s: str) -> str:
+    """A path flag's value: an empty one names no file."""
+    if not s:
+        raise argparse.ArgumentTypeError(f"expected a path, got {s!r}")
+    return s
 
 
 # every TrainConfig field is the config key of its name
@@ -76,9 +84,11 @@ def read_config(path) -> dict:
         if key in first:
             raise ConfigError(f"{p}:{lineno}: duplicate key {key!r} (first set on line {first[key]})")
         first[key] = lineno
+        if key in PATH_KEYS and not value:  # as a flag value, _path rejects it
+            raise ConfigError(f"{p}:{lineno}: bad value for {key}: expected a path, got ''")
         try:
             cfg[key] = CONFIG_KEYS[key](value)
-        except (ValueError, ConfigError) as e:
+        except ValueError as e:
             raise ConfigError(f"{p}:{lineno}: bad value for {key}: {e}") from None
     # resolve config-file-relative paths up front
     for key in PATH_KEYS:
@@ -94,7 +104,7 @@ def apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
             continue
         try:
             cfg[key] = str(Path(raw).resolve()) if key in PATH_KEYS else conv(raw)
-        except (ValueError, ConfigError) as e:
+        except ValueError as e:
             raise ConfigError(f"bad value for --{key.replace('_', '-')}: {e}") from None
     return cfg
 
@@ -199,6 +209,7 @@ def _add_config_flags(sub, skip=()):
         if key in skip:
             continue
         sub.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
+                         type=_path if key in PATH_KEYS else None,
                          help=f"override config key {key}")
 
 
@@ -207,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("partition", help="partition a dataset and print cut stats")
-    p.add_argument("--dataset", required=True)
+    p.add_argument("--dataset", type=_path, required=True)
     p.add_argument("--method", default="metis-like",
                    choices=[m for m in PARTITION_METHODS if m != "file"])
     p.add_argument("--clusters", type=int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_partition)
 
     p = subs.add_parser("train", help="train one run from a config file")
@@ -224,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--ratios", default="0.2,0.4,0.6,0.8,1.0")
     p.add_argument("--seeds", dest="num_seeds", type=int, default=5)
-    p.add_argument("--out", dest="sweep_out", required=True)
+    p.add_argument("--out", dest="sweep_out", type=_path, required=True)
     _add_config_flags(p, skip=("out",))
     p.set_defaults(func=cmd_attack)
 
@@ -236,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feat-dim", type=int, default=8)
     p.add_argument("--feat-noise", type=float, default=0.5)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_gen_sbm)
 
     return parser
@@ -251,7 +262,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, DatasetFormatError, ValueError) as e:
+    except ValueError as e:  # ConfigError and DatasetFormatError among them
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingError, NumericsError) as e:

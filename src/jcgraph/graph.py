@@ -340,7 +340,7 @@ def _read_features(path, n: int) -> np.ndarray | sp.csr_matrix:
     del raw  # each whole-file buffer goes once the next holds the text, as in read_lines
     lines = text.split("\n")
     del text
-    if not lines or not lines[0].strip():
+    if not lines[0].strip():
         raise DatasetFormatError(path, 1, "missing 'n d' header")
     fn, d = _ints(path, 1, lines[0], expect=2)
     if fn != n:
@@ -414,7 +414,7 @@ def load_dataset(path) -> Dataset:
 
     gpath = root / "graph.txt"
     glines = read_lines(gpath)
-    if not glines or not glines[0].strip():
+    if not glines[0].strip():
         raise DatasetFormatError(gpath, 1, "missing 'n m' header")
     n, m = _ints(gpath, 1, glines[0], expect=2)
     if n < 1 or m < 0:
@@ -441,7 +441,7 @@ def load_dataset(path) -> Dataset:
 
     lpath = root / "labels.txt"
     llines = read_lines(lpath)
-    if not llines or not llines[0].strip():
+    if not llines[0].strip():
         raise DatasetFormatError(lpath, 1, "missing 'n c kind' header")
     head = llines[0].split()
     if len(head) != 3:

@@ -1,6 +1,7 @@
 """Region growth and the refinement sweep give the bits of the list-and-heap
 versions kept below as the reference: the same part, sizes, return value
-and random state after every call, on weighted levels like the coarse ones."""
+and random state after every call, on weighted levels like the coarse ones.
+The link table gives the per-vertex loop's counts."""
 
 import heapq
 
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcgraph.partition import _grow_regions, _Level, _refine_pass
+from jcgraph.partition import _grow_regions, _Level, _link_table, _refine_pass, _sizes
 
 
 def reference_next_vertex(heap, part, conn, node_w, room) -> int:
@@ -106,6 +107,18 @@ def reference_refine_pass(lv, part, size, cap) -> int:
     return moved
 
 
+def reference_cluster_links(lv, p, m) -> list[list[int]]:
+    """links[u][c]: total edge weight from u into cluster c, one edge at a
+    time; p is the part as a list."""
+    indptr, indices, eweights, _ = lv.lists
+    links = [[0] * m for _ in range(lv.n)]
+    for u in range(lv.n):
+        row = links[u]
+        for i in range(indptr[u], indptr[u + 1]):
+            row[p[indices[i]]] += eweights[i]
+    return links
+
+
 @st.composite
 def levels(draw):
     """(level, m, cap, seed): a weighted level with node weights 1-8, edge
@@ -131,13 +144,16 @@ def levels(draw):
 
 
 def assert_sweeps_match(lv, part, m, cap):
-    """Sweep until nothing moves (at most 12 times), comparing each call."""
-    size = np.bincount(part, weights=lv.node_w, minlength=m).astype(np.int64)
-    ref_part, ref_size = part.copy(), size.copy()
+    """Sweep until nothing moves (at most 12 times), comparing each call: the
+    part, the return value, and the part's sizes against the sizes the
+    reference keeps as it moves vertices."""
+    ref_part = part.copy()
+    ref_size = np.bincount(part, weights=lv.node_w, minlength=m).astype(np.int64)
     for _ in range(12):
-        moved = _refine_pass(lv, part, size, cap)
+        moved = _refine_pass(lv, part, m, cap)
         assert moved == reference_refine_pass(lv, ref_part, ref_size, cap)
-        assert part.tobytes() == ref_part.tobytes() and size.tobytes() == ref_size.tobytes()
+        assert part.tobytes() == ref_part.tobytes()
+        assert _sizes(lv, part, m).tobytes() == ref_size.tobytes()
         if moved == 0:
             break
 
@@ -154,3 +170,13 @@ def test_grow_and_refine_match_the_list_and_heap_reference(case):
     assert_sweeps_match(lv, part, m, cap)
     # a random assignment has far more positive gains than a grown one
     assert_sweeps_match(lv, rng.integers(0, m, size=lv.n), m, cap)
+
+
+@settings(max_examples=150)
+@given(case=levels())
+def test_link_table_matches_the_loop_reference(case):
+    lv, m, _, seed = case
+    part = np.random.default_rng(seed).integers(0, m, size=lv.n)
+    table = _link_table(lv, part, m)
+    assert table.dtype == np.int64 and table.shape == (lv.n, m)
+    assert table.tolist() == reference_cluster_links(lv, part.tolist(), m)
