@@ -254,18 +254,18 @@ def read_table(path, lines: list[str], start: int, count: int, dtype, width: int
     """
     rows = range(count) if rows is None else rows
     first = start + rows.start  # line number of the first row read
+    size = rows.stop - rows.start  # len() fails past 2**63 - 1, a header's count need not
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines[first - 1:first - 1 + len(rows)], dtype=dtype, ndmin=2,
+            table = np.loadtxt(lines[first - 1:first - 1 + size], dtype=dtype, ndmin=2,
                                comments=None)
-        if table.shape == (len(rows), width) and not any(bad(table).any() for bad, _ in rules):
+        if table.shape == (size, width) and not any(bad(table).any() for bad, _ in rules):
             return table
     except (ValueError, Warning):
         pass
     parse, noun = (int, "integers") if np.dtype(dtype).kind == "i" else (float, "numbers")
-    table = np.empty((0, width), dtype=dtype)
-    for i, lineno in enumerate(range(first, first + len(rows))):
+    for i, lineno in enumerate(range(first, first + size)):
         if lineno > len(lines):
             raise DatasetFormatError(path, lineno, f"expected {count} rows from line {start}, "
                                                    "file ends early")
@@ -282,9 +282,9 @@ def read_table(path, lines: list[str], start: int, count: int, dtype, width: int
             if bad(row[None]).any():
                 raise DatasetFormatError(path, lineno, message(row))
         if i == 0:  # sized once a line has the width; a row past the file's end raises first
-            table = np.empty((min(len(rows), len(lines)), width), dtype=dtype)
+            table = np.empty((min(size, len(lines)), width), dtype=dtype)
         table[i] = row
-    return table
+    return table if size else np.empty((0, width), dtype=dtype)
 
 
 class _NotDigits(Exception):
@@ -422,9 +422,9 @@ def load_dataset(path) -> Dataset:
     pairs = read_table(gpath, glines, 2, m, np.int64, 2, [
         (lambda t: t[:, 0] == t[:, 1], lambda r: f"self loop {r[0]} {r[1]} not allowed"),
         (lambda t: (t < 0) | (t >= n), lambda r: f"edge ({r[0]},{r[1]}) out of range for n={n}")])
-    try:  # numpy raises ValueError for a size past its index range
+    try:  # numpy raises ValueError for a size past its index range, scipy OverflowError
         graph = Graph.from_undirected_pairs(n, pairs)
-    except (MemoryError, ValueError) as e:
+    except (MemoryError, ValueError, OverflowError) as e:
         raise DatasetFormatError(gpath, 1, f"node count {n}: the graph does not fit ({e})") from None
     duplicates = m - graph.num_edges
     _check_end(gpath, glines, m + 1)
@@ -552,12 +552,15 @@ def gen_sbm(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
         raise ValueError(f"feat_noise must be finite and >= 0, got {feat_noise}")
     rng = np.random.default_rng(seed)
     n = blocks * nodes_per_block
-    block = np.arange(n, dtype=np.int64) // nodes_per_block
+    try:  # numpy raises ValueError for a size past its index range
+        block = np.arange(n, dtype=np.int64) // nodes_per_block
+    except (MemoryError, ValueError) as e:
+        raise ValueError(f"blocks x nodes_per_block = {n} nodes do not fit ({e})") from None
 
     try:  # a table too large names feat_dim, before the edge draw can fail for n
         centroids = rng.normal(size=(blocks, feat_dim))
         features = centroids[block] + feat_noise * rng.normal(size=(n, feat_dim))
-    except MemoryError as e:
+    except (MemoryError, ValueError) as e:
         raise ValueError(f"feat_dim = {feat_dim}: the {n} x {feat_dim} feature table "
                          f"does not fit ({e})") from None
 

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jcgraph.cli import main
 from jcgraph.graph import load_dataset
@@ -750,3 +757,315 @@ class TestInputFileErrors:
         assert capsys.readouterr().err == (f"error: {clusters}:1: declares 4 clusters, "
                                            "config has clusters = 1\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "run.cfg"]
+
+
+def _exit_code(argv):
+    """main's exit code, or argparse's where it rejects a flag."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+# an empty path names no file: as a config line or as a flag it exits 2
+# naming its key or flag before any load, and writes nothing, neither in the
+# working directory nor next to it
+@pytest.mark.parametrize("argv,keys,message", [
+    (["train", "run.cfg"], {"out": ""}, "run.cfg:6: bad value for out: expected a path, got ''"),
+    (["train", "run.cfg"], {"dataset": ""},
+     "run.cfg:1: bad value for dataset: expected a path, got ''"),
+    (["train", "run.cfg"], {"partition": "file", "clusters_file": ""},
+     "run.cfg:7: bad value for clusters_file: expected a path, got ''"),
+    (["attack", "run.cfg", "--out", "sweep.csv"], {"out": ""},
+     "run.cfg:6: bad value for out: expected a path, got ''"),
+    (["train", "run.cfg", "--out", ""], {}, "argument --out: expected a path, got ''"),
+    (["train", "run.cfg", "--dataset="], {}, "argument --dataset: expected a path, got ''"),
+    (["train", "run.cfg", "--partition", "file", "--clusters-file", ""], {},
+     "argument --clusters-file: expected a path, got ''"),
+    (["attack", "run.cfg", "--out", ""], {}, "argument --out: expected a path, got ''"),
+    (["attack", "run.cfg", "--out", "sweep.csv", "--dataset", ""], {},
+     "argument --dataset: expected a path, got ''"),
+    (["partition", "--dataset", "", "--clusters", "3", "--out", "a.txt"], {},
+     "argument --dataset: expected a path, got ''"),
+    (["partition", "--dataset", "DATA", "--clusters", "3", "--out", ""], {},
+     "argument --out: expected a path, got ''"),
+    (["gen-sbm", "--out", ""], {}, "argument --out: expected a path, got ''"),
+], ids=["train-cfg-out", "train-cfg-dataset", "train-cfg-clusters_file", "attack-cfg-out",
+        "train-out", "train-dataset", "train-clusters-file", "attack-out", "attack-dataset",
+        "partition-dataset", "partition-out", "gen-sbm-out"])
+def test_empty_path_exit_2_before_the_load(sbm_dir, tmp_path, monkeypatch, capsys, argv, keys,
+                                           message):
+    import jcgraph.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work started before the empty path was rejected")
+    for name in ("load_dataset", "gen_sbm"):
+        monkeypatch.setattr(cli_mod, name, never)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    config = {"dataset": sbm_dir, "loss": "jc", "clusters": 3, "epochs": 2, "hidden": 8, **keys}
+    (work / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    before = sorted(tmp_path.rglob("*"))
+    assert _exit_code([str(sbm_dir) if t == "DATA" else t for t in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" if keys else err.endswith(f" error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+# input errors each named by their exact message: a config line, the config's
+# dataset, a --seed flag and dataset lines
+@pytest.mark.parametrize("config,argv,message", [
+    ("dataset = DATA\nepochs\n", ["train", "e.txt"],
+     "e.txt:2: expected 'key = value', got 'epochs'"),
+    ("dataset = DATA\nepochs = x\n", ["train", "e.txt"],
+     "e.txt:2: bad value for epochs: invalid literal for int() with base 10: 'x'"),
+    ("out = r\n", ["train", "e.txt"],
+     "no dataset path given (config key 'dataset' or --dataset)"),
+    ("", ["partition", "--dataset", "DATA", "--clusters", "3", "--out", "a.txt", "--seed", "abc"],
+     "jcgraph partition: error: argument --seed: expected a non-negative integer, got 'abc'"),
+], ids=["line-without-equals", "bad-int", "no-dataset", "partition-seed"])
+def test_config_and_flag_errors_exit_2(sbm_dir, tmp_path, monkeypatch, capsys, config, argv,
+                                       message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.txt").write_text(config.replace("DATA", str(sbm_dir)))
+    before = sorted(tmp_path.rglob("*"))
+    assert _exit_code([str(sbm_dir) if t == "DATA" else t for t in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"{message}\n") if argv[0] == "partition" else err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("name,lineno,line,message", [
+    ("graph.txt", 1, "60 x", "expected integers, got '60 x'"),
+    ("graph.txt", 1, "60 1 2", "expected 2 fields, got 3"),
+    ("masks.txt", 2, "val: 0 x 12", "expected integers, got ' 0 x 12'"),
+])
+def test_malformed_dataset_line_exit_2(sbm_dir, tmp_path, capsys, name, lineno, line, message):
+    data = tmp_path / "data"
+    shutil.copytree(sbm_dir, data)
+    lines = (data / name).read_text().split("\n")
+    lines[lineno - 1] = line
+    (data / name).write_text("\n".join(lines))
+    assert main(["partition", "--dataset", str(data), "--clusters", "3",
+                 "--out", str(tmp_path / "a.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {data / name}:{lineno}: {message}\n"
+    assert not (tmp_path / "a.txt").exists()
+
+
+# ---------------------------------------------------------------------------
+# one property over every CLI input: each example changes one config key,
+# flag, ratio list or dataset line to a value from a pool of edge cases
+
+POOL = ["", "nan", "inf", "-1", "0", "1e309", str(2**63), "1_0", "٣", "١٠"]
+RUN_KEYS = ["dataset", "out", "encoder", "layers", "hidden", "dropout", "loss", "partition",
+            "clusters", "clusters_file", "lr", "weight_decay", "epochs", "eval_every", "seed",
+            "detach_cluster", "beta"]
+FLAGS = {
+    "train": [f"--{k.replace('_', '-')}" for k in RUN_KEYS],
+    "attack": [f"--{k.replace('_', '-')}" for k in RUN_KEYS if k != "out"]
+              + ["--ratios", "--seeds", "--out"],
+    "partition": ["--dataset", "--method", "--clusters", "--seed", "--out"],
+    "gen-sbm": ["--blocks", "--nodes-per-block", "--p-in", "--p-out", "--feat-dim",
+                "--feat-noise", "--seed", "--out"],
+}
+DATA_FILES = ["graph.txt", "features.txt", "labels.txt", "masks.txt"]
+# the run's loops the test caps: epochs over the whole command, layers per plan
+MAX_EPOCHS = 60
+MAX_LAYERS = 64
+
+
+class Capped(Exception):
+    """The command would run more epochs or layers than the test allows."""
+
+
+@st.composite
+def cli_cases(draw):
+    """(command, kind, target, value): one change to a small valid command."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    kinds = ["flag", "unknown"]
+    if command in ("train", "attack"):
+        kinds += ["key", "repeat"]
+    if command != "gen-sbm":
+        kinds += ["line", "missing"]
+    if command == "attack":
+        kinds += ["ratios"]
+    kind = draw(st.sampled_from(kinds))
+    value = draw(st.sampled_from(POOL))
+    if kind in ("key", "repeat"):
+        target = draw(st.sampled_from(RUN_KEYS))
+    elif kind == "flag":
+        target = draw(st.sampled_from(FLAGS[command]))
+    elif kind == "line":
+        target = (draw(st.sampled_from(DATA_FILES)), draw(st.integers(0, 3)),
+                  draw(st.integers(0, 2)))
+    elif kind == "missing":
+        target = draw(st.sampled_from(
+            (["config", "clusters_file"] if command in ("train", "attack") else [])
+            + ["dataset"] + DATA_FILES))
+    elif kind == "ratios":
+        target = draw(st.integers(0, 2))
+    else:
+        target = None
+    return command, kind, target, value
+
+
+def _build(case, sbm_dir, root):
+    """The argv of case in root, the outputs it names, and the names an
+    exit-2 message may give: a key, a flag, a path or a file:line."""
+    command, kind, target, value = case
+    work, data = root / "work", root / "data"
+    shutil.copytree(sbm_dir, data)
+    work.mkdir()
+    config = {"dataset": str(data), "out": "out/r", "loss": "jc", "clusters": "3",
+              "epochs": "2", "hidden": "8"}
+    base = {"train": ["train", "run.cfg"],
+            "attack": ["attack", "run.cfg", "--ratios", "0.5", "--seeds", "1",
+                       "--out", "out/sweep.csv"],
+            "partition": ["partition", "--dataset", str(data), "--clusters", "3",
+                          "--out", "out/a.txt"],
+            "gen-sbm": ["gen-sbm", "--blocks", "3", "--nodes-per-block", "20",
+                        "--feat-dim", "6", "--out", "out/sbm"]}[command]
+    argv, lines, names, patterns = list(base), [], [], []
+    if kind in ("key", "repeat"):
+        names = [target, value] if target in ("dataset", "out", "clusters_file") else [target]
+        if kind == "repeat":  # the key's line, then the key again
+            lines = [f"{target} = {value}"]
+            config.setdefault(target, value)
+        else:
+            config[target] = value
+    elif kind == "flag":
+        argv.append(f"{target}={value}")
+        names = [target, target[2:].replace("-", "_")]
+        if target in ("--dataset", "--out", "--clusters-file") and value:
+            names.append(value)
+    elif kind == "unknown":
+        if command in ("train", "attack"):
+            lines, names = ["bogus_key = 1"], ["bogus_key"]
+        else:
+            argv, names = argv + ["--bogus-flag=1"], ["--bogus-flag"]
+    elif kind == "ratios":
+        ratios = ["0.25", "0.5"]
+        ratios.insert(target, value)
+        argv, names = argv + [f"--ratios={','.join(ratios)}"], ["--ratios"]
+    elif kind == "missing":
+        if target == "config":
+            argv[1], names = "missing.cfg", ["missing.cfg"]
+        elif target == "clusters_file":
+            config.update(partition="file", clusters_file="missing.txt")
+            names = [str(work / "missing.txt")]
+        elif target == "dataset":
+            config["dataset"] = str(root / "nowhere")
+            argv = [str(root / "nowhere") if t == str(data) else t for t in argv]
+            names = [str(root / "nowhere")]
+        else:
+            (data / target).unlink()
+            names = [str(data / target)]
+    else:  # a token of a dataset line, its header or a later line
+        name, lineno, col = target
+        path = data / name
+        text = path.read_text().split("\n")
+        i = min(lineno, len(text) - 2)
+        tokens = text[i].split() or [""]
+        tokens[min(col, len(tokens) - 1)] = value
+        text[i] = " ".join(tokens)
+        path.write_text("\n".join(text))
+        patterns = [re.escape(str(path)) + r":\d+: "]
+    (work / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in config.items())
+                                  + "".join(f"{ln}\n" for ln in lines))
+    # the outputs a run that exits 0 writes, at the path the case names
+    out = argv[argv.index("--out") + 1] if "--out" in argv else config["out"]
+    for t in argv:
+        if t.startswith("--out="):
+            out = t[len("--out="):]
+    suffixes = {"train": [".result", ".curves.csv", ".ckpt"], "attack": [""],
+                "partition": [""], "gen-sbm": [f"/{f}" for f in DATA_FILES]}[command]
+    outputs = {work / f"{out}{s}" for s in suffixes}
+    return argv, outputs, names, patterns
+
+
+@settings(max_examples=500)
+@given(case=cli_cases())
+def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
+    """Exit 0 with outputs only where the command names them; exit 2 naming
+    the key, flag, file or file:line, with no output and no epoch run; exit
+    1 only for a numerics or training failure after an epoch. Nothing
+    escapes main."""
+    import jcgraph.trainer as train_mod
+    epochs = []
+
+    def counted_forward(*args, train_mode, **kwargs):
+        if train_mode:
+            epochs.append(1)
+            if len(epochs) > MAX_EPOCHS:
+                raise Capped
+        return forward(*args, train_mode=train_mode, **kwargs)
+
+    def capped_plan(spec, *args):
+        if spec.layers > MAX_LAYERS:
+            raise Capped
+        return plan(spec, *args)
+
+    forward, plan = train_mod.encoder_forward, train_mod.plan_rows
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "case"
+        root.mkdir()
+        argv, outputs, names, patterns = _build(case, sbm_dir, root)
+        before = {p for p in root.rglob("*") if p.is_file()}
+        err = io.StringIO()
+        with mock.patch.object(train_mod, "encoder_forward", counted_forward), \
+                mock.patch.object(train_mod, "plan_rows", capped_plan), \
+                contextlib.chdir(root / "work"), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = _exit_code(argv)
+            except Capped:  # accepted: the run would only take longer
+                rc = None
+        new = {p for p in root.rglob("*") if p.is_file()} - before
+        err = err.getvalue()
+        if rc == 0:
+            assert new == outputs, err
+        elif rc is None:
+            assert not new
+        else:
+            assert not new, err
+            if rc == 1:
+                assert epochs and err.startswith("runtime error: "), err
+            else:
+                assert rc == 2 and not epochs, err
+                assert "error: " in err
+                assert (any(name in err for name in names)
+                        or any(re.search(p, err) for p in patterns)), err
+
+
+# a header count past int64, which numpy and scipy cannot size, is named at a
+# line like any other bad count
+@pytest.mark.parametrize("name,header,message", [
+    ("graph.txt", f"{2**63} 142", f"1: node count {2**63}: the graph does not fit (Python int "
+                                  "too large to convert to C long)"),
+    ("graph.txt", f"60 {2**63}", "176: expected 2 values, got 0"),
+    ("features.txt", f"60 {2**63}", f"2: expected {2**63} values, got 6"),
+])
+def test_header_count_past_int64_exit_2(sbm_dir, tmp_path, capsys, name, header, message):
+    data = tmp_path / "data"
+    shutil.copytree(sbm_dir, data)
+    lines = (data / name).read_text().split("\n")
+    (data / name).write_text("\n".join([header] + lines[1:]))
+    assert main(["partition", "--dataset", str(data), "--clusters", "3",
+                 "--out", str(tmp_path / "a.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {data / name}:{message}\n"
+    assert not (tmp_path / "a.txt").exists()
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--blocks", f"blocks x nodes_per_block = {2**63 * 50} nodes do not fit (Maximum allowed size "
+                 "exceeded)"),
+    ("--nodes-per-block", f"blocks x nodes_per_block = {2**63 * 4} nodes do not fit (Maximum "
+                          "allowed size exceeded)"),
+    ("--feat-dim", f"feat_dim = {2**63}: the 200 x {2**63} feature table does not fit (Maximum "
+                   "allowed dimension exceeded)"),
+])
+def test_gen_sbm_size_past_int64_exit_2(tmp_path, capsys, flag, message):
+    assert main(["gen-sbm", flag, str(2**63), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()

@@ -30,6 +30,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
 
 
+def median_iqr(values: list[float]) -> tuple[float | None, float | None]:
+    """The median and the distance between the inclusive quartiles; None for
+    both with fewer than two values, as when a side's runs failed."""
+    if len(values) < 2:
+        return None, None
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return median, q3 - q1
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric (BENCHMARK.json's entries): each side's median
     and interquartile range over the runs that report it, and the pairs that
@@ -43,8 +52,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         for side in SIDES:
             values = [p[side]["metrics"][name]["value"] for p in pairs
                       if name in p[side]["metrics"]]
-            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-            entry[f"{side}_median"], entry[f"{side}_iqr"] = median, q3 - q1
+            entry[f"{side}_median"], entry[f"{side}_iqr"] = median_iqr(values)
         diffs = [sign * (p["change"]["metrics"][name]["value"] - p["base"]["metrics"][name]["value"])
                  for p in both]
         entry["change_wins"] = sum(d > 0 for d in diffs)
