@@ -208,8 +208,7 @@ def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:
     n = lv.n
     # coarse ids in order of each pair's lower end, as a first-seen scan gives
     reps, coarse_id = np.unique(np.minimum(np.arange(n, dtype=np.int64), mate), return_inverse=True)
-    # integer sums below 2**53 are exact through bincount's float64 weights
-    node_w = np.bincount(coarse_id, weights=lv.node_w, minlength=reps.size).astype(np.int64)
+    node_w = _sizes(lv, coarse_id, reps.size)  # a coarse node weighs its fine nodes
     p = sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), coarse_id)), shape=(n, reps.size))
     adj = p.T @ lv.adj @ p
     # a sparse difference stores no zero, so this drops the diagonal entries
@@ -289,14 +288,13 @@ def _grow_regions(lv: _Level, m: int, cap: int, rng) -> np.ndarray:
 
 
 def _sizes(lv: _Level, part: np.ndarray, m: int) -> np.ndarray:
-    """size[c]: total node weight of cluster c."""
-    # integer sums below 2**53 are exact through bincount's float64 weights
+    """size[c]: total node weight of cluster c. Its integer sums, as those of
+    _link_table, are exact below 2**53 through bincount's float64 weights."""
     return np.bincount(part, weights=lv.node_w, minlength=m).astype(np.int64)
 
 
 def _link_table(lv: _Level, part: np.ndarray, m: int) -> np.ndarray:
     """table[u, c]: total edge weight from u into cluster c, n x m."""
-    # exact for the same reason as _sizes
     return np.bincount(lv.rows * m + part[lv.adj.indices], weights=lv.adj.data,
                        minlength=lv.n * m).astype(np.int64).reshape(lv.n, m)
 
@@ -310,14 +308,12 @@ def _refine_pass(lv: _Level, part: np.ndarray, m: int, cap: int) -> int:
     unchanged at its turn, and no change in sizes makes a gain of zero or
     less positive. When no vertex has a positive gain toward a cluster it
     fits into at the start sizes, the sweep returns 0 before any visit.
-    A visit recounts its vertex's links from its edges. Reading them from a
-    table kept current by each move was slower: as lists, partitioning a
-    PubMed-sized graph took 10-20% longer; as numpy rows, a Cora-sized one
-    took 14% longer.
+    A visit recounts its vertex's links from its edges: a table kept current
+    by each move was slower, by 10-20% as lists on a PubMed-sized graph and
+    by 14% as numpy rows on a Cora-sized one.
     """
-    n = lv.n
     size, table = _sizes(lv, part, m), _link_table(lv, part, m)
-    positive = table > table[np.arange(n), part][:, None]
+    positive = table > table[np.arange(lv.n), part][:, None]
     fits = (size <= cap - lv.node_w[:, None]) & (size[part] - lv.node_w >= 1)[:, None]
     movable = (positive & fits).any(axis=1)
     if not movable.any():
@@ -327,7 +323,7 @@ def _refine_pass(lv: _Level, part: np.ndarray, m: int, cap: int) -> int:
     indptr, indices, eweights, node_w = lv.lists
     p, sz = part.tolist(), size.tolist()
     moved = 0
-    for u in range(first, n):
+    for u in range(first, lv.n):
         own = p[u]
         if not visit[u] or sz[own] - node_w[u] < 1:
             continue

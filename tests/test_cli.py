@@ -870,6 +870,7 @@ FLAGS = {
                 "--feat-noise", "--seed", "--out"],
 }
 DATA_FILES = ["graph.txt", "features.txt", "labels.txt", "masks.txt"]
+PATHS = ["dataset", "out", "clusters_file", "--dataset", "--out", "--clusters-file"]
 # the run's loops the test caps: epochs over the whole command, layers per plan
 MAX_EPOCHS = 60
 MAX_LAYERS = 64
@@ -928,7 +929,7 @@ def _build(case, sbm_dir, root):
                         "--feat-dim", "6", "--out", "out/sbm"]}[command]
     argv, lines, names, patterns = list(base), [], [], []
     if kind in ("key", "repeat"):
-        names = [target, value] if target in ("dataset", "out", "clusters_file") else [target]
+        names = [target]
         if kind == "repeat":  # the key's line, then the key again
             lines = [f"{target} = {value}"]
             config.setdefault(target, value)
@@ -937,8 +938,6 @@ def _build(case, sbm_dir, root):
     elif kind == "flag":
         argv.append(f"{target}={value}")
         names = [target, target[2:].replace("-", "_")]
-        if target in ("--dataset", "--out", "--clusters-file") and value:
-            names.append(value)
     elif kind == "unknown":
         if command in ("train", "attack"):
             lines, names = ["bogus_key = 1"], ["bogus_key"]
@@ -971,6 +970,8 @@ def _build(case, sbm_dir, root):
         text[i] = " ".join(tokens)
         path.write_text("\n".join(text))
         patterns = [re.escape(str(path)) + r":\d+: "]
+    if target in PATHS and value:  # a path value may be named as a path component
+        patterns.append(rf"(^|[\s/]){re.escape(value)}[/:]")
     (work / "run.cfg").write_text("".join(f"{k} = {v}\n" for k, v in config.items())
                                   + "".join(f"{ln}\n" for ln in lines))
     # the outputs a run that exits 0 writes, at the path the case names

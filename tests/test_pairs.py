@@ -21,11 +21,10 @@ pairs = _load_pairs()
 
 
 def line(attempted=2, failed=0, **values):
-    """A run's final JSON line as perfbench/run.py prints it."""
+    """A run's final JSON line, parsed, as perfbench/run.py prints it."""
     units = {spec["name"]: spec["unit"] for spec in END_TO_END}
-    return json.loads(json.dumps({
-        "correct": failed == 0, "attempted": attempted, "failed": failed,
-        "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}))
+    return {"correct": failed == 0, "attempted": attempted, "failed": failed,
+            "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}
 
 
 def test_statistics_on_canned_lines():
