@@ -478,10 +478,10 @@ def load_dataset(path) -> Dataset:
         if lineno > len(mlines) or not mlines[lineno - 1].startswith(f"{name}:"):
             raise DatasetFormatError(mpath, lineno, f"expected line starting with '{name}:'")
         body = mlines[lineno - 1][len(name) + 1:]
-        vals = _ints(mpath, lineno, body) if body.strip() else []
-        arr = np.asarray(sorted(vals), dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
+        vals = sorted(_ints(mpath, lineno, body)) if body.strip() else []
+        if vals and (vals[0] < 0 or vals[-1] >= n):  # before int64 could overflow
             raise DatasetFormatError(mpath, lineno, f"{name} index out of range for n={n}")
+        arr = np.asarray(vals, dtype=np.int64)
         if np.unique(arr).size != arr.size:
             raise DatasetFormatError(mpath, lineno, f"duplicate index in {name} mask")
         masks[name] = arr

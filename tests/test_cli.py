@@ -840,6 +840,7 @@ def test_config_and_flag_errors_exit_2(sbm_dir, tmp_path, monkeypatch, capsys, c
     ("graph.txt", 1, "60 x", "expected integers, got '60 x'"),
     ("graph.txt", 1, "60 1 2", "expected 2 fields, got 3"),
     ("masks.txt", 2, "val: 0 x 12", "expected integers, got ' 0 x 12'"),
+    ("masks.txt", 2, f"val: 0 {2**63}", "val index out of range for n=60"),
 ])
 def test_malformed_dataset_line_exit_2(sbm_dir, tmp_path, capsys, name, lineno, line, message):
     data = tmp_path / "data"
@@ -1024,19 +1025,14 @@ def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
                 rc = None
         new = {p for p in root.rglob("*") if p.is_file()} - before
         err = err.getvalue()
-        if rc == 0:
-            assert new == outputs, err
-        elif rc is None:
-            assert not new
-        else:
-            assert not new, err
-            if rc == 1:
-                assert epochs and err.startswith("runtime error: "), err
-            else:
-                assert rc == 2 and not epochs, err
-                assert "error: " in err
-                assert (any(name in err for name in names)
-                        or any(re.search(p, err) for p in patterns)), err
+        assert new == (outputs if rc == 0 else set()), err
+        if rc == 1:
+            assert epochs and err.startswith("runtime error: "), err
+        elif rc not in (0, None):
+            assert rc == 2 and not epochs, err
+            assert "error: " in err
+            assert (any(name in err for name in names)
+                    or any(re.search(p, err) for p in patterns)), err
 
 
 # a header count past int64, which numpy and scipy cannot size, is named at a
