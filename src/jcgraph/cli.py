@@ -49,7 +49,7 @@ def _seed(s: str) -> int:
 
 
 def _path(s: str) -> str:
-    """A path flag's value: an empty one names no file."""
+    """A path's value, as a config line or a flag: an empty one names no file."""
     if not s:
         raise argparse.ArgumentTypeError(f"expected a path, got {s!r}")
     return s
@@ -62,7 +62,7 @@ DEFAULTS = {"dataset": None, "out": "run", **TRAIN_DEFAULTS}
 PATH_KEYS = ("dataset", "out", "clusters_file")
 # config key -> value parser, by its default's exact type; every key is also a flag
 _PARSERS = {bool: _to_bool, int: int, float: float, str: str}
-CONFIG_KEYS = {key: str if key in PATH_KEYS else _PARSERS[type(default)]
+CONFIG_KEYS = {key: _path if key in PATH_KEYS else _PARSERS[type(default)]
                for key, default in DEFAULTS.items()}
 
 
@@ -84,11 +84,9 @@ def read_config(path) -> dict:
         if key in first:
             raise ConfigError(f"{p}:{lineno}: duplicate key {key!r} (first set on line {first[key]})")
         first[key] = lineno
-        if key in PATH_KEYS and not value:  # as a flag value, _path rejects it
-            raise ConfigError(f"{p}:{lineno}: bad value for {key}: expected a path, got ''")
         try:
             cfg[key] = CONFIG_KEYS[key](value)
-        except ValueError as e:
+        except (ValueError, argparse.ArgumentTypeError) as e:
             raise ConfigError(f"{p}:{lineno}: bad value for {key}: {e}") from None
     # resolve config-file-relative paths up front
     for key in PATH_KEYS:
@@ -227,12 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = subs.add_parser("train", help="train one run from a config file")
-    p.add_argument("config")
+    p.add_argument("config", type=_path)
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("attack", help="random-attack sweep comparing ce and jc")
-    p.add_argument("config")
+    p.add_argument("config", type=_path)
     p.add_argument("--ratios", default="0.2,0.4,0.6,0.8,1.0")
     p.add_argument("--seeds", dest="num_seeds", type=int, default=5)
     p.add_argument("--out", dest="sweep_out", type=_path, required=True)

@@ -136,6 +136,16 @@ def validate(cfg: TrainConfig, data: Dataset) -> ModelSpec:
     if data.masks.test.size == 0:
         raise ValueError("the dataset's test mask is empty")
     check_clusters(cfg.clusters, data)
+    # init_params draws one hidden x hidden weight per layer past the first.
+    # Past one such weight their count is layers' doing, so all of them must
+    # fit at once before any work, the plan included, which grows with layers
+    # too. numpy raises ValueError for a size past its index range.
+    if spec.weight_layers > 2:
+        try:
+            np.empty((spec.weight_layers - 1, spec.hidden, spec.hidden))
+        except (MemoryError, ValueError) as e:
+            raise ValueError(f"layers = {spec.layers}: the weights of {spec.weight_layers} layers "
+                             f"of hidden = {spec.hidden} do not fit ({e})") from None
     return spec
 
 

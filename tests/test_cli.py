@@ -354,6 +354,31 @@ class TestTrainCmd:
                                                "weights do not fit (Unable to allocate 43.7 TiB)\n")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
+    @pytest.mark.parametrize("layers,cause", [
+        (2**63, "array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum "
+                "possible size."),
+        (2**40, "Unable to allocate 512. TiB for an array with shape (1099511627775, 8, 8) and "
+                "data type float64"),
+    ])
+    def test_unallocatable_layers_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys, layers,
+                                         cause):
+        # the weights of every layer must fit before the plan or any weight is built
+        import jcgraph.trainer as train_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the work started before the layer count was checked")
+        for name in ("plan_rows", "init_params", "make_partition"):
+            monkeypatch.setattr(train_mod, name, never)
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+                            clusters=3, epochs=3, hidden=8)
+        sweep = ["--ratios", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")]
+        for argv in (["train", str(cfgf)], ["attack", str(cfgf)] + sweep):
+            assert main(argv + ["--layers", str(layers)]) == 2
+            assert capsys.readouterr().err == (f"error: layers = {layers}: the weights of "
+                                               f"{layers} layers of hidden = 8 do not fit "
+                                               f"({cause})\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     def test_file_partition_without_clusters_file_exit_2(self, sbm_dir, tmp_path, capsys,
                                                          monkeypatch):
         import jcgraph.trainer as train_mod
@@ -790,9 +815,11 @@ def _exit_code(argv):
     (["partition", "--dataset", "DATA", "--clusters", "3", "--out", ""], {},
      "argument --out: expected a path, got ''"),
     (["gen-sbm", "--out", ""], {}, "argument --out: expected a path, got ''"),
+    (["train", ""], {}, "argument config: expected a path, got ''"),
+    (["attack", "", "--out", "sweep.csv"], {}, "argument config: expected a path, got ''"),
 ], ids=["train-cfg-out", "train-cfg-dataset", "train-cfg-clusters_file", "attack-cfg-out",
         "train-out", "train-dataset", "train-clusters-file", "attack-out", "attack-dataset",
-        "partition-dataset", "partition-out", "gen-sbm-out"])
+        "partition-dataset", "partition-out", "gen-sbm-out", "train-config", "attack-config"])
 def test_empty_path_exit_2_before_the_load(sbm_dir, tmp_path, monkeypatch, capsys, argv, keys,
                                            message):
     import jcgraph.cli as cli_mod
@@ -872,13 +899,12 @@ FLAGS = {
 }
 DATA_FILES = ["graph.txt", "features.txt", "labels.txt", "masks.txt"]
 PATHS = ["dataset", "out", "clusters_file", "--dataset", "--out", "--clusters-file"]
-# the run's loops the test caps: epochs over the whole command, layers per plan
+# the epochs the test lets a command run, over all its trainings
 MAX_EPOCHS = 60
-MAX_LAYERS = 64
 
 
 class Capped(Exception):
-    """The command would run more epochs or layers than the test allows."""
+    """The command would run more epochs than the test allows."""
 
 
 @st.composite
@@ -1003,12 +1029,7 @@ def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
                 raise Capped
         return forward(*args, train_mode=train_mode, **kwargs)
 
-    def capped_plan(spec, *args):
-        if spec.layers > MAX_LAYERS:
-            raise Capped
-        return plan(spec, *args)
-
-    forward, plan = train_mod.encoder_forward, train_mod.plan_rows
+    forward = train_mod.encoder_forward
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "case"
         root.mkdir()
@@ -1016,7 +1037,6 @@ def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
         before = {p for p in root.rglob("*") if p.is_file()}
         err = io.StringIO()
         with mock.patch.object(train_mod, "encoder_forward", counted_forward), \
-                mock.patch.object(train_mod, "plan_rows", capped_plan), \
                 contextlib.chdir(root / "work"), contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             try:

@@ -5,7 +5,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from jcgraph.cli import CONFIG_KEYS, DEFAULTS, PATH_KEYS
+from jcgraph.cli import CONFIG_KEYS, DEFAULTS, PATH_KEYS, _path
 from jcgraph.trainer import ECHO_KEYS, TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,12 +51,12 @@ def test_result_echo_covers_every_run_key():
 
 def test_each_default_is_of_its_annotated_type():
     # a key parses by its default's type, so a float key written with an int
-    # default would parse as int; the paths parse as text
+    # default would parse as int; the paths parse as non-empty text
     hints = get_type_hints(TrainConfig)
     for f in fields(TrainConfig):
         assert type(f.default) in (get_args(hints[f.name]) or (hints[f.name],)), f.name
     for key in PATH_KEYS:
-        assert CONFIG_KEYS[key] is str, key
+        assert CONFIG_KEYS[key] is _path, key
     for key, default in DEFAULTS.items():
         if key not in PATH_KEYS:
             assert CONFIG_KEYS[key](str(default)) == default, key

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = BENCHMARK["end_to_end"]
 
 
 def _load_pairs():
@@ -52,28 +53,50 @@ def test_statistics_on_canned_lines():
     assert setup["change_median"] == pytest.approx(0.395)
     assert setup["change_iqr"] == pytest.approx(0.035)
     assert (setup["change_wins"], setup["base_wins"]) == (3, 0)  # pair 1 is a tie
+    # a base IQR of 0.04 is within the 0.25 bound of 0.42; the medians are too
+    assert setup["verdict"] == "within bound"
     acc = stats["test_acc"]  # higher is better
     assert (acc["pairs"], acc["change_wins"], acc["base_wins"]) == (5, 1, 1)
     assert (acc["base_median"], acc["base_iqr"]) == (0.80, 0.0)
+    assert acc["verdict"] == "within bound"
     # no run reports run_s
     assert stats["run_s"] == {"unit": "s", "better": "lower", "pairs": 0, "base_median": None,
                               "base_iqr": None, "change_median": None, "change_iqr": None,
-                              "change_wins": 0, "base_wins": 0}
+                              "change_wins": 0, "base_wins": 0, "verdict": None}
     assert pairs.operations(runs) == {"base": {"attempted": 10, "failed": 0},
                                       "change": {"attempted": 10, "failed": 1}}
+
+
+@pytest.mark.parametrize("spec,base,change,expected", [
+    # lower is better, bound 0.25: base median 1.0
+    ({"better": "lower", "bound": 0.25}, [0.9, 1.0, 1.1], [1.1, 1.2, 1.3], "within bound"),
+    ({"better": "lower", "bound": 0.25}, [0.9, 1.0, 1.1], [1.2, 1.3, 1.4], "worse"),
+    # an IQR of 0.5 is wider than the bound of 0.25: the medians cannot tell
+    ({"better": "lower", "bound": 0.25}, [0.5, 1.0, 1.5], [2.0, 1.9, 0.4], "unresolved"),
+    # unless every change run reads better than every base run
+    ({"better": "lower", "bound": 0.25}, [0.5, 1.0, 1.5], [0.1, 0.2, 0.4], "better"),
+    ({"better": "higher", "bound": 0.08}, [0.80, 0.80, 0.80], [0.70, 0.72, 0.80], "worse"),
+    ({"better": "higher", "bound": 0.08}, [0.80, 0.80], [0.81], None),
+])
+def test_verdict(spec, base, change, expected):
+    assert pairs.verdict(spec, base, change) == expected
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_bench_file_parses_and_names_only_benchmark_metrics(path):
     doc = json.loads(path.read_text())
     names = {spec["name"] for spec in END_TO_END}
-    assert len(doc["pairs"]) >= 10
-    assert set(doc["end_to_end"]) == names
-    for pair in doc["pairs"]:
-        assert pair["first"] in pairs.SIDES
-        for side in pairs.SIDES:
-            assert set(pair[side]["metrics"]) <= names
-    # the summary is the one the pairs give
-    assert doc["end_to_end"] == pairs.summarize(doc["pairs"], END_TO_END)
-    assert doc["operations"] == pairs.operations(doc["pairs"])
+    assert doc["seconds"] == BENCHMARK["run_seconds"]
+    assert set(doc["workloads"]) <= {w["name"] for w in BENCHMARK["workloads"]}
+    assert doc["workloads"]
+    for result in doc["workloads"].values():
+        assert len(result["pairs"]) >= 10
+        assert set(result["end_to_end"]) == names
+        for i, pair in enumerate(result["pairs"]):
+            assert (pair["seed"], pair["first"]) == (i + 1, pairs.SIDES[i % 2])
+            for side in pairs.SIDES:
+                assert set(pair[side]["metrics"]) <= names
+        # the summary is the one the pairs give
+        assert result["end_to_end"] == pairs.summarize(result["pairs"], END_TO_END)
+        assert result["operations"] == pairs.operations(result["pairs"])
     assert {"cpu", "nproc", "python", "numpy"} <= set(doc["machine"])

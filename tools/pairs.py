@@ -2,18 +2,20 @@
 
 Usage (from the repository root):
 
-    python3 tools/pairs.py --workload pubmed-jc --base HEAD~1 --change HEAD \\
-        --pairs 10 --seconds 35 --pr 26 --scratch /tmp/pairs
+    python3 tools/pairs.py --base HEAD~1 --change HEAD --pairs 10 --pr 26 \\
+        --scratch /tmp/pairs [--workload pubmed-jc ...]
 
 Each commit is extracted with ``git archive`` into a new directory under
-``--scratch``, and perfbench/run.py runs there with ``--trace 0``. Pair i
-runs both sides once, the base first in even pairs and the change first in
-odd ones, so that a drift of the host over time reaches both sides alike.
-``BENCH_<pr>.json`` at the repository root holds every run's final JSON
-line, the ``machine`` line of the first run, each side's attempted and
-failed operations, and for each end-to-end metric of BENCHMARK.json each
-side's median and interquartile range and the pairs each side won (a tie
-counts for neither).
+``--scratch``, and perfbench/run.py runs there with ``--trace 0`` for
+BENCHMARK.json's ``run_seconds``. Pair i of a workload runs both sides once
+with seed i + 1, the base first in even pairs and the change first in odd
+ones, so that a drift of the host over time reaches both sides alike. The
+workloads are those named, by default every workload of BENCHMARK.json, one
+after the other. ``BENCH_<pr>.json`` at the repository root holds the
+``machine`` line of the first run and, per workload, every run's final JSON
+line, each side's attempted and failed operations, and for each end-to-end
+metric of BENCHMARK.json each side's median and interquartile range, the
+pairs each side won (a tie counts for neither) and a verdict.
 """
 
 from __future__ import annotations
@@ -39,24 +41,42 @@ def median_iqr(values: list[float]) -> tuple[float | None, float | None]:
     return median, q3 - q1
 
 
+def verdict(spec: dict, base: list[float], change: list[float]) -> str | None:
+    """"better" when every change run reads better than every base run;
+    otherwise "unresolved" when the base's interquartile range is wider than
+    the metric's bound (a fraction of the base median), else "worse" or
+    "within bound" by the medians. None with fewer than two runs a side."""
+    if len(base) < 2 or len(change) < 2:
+        return None
+    sign = 1 if spec["better"] == "higher" else -1
+    if min(sign * v for v in change) > max(sign * v for v in base):
+        return "better"
+    (base_median, base_iqr), (change_median, _) = median_iqr(base), median_iqr(change)
+    limit = spec["bound"] * abs(base_median)
+    if base_iqr > limit:
+        return "unresolved"
+    return "worse" if sign * (change_median - base_median) < -limit else "within bound"
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric (BENCHMARK.json's entries): each side's median
-    and interquartile range over the runs that report it, and the pairs that
-    each side won among those where both report it."""
+    and interquartile range over the runs that report it, the pairs that
+    each side won among those where both report it, and the verdict."""
     stats = {}
     for spec in end_to_end:
         name = spec["name"]
         sign = 1 if spec["better"] == "higher" else -1
         both = [p for p in pairs if all(name in p[side]["metrics"] for side in SIDES)]
         entry = {"unit": spec["unit"], "better": spec["better"], "pairs": len(both)}
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs
+                         if name in p[side]["metrics"]] for side in SIDES}
         for side in SIDES:
-            values = [p[side]["metrics"][name]["value"] for p in pairs
-                      if name in p[side]["metrics"]]
-            entry[f"{side}_median"], entry[f"{side}_iqr"] = median_iqr(values)
+            entry[f"{side}_median"], entry[f"{side}_iqr"] = median_iqr(values[side])
         diffs = [sign * (p["change"]["metrics"][name]["value"] - p["base"]["metrics"][name]["value"])
                  for p in both]
         entry["change_wins"] = sum(d > 0 for d in diffs)
         entry["base_wins"] = sum(d < 0 for d in diffs)
+        entry["verdict"] = verdict(spec, values["base"], values["change"])
         stats[name] = entry
     return stats
 
@@ -95,37 +115,38 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run (repeatable); default every workload")
     parser.add_argument("--base", required=True, help="the parent commit")
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pr", type=int, required=True, help="names BENCH_<pr>.json")
     parser.add_argument("--scratch", type=Path, required=True,
                         help="an existing directory for the two copies")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2: the quartiles need two runs a side")
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
     revs, copies = {}, {}
     for side in SIDES:
         revs[side], copies[side] = extract(getattr(args, side), args.scratch)
-    pairs, machine = [], None
-    for i in range(args.pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"first": order[0]}
-        for side in order:
-            pair[side], seen = run_once(copies[side], args.workload, args.seed, args.seconds)
-            machine = machine or seen
-        pairs.append(pair)
-        print(f"pair {i}: " + " ".join(
-            f"{side} setup_s={pair[side]['metrics'].get('setup_s', {}).get('value')}"
-            for side in SIDES), file=sys.stderr)
-    doc = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-           "base": revs["base"], "change": revs["change"], "machine": machine,
-           "operations": operations(pairs), "end_to_end": summarize(pairs, end_to_end),
-           "pairs": pairs}
+    results, machine = {}, None
+    for workload in workloads:
+        pairs = []
+        for i in range(args.pairs):
+            pair = {"seed": i + 1, "first": SIDES[i % 2]}
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                pair[side], seen = run_once(copies[side], workload, i + 1, bench["run_seconds"])
+                machine = machine or seen
+            pairs.append(pair)
+            print(f"{workload} pair {i}: " + " ".join(
+                f"{side} setup_s={pair[side]['metrics'].get('setup_s', {}).get('value')}"
+                for side in SIDES), file=sys.stderr)
+        results[workload] = {"operations": operations(pairs),
+                             "end_to_end": summarize(pairs, bench["end_to_end"]), "pairs": pairs}
+    doc = {"seconds": bench["run_seconds"], "base": revs["base"], "change": revs["change"],
+           "machine": machine, "workloads": results}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
