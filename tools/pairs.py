@@ -2,20 +2,19 @@
 
 Usage (from the repository root):
 
-    python3 tools/pairs.py --base HEAD~1 --change HEAD --pairs 10 --pr 26 \\
-        --scratch /tmp/pairs [--workload pubmed-jc ...]
+    python3 tools/pairs.py --base HEAD~1 --change HEAD --pr 26 --scratch /tmp/pairs
 
 Each commit is extracted with ``git archive`` into a new directory under
 ``--scratch``, and perfbench/run.py runs there with ``--trace 0`` for
-BENCHMARK.json's ``run_seconds``. Pair i of a workload runs both sides once
-with seed i + 1, the base first in even pairs and the change first in odd
-ones, so that a drift of the host over time reaches both sides alike. The
-workloads are those named, by default every workload of BENCHMARK.json, one
-after the other. ``BENCH_<pr>.json`` at the repository root holds the
-``machine`` line of the first run and, per workload, every run's final JSON
-line, each side's attempted and failed operations, and for each end-to-end
-metric of BENCHMARK.json each side's median and interquartile range, the
-pairs each side won (a tie counts for neither) and a verdict.
+BENCHMARK.json's ``run_seconds``, on every workload of BENCHMARK.json in
+turn. Pair i of a workload, of PAIRS, runs both sides once with seed i + 1,
+the base first in even pairs and the change first in odd ones, so that a
+drift of the host over time reaches both sides alike. ``BENCH_<pr>.json``
+at the repository root holds the ``machine`` line of the first run and, per
+workload, every run's final JSON line, each side's attempted and failed
+operations, and for each end-to-end metric of BENCHMARK.json each side's
+median and interquartile range, the pairs each side won (a tie counts for
+neither) and a verdict.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "change")
+PAIRS = 10  # the fewest pairs a claim or a no-regression report may rest on
 
 
 def median_iqr(values: list[float]) -> tuple[float | None, float | None]:
@@ -115,26 +115,20 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (repeatable); default every workload")
     parser.add_argument("--base", required=True, help="the parent commit")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--pr", type=int, required=True, help="names BENCH_<pr>.json")
     parser.add_argument("--scratch", type=Path, required=True,
                         help="an existing directory for the two copies")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2: the quartiles need two runs a side")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
     revs, copies = {}, {}
     for side in SIDES:
         revs[side], copies[side] = extract(getattr(args, side), args.scratch)
     results, machine = {}, None
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             pair = {"seed": i + 1, "first": SIDES[i % 2]}
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 pair[side], seen = run_once(copies[side], workload, i + 1, bench["run_seconds"])
