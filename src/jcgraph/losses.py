@@ -278,6 +278,11 @@ def _add(acc: dict, key: str, v: np.ndarray) -> None:
     acc[key] = acc[key] + v if key in acc else v
 
 
+def _check_label_kind(kind: str, labels: LabelSet) -> None:
+    if labels.kind not in LOSS_KINDS[kind].label_kinds:
+        raise ValueError(f"{kind} loss does not support label kind {labels.kind!r}")
+
+
 def _head(kind, classifier, embeddings, labels, train_mask, stats, detach_cluster,
           beta) -> LossResult:
     """The training head behind every *_loss: value and analytic gradients.
@@ -287,8 +292,7 @@ def _head(kind, classifier, embeddings, labels, train_mask, stats, detach_cluste
     by beta. Gradients of c and k blocks reach the embeddings through the
     cluster means unless detach_cluster is set.
     """
-    if labels.kind not in LOSS_KINDS[kind].label_kinds:
-        raise ValueError(f"{kind} loss does not support label kind {labels.kind!r}")
+    _check_label_kind(kind, labels)
     w, b = _clf(classifier)
     mask = _mask(train_mask)
     outs, ll, cluster = _forward(LOSS_KINDS[kind].streams, _sources(kind, embeddings, labels, mask, stats),
@@ -385,6 +389,7 @@ def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: Label
     formulas give on those rows; they can differ in the last bits from an
     all-nodes pass, whose GEMM has another height.
     """
+    _check_label_kind(kind, labels)
     w, b = _clf(classifier)
     splits = [_mask(s) for s in splits]
     rows = np.unique(np.concatenate(splits))

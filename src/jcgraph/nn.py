@@ -194,7 +194,8 @@ def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None, x: np.ndarray | sp.csr
 
 @dataclass
 class GradientTape:
-    """Forward-pass cache; consumed by exactly one model_backward call."""
+    """Forward-pass cache, which no later step writes into; consumed by
+    exactly one model_backward call."""
 
     plan: RowPlan
     layers: list
@@ -204,11 +205,6 @@ class GradientTape:
 # a gap between computed rows of fewer draws than this is drawn through: one
 # advance() and one draw call cost about as much as drawing ~1k doubles
 DRAW_THROUGH = 1024
-# drawing by stretches pays only while it draws under this share of the full
-# draw, counting DRAW_THROUGH draws per stretch: drawing into slices costs
-# more per double than one draw (at n x 64 with one thread, the two break
-# even at ~75-80% of the rows in 4-16 stretches)
-STRETCH_SHARE = 0.75
 
 
 def _draws_on_rows(rng, shape, rows, gap=DRAW_THROUGH):
@@ -217,16 +213,13 @@ def _draws_on_rows(rng, shape, rows, gap=DRAW_THROUGH):
 
     A double takes one 64-bit step of the generator, so the values are the
     same bits as the full draw's, and rng is left where the full draw leaves
-    it. Gaps shorter than gap draws are drawn through. When the stretches,
-    counting gap draws for each, reach STRETCH_SHARE of the full draw, the
-    full draw is made and its rows are taken.
+    it. Gaps shorter than gap draws are drawn through, so the stretches,
+    counting gap draws for each, exceed the full draw by at most gap draws.
     """
     n, width = shape
     cut = np.flatnonzero((np.diff(rows) - 1) * width >= gap) + 1
     first, stop = rows[np.r_[0, cut]], rows[np.r_[cut - 1, -1]] + 1
     at = np.r_[0, np.cumsum(stop - first)]  # each stretch's offset in drawn
-    if at[-1] * width + first.size * gap >= STRETCH_SHARE * n * width:
-        return rng.random(shape)[rows]
     drawn = np.empty((int(at[-1]), width))
     done = 0
     for lo, hi, o in zip(first.tolist(), stop.tolist(), at.tolist()):
@@ -238,12 +231,6 @@ def _draws_on_rows(rng, shape, rows, gap=DRAW_THROUGH):
     return drawn[rows - first[stretch] + at[stretch]]
 
 
-def _scale(v, mask, p):
-    """Inverted dropout, v * mask / (1 - p), written into v."""
-    np.multiply(v, mask, out=v)
-    return np.divide(v, 1.0 - p, out=v)
-
-
 def _dropout(rng, plan, inp, k, p):
     """Inverted dropout on layer k's compact input.
 
@@ -251,8 +238,8 @@ def _dropout(rng, plan, inp, k, p):
     at layer 0, whose input gets no gradient. A CSR input draws one value per
     stored entry of the all-rows input (x_nnz) and keeps those at x_pos: its
     rows' entries lie too close together for skipping to pay. A dense input
-    draws one value per entry of an all-rows input, only for its computed
-    rows. A hidden input is scaled in place, since nothing else reads it.
+    draws one value per entry of an all-rows input, by the stretches that
+    hold its computed rows. The input itself is left as it is.
     """
     if sp.issparse(inp):
         u = rng.random(plan.x_nnz)
@@ -260,9 +247,7 @@ def _dropout(rng, plan, inp, k, p):
         data = inp.data * kept / (1.0 - p)
         return sp.csr_matrix((data, inp.indices, inp.indptr), shape=inp.shape), None
     mask = _draws_on_rows(rng, (plan.n, inp.shape[1]), plan.rows[k]) >= p
-    if k == 0:
-        return inp * mask / (1.0 - p), None
-    return _scale(inp, mask, p), mask
+    return inp * mask / (1.0 - p), (mask if k > 0 else None)
 
 
 def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed: int = 0):
@@ -292,9 +277,6 @@ def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed:
         else:
             s = np.add(u, params[f"enc_b{k}"], out=u)
         relu = spec.encoder == "mlp" or k < spec.weight_layers - 1
-        # The next layer's dropout scales h in place: out > 0 still gives the
-        # ReLU gradient, since an entry that dropout zeroes gets a zero
-        # gradient anyway.
         h = np.maximum(s, 0.0, out=s) if relu else s
         caches.append({"inp": inp, "mask": mask, "out": h, "relu": relu, "k": k, "w": w})
     _check_finite(h)
@@ -332,7 +314,7 @@ def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.nd
         if k > 0:
             d = du @ cache["w"].T
             if cache["mask"] is not None:
-                _scale(d, cache["mask"], spec.dropout)
+                d = d * cache["mask"] / (1.0 - spec.dropout)
     return grads
 
 

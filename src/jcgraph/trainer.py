@@ -118,8 +118,9 @@ class RunResult:
     val_loss: list[float]
     test_loss: list[float]
     val_acc: list[float]
-    seconds_per_epoch: float
-    # the best-validation parameter snapshot, which the .ckpt holds
+    # the wall-clock measurement, which a rerun changes, and the best-validation
+    # parameter snapshot, which the .ckpt holds
+    seconds_per_epoch: float = field(compare=False)
     params: dict[str, np.ndarray] = field(compare=False)
 
 

@@ -10,9 +10,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jcgraph.nn as nn_mod
 from jcgraph.cli import main
 from jcgraph.graph import load_dataset
 from jcgraph.partition import read_assignment
@@ -899,18 +900,23 @@ FLAGS = {
 }
 DATA_FILES = ["graph.txt", "features.txt", "labels.txt", "masks.txt"]
 PATHS = ["dataset", "out", "clusters_file", "--dataset", "--out", "--clusters-file"]
-# the epochs the test lets a command run, over all its trainings
+# the epochs the test lets a command run, over all its trainings, and the
+# products with Â that nn may make: sgc's propagation rounds, which run before
+# epoch 1, and gcn's per step, which stay far below the cap within MAX_EPOCHS
 MAX_EPOCHS = 60
+MAX_ROUNDS = 2000
 
 
 class Capped(Exception):
-    """The command would run more epochs than the test allows."""
+    """The command would run more epochs or rounds than the test allows."""
 
 
 @st.composite
 def cli_cases(draw):
-    """(command, kind, target, value): one change to a small valid command."""
+    """(command, kind, target, value, encoder): one change to a small valid
+    command, whose config, if it has one, sets encoder."""
     command = draw(st.sampled_from(sorted(FLAGS)))
+    encoder = draw(st.sampled_from(nn_mod.ENCODERS))
     kinds = ["flag", "unknown"]
     if command in ("train", "attack"):
         kinds += ["key", "repeat"]
@@ -935,18 +941,18 @@ def cli_cases(draw):
         target = draw(st.integers(0, 2))
     else:
         target = None
-    return command, kind, target, value
+    return command, kind, target, value, encoder
 
 
 def _build(case, sbm_dir, root):
     """The argv of case in root, the outputs it names, and the names an
     exit-2 message may give: a key, a flag, a path or a file:line."""
-    command, kind, target, value = case
+    command, kind, target, value, encoder = case
     work, data = root / "work", root / "data"
     shutil.copytree(sbm_dir, data)
     work.mkdir()
-    config = {"dataset": str(data), "out": "out/r", "loss": "jc", "clusters": "3",
-              "epochs": "2", "hidden": "8"}
+    config = {"dataset": str(data), "out": "out/r", "encoder": encoder, "loss": "jc",
+              "clusters": "3", "epochs": "2", "hidden": "8"}
     base = {"train": ["train", "run.cfg"],
             "attack": ["attack", "run.cfg", "--ratios", "0.5", "--seeds", "1",
                        "--out", "out/sweep.csv"],
@@ -1014,13 +1020,17 @@ def _build(case, sbm_dir, root):
 
 @settings(max_examples=500)
 @given(case=cli_cases())
+# a layers past allocation: sgc would only take longer, gcn and mlp exit 2
+@example(case=("train", "key", "layers", str(2**63), "sgc"))
+@example(case=("train", "key", "layers", str(2**63), "gcn"))
+@example(case=("attack", "flag", "--layers", str(2**63), "mlp"))
 def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
     """Exit 0 with outputs only where the command names them; exit 2 naming
     the key, flag, file or file:line, with no output and no epoch run; exit
     1 only for a numerics or training failure after an epoch. Nothing
-    escapes main."""
+    escapes main. Only sgc may reach a cap before epoch 1."""
     import jcgraph.trainer as train_mod
-    epochs = []
+    epochs, rounds = [], []
 
     def counted_forward(*args, train_mode, **kwargs):
         if train_mode:
@@ -1029,7 +1039,13 @@ def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
                 raise Capped
         return forward(*args, train_mode=train_mode, **kwargs)
 
-    forward = train_mod.encoder_forward
+    def counted_spmm(*args, **kwargs):
+        rounds.append(1)
+        if len(rounds) > MAX_ROUNDS:
+            raise Capped
+        return spmm(*args, **kwargs)
+
+    forward, spmm = train_mod.encoder_forward, nn_mod.spmm
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "case"
         root.mkdir()
@@ -1037,6 +1053,7 @@ def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
         before = {p for p in root.rglob("*") if p.is_file()}
         err = io.StringIO()
         with mock.patch.object(train_mod, "encoder_forward", counted_forward), \
+                mock.patch.object(nn_mod, "spmm", counted_spmm), \
                 contextlib.chdir(root / "work"), contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             try:
@@ -1046,9 +1063,11 @@ def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
         new = {p for p in root.rglob("*") if p.is_file()} - before
         err = err.getvalue()
         assert new == (outputs if rc == 0 else set()), err
-        if rc == 1:
+        if rc is None:
+            assert epochs or case[4] == "sgc", err
+        elif rc == 1:
             assert epochs and err.startswith("runtime error: "), err
-        elif rc not in (0, None):
+        elif rc != 0:
             assert rc == 2 and not epochs, err
             assert "error: " in err
             assert (any(name in err for name in names)

@@ -1,5 +1,7 @@
 """Properties of the value-only eval pass against the training losses."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,18 @@ def test_eval_pass_rejects_empty_split(easy_sbm):
     with pytest.raises(ValueError, match="empty"):
         losses.eval_pass("ce", params, z, easy_sbm.labels,
                          [easy_sbm.masks.train, np.array([], dtype=np.int64)])
+
+
+@pytest.mark.parametrize("kind,multilabel", [
+    ("jc", True), ("ic", True), ("mixup", True), ("jc-multilabel", False)])
+def test_eval_pass_rejects_what_its_loss_rejects(kind, multilabel):
+    params, z, labels, train, others, assign = random_case(0, kind, multilabel)
+    stats = losses.cluster_stats(z, labels, train, assign)
+    message = re.escape(f"{kind} loss does not support label kind {labels.kind!r}")
+    with pytest.raises(ValueError, match=message):
+        losses.loss_fn(kind)(params, z, labels, train, stats)
+    with pytest.raises(ValueError, match=message):
+        losses.eval_pass(kind, params, z, labels, [train, *others], stats)
 
 
 @settings(max_examples=30)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from jcgraph.graph import (DatasetFormatError, Graph, gen_sbm, load_dataset, normalize_adjacency,
-                           spmm, write_dataset)
+from jcgraph.graph import (DatasetFormatError, Graph, LabelSet, gen_sbm, load_dataset,
+                           normalize_adjacency, spmm, write_dataset)
 
 from conftest import rng_graph
 
@@ -190,3 +190,18 @@ class TestGenSbm:
 
     def test_graph_invariants(self):
         gen_sbm(3, 7, 0.6, 0.1, 2, 0.5, seed=13).graph.validate()
+
+
+# each contract check's exact message
+@pytest.mark.parametrize("call,message", [
+    (lambda: spmm(sp.identity(3, format="csr"), np.zeros(3)),
+     "expected 2-d dense matrix, got shape (3,)"),
+    (lambda: LabelSet(2, "x", np.zeros((1, 2))), "unknown label kind 'x'"),
+    (lambda: LabelSet(2, "m", np.ones((1, 2))).class_index(),
+     "class_index is only defined for single-label sets"),
+    (lambda: gen_sbm(2, 2, 0.5, 0.1, 0, 0.1, seed=0), "feat_dim must be positive"),
+])
+def test_contract_messages(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message

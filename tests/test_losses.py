@@ -491,3 +491,19 @@ def test_every_loss_kind_is_one_call(kind, sbm12, sbm12_multi, monkeypatch):
     monkeypatch.setattr(losses, name, counted)
     train(cfg, data)
     assert calls == [kind, kind]
+
+
+# each contract check's exact message
+@pytest.mark.parametrize("call,message", [
+    (lambda: joint_forward(clf(np.zeros((4, 3)), np.zeros(3)), np.zeros(2), np.zeros(2)),
+     "classifier does not produce a square joint table"),
+    (lambda: marginalize(np.full((2, 3), 1 / 6)), "joint table must be square"),
+    (lambda: loss_fn("bogus"), "unknown loss 'bogus'"),
+    (lambda: mixup_loss(clf(np.zeros((2, 2)), np.zeros(2)), np.zeros((2, 2)),
+                        LabelSet(2, "s", np.eye(2)), np.arange(2), beta=-0.5),
+     "beta must be >= 0"),
+])
+def test_contract_messages(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message

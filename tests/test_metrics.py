@@ -178,3 +178,13 @@ class TestLossGap:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             loss_gap([1.0], [1.0, 2.0])
+
+
+# each contract check's exact message
+@pytest.mark.parametrize("call,message", [
+    (lambda: ece(np.array([[0.7, 0.3]]), np.array([0]), bins=0), "bins must be >= 1"),
+])
+def test_contract_messages(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message

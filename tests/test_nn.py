@@ -84,6 +84,19 @@ class TestEncoderForward:
         assert (a == b).all()
         assert not (a == c).all()
 
+    def test_tape_keeps_what_each_layer_computed(self, easy_sbm):
+        # no later step writes into an array the tape recorded: each entry's
+        # out is relu(Â_k (inp @ w)) from its own inp, bit for bit
+        spec = ModelSpec("gcn", 3, 16, 8, 4, 0.5, "independent")
+        adj = normalize_adjacency(easy_sbm.graph)
+        plan, = plan_rows(spec, adj, easy_sbm.features, easy_sbm.masks.train)
+        _, tape = encoder_forward(init_params(spec, 0), plan, train_mode=True, seed=5)
+        for k, entry in enumerate(tape.layers):
+            s = spmm(plan.adj_rows[k], entry["inp"] @ entry["w"])
+            if entry["relu"]:
+                s = np.maximum(s, 0.0)
+            assert entry["out"].tobytes() == s.tobytes(), f"layer {k}"
+
     def test_gcn_requires_adj(self, sbm12):
         spec = ModelSpec("gcn", 1, 4, 3, 2, 0.0, "independent")
         with pytest.raises(ValueError, match="adjacency"):
@@ -260,3 +273,26 @@ class TestCheckpoint:
         assert list(params2) == list(params)
         for name in params:
             assert (params2[name] == params[name]).all()
+
+
+def nan_loss(params, z, data):
+    return np.nan, np.zeros_like(z), {}
+
+
+# each contract check's exact message
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: ModelSpec("gcn", 2, 4, 3, 2, 0.0, "bogus"), ValueError,
+     "unknown classifier 'bogus'"),
+    (lambda: ModelSpec("gcn", 2, 4, 0, 2, 0.0, "independent"), ValueError,
+     "dims must be positive"),
+    (lambda: plan_rows(ModelSpec("mlp", 1, 4, 3, 2, 0.0, "independent"), None,
+                       np.zeros((5, 4)), np.arange(5)),
+     ValueError, "features have shape (5, 4), spec.in_dim=3"),
+    (lambda: grad_check(ModelSpec("mlp", 1, 2, 2, 2, 0.0, "independent"), nan_loss,
+                        tiny_dataset()),
+     NumericsError, "non-finite loss in grad_check"),
+])
+def test_contract_messages(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message

@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -437,3 +438,37 @@ def test_partition_metis_like_on_benchmark_graphs(bench_graph, monkeypatch, name
     assert _sha256((assign.assign, "<i8")) == GOLDEN_BENCH_PARTITION[(name, seed, m)]
     if name == "pubmed":  # matching stalls above the coarse target, on heavy vertices
         assert kept[-1] > max(30 * m, 200)
+
+
+# each contract check's exact message
+@pytest.mark.parametrize("call,message", [
+    (lambda: ClusterAssignment(2, np.array([0, 2])), "cluster id out of range"),
+    (lambda: ClusterAssignment(2, np.array([-1, 1])), "cluster id out of range"),
+    (lambda: partition_random(5, 0, seed=0), "m must be >= 1"),
+])
+def test_contract_messages(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message
+
+
+# a, b = 0, 1 in clusters 0 and 1 each link only to the other's cluster (to
+# p = 2 and q = 3), so swapping them gains 2; p, q, r = 4 and s = 5 are held
+# to their own clusters by the weight-5 edges p-r and q-s, so no other swap
+# gains. Each weight set has cluster weights 5 and 5, and the a-b swap takes
+# one cluster to 7: first a's cluster (a light, b heavy), then b's.
+@pytest.mark.parametrize("node_w", [[1, 3, 2, 1, 2, 1], [3, 1, 1, 2, 1, 2]])
+def test_swap_that_would_break_the_cap_is_not_made(node_w):
+    u = np.array([0, 1, 2, 3])
+    v = np.array([3, 2, 4, 5])
+    w = np.array([1, 1, 5, 5])
+    adj = sp.csr_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(6, 6))
+    adj.sort_indices()
+    level = partition._Level(adj, np.asarray(node_w, dtype=np.int64))
+    start = np.array([0, 1, 0, 1, 0, 1])
+    part = start.copy()
+    assert partition._swap_pass(level, part, 2, cap=6) == 0
+    assert part.tolist() == start.tolist()
+    # within a cap of 7 the same pass makes the swap
+    assert partition._swap_pass(level, part, 2, cap=7) == 1
+    assert part.tolist() == [1, 0, 0, 1, 0, 1]

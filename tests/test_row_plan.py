@@ -75,11 +75,10 @@ def dense(a):
        layers=st.integers(1, 3), hidden=st.sampled_from([1, 2, 3, 4, 5, 64]),
        dropout=st.sampled_from([0.0, 0.5]), csr=st.booleans(), train_mode=st.booleans())
 # A hidden row of 64 units is 64 draws, so the dropout draw skips gaps of
-# DRAW_THROUGH / 64 = 16 rows or more, unless its stretches count as
-# STRETCH_SHARE of the full draw. In these cases every hidden layer's computed
-# rows have such a gap. The gcn case (7 of 68 rows one layer down) makes the
-# full draw; gcn with 3 layers and CSR input (5 and 4 of 59 rows) and mlp
-# (1 of 52) skip gaps in their last hidden layer.
+# DRAW_THROUGH / 64 = 16 rows or more. In these cases every hidden layer's
+# computed rows have such a gap: gcn (7 of 68 rows one layer down), gcn with
+# 3 layers and CSR input (5 and 4 of 59 rows) and mlp (1 of 52) skip gaps in
+# their last hidden layer.
 @example(seed=0, encoder="gcn", layers=2, hidden=64, dropout=0.5, csr=False, train_mode=True)
 @example(seed=83, encoder="gcn", layers=3, hidden=64, dropout=0.5, csr=True, train_mode=True)
 @example(seed=90, encoder="mlp", layers=2, hidden=64, dropout=0.5, csr=False, train_mode=True)
@@ -206,9 +205,9 @@ def row_sets(draw):
 @example(case=(9, np.array([2, 3, 4])), width=5, gap=1, seed=3)  # empty gaps
 @example(case=(12, np.array([1, 5, 8])), width=1, gap=3, seed=4)  # gap 3 skipped, 2 drawn
 @example(case=(12, np.array([1, 5, 8])), width=1, gap=4, seed=5)  # gaps 3 and 2 drawn
-# two stretches of one draw each count 1 + 2 + 1 + 2 = 6 draws: under
-# STRETCH_SHARE = 0.75 of the full draw's 9 they are drawn alone, at 0.75 of
-# its 8 the full draw is made and cut
+# two stretches of one draw each, with a skipped gap and a skipped tail:
+# counting gap draws per stretch they make 1 + 2 + 1 + 2 = 6 draws, near the
+# full draw's 9 and 8, and both are still drawn by stretches
 @example(case=(9, np.array([0, 3])), width=1, gap=2, seed=6)
 @example(case=(8, np.array([0, 3])), width=1, gap=2, seed=7)
 def test_row_limited_draw_matches_the_full_draw(case, width, gap, seed):
