@@ -285,6 +285,8 @@ def nan_loss(params, z, data):
      "unknown classifier 'bogus'"),
     (lambda: ModelSpec("gcn", 2, 4, 0, 2, 0.0, "independent"), ValueError,
      "dims must be positive"),
+    (lambda: ModelSpec("gcn", 2, 4, 3, 2, 1.0, "independent"), ValueError,
+     "dropout must be in [0, 1), got 1.0"),
     (lambda: plan_rows(ModelSpec("mlp", 1, 4, 3, 2, 0.0, "independent"), None,
                        np.zeros((5, 4)), np.arange(5)),
      ValueError, "features have shape (5, 4), spec.in_dim=3"),
