@@ -13,9 +13,8 @@ statement is an ``ast`` statement node, less docstrings, ``def`` and
 no code of their own. Code that only a child process runs, such as the
 ``__main__`` guard of ``cli.py``, counts as unreached.
 
-Tracing slows the suite down: the full run took 2.5 min (pytest's count)
-on a 2-vCPU Xeon with one BLAS thread, against 55 s untraced, and 3 min
-with a second traced run beside it.
+Tracing slows the suite down: the full run took 2.5 to 3.2 min (pytest's
+count) on a 2-vCPU Xeon with one BLAS thread, against about 55 s untraced.
 """
 
 from __future__ import annotations
