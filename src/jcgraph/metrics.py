@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "ECE_BINS",
     "accuracy",
     "f1_scores",
     "ece",
     "loss_gap",
 ]
+
+# ece's equal-width confidence bins on (0, 1]
+ECE_BINS = 10
 
 
 def _check(probs, y_true) -> None:
@@ -52,18 +56,17 @@ def f1_scores(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]
     return float(micro), float(per_class.mean()), weighted
 
 
-def ece(probs: np.ndarray, y_true: np.ndarray, bins: int = 10) -> float:
-    """Expected calibration error over equal-width right-inclusive bins on (0, 1]."""
+def ece(probs: np.ndarray, y_true: np.ndarray) -> float:
+    """Expected calibration error over ECE_BINS equal-width right-inclusive
+    bins on (0, 1]."""
     _check(probs, y_true)
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     conf = probs.max(axis=1)
     correct = (np.argmax(probs, axis=1) == y_true).astype(np.float64)
-    idx = np.ceil(conf * bins).astype(np.int64) - 1
-    idx = np.clip(idx, 0, bins - 1)
+    idx = np.ceil(conf * ECE_BINS).astype(np.int64) - 1
+    idx = np.clip(idx, 0, ECE_BINS - 1)
     n = conf.size
     total = 0.0
-    for b in range(bins):
+    for b in range(ECE_BINS):
         members = idx == b
         cnt = members.sum()
         if cnt == 0:

@@ -112,14 +112,6 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     return t
 
 
-def _cut_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """indptr of a CSR matrix cut to the given rows, and its entries' positions."""
-    counts = np.diff(indptr)[rows]
-    cut = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=cut[1:])
-    return cut, np.repeat(indptr[rows] - cut[:-1], counts) + np.arange(cut[-1])
-
-
 @dataclass(frozen=True)
 class RowPlan:
     """The rows each weight layer computes for a set of target rows, and the
@@ -134,19 +126,17 @@ class RowPlan:
     in rows[k], each row's entries in Â's order), and its backward pass the
     transpose of that block; the entries a block drops meet only zero rows in
     a product over all rows.
-    x_rows is the rows[0] rows of layer 0's input x (dense, or CSR as
-    load_dataset gives a large sparse feature table; Â^K X for sgc), n the
-    node count, and for a CSR input x_pos the positions of x_rows' entries
-    among x's x_nnz stored entries: all that dropout's draws read of x.
+    x is the feature table as plan_rows received it (dense, or CSR as
+    load_dataset gives a large sparse table), and x_rows the rows[0] rows of
+    layer 0's input: of x, or of Â^K X for sgc. Dropout draws over all of x
+    and keeps the draws of the computed rows.
     """
 
     spec: ModelSpec
-    n: int
     rows: tuple
     adj_rows: tuple
     x_rows: np.ndarray | sp.csr_matrix
-    x_pos: np.ndarray | None
-    x_nnz: int | None
+    x: np.ndarray | sp.csr_matrix
 
 
 def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None, x: np.ndarray | sp.csr_matrix,
@@ -154,18 +144,19 @@ def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None, x: np.ndarray | sp.csr
     """One plan per target set, each computing only what its target rows'
     embeddings read. The input is prepared once: layer 0 multiplies x in the
     form given, and sgc's plans cut their rows from one Â^K X, computed from
-    x's dense form."""
+    x's dense form and dropped once they are cut."""
     if not sp.issparse(x):
         x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_dim:
         raise ValueError(f"features have shape {x.shape}, spec.in_dim={spec.in_dim}")
     if spec.uses_graph and adj is None:
         raise ValueError(f"{spec.encoder} encoder requires a normalized adjacency")
+    h = x
     if spec.encoder == "sgc":
-        x = dense_features(x)
+        h = dense_features(x)
         for _ in range(spec.layers):
-            x = spmm(adj, x)
-        _check_finite(x)
+            h = spmm(adj, h)
+        _check_finite(h)
     n, levels = x.shape[0], spec.weight_layers
 
     def row_set(ids):
@@ -181,14 +172,7 @@ def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None, x: np.ndarray | sp.csr
         adj_rows = ()
         if spec.uses_graph:
             adj_rows = tuple(adj[rows[k + 1]][:, rows[k]] for k in range(levels))
-        if sp.issparse(x):
-            indptr, x_pos = _cut_rows(x.indptr, rows[0])
-            x_rows = sp.csr_matrix((x.data[x_pos], x.indices[x_pos], indptr),
-                                   shape=(rows[0].size, x.shape[1]))
-            x_nnz = x.data.size
-        else:
-            x_rows, x_pos, x_nnz = x[rows[0]], None, None
-        plans.append(RowPlan(spec, n, tuple(rows), adj_rows, x_rows, x_pos, x_nnz))
+        plans.append(RowPlan(spec, tuple(rows), adj_rows, h[rows[0]], x))
     return tuple(plans)
 
 
@@ -236,17 +220,18 @@ def _dropout(rng, plan, inp, k, p):
 
     Returns (input, mask); the mask is kept for the backward pass and is None
     at layer 0, whose input gets no gradient. A CSR input draws one value per
-    stored entry of the all-rows input (x_nnz) and keeps those at x_pos: its
-    rows' entries lie too close together for skipping to pay. A dense input
-    draws one value per entry of an all-rows input, by the stretches that
-    hold its computed rows. The input itself is left as it is.
+    stored entry of plan.x and cuts the draws to the computed rows as the
+    input was cut: its rows' entries lie too close together for skipping to
+    pay. A dense input draws one value per entry of an all-rows input, by the
+    stretches that hold its computed rows. The input itself is left as it is.
     """
     if sp.issparse(inp):
-        u = rng.random(plan.x_nnz)
-        kept = u[plan.x_pos] >= p
+        x = plan.x
+        u = sp.csr_matrix((rng.random(x.nnz), x.indices, x.indptr), shape=x.shape)
+        kept = u[plan.rows[0]].data >= p
         data = inp.data * kept / (1.0 - p)
         return sp.csr_matrix((data, inp.indices, inp.indptr), shape=inp.shape), None
-    mask = _draws_on_rows(rng, (plan.n, inp.shape[1]), plan.rows[k]) >= p
+    mask = _draws_on_rows(rng, (plan.x.shape[0], inp.shape[1]), plan.rows[k]) >= p
     return inp * mask / (1.0 - p), (mask if k > 0 else None)
 
 
@@ -318,7 +303,7 @@ def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.nd
     return grads
 
 
-def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5) -> float:
+def grad_check(spec: ModelSpec, loss_fn, data: Dataset) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     loss_fn(params, embeddings, data) must return (loss, d_embeddings,
@@ -327,6 +312,7 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset, eps: float = 1e-5) -> fl
     """
     if spec.dropout != 0.0:
         raise ValueError("grad_check requires dropout disabled")
+    eps = 1e-5  # each central difference's step either way
     params = init_params(spec, 0)
     scalars = sum(v.size for v in params.values())
     if scalars > 500:

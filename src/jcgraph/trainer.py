@@ -130,8 +130,7 @@ def validate(cfg: TrainConfig, data: Dataset) -> ModelSpec:
     and the loss's classifier."""
     spec = ModelSpec(cfg.encoder, cfg.layers, cfg.hidden, data.features.shape[1],
                      data.labels.num_classes, cfg.dropout, LOSS_KINDS[cfg.loss].classifier)
-    if data.labels.kind not in LOSS_KINDS[cfg.loss].label_kinds:
-        raise ValueError(f"loss {cfg.loss!r} does not support label kind {data.labels.kind!r}")
+    losses.check_label_kind(cfg.loss, data.labels)
     if data.masks.train.size == 0:
         raise ValueError("the dataset's train mask is empty")
     if data.masks.test.size == 0:
@@ -200,6 +199,10 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     """Run the full training loop; the result carries the test metrics and
     the parameters of the best-validation checkpoint."""
     spec = validate(cfg, data)
+    try:  # numpy raises ValueError for a size past its index range
+        params = init_params(spec, cfg.seed)
+    except (MemoryError, ValueError) as e:
+        raise ValueError(f"hidden = {spec.hidden}: the model's weights do not fit ({e})") from None
     masks = data.masks
     val_mask = masks.val if masks.val.size else masks.train
     splits = [masks.train, val_mask, masks.test]
@@ -223,10 +226,6 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     train_labels, (train_rows,), train_stats = cut(train_plan, [masks.train])
     eval_labels, eval_splits, eval_stats = cut(eval_plan, splits)
 
-    try:  # numpy raises ValueError for a size past its index range
-        params = init_params(spec, cfg.seed)
-    except (MemoryError, ValueError) as e:
-        raise ValueError(f"hidden = {spec.hidden}: the model's weights do not fit ({e})") from None
     state = init_adam_state(params)
 
     def snapshot(p):

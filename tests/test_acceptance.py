@@ -223,7 +223,7 @@ class TestCriterion7PropertySuite:
             for loss in ("ce", "jc", "ic", "mixup", "jc-multilabel"):
                 data = sbm12_multi if loss == "jc-multilabel" else sbm12
                 spec = ModelSpec(encoder, 2, 5, 3, 2, 0.0, LOSS_KINDS[loss][0])
-                err = grad_check(spec, closure(loss), data, eps=1e-5)
+                err = grad_check(spec, closure(loss), data)
                 assert err < 1e-4, f"{encoder}+{loss}: grad error {err:.2e}"
                 worst = max(worst, err)
         return worst

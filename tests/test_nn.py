@@ -177,7 +177,7 @@ class TestGradCheck:
     def test_linear_model_ce(self):
         ds = tiny_dataset(n=3, d=2)
         spec = ModelSpec("sgc", 1, 1, 2, 2, 0.0, "independent")
-        assert grad_check(spec, ce_fn, ds, eps=1e-5) < 1e-5
+        assert grad_check(spec, ce_fn, ds) < 1e-5
 
     def test_gcn2_jc_on_sbm(self):
         from jcgraph.graph import gen_sbm
@@ -189,7 +189,7 @@ class TestGradCheck:
             return jc_loss(params, z, data.labels, data.masks.train, st)
 
         spec = ModelSpec("gcn", 2, 5, 3, 2, 0.0, "joint")
-        assert grad_check(spec, jc_fn, ds, eps=1e-5) < 1e-4
+        assert grad_check(spec, jc_fn, ds) < 1e-4
 
     def test_constant_loss(self, sbm12):
         spec = ModelSpec("mlp", 1, 4, 3, 2, 0.0, "independent")
@@ -197,7 +197,7 @@ class TestGradCheck:
         def const_fn(params, z, data):
             return 1.0, np.zeros_like(z), {}
 
-        assert grad_check(spec, const_fn, sbm12, eps=1e-5) == 0.0
+        assert grad_check(spec, const_fn, sbm12) == 0.0
 
     def test_rejects_dropout(self, sbm12):
         spec = ModelSpec("mlp", 1, 4, 3, 2, 0.5, "independent")

@@ -10,6 +10,7 @@ import contextlib
 from unittest import mock
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,26 @@ def test_cut_plan_matches_all_rows(seed, encoder, layers, hidden, dropout, csr, 
     again = model_backward(tape_again, noisy)
     for name in got:
         assert again[name].tobytes() == got[name].tobytes(), name
+
+
+@pytest.mark.parametrize("encoder,csr", [("gcn", True), ("gcn", False), ("sgc", True)])
+def test_plan_keeps_the_table_and_cuts_its_rows(encoder, csr):
+    # a plan holds the table it was given, and its x_rows are scipy's or
+    # numpy's cut of layer 0's input: of x, or of Â^K X for sgc
+    _, adj, x, spec, _, targets = random_case(5, encoder, 2, 4, 0.5, csr)
+    h = x
+    if encoder == "sgc":
+        h = dense(x)
+        for _ in range(spec.layers):
+            h = spmm(adj, h)
+    for plan in plan_rows(spec, adj, x, targets, np.arange(x.shape[0])):
+        assert plan.x is x
+        want = h[plan.rows[0]]
+        assert sp.issparse(plan.x_rows) == sp.issparse(want)
+        assert plan.x_rows.shape == want.shape and plan.x_rows.dtype == want.dtype
+        for name in ("data", "indices", "indptr") if sp.issparse(want) else ():
+            assert getattr(plan.x_rows, name).tobytes() == getattr(want, name).tobytes(), name
+        assert dense(plan.x_rows).tobytes() == dense(want).tobytes()
 
 
 def test_every_target_keeps_every_row(sbm12):

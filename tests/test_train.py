@@ -9,7 +9,7 @@ from jcgraph.attack import robustness_sweep
 from jcgraph.cli import main
 from jcgraph.graph import (Dataset, Graph, LabelSet, SplitMasks, gen_sbm, load_dataset,
                            normalize_adjacency, write_dataset)
-from jcgraph.losses import LossResult, cluster_stats, eval_pass
+from jcgraph.losses import LossResult, cluster_stats, eval_pass, jc_loss
 from jcgraph.metrics import accuracy, ece, loss_gap
 from jcgraph.nn import ModelSpec, encoder_forward, plan_rows
 from jcgraph.partition import ClusterAssignment, partition_metis_like, write_assignment
@@ -66,6 +66,25 @@ class TestTrainLoop:
     def test_incompatible_label_kind(self, easy_sbm):
         with pytest.raises(ValueError, match="label kind"):
             train(TrainConfig(hidden=16, loss="jc-multilabel", clusters=4), easy_sbm)
+
+    def test_label_kind_message_is_the_losses(self, sbm12_multi):
+        # train's check is the loss's own: one rule, one message
+        with pytest.raises(ValueError) as by_train:
+            train(TrainConfig(hidden=4, loss="jc", clusters=2, epochs=1), sbm12_multi)
+        with pytest.raises(ValueError) as by_loss:
+            jc_loss({}, np.zeros((12, 4)), sbm12_multi.labels, sbm12_multi.masks.train)
+        assert str(by_train.value) == str(by_loss.value) == (
+            "jc loss does not support label kind 'm'")
+
+    def test_unallocatable_hidden_fails_before_any_work(self, easy_sbm, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the work started before the weights were allocated")
+        for name in ("normalize_adjacency", "make_partition", "plan_rows"):
+            monkeypatch.setattr(train_mod, name, never)
+        # 8 x 2**62 doubles: numpy's index range rejects the first weight unallocated
+        with pytest.raises(ValueError, match=r"^hidden = 4611686018427387904: the model's "
+                                             r"weights do not fit \("):
+            train(gcn_cfg(hidden=2**62, loss="jc", clusters=5), easy_sbm)
 
     def test_non_finite_loss_aborts_with_epoch(self, easy_sbm, monkeypatch):
         def bad_loss(params, z, labels, mask, stats=None, *, detach_cluster=False, beta=0.0):
