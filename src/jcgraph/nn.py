@@ -92,6 +92,14 @@ class ModelSpec:
     def classifier_out_dim(self) -> int:
         return CLASSIFIERS[self.classifier][1](self.num_classes)
 
+    @property
+    def num_params(self) -> int:
+        """The scalars init_params draws, weights and biases, counted without
+        a loop over the layers."""
+        L, h = self.weight_layers, self.hidden
+        enc = h * (self.in_dim + (L - 1) * h + (L if self.encoder == "mlp" else 0)) if L else 0
+        return enc + (self.classifier_in_dim + 1) * self.classifier_out_dim
+
 
 def _glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -178,12 +186,11 @@ def plan_rows(spec: ModelSpec, adj: sp.csr_matrix | None, x: np.ndarray | sp.csr
 
 @dataclass
 class GradientTape:
-    """Forward-pass cache, which no later step writes into; consumed by
-    exactly one model_backward call."""
+    """Forward-pass cache, which no later step writes into, so every
+    model_backward call on it gives the same gradients."""
 
     plan: RowPlan
     layers: list
-    used: bool = False
 
 
 # a gap between computed rows of fewer draws than this is drawn through: one
@@ -276,9 +283,6 @@ def _check_finite(z):
 def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.ndarray]:
     """Analytic gradients of every encoder weight given d(loss)/d(embeddings),
     a block of encoder_forward's shape: none for a plan with no weight layer."""
-    if tape.used:
-        raise RuntimeError("gradient tape already consumed")
-    tape.used = True
     plan = tape.plan
     spec = plan.spec
     shape = (plan.rows[-1].size, spec.embed_dim)
@@ -312,11 +316,10 @@ def grad_check(spec: ModelSpec, loss_fn, data: Dataset) -> float:
     """
     if spec.dropout != 0.0:
         raise ValueError("grad_check requires dropout disabled")
+    if spec.num_params > 500:
+        raise ValueError(f"model has {spec.num_params} scalars, grad_check caps at 500")
     eps = 1e-5  # each central difference's step either way
     params = init_params(spec, 0)
-    scalars = sum(v.size for v in params.values())
-    if scalars > 500:
-        raise ValueError(f"model has {scalars} scalars, grad_check caps at 500")
 
     adj = normalize_adjacency(data.graph) if spec.uses_graph else None
     plan, = plan_rows(spec, adj, data.features, np.arange(data.num_nodes))

@@ -32,6 +32,7 @@ __all__ = [
 
 BALANCE_TOLERANCE = 1.2
 INIT_ATTEMPTS = 12
+KMEANS_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,7 @@ def partition_random(n: int, m: int, seed: int) -> ClusterAssignment:
     return ClusterAssignment(m, rng.integers(0, m, size=n, dtype=np.int64))
 
 
-def partition_kmeans(x: np.ndarray | sp.csr_matrix, m: int, seed: int,
-                     max_iter: int = 100) -> ClusterAssignment:
+def partition_kmeans(x: np.ndarray | sp.csr_matrix, m: int, seed: int) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding on feature rows, dense or CSR.
 
     Empty clusters are repaired by stealing the point farthest from the
@@ -114,7 +114,7 @@ def partition_kmeans(x: np.ndarray | sp.csr_matrix, m: int, seed: int,
 
     assign = np.full(n, -1, dtype=np.int64)
     dist = np.empty((n, m), dtype=np.float64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_ITERATIONS):
         for j in range(m):  # one n x d temporary at a time, not an n x m x d one
             dist[:, j] = ((x - centroids[j]) ** 2).sum(axis=1)
         new_assign = np.argmin(dist, axis=1).astype(np.int64)

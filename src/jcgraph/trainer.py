@@ -136,16 +136,11 @@ def validate(cfg: TrainConfig, data: Dataset) -> ModelSpec:
     if data.masks.test.size == 0:
         raise ValueError("the dataset's test mask is empty")
     check_clusters(cfg.clusters, data)
-    # init_params draws one hidden x hidden weight per layer past the first.
-    # Past one such weight their count is layers' doing, so all of them must
-    # fit at once before any work, the plan included, which grows with layers
-    # too. numpy raises ValueError for a size past its index range.
-    if spec.weight_layers > 2:
-        try:
-            np.empty((spec.weight_layers - 1, spec.hidden, spec.hidden))
-        except (MemoryError, ValueError) as e:
-            raise ValueError(f"layers = {spec.layers}: the weights of {spec.weight_layers} layers "
-                             f"of hidden = {spec.hidden} do not fit ({e})") from None
+    try:  # all the weights at once; numpy raises ValueError past its index range
+        np.empty(spec.num_params)
+    except (MemoryError, ValueError) as e:
+        raise ValueError(f"hidden = {spec.hidden}, layers = {spec.layers}: the model's weights "
+                         f"do not fit ({e})") from None
     return spec
 
 
@@ -199,10 +194,7 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     """Run the full training loop; the result carries the test metrics and
     the parameters of the best-validation checkpoint."""
     spec = validate(cfg, data)
-    try:  # numpy raises ValueError for a size past its index range
-        params = init_params(spec, cfg.seed)
-    except (MemoryError, ValueError) as e:
-        raise ValueError(f"hidden = {spec.hidden}: the model's weights do not fit ({e})") from None
+    params = init_params(spec, cfg.seed)
     masks = data.masks
     val_mask = masks.val if masks.val.size else masks.train
     splits = [masks.train, val_mask, masks.test]

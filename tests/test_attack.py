@@ -199,6 +199,18 @@ class TestRobustnessSweep:
         assert acc[(1.0, "ce")] <= acc[(0.2, "ce")]
         assert acc[(1.0, "jc")] <= acc[(0.2, "jc")]
 
+    def test_oversized_model_rejected_before_any_attack(self, easy_sbm, monkeypatch):
+        calls = []
+
+        def spy(g, spec):
+            calls.append(spec)
+            return random_attack(g, spec)
+        monkeypatch.setattr(attack_mod, "random_attack", spy)
+        with pytest.raises(ValueError, match=r"^hidden = 4611686018427387904, layers = 2: the "
+                                             r"model's weights do not fit \("):
+            robustness_sweep(easy_sbm, [0.5], replace(SWEEP_CFG, hidden=2**62, loss="jc"), seeds=1)
+        assert calls == []
+
     def test_unsorted_ratios_rejected(self, easy_sbm):
         # a repeated ratio would train its runs twice and give two equal rows
         for ratios in ([1.0, 0.2], [0.0, 0.5, 0.5, 1.0]):

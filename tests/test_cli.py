@@ -340,44 +340,33 @@ class TestTrainCmd:
                                                "nodes, got 1000000000000\n")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
-    def test_unallocatable_weights_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys):
-        import jcgraph.trainer as train_mod
-
-        def no_room(spec, seed):  # what numpy raises for the 6 x 10^12 first weight
-            raise MemoryError("Unable to allocate 43.7 TiB")
-        monkeypatch.setattr(train_mod, "init_params", no_room)
-        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
-                            clusters=3, epochs=3, hidden=1000000000000)
-        sweep = ["--ratios", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")]
-        for argv in (["train", str(cfgf)], ["attack", str(cfgf)] + sweep):
-            assert main(argv) == 2
-            assert capsys.readouterr().err == ("error: hidden = 1000000000000: the model's "
-                                               "weights do not fit (Unable to allocate 43.7 TiB)\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
-
-    @pytest.mark.parametrize("layers,cause", [
-        (2**63, "array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum "
-                "possible size."),
-        (2**40, "Unable to allocate 512. TiB for an array with shape (1099511627775, 8, 8) and "
-                "data type float64"),
-    ])
-    def test_unallocatable_layers_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys, layers,
-                                         cause):
-        # the weights of every layer must fit before the plan or any weight is built
+    @pytest.mark.parametrize("hidden,layers,size", [
+        (10**12, 2, None),
+        (8, 2**63, None),
+        (8, 2**40, (70368744177801, 70368744177675)),  # jc's model, and ce's for attack
+    ], ids=["hidden", "layers-past-index-range", "layers-out-of-memory"])
+    def test_unallocatable_model_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys, hidden,
+                                        layers, size):
+        # all of the model's weights must fit before the plan, any weight or any attack is built;
+        # attack checks ce's run first
+        import jcgraph.attack as attack_mod
         import jcgraph.trainer as train_mod
 
         def never(*args, **kwargs):
-            raise AssertionError("the work started before the layer count was checked")
+            raise AssertionError("the work started before the model's size was checked")
         for name in ("plan_rows", "init_params", "make_partition"):
             monkeypatch.setattr(train_mod, name, never)
+        monkeypatch.setattr(attack_mod, "random_attack", never)
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
-                            clusters=3, epochs=3, hidden=8)
+                            clusters=3, epochs=3, hidden=hidden)
         sweep = ["--ratios", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")]
-        for argv in (["train", str(cfgf)], ["attack", str(cfgf)] + sweep):
+        for i, argv in enumerate((["train", str(cfgf)], ["attack", str(cfgf)] + sweep)):
+            cause = ("Maximum allowed dimension exceeded" if size is None else
+                     f"Unable to allocate 512. TiB for an array with shape ({size[i]},) and "
+                     f"data type float64")
             assert main(argv + ["--layers", str(layers)]) == 2
-            assert capsys.readouterr().err == (f"error: layers = {layers}: the weights of "
-                                               f"{layers} layers of hidden = 8 do not fit "
-                                               f"({cause})\n")
+            assert capsys.readouterr().err == (f"error: hidden = {hidden}, layers = {layers}: "
+                                               f"the model's weights do not fit ({cause})\n")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_file_partition_without_clusters_file_exit_2(self, sbm_dir, tmp_path, capsys,

@@ -6,9 +6,9 @@ import pytest
 from jcgraph.graph import (SPARSE_DENSITY, SPARSE_MIN_SIZE, Dataset, Graph, LabelSet,
                            SplitMasks, normalize_adjacency, spmm)
 from jcgraph.losses import ce_loss, cluster_stats, jc_loss
-from jcgraph.nn import (ModelSpec, NumericsError, adam_step, encoder_forward, grad_check,
-                        init_adam_state, init_params, model_backward, plan_rows,
-                        save_checkpoint)
+from jcgraph.nn import (CLASSIFIERS, ENCODERS, ModelSpec, NumericsError, adam_step,
+                        encoder_forward, grad_check, init_adam_state, init_params,
+                        model_backward, plan_rows, save_checkpoint)
 from jcgraph.partition import partition_metis_like
 
 from conftest import all_rows, rng_graph
@@ -28,6 +28,15 @@ def tiny_dataset(n=3, d=2, c=2, edges=((0, 1), (1, 2)), seed=0):
 
 def ce_fn(params, z, data):
     return ce_loss(params, z, data.labels, data.masks.train)
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("encoder,layers", [(e, k) for e in ENCODERS for k in (0, 1, 2, 3)
+                                                if k or e == "sgc"])
+    @pytest.mark.parametrize("classifier", CLASSIFIERS)
+    def test_num_params_counts_what_init_params_draws(self, encoder, layers, classifier):
+        spec = ModelSpec(encoder, layers, 5, 7, 3, 0.0, classifier)
+        assert spec.num_params == sum(v.size for v in init_params(spec, 0).values())
 
 
 class TestEncoderForward:
@@ -150,13 +159,16 @@ class TestModelBackward:
         grads = model_backward(tape, np.ones_like(z))
         np.testing.assert_allclose(grads["enc_w0"], ds.features.T @ np.ones((5, 2)))
 
-    def test_tape_reuse_rejected(self, sbm12):
-        spec = ModelSpec("mlp", 1, 4, 3, 2, 0.0, "independent")
-        params = init_params(spec, 0)
-        z, tape = encoder_forward(params, all_rows(spec, None, sbm12.features))
-        model_backward(tape, np.zeros_like(z))
-        with pytest.raises(RuntimeError, match="consumed"):
-            model_backward(tape, np.zeros_like(z))
+    @pytest.mark.parametrize("encoder", ["gcn", "mlp"])
+    def test_tape_gives_the_same_gradients_twice(self, sbm12, encoder):
+        # no step writes into a tape, so a second backward pass reads what the first did
+        spec = ModelSpec(encoder, 2, 4, 3, 2, 0.5, "independent")
+        plan = all_rows(spec, normalize_adjacency(sbm12.graph), sbm12.features)
+        z, tape = encoder_forward(init_params(spec, 0), plan, train_mode=True, seed=3)
+        d = np.random.default_rng(0).normal(size=z.shape)
+        first, second = model_backward(tape, d), model_backward(tape, d)
+        assert list(first) == list(second)
+        assert all(first[k].tobytes() == second[k].tobytes() for k in first)
 
     @pytest.mark.parametrize("encoder", ["gcn", "sgc", "mlp"])
     def test_gradient_of_another_shape_rejected(self, sbm12, encoder):

@@ -175,7 +175,7 @@ class TestKmeans:
 
     def test_identical_rows_terminate(self):
         x = np.ones((5, 3))
-        a = partition_kmeans(x, 2, seed=0, max_iter=50)
+        a = partition_kmeans(x, 2, seed=0)
         assert a.sizes().sum() == 5
         assert a.sizes().min() >= 1  # repair fills the empty cluster
 

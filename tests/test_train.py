@@ -78,12 +78,12 @@ class TestTrainLoop:
 
     def test_unallocatable_hidden_fails_before_any_work(self, easy_sbm, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("the work started before the weights were allocated")
-        for name in ("normalize_adjacency", "make_partition", "plan_rows"):
+            raise AssertionError("the work started before the model's size was checked")
+        for name in ("normalize_adjacency", "make_partition", "plan_rows", "init_params"):
             monkeypatch.setattr(train_mod, name, never)
-        # 8 x 2**62 doubles: numpy's index range rejects the first weight unallocated
-        with pytest.raises(ValueError, match=r"^hidden = 4611686018427387904: the model's "
-                                             r"weights do not fit \("):
+        # past 2**124 doubles: numpy's index range rejects the weights unallocated
+        with pytest.raises(ValueError, match=r"^hidden = 4611686018427387904, layers = 2: the "
+                                             r"model's weights do not fit \("):
             train(gcn_cfg(hidden=2**62, loss="jc", clusters=5), easy_sbm)
 
     def test_non_finite_loss_aborts_with_epoch(self, easy_sbm, monkeypatch):
