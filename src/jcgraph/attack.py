@@ -137,8 +137,7 @@ def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> lis
                 try:  # kept without parameters, so no run's parameters outlive it
                     runs[loss].append(replace(train(run, pdata), params={}))
                 except TrainingError as e:
-                    raise TrainingError(f"ratio {ratio} seed {run.seed}: {e}",
-                                        epoch=e.epoch, seed=run.seed) from e
+                    raise TrainingError(f"ratio {ratio} seed {run.seed}: {e}") from e
         for loss, kept in runs.items():
             accs = [r.test_acc for r in kept]
             rows.append(SweepRow(ratio, loss, float(np.mean(accs)), float(np.std(accs)), seeds, kept))

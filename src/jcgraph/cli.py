@@ -123,11 +123,6 @@ def _make_out_dir(out) -> None:
         raise ConfigError(f"bad value for --out: {e}") from None
 
 
-def build_train_config(cfg: dict) -> TrainConfig:
-    """Every TrainConfig field from the config key of its name."""
-    return TrainConfig(**{k: cfg[k] for k in TRAIN_DEFAULTS})
-
-
 def cmd_partition(args) -> int:
     _check_out(args.out)
     data = load_dataset(args.dataset)
@@ -140,28 +135,29 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _read_run(args, outs):
-    """A run command's config with its flags applied, and the dataset it
-    names, loaded once the output paths outs(config) are checked."""
+def _read_run(args):
+    """A run command's config with its flags applied, and the TrainConfig of
+    its keys: every key rule that reads no data runs before any output path
+    is checked or the dataset loads."""
     cfg = apply_overrides(read_config(args.config), args)
     if not cfg.get("dataset"):
         raise ConfigError("no dataset path given (config key 'dataset' or --dataset)")
-    for out in outs(cfg):
-        _check_out(out)
-    return cfg, load_dataset(cfg["dataset"])
+    return cfg, TrainConfig(**{k: cfg[k] for k in TRAIN_DEFAULTS})
 
 
 def cmd_train(args) -> int:
-    cfg_raw, data = _read_run(args, lambda cfg: [f"{cfg['out']}{suffix}" for suffix in
-                                                 (".result", ".curves.csv", ".ckpt")])
-    cfg = build_train_config(cfg_raw)
+    cfg_raw, cfg = _read_run(args)
+    out = cfg_raw["out"]
+    outs = result_out, curves_out, ckpt_out = f"{out}.result", f"{out}.curves.csv", f"{out}.ckpt"
+    for path in outs:
+        _check_out(path)
+    data = load_dataset(cfg_raw["dataset"])
     spec = validate(cfg, data)
-    out = Path(cfg_raw["out"])
-    _make_out_dir(out)
+    _make_out_dir(result_out)
     result = train(cfg, data)
-    write_result(f"{out}.result", cfg, spec, result)
-    write_curves(f"{out}.curves.csv", result)
-    save_checkpoint(f"{out}.ckpt", spec, result.params)
+    write_result(result_out, cfg, spec, result)
+    write_curves(curves_out, result)
+    save_checkpoint(ckpt_out, spec, result.params)
     print(f"seconds_per_epoch={result.seconds_per_epoch:.4f}", file=sys.stderr)
     print(f"test_acc={result.test_acc!r} f1_micro={result.test_f1_micro!r} "
           f"ece={result.test_ece!r}")
@@ -171,15 +167,16 @@ def cmd_train(args) -> int:
 def cmd_attack(args) -> int:
     if args.num_seeds < 1:
         raise ConfigError(f"bad value for --seeds: expected an integer >= 1, got {args.num_seeds}")
-    cfg_raw, data = _read_run(args, lambda cfg: [args.sweep_out])
-    if cfg_raw["loss"] not in ("ce", "jc"):  # the sweep trains both
+    cfg_raw, cfg = _read_run(args)
+    if cfg.loss not in ("ce", "jc"):  # the sweep trains both
         raise ConfigError(f"attack compares ce and jc: loss must be 'ce' or 'jc', "
-                          f"got {cfg_raw['loss']!r}")
+                          f"got {cfg.loss!r}")
+    _check_out(args.sweep_out)
+    data = load_dataset(cfg_raw["dataset"])
     try:
         ratios = check_ratios(data.graph, [float(t) for t in args.ratios.split(",")])
     except ValueError as e:
         raise ConfigError(f"bad --ratios value {args.ratios!r}: {e}") from None
-    cfg = build_train_config(cfg_raw)
     _make_out_dir(args.sweep_out)
     rows = robustness_sweep(data, ratios, cfg, args.num_seeds)
     write_sweep_csv(args.sweep_out, rows)
@@ -191,12 +188,8 @@ def cmd_attack(args) -> int:
 def cmd_gen_sbm(args) -> int:
     _check_out(args.out, directory=True)
     _make_out_dir(args.out)
-    try:
-        ds = gen_sbm(args.blocks, args.nodes_per_block, args.p_in, args.p_out,
-                     args.feat_dim, args.feat_noise, args.seed)
-    except MemoryError as e:  # the edge draw is one dense n x n array
-        raise ConfigError(f"bad value for --nodes-per-block: the n x n edge draw of n = "
-                          f"{args.blocks * args.nodes_per_block} nodes does not fit ({e})") from None
+    ds = gen_sbm(args.blocks, args.nodes_per_block, args.p_in, args.p_out,
+                 args.feat_dim, args.feat_noise, args.seed)
     write_dataset(args.out, ds)
     print(f"wrote {ds.num_nodes} nodes, {ds.graph.num_edges} edges to {args.out}")
     return 0

@@ -564,10 +564,14 @@ def gen_sbm(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
         raise ValueError(f"feat_dim = {feat_dim}: the {n} x {feat_dim} feature table "
                          f"does not fit ({e})") from None
 
-    prob = np.where(block[:, None] == block[None, :], p_in, p_out)
-    draw = rng.random((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    keep = draw[iu, ju] < prob[iu, ju]
+    try:  # the edge draw is one dense n x n array
+        prob = np.where(block[:, None] == block[None, :], p_in, p_out)
+        draw = rng.random((n, n))
+        iu, ju = np.triu_indices(n, k=1)
+        keep = draw[iu, ju] < prob[iu, ju]
+    except MemoryError as e:
+        raise ValueError(f"nodes_per_block = {nodes_per_block}: the n x n edge draw of n = {n} "
+                         f"nodes does not fit ({e})") from None
     graph = Graph.from_undirected_pairs(n, np.stack([iu[keep], ju[keep]], axis=1))
 
     matrix = np.zeros((n, blocks), dtype=np.float64)

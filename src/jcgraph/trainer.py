@@ -25,7 +25,7 @@ from . import losses
 from .graph import Dataset, DatasetFormatError, normalize_adjacency
 from .losses import LOSS_KINDS
 from .metrics import accuracy, ece, f1_scores
-from .nn import (ModelSpec, NumericsError, adam_step, encoder_forward, init_adam_state,
+from .nn import (ENCODERS, ModelSpec, NumericsError, adam_step, encoder_forward, init_adam_state,
                  init_params, model_backward, plan_rows)
 from .partition import (ClusterAssignment, partition_kmeans, partition_metis_like,
                         partition_random, read_assignment)
@@ -54,17 +54,16 @@ PARTITION_METHODS = {
 
 
 class TrainingError(RuntimeError):
-    def __init__(self, message, epoch=None, seed=None):
-        self.epoch = epoch
-        self.seed = seed
-        super().__init__(message)
+    """A failure once the first epoch starts, after every input check; its
+    message names the epoch and, in a sweep, the ratio and seed."""
 
 
 @dataclass
 class TrainConfig:
     """Every run key but dataset and out, each field the config key of its
-    name with its only default. The model's shape is not a field: validate
-    derives it from the encoder keys, the loss and the dataset."""
+    name with its only default, checked here by every rule that reads no
+    data. The model's shape is not a field: validate derives it from the
+    encoder keys, the loss and the dataset, and checks the rules that do."""
 
     encoder: str = "gcn"
     layers: int = 2
@@ -83,6 +82,15 @@ class TrainConfig:
     beta: float = 1.0
 
     def __post_init__(self):
+        if self.encoder not in ENCODERS:
+            raise ValueError(f"unknown encoder {self.encoder!r}")
+        min_layers = 0 if self.encoder == "sgc" else 1
+        if self.layers < min_layers:
+            raise ValueError(f"layers must be >= {min_layers} for {self.encoder}, got {self.layers}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.partition not in PARTITION_METHODS:
@@ -125,9 +133,10 @@ class RunResult:
 
 
 def validate(cfg: TrainConfig, data: Dataset) -> ModelSpec:
-    """Reject a config that cannot run on data, before any work starts; the
-    model spec of the run: the encoder keys, data's feature and class counts
-    and the loss's classifier."""
+    """Reject a config that cannot run on data by the rules that read it
+    (clusters <= n, the label kind, the masks, the model's size), before any
+    work starts; the model spec of the run: the encoder keys, data's feature
+    and class counts and the loss's classifier."""
     spec = ModelSpec(cfg.encoder, cfg.layers, cfg.hidden, data.features.shape[1],
                      data.labels.num_classes, cfg.dropout, LOSS_KINDS[cfg.loss].classifier)
     losses.check_label_kind(cfg.loss, data.labels)
@@ -256,7 +265,7 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
                 if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
                     run_eval(epoch, params)
         except (NumericsError, ValueError) as e:  # every input check ran before epoch 1
-            raise TrainingError(f"{e} at epoch {epoch}", epoch=epoch) from e
+            raise TrainingError(f"{e} at epoch {epoch}") from e
     seconds = (time.perf_counter() - t0) / max(1, cfg.epochs)
     # the best epoch's predictions are those of the checkpointed parameters
     test = _split_metrics(best_probs, data, masks.test)

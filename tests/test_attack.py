@@ -165,12 +165,11 @@ class TestRobustnessSweep:
 
         def fail_on_poisoned_seed_one(cfg, data):
             if cfg.seed == 1 and data.graph.num_edges > clean_edges:
-                raise TrainingError("non-finite loss at epoch 7", epoch=7)
+                raise TrainingError("non-finite loss at epoch 7")
             return train(cfg, data)
         monkeypatch.setattr(attack_mod, "train", fail_on_poisoned_seed_one)
-        with pytest.raises(TrainingError, match="^ratio 0.5 seed 1: non-finite loss at epoch 7$") as e:
+        with pytest.raises(TrainingError, match="^ratio 0.5 seed 1: non-finite loss at epoch 7$"):
             robustness_sweep(easy_sbm, [0.0, 0.5], replace(SWEEP_CFG, epochs=1), seeds=3)
-        assert (e.value.seed, e.value.epoch) == (1, 7)
 
     def test_train_called_per_run_in_grid_order(self, easy_sbm, monkeypatch):
         # a hook on the module's train attribute sees every run, in (ratio,

@@ -30,6 +30,15 @@ def sbm_dir(tmp_path_factory):
     return out
 
 
+def forbid_load(monkeypatch):
+    """Fail the test if the dataset loads: a key rule that reads no data runs first."""
+    import jcgraph.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the dataset loaded before the config was checked")
+    monkeypatch.setattr(cli_mod, "load_dataset", never)
+
+
 def write_config(path, dataset, out, **kv):
     lines = [f"dataset = {dataset}", f"out = {out}"]
     lines += [f"{k} = {v}" for k, v in kv.items()]
@@ -64,16 +73,21 @@ class TestGenSbm:
 
 
     def test_unallocatable_draw_exit_2(self, tmp_path, monkeypatch, capsys):
-        import jcgraph.cli as cli_mod
+        import jcgraph.graph as graph_mod
+        rng = graph_mod.np.random.default_rng
 
-        def too_big(*args):  # what numpy raises for the 400000 x 400000 draw
-            raise MemoryError("Unable to allocate 1.16 TiB")
-        monkeypatch.setattr(cli_mod, "gen_sbm", too_big)
-        rc = main(["gen-sbm", "--nodes-per-block", "100000", "--out", str(tmp_path / "x")])
+        class NoRoom:  # draws the features, then fails as numpy does for a 400000 x 400000 draw
+            def __init__(self, seed):
+                self.normal = rng(seed).normal
+
+            def random(self, size):
+                raise MemoryError("Unable to allocate 1.16 TiB")
+        monkeypatch.setattr(graph_mod.np.random, "default_rng", NoRoom)
+        rc = main(["gen-sbm", "--nodes-per-block", "20", "--out", str(tmp_path / "x")])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad value for --nodes-per-block: ")
-        assert "n = 400000 nodes" in err and "Unable to allocate" in err
+        assert capsys.readouterr().err == ("error: nodes_per_block = 20: the n x n edge draw of "
+                                           "n = 80 nodes does not fit (Unable to allocate 1.16 "
+                                           "TiB)\n")
         assert not (tmp_path / "x").exists()
 
     def test_unallocatable_features_exit_2(self, tmp_path, monkeypatch, capsys):
@@ -230,7 +244,8 @@ class TestTrainCmd:
                                                 ("--clusters", "0", "clusters"),
                                                 ("--clusters", "100", "clusters"),
                                                 ("--hidden", "0", "hidden"),
-                                                ("--layers", "0", "layers")])
+                                                ("--layers", "0", "layers"),
+                                                ("--dropout", "1.0", "dropout")])
     def test_bad_epoch_counts_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys,
                                      flag, value, key):
         import jcgraph.attack as attack_mod
@@ -238,6 +253,8 @@ class TestTrainCmd:
         def never(*args, **kwargs):
             raise AssertionError("train ran before the config was checked")
         monkeypatch.setattr(attack_mod, "train", never)
+        if key != "clusters":  # the only rule here that reads the dataset: clusters <= n
+            forbid_load(monkeypatch)
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
                             clusters=3, epochs=3, hidden=8)
         sweep = ["--ratios", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")]
@@ -263,6 +280,8 @@ class TestTrainCmd:
         def never(*args, **kwargs):
             raise AssertionError("an epoch ran before the config was checked")
         monkeypatch.setattr(train_mod, "encoder_forward", never)
+        if "--hidden" in flags:
+            forbid_load(monkeypatch)
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
                             clusters=3, epochs=3, hidden=8)
         out = tmp_path / ("sweep.csv" if command == "attack" else "r")
@@ -273,10 +292,13 @@ class TestTrainCmd:
     @pytest.mark.parametrize("key,message", [("encoder", "unknown encoder 'nosuch'"),
                                              ("loss", "unknown loss 'nosuch'"),
                                              ("partition", "unknown partition method 'nosuch'")])
-    def test_unknown_name_exit_2(self, sbm_dir, tmp_path, capsys, key, message):
+    def test_unknown_name_exit_2(self, sbm_dir, tmp_path, monkeypatch, capsys, key, message):
+        forbid_load(monkeypatch)
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", epochs=3, hidden=8)
-        assert main(["train", str(cfgf), f"--{key}", "nosuch"]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        sweep = ["--ratios", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")]
+        for argv in (["train", str(cfgf)], ["attack", str(cfgf)] + sweep):
+            assert main(argv + [f"--{key}", "nosuch"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_config_echo_lines(self, sbm_dir, tmp_path):
@@ -371,27 +393,20 @@ class TestTrainCmd:
 
     def test_file_partition_without_clusters_file_exit_2(self, sbm_dir, tmp_path, capsys,
                                                          monkeypatch):
-        import jcgraph.trainer as train_mod
-        def never(*args, **kwargs):
-            raise AssertionError("work started before the config was checked")
-        for name in ("normalize_adjacency", "read_assignment"):
-            monkeypatch.setattr(train_mod, name, never)
+        forbid_load(monkeypatch)
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
                             partition="file", clusters=3, epochs=3, hidden=8)
-        assert main(["train", str(cfgf)]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "clusters_file" in err
-        assert not (tmp_path / "r.result").exists()
+        sweep = ["--ratios", "0.5", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")]
+        for argv in (["train", str(cfgf)], ["attack", str(cfgf)] + sweep):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: partition method 'file' needs clusters_file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("partition", ["metis-like", "kmeans", "random"])
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_clusters_file_for_another_partition_exit_2(self, sbm_dir, tmp_path, monkeypatch,
                                                         capsys, partition, where):
-        import jcgraph.trainer as train_mod
-
-        def never(*args, **kwargs):
-            raise AssertionError("an epoch ran before the config was checked")
-        monkeypatch.setattr(train_mod, "encoder_forward", never)
+        forbid_load(monkeypatch)
         missing = tmp_path / "nope.txt"
         extra = {"clusters_file": missing} if where == "config" else {}
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
@@ -408,7 +423,7 @@ class TestTrainCmd:
     def test_runtime_failure_exit_1(self, sbm_dir, tmp_path, monkeypatch):
         import jcgraph.cli as cli_mod
         def boom(cfg, data):
-            raise TrainingError("non-finite loss at epoch 3", epoch=3)
+            raise TrainingError("non-finite loss at epoch 3")
         monkeypatch.setattr(cli_mod, "train", boom)
         cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r")
         assert main(["train", str(cfgf)]) == 1
@@ -475,19 +490,19 @@ class TestAttackCmd:
         assert capsys.readouterr().err == f"error: {bad}:4: expected integers, got 'x'\n"
         assert not (tmp_path / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("loss", ["nosuch", "ic"])
-    def test_bad_loss_fails_before_training(self, sbm_dir, tmp_path, monkeypatch, capsys, loss):
-        import jcgraph.attack as attack_mod
-
-        def never(*args, **kwargs):
-            raise AssertionError("train ran before the loss was checked")
-        monkeypatch.setattr(attack_mod, "train", never)
+    @pytest.mark.parametrize("loss,message", [
+        ("nosuch", "unknown loss 'nosuch'"),
+        ("ic", "attack compares ce and jc: loss must be 'ce' or 'jc', got 'ic'")],
+        ids=["nosuch", "ic"])
+    def test_bad_loss_fails_before_training(self, sbm_dir, tmp_path, monkeypatch, capsys, loss,
+                                            message):
+        forbid_load(monkeypatch)
         cfgf = write_config(tmp_path / "atk.cfg", sbm_dir, tmp_path / "r",
                             clusters=3, epochs=3, hidden=8)
         rc = main(["attack", str(cfgf), "--loss", loss, "--ratios", "0.5", "--seeds", "1",
                    "--out", str(tmp_path / "sweep.csv")])
         assert rc == 2
-        assert "error:" in (err := capsys.readouterr().err) and "loss" in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -517,6 +532,7 @@ def test_dash_dash_value_exit_2(sbm_dir, tmp_path, monkeypatch, capsys, argv):
     ["gen-sbm", "--out", "sbm"],
 ], ids=lambda argv: argv[0])
 def test_negative_seed_exit_2(sbm_dir, tmp_path, monkeypatch, capsys, argv):
+    forbid_load(monkeypatch)  # partition and gen-sbm stop before it too
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path / "cfg", sbm_dir, tmp_path / "r", clusters=3, epochs=3, hidden=8)
     before = sorted(tmp_path.rglob("*"))

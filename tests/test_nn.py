@@ -10,6 +10,7 @@ from jcgraph.nn import (CLASSIFIERS, ENCODERS, ModelSpec, NumericsError, adam_st
                         encoder_forward, grad_check, init_adam_state, init_params,
                         model_backward, plan_rows, save_checkpoint)
 from jcgraph.partition import partition_metis_like
+from jcgraph.trainer import TrainConfig
 
 from conftest import all_rows, rng_graph
 
@@ -297,8 +298,7 @@ def nan_loss(params, z, data):
      "unknown classifier 'bogus'"),
     (lambda: ModelSpec("gcn", 2, 4, 0, 2, 0.0, "independent"), ValueError,
      "dims must be positive"),
-    (lambda: ModelSpec("gcn", 2, 4, 3, 2, 1.0, "independent"), ValueError,
-     "dropout must be in [0, 1), got 1.0"),
+    (lambda: TrainConfig(dropout=1.0), ValueError, "dropout must be in [0, 1), got 1.0"),
     (lambda: plan_rows(ModelSpec("mlp", 1, 4, 3, 2, 0.0, "independent"), None,
                        np.zeros((5, 4)), np.arange(5)),
      ValueError, "features have shape (5, 4), spec.in_dim=3"),
