@@ -17,6 +17,7 @@ __all__ = [
     "check_ratios",
     "random_attack",
     "robustness_sweep",
+    "sweep_ratios",
     "write_sweep_csv",
 ]
 
@@ -43,17 +44,25 @@ def _fake_edge_count(g: Graph, spec: AttackSpec) -> int:
     return needed
 
 
-def check_ratios(g: Graph, ratios) -> list[float]:
-    """The sweep's ratios, each one checked as random_attack on g would check it,
-    strictly ascending: a repeated ratio would train its runs twice."""
+def sweep_ratios(ratios) -> list[float]:
+    """The sweep's ratios by every rule that reads no graph: each one an
+    AttackSpec ratio, strictly ascending, as a repeated ratio would train
+    its runs twice."""
     ratios = list(ratios)
     if not ratios:
         raise ValueError("no ratios given")
     for ratio in ratios:
-        _fake_edge_count(g, AttackSpec(ratio))
+        AttackSpec(ratio)
     if ratios != sorted(set(ratios)):
         raise ValueError("ratios must be sorted ascending, each one once")
     return ratios
+
+
+def check_ratios(g: Graph, ratios) -> None:
+    """Each ratio's fake edges checked against g's non-adjacent pairs, as
+    random_attack on g would check them."""
+    for ratio in ratios:
+        _fake_edge_count(g, AttackSpec(ratio))
 
 
 def random_attack(g: Graph, spec: AttackSpec) -> Graph:
@@ -119,7 +128,8 @@ def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> lis
     clean graph (poisoning keeps the nodes), are checked before the first
     training, and so is a cluster file, which every jc run reads.
     """
-    ratios = check_ratios(data.graph, ratios)
+    ratios = sweep_ratios(ratios)
+    check_ratios(data.graph, ratios)
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     for loss in ("ce", "jc"):

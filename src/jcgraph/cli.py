@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from .attack import check_ratios, robustness_sweep, write_sweep_csv
+from .attack import check_ratios, robustness_sweep, sweep_ratios, write_sweep_csv
 from .graph import gen_sbm, load_dataset, read_lines, write_dataset
 from .nn import NumericsError, save_checkpoint
 from .partition import edge_cut_stats, write_assignment
@@ -164,6 +165,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+@contextmanager
+def _ratios_rule(value):
+    """A rule of the --ratios value: its ValueError is a bad --ratios."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"bad --ratios value {value!r}: {e}") from None
+
+
 def cmd_attack(args) -> int:
     if args.num_seeds < 1:
         raise ConfigError(f"bad value for --seeds: expected an integer >= 1, got {args.num_seeds}")
@@ -171,12 +181,12 @@ def cmd_attack(args) -> int:
     if cfg.loss not in ("ce", "jc"):  # the sweep trains both
         raise ConfigError(f"attack compares ce and jc: loss must be 'ce' or 'jc', "
                           f"got {cfg.loss!r}")
+    with _ratios_rule(args.ratios):
+        ratios = sweep_ratios(float(t) for t in args.ratios.split(","))
     _check_out(args.sweep_out)
     data = load_dataset(cfg_raw["dataset"])
-    try:
-        ratios = check_ratios(data.graph, [float(t) for t in args.ratios.split(",")])
-    except ValueError as e:
-        raise ConfigError(f"bad --ratios value {args.ratios!r}: {e}") from None
+    with _ratios_rule(args.ratios):
+        check_ratios(data.graph, ratios)
     _make_out_dir(args.sweep_out)
     rows = robustness_sweep(data, ratios, cfg, args.num_seeds)
     write_sweep_csv(args.sweep_out, rows)
@@ -187,9 +197,9 @@ def cmd_attack(args) -> int:
 
 def cmd_gen_sbm(args) -> int:
     _check_out(args.out, directory=True)
-    _make_out_dir(args.out)
     ds = gen_sbm(args.blocks, args.nodes_per_block, args.p_in, args.p_out,
                  args.feat_dim, args.feat_noise, args.seed)
+    _make_out_dir(args.out)
     write_dataset(args.out, ds)
     print(f"wrote {ds.num_nodes} nodes, {ds.graph.num_edges} edges to {args.out}")
     return 0

@@ -8,6 +8,11 @@ Inference marginalizes the predicted table over the cluster dimension.
 All losses run through one training head that returns the value with analytic
 gradients for the classifier and the embeddings, including the mean-pooling
 flow through cluster means (1/L_m per labeled member); eval_pass is gradient-free.
+
+No concatenation is built: con(z, zbar) @ W = z @ W_z + zbar @ W_c over W's
+row halves. The node rows and the m cluster means each meet the halves side by
+side once, jc's two streams share the products, and a cluster half is gathered
+after its product; its gradient is summed per cluster before the transposed one.
 """
 
 from __future__ import annotations
@@ -146,10 +151,14 @@ def joint_forward(classifier: dict, z: np.ndarray, zbar: np.ndarray) -> np.ndarr
     dim = z.shape[1] + zbar.shape[1]
     if dim != w.shape[0]:
         raise ValueError(f"concatenated input has dim {dim}, classifier expects {w.shape[0]}")
-    no_label = np.zeros((1, c))  # only the probabilities are read, not the loss
-    src = {"z": (z, no_label), "c": (zbar, no_label)}
-    outs, _, _ = _forward(LOSS_KINDS["jc"].streams[:1], src, w, b, False, 0.0)
-    return outs[0][3].reshape(c, c)
+    return _joint_probs(w, b, z, zbar, np.arange(len(zbar))).reshape(c, c)
+
+
+def _joint_probs(w, b, z, zbar, index) -> np.ndarray:
+    """jc's first stream over the node rows z, each next to zbar[index]."""
+    logits, = _logits(LOSS_KINDS["jc"].streams[:1], {"z": (z, None, None), "c": (zbar, None, index)},
+                      w, b)
+    return _softmax(logits)
 
 
 def marginalize(t: np.ndarray) -> np.ndarray:
@@ -228,45 +237,97 @@ def _mask(mask) -> np.ndarray:
 
 
 def _sources(kind, embeddings, labels, rows, stats) -> dict:
-    """(inputs, labels) blocks by order letter for the node rows; c and k only if kind reads them."""
-    src = {"z": (embeddings[rows], labels.matrix[rows])}
+    """(inputs, labels, index) blocks by order letter; c and k only if kind reads them.
+
+    z: the node rows. c: every cluster mean, with the node rows' labels and
+    clusters, the index that gathers a product of the means. k: the means of
+    the clusters with labeled nodes, one row each.
+    """
+    src = {"z": (embeddings[rows], labels.matrix[rows], None)}
     if LOSS_KINDS[kind].needs_clusters:
         if stats is None:
             raise ValueError(f"{kind} loss needs cluster stats")
         a, nz = stats.assign[rows], stats.counts > 0
-        src["c"] = (stats.zbar[a], stats.ybar[a])
-        src["k"] = (stats.zbar[nz], stats.ybar[nz])
+        src["c"] = (stats.zbar, stats.ybar[a], a)
+        src["k"] = (stats.zbar[nz], stats.ybar[nz], None)
     return src
 
 
-def _forward(streams, src, w, b, multi, beta):
+def _slots(streams) -> dict:
+    """Each letter's positions in the streams' orders: the row blocks of the
+    classifier that its inputs meet."""
+    slots = {}
+    for order, _, _ in streams:
+        for j, ch in enumerate(order):
+            slots.setdefault(ch, set()).add(j)
+    return {ch: sorted(js) for ch, js in slots.items()}
+
+
+def _side(blocks: list) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+
+
+def _logits(streams, src, w, b) -> list:
+    """Each stream's logits over its node rows (or k's cluster rows).
+
+    Over an order of L letters, con(x_1, .., x_L) @ w is the sum of x_j @ w_j.
+    Each letter's inputs are multiplied once, by its blocks of w side by
+    side, and the streams share the products; a cluster letter's product
+    has one row per cluster and is gathered by its index afterwards. A
+    one-letter order is the single product x @ w.
+    """
+    halves, prods = np.split(w, len(streams[0][0])), {}  # w_j multiplies letter j
+    for ch, js in _slots(streams).items():
+        block = src[ch][0] @ _side([halves[j] for j in js])
+        prods.update(zip([(ch, j) for j in js], np.split(block, len(js), axis=1)))
+    out = []
+    for order, _, _ in streams:
+        parts = [prods[ch, j] if src[ch][2] is None else prods[ch, j][src[ch][2]]
+                 for j, ch in enumerate(order)]
+        out.append(sum(parts[1:], parts[0]) + b)
+    return out
+
+
+def _picked(order, target, logp, y, src) -> np.ndarray:
+    """Row sums of t * logp for one-hot node labels y, read only where t is
+    nonzero: entry y of the node label, row y of a (node, cluster) table and
+    column y of a (cluster, node) one, weighted by the cluster's mean label."""
+    at = np.arange(len(y))
+    if target is _label:
+        return logp[at, y]
+    ybar = src["c"][1]
+    table = logp.reshape(len(y), ybar.shape[1], -1)
+    return (ybar * (table[at, y] if order[0] == "z" else table[at, :, y])).sum(axis=1)
+
+
+def _forward(streams, src, w, b, multi, beta, y=None):
     """Run each stream over the src rows; multi marks a multi-label set.
 
-    Returns (order, input, target table, probabilities) per stream, the node
+    Returns (order, target table, probabilities) per stream, the node
     streams' per-row log-likelihoods summed, and the cluster stream's
-    beta-weighted loss (None without one, or when beta is 0). Each stream's
-    logit GEMM has the height of its src rows.
+    beta-weighted loss (None without one, or when beta is 0). With y, the
+    class of each node row of a single-label set, the node streams build no
+    target table (it is None) and read log p at its nonzero entries only.
     """
+    streams = [s for s in streams if s[0] != "k" or beta != 0.0]
     outs, ll, cluster = [], None, None
-    for order, target, group in streams:
-        if order == "k" and beta == 0.0:
-            continue
-        xs, ys = zip(*(src[ch] for ch in order))
-        x = xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
-        t = target(*ys)
-        logits = x @ w + b
-        if multi and group is None:
+    for (order, target, group), logits in zip(streams, _logits(streams, src, w, b)):
+        sigmoid = multi and group is None
+        if sigmoid:
             p = _sigmoid(logits)
-            r = t * _logp(p) + (1.0 - t) * _logp(1.0 - p)
         else:
-            p = _softmax(logits if group is None else logits.reshape(len(x), -1, group))
-            r = t * _logp(p)
-        r = r.sum(axis=tuple(range(1, p.ndim)))
+            p = _softmax(logits if group is None else logits.reshape(len(logits), -1, group))
+        if y is None or order == "k":
+            t = target(*(src[ch][1] for ch in order))
+            r = t * _logp(p) + (1.0 - t) * _logp(1.0 - p) if sigmoid else t * _logp(p)
+            r = r.sum(axis=tuple(range(1, p.ndim)))
+        else:
+            t, r = None, _picked(order, target, _logp(p), y, src)
         if order == "k":
             cluster = beta * float(-r.mean())
         else:
             ll = r if ll is None else ll + r
-        outs.append((order, x, t, p))
+        outs.append((order, t, p))
     return outs, ll, cluster
 
 
@@ -291,32 +352,40 @@ def _head(kind, classifier, embeddings, labels, train_mask, stats, detach_cluste
 
     Node streams are summed per node and averaged over the mask; the cluster
     stream (mixup) is averaged over clusters with labeled nodes and weighted
-    by beta. Gradients of c and k blocks reach the embeddings through the
-    cluster means unless detach_cluster is set.
+    by beta. Each letter's gradient is taken once, through its blocks of the
+    classifier side by side: a cluster letter's logit gradient is summed per
+    cluster first, which gives the gradient of the means. It reaches the
+    embeddings through the cluster means unless detach_cluster is set.
     """
     check_label_kind(kind, labels)
     w, b = _clf(classifier)
     mask = _mask(train_mask)
-    outs, ll, cluster = _forward(LOSS_KINDS[kind].streams, _sources(kind, embeddings, labels, mask, stats),
-                                 w, b, labels.multi, beta)
-    acc = {}
-    for order, x, t, p in outs:
-        dl = beta * (p - t) / len(x) if order == "k" else (p - t) / mask.size
-        dl = dl.reshape(len(x), -1)
-        for ch, part in zip(order, np.split(dl @ w.T, len(order), axis=1)):
-            _add(acc, ch, part)
-        _add(acc, "clf_w", x.T @ dl)
+    src = _sources(kind, embeddings, labels, mask, stats)
+    outs, ll, cluster = _forward(LOSS_KINDS[kind].streams, src, w, b, labels.multi, beta)
+    acc = {}  # d(loss)/d(x_ch @ w_j) by (ch, j); then w_j's gradient by j, and b's
+    for order, t, p in outs:
+        dl = beta * (p - t) / len(p) if order == "k" else (p - t) / mask.size
+        dl = dl.reshape(len(p), -1)
+        for j, ch in enumerate(order):
+            x, _, index = src[ch]
+            _add(acc, (ch, j), dl if index is None else _group_sum(index, dl, len(x)))
         _add(acc, "clf_b", dl.sum(axis=0))
 
+    halves, d_x = np.split(w, len(outs[0][0])), {}
+    for ch, js in _slots(outs).items():
+        g = _side([acc[ch, j] for j in js])
+        if ch == "z" or not detach_cluster:
+            d_x[ch] = g @ _side([halves[j] for j in js]).T
+        for j, part in zip(js, np.split(src[ch][0].T @ g, len(js), axis=1)):
+            _add(acc, j, part)
     d_emb = np.zeros_like(embeddings)
-    d_emb[mask] += acc["z"]
-    if not detach_cluster and ("c" in acc or "k" in acc):
-        d_zbar = (_group_sum(stats.assign[mask], acc["c"], len(stats.zbar)) if "c" in acc
-                  else np.zeros_like(stats.zbar))
-        if "k" in acc:
-            d_zbar[stats.counts > 0] += acc["k"]
+    d_emb[mask] += d_x["z"]
+    if "c" in d_x or "k" in d_x:
+        d_zbar = d_x["c"] if "c" in d_x else np.zeros_like(stats.zbar)
+        if "k" in d_x:
+            d_zbar[stats.counts > 0] += d_x["k"]
         scatter_cluster_grad(d_zbar, stats, d_emb)
-    grads = {"clf_w": acc["clf_w"], "clf_b": acc["clf_b"]}
+    grads = {"clf_w": np.concatenate([acc[j] for j in range(len(halves))]), "clf_b": acc["clf_b"]}
     return LossResult(_value(ll, cluster), d_emb, grads)
 
 
@@ -386,19 +455,21 @@ def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: Label
     split, row i for the split's i-th row.
 
     The values equal <kind>_loss(...).value on each split, with no gradient
-    work. Every stream, its logit GEMM included, runs on the union of the
-    split rows only, so the probabilities are the bits that the predictor
-    formulas give on those rows; they can differ in the last bits from an
-    all-nodes pass, whose GEMM has another height.
+    work; a single-label set's builds no target table. Every stream, its node
+    products included, runs on the union of the split rows only, so the
+    probabilities are the bits that the predictor formulas give on those
+    rows; they can differ in the last bits from an all-nodes pass, whose
+    products have another height.
     """
     check_label_kind(kind, labels)
     w, b = _clf(classifier)
     splits = [_mask(s) for s in splits]
     rows = np.unique(np.concatenate(splits))
     loss = LOSS_KINDS[kind]
-    outs, ll, cluster = _forward(loss.streams, _sources(kind, embeddings, labels, rows, stats),
-                                 w, b, labels.multi, beta)
-    probs = loss.marginal(outs[0][3], labels.num_classes)
+    src = _sources(kind, embeddings, labels, rows, stats)
+    y = None if labels.multi else src["z"][1].argmax(axis=1)
+    outs, ll, cluster = _forward(loss.streams, src, w, b, labels.multi, beta, y)
+    probs = loss.marginal(outs[0][2], labels.num_classes)
     at = [np.searchsorted(rows, s) for s in splits]
     return [probs[i] for i in at], [_value(ll[i], cluster) for i in at]
 
@@ -418,6 +489,4 @@ def predict_joint(classifier: dict, embeddings: np.ndarray, assign: ClusterAssig
     """Marginalized class distribution for every node from its own cluster."""
     w, b = _clf(classifier)
     c = int(round(np.sqrt(w.shape[1])))
-    con = np.concatenate([embeddings, stats.zbar[assign.assign]], axis=1)
-    p = _softmax(con @ w + b)
-    return p.reshape(-1, c, c).sum(axis=2)
+    return LOSS_KINDS["jc"].marginal(_joint_probs(w, b, embeddings, stats.zbar, assign.assign), c)

@@ -64,6 +64,13 @@ class TestGenSbm:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_failed_draw_makes_no_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["gen-sbm", "--p-in", "0.01", "--p-out", "0.2", "--out", "new/dir/x"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need 0 <= p_out < p_in <= 1\n"
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
     def test_bad_feat_noise_exit_2(self, tmp_path, capsys, noise):
         rc = main(["gen-sbm", "--feat-noise", noise, "--out", str(tmp_path / "x")])
@@ -473,6 +480,22 @@ class TestAttackCmd:
         assert "--ratios" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("ratios,message", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("0.5,0.2", "ratios must be sorted ascending, each one once")])
+    def test_ratio_list_checked_before_the_load(self, sbm_dir, tmp_path, monkeypatch, capsys,
+                                                ratios, message):
+        import jcgraph.cli as cli_mod
+        loads = []
+        monkeypatch.setattr(cli_mod, "load_dataset", lambda *a, **k: loads.append(a))
+        cfgf = write_config(tmp_path / "atk.cfg", sbm_dir, tmp_path / "r",
+                            clusters=3, epochs=3, hidden=8)
+        rc = main(["attack", str(cfgf), "--ratios", ratios, "--seeds", "1",
+                   "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: bad --ratios value {ratios!r}: {message}\n"
+        assert loads == []
+
     def test_bad_clusters_file_fails_before_training(self, sbm_dir, tmp_path, monkeypatch,
                                                      capsys):
         import jcgraph.attack as attack_mod
@@ -555,14 +578,15 @@ def _command(name, sbm_dir, cfgf, out):
 
 def _stub_work(monkeypatch, out):
     """Replace each command's work by a stub that records whether out's
-    directory exists, then stops the run with exit 1."""
+    directory exists, then stops the run with exit 1. gen-sbm's work is the
+    write of its dataset, after the draw, whose failure leaves no directory."""
     import jcgraph.cli as cli_mod
     seen = []
 
     def stub(*args, **kwargs):
         seen.append(out.parent.is_dir())
         raise TrainingError("stopped")
-    for name in ("train", "robustness_sweep", "make_partition", "gen_sbm"):
+    for name in ("train", "robustness_sweep", "make_partition", "write_dataset"):
         monkeypatch.setattr(cli_mod, name, stub)
     return seen
 

@@ -30,8 +30,8 @@ GOLDEN = {
     ),
     ("dense", "gcn", "jc"): (
         "52106a266217cf44090b55b6b4932c67c3be4a82b4ab86ac271e9e8859b5c5b0",
-        "aac70ee4d620760e80468a9d638533dad7f3f81417f9de440393047b4d267f87",
-        "505ece6a129d2496eb2f9f0e1c5ae2b807e00fffd5ba339548de2ac954548552",
+        "c9859a4aedbaae746fdda8dfabbb3edebf95fc0a1cbf2443f8194e4846646efa",
+        "175dba1d3e9af5e0fb9cd522c07e4fbab4250cbccfce26a7c181f3d6cc2fdbe3",
     ),
     ("dense", "mlp", "ce"): (
         "2a5395aa8e9cbbe2f3f88edbc347b8435efc4f4566466948b9826143816282bc",
@@ -40,8 +40,8 @@ GOLDEN = {
     ),
     ("dense", "mlp", "jc"): (
         "b9d3e1f499f24eab48806939a5f234c26d55fdf5754398b8b7bfdf1e105cc794",
-        "28268dd0cc51ecb346e69743b10a74325d0c0b36e1ac668de75e06fe912b4256",
-        "b2e441abeffa7ad94b02b3ea4bdad9c41606e0d11327c794aad7f03916defb6c",
+        "b4d46d375a357f79b52e358aeb652dac8138c2ec5fb91502d29d2b65717b5c69",
+        "d3fdef8e376735566367c3ae6ff5f3aafa30c01d647c395c627bc665a3f5da70",
     ),
     ("dense", "sgc", "ce"): (
         "f52e7189ed906f18100e4fc8f1d9a14a61e6df059d4f6963f3c0ed0b01148c22",
@@ -49,9 +49,9 @@ GOLDEN = {
         "2b7c902cb3b8508e2cc519217a23a3b906525051d7644cf1b12306b1beab62ea",
     ),
     ("dense", "sgc", "jc"): (
-        "5deff50058b37380bbc8177f929aaf26e382717e4f437d4c24c4a92e2033f324",
-        "2470db393a2718c1b26c84ff8d7ea993676514ae6ea6e1f200c04773b7a7e683",
-        "7f9f1ba83cc5d2ab6437d25b502e8c7cb8de3489f2d60a064549bf7d26a8875a",
+        "5d3ab441a838a89dd8812ccfebd4529761b2b852bfb25888e203739f3625d54a",
+        "6b685a320ccb7b0f9c3bcab09ff7741a1b7cb5c8ae23673c5435c766a5b10a8d",
+        "f60b7eff7e2462ac17da8ef890d27e75d40462f55774c4c4808692b991148961",
     ),
     ("csr", "gcn", "ce"): (
         "685302b4dff79578e99a8d8319ea52e066ce993442a9c32f5b120b0b1c80e76b",
@@ -59,9 +59,9 @@ GOLDEN = {
         "6330ec817c7abbdce0ec47d25ea90ed1f206bdac71d6e1a460bd8b52cfd93c3a",
     ),
     ("csr", "gcn", "jc"): (
-        "fb178a1cf3a444616df7194370e769421567ab8fa899643324c7491d5dea7d0a",
-        "80ddb0dde61fc2e8b4b13c76c1e17cc29241e1428e9ce5d36564a29b12616fde",
-        "8da685f08767de89a746291e4069fb05041b28dfbecc30ad721908fde2adbe84",
+        "8bc655428f967541eefc757ca9ef3e45df9d421a199398a3b06cb151300bb55f",
+        "610b1f32b578e8e319bfb1cd60646b475c48eb92078821eb01b1b099a1808a05",
+        "9c8b33d021b89d10fb70430c4001936551f24b3f80af09add354ddba8019a145",
     ),
     ("csr", "mlp", "ce"): (
         "cecf07e8f6127c0ac4cf098de7465c500e06bc417b24cf690bcee45689ff9a06",
@@ -70,8 +70,8 @@ GOLDEN = {
     ),
     ("csr", "mlp", "jc"): (
         "b00a1dab5987529e8083a39fda51ec8f54a995ca5da513387f1deef8a6a1bf33",
-        "e4d970e9ddae98a19694b2ec56e4af0dc6f5a235146d431c86fc5dff73656769",
-        "550caf0db4dcf70631d892f9d5bc41fe5d6af4c8fc7b3fb2142fe6ff52f5c6b2",
+        "799f5a36af3319524f0f427cd08f1e86359852e84585f978eee72e2193695563",
+        "7b90e2a98bc53217b0720463e71343f8351c16336df2201de8ee496008d152ea",
     ),
     ("csr", "sgc", "ce"): (
         "6241580ddfda2bf1b03587ce62b5ecdaf18e926f86ac87c8b92b86eea20acc52",
@@ -79,9 +79,9 @@ GOLDEN = {
         "bd4ba82ed14db094f1bf145450ef5a7236e7542d7e77677f5903008ac84906ce",
     ),
     ("csr", "sgc", "jc"): (
-        "14cf94b6445e2b497a7d06706343a23c6d1ebae51774f82688d11dbee997b57a",
-        "51c9bc836fa18c16f8d23859ffde6dbc25a7c2e6fba66dfa1511b208bdd6fdae",
-        "eca4bde9b550c1a714a129eb1b1b6b9948495b01e0e9dc58b95b3d81bf4701ad",
+        "3bb49651b1ec3bcb752f50034c4d02804950f2524709bfe886d3401302f27763",
+        "b3c6952e1d64971f289d9416c434475891b17a3cad6ad34c7f4866f06a6872d3",
+        "dba94fe4ae19b3107852a98c1b337eb02a8424e800c6364baec577ff4c0f8da8",
     ),
 }
 

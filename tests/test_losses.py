@@ -16,6 +16,8 @@ from jcgraph.nn import ModelSpec, grad_check, init_params
 from jcgraph.partition import ClusterAssignment, partition_metis_like
 from jcgraph.trainer import TrainConfig, train, validate
 
+from conftest import assert_within
+
 
 def onehot(idx, c):
     m = np.zeros((len(idx), c))
@@ -507,3 +509,129 @@ def test_contract_messages(call, message):
     with pytest.raises(ValueError) as e:
         call()
     assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the head against the concatenation it replaced: each stream builds its rows
+# [x_1, x_2] and multiplies them by all of w, as the paper writes con(z, zbar)
+
+
+def _outer(u, v):
+    return (u[:, :, None] * v[:, None, :]).reshape(len(u), -1)
+
+
+def _outer_2x2(u, v):
+    return np.stack([(1 - u) * (1 - v), (1 - u) * v, u * (1 - v), u * v], axis=2)
+
+
+# per kind: each stream's (input order, target of the order's labels, softmax
+# group); z a node row, c its cluster's mean, k a cluster with labeled nodes
+ORACLE_STREAMS = {
+    "ce": [("z", lambda y: y, None)],
+    "jc": [("zc", _outer, None), ("cz", _outer, None)],
+    "ic": [("zc", lambda y, ybar: y, None)],
+    "mixup": [("z", lambda y: y, None), ("k", lambda ybar: ybar, None)],
+    "jc-multilabel": [("zc", _outer_2x2, 4), ("cz", _outer_2x2, 4)],
+}
+
+
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _logp(p):
+    return np.log(np.maximum(p, losses.PROB_FLOOR))
+
+
+def concat_head(kind, params, z, labels, mask, stats, detach, beta):
+    """(value, clf_w, clf_b, d_embeddings) of the loss, with each stream's
+    concatenated rows multiplied by the whole classifier."""
+    from scipy.special import expit
+    w, b = params["clf_w"], params["clf_b"]
+    a, nz = stats.assign[mask], stats.counts > 0
+    rows = {"z": (z[mask], labels.matrix[mask]), "c": (stats.zbar[a], stats.ybar[a]),
+            "k": (stats.zbar[nz], stats.ybar[nz])}
+    ll, cluster, acc = None, None, {}
+    for order, target, group in ORACLE_STREAMS[kind]:
+        if order == "k" and beta == 0.0:
+            continue
+        x = np.concatenate([rows[ch][0] for ch in order], axis=1)
+        t = target(*(rows[ch][1] for ch in order))
+        logits = x @ w + b
+        if labels.multi and group is None:
+            p = expit(logits)
+            r = (t * _logp(p) + (1.0 - t) * _logp(1.0 - p)).sum(axis=1)
+        else:
+            p = _softmax(logits if group is None else logits.reshape(len(x), -1, group))
+            r = (t * _logp(p)).sum(axis=tuple(range(1, p.ndim)))
+        if order == "k":
+            cluster = beta * float(-r.mean())
+            dl = beta * (p - t) / len(x)
+        else:
+            ll = r if ll is None else ll + r
+            dl = (p - t) / mask.size
+        dl = dl.reshape(len(x), -1)
+        grads = dict(zip(order, np.split(dl @ w.T, len(order), axis=1)),
+                     clf_w=x.T @ dl, clf_b=dl.sum(axis=0))
+        for key, g in grads.items():
+            acc[key] = acc[key] + g if key in acc else g
+    value = float(-ll.mean())
+    d_emb = np.zeros_like(z)
+    d_emb[mask] += acc["z"]
+    if not detach and ("c" in acc or "k" in acc):
+        d_zbar = np.zeros_like(stats.zbar)
+        if "c" in acc:
+            np.add.at(d_zbar, a, acc["c"])
+        if "k" in acc:
+            d_zbar[nz] += acc["k"]
+        scatter_cluster_grad(d_zbar, stats, d_emb)
+    return (value if cluster is None else value + cluster), acc["clf_w"], acc["clf_b"], d_emb
+
+
+def head_case(seed, kind, label_kind, stats_rows):
+    """Random embeddings, labels, a loss mask (the stats' train rows or
+    others) and classifier for kind, with a cluster that holds no labeled
+    node."""
+    rng = np.random.default_rng(seed)
+    n, e, c, m = (int(v) for v in rng.integers([4, 1, 1, 2], [30, 7, 5, 5]))
+    z = rng.normal(size=(n, e))
+    if label_kind == "s":
+        labels = LabelSet(c, "s", np.eye(c)[rng.integers(0, c, n)])
+    else:
+        labels = LabelSet(c, "m", (rng.random((n, c)) < 0.4).astype(float))
+    order = rng.permutation(n)
+    train = np.sort(order[:int(rng.integers(1, n))])
+    ids = rng.integers(0, m - 1, n)
+    ids[order[train.size:]] = m - 1
+    stats = cluster_stats(z, labels, train, ClusterAssignment(m, ids))
+    assert stats.counts[m - 1] == 0
+    mask = train if stats_rows else np.sort(rng.choice(n, int(rng.integers(1, n + 1)),
+                                                       replace=False))
+    width = e * len(ORACLE_STREAMS[kind][0][0])
+    out = {"jc": c * c, "jc-multilabel": 4 * c}.get(kind, c)
+    params = clf(rng.normal(size=(width, out)), rng.normal(size=out))
+    return params, z, labels, mask, stats
+
+
+@pytest.mark.parametrize("kind,label_kind",
+                         [(k, lk) for k in sorted(LOSS_KINDS) for lk in LOSS_KINDS[k].label_kinds])
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), detach=st.booleans(),
+       beta=st.sampled_from([0.0, 0.5, 1.3]), stats_rows=st.booleans())
+def test_head_matches_the_concatenation(kind, label_kind, seed, detach, beta, stats_rows):
+    """One-letter kinds (ce, mixup) keep their bits; a kind over [z, zbar]
+    sums its letters' products in another order, within 1e-12 relative."""
+    params, z, labels, mask, stats = head_case(seed, kind, label_kind, stats_rows)
+    got = loss_fn(kind)(params, z, labels, mask, stats, detach_cluster=detach, beta=beta)
+    want = concat_head(kind, params, z, labels, mask, stats, detach, beta)
+    got = (got.value, got.clf_grads["clf_w"], got.clf_grads["clf_b"], got.d_embeddings)
+    names = ("value", "clf_w", "clf_b", "d_embeddings")
+    if kind in ("ce", "mixup"):
+        assert got[0] == want[0]
+        for name, g, w in zip(names[1:], got[1:], want[1:]):
+            assert g.tobytes() == w.tobytes(), name
+    else:
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        for name, g, w in zip(names[1:], got[1:], want[1:]):
+            assert_within(g, w, name=name)
