@@ -455,7 +455,7 @@ def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: Label
     split, row i for the split's i-th row.
 
     The values equal <kind>_loss(...).value on each split, with no gradient
-    work; a single-label set's builds no target table. Every stream, its node
+    work, and on a single-label set no target table. Every stream, its node
     products included, runs on the union of the split rows only, so the
     probabilities are the bits that the predictor formulas give on those
     rows; they can differ in the last bits from an all-nodes pass, whose
