@@ -15,6 +15,7 @@ __all__ = [
     "AttackSpec",
     "SweepRow",
     "check_ratios",
+    "check_sweep",
     "random_attack",
     "robustness_sweep",
     "sweep_ratios",
@@ -117,17 +118,11 @@ class SweepRow:
     runs: list[RunResult] = field(compare=False)
 
 
-def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> list[SweepRow]:
-    """Poison, retrain cfg with the ce loss and with the jc loss from scratch,
-    report test accuracy: the one multi-seed loop. Ratio 0 poisons nothing, so
-    its rows are the clean ce-vs-jc comparison over seeds.
-
-    For every (ratio, seed) cell the graph is re-poisoned with that seed and
-    both losses are trained on the same poisoned graph, ce first, each through
-    this module's train attribute. Every ratio, and both runs' configs on the
-    clean graph (poisoning keeps the nodes), are checked before the first
-    training, and so is a cluster file, which every jc run reads.
-    """
+def check_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> list[float]:
+    """Every input rule of a sweep, before any work: the ratios (each one's
+    fake edges counted on data's graph), the seed count, both runs' configs on
+    the clean graph (poisoning keeps the nodes) and a cluster file, which
+    every jc run reads. Returns the ratios as a list."""
     ratios = sweep_ratios(ratios)
     check_ratios(data.graph, ratios)
     if seeds < 1:
@@ -136,6 +131,19 @@ def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> lis
         validate(replace(cfg, loss=loss), data)
     if cfg.partition == "file":
         make_partition("file", data, cfg.clusters, cfg.seed, cfg.clusters_file)
+    return ratios
+
+
+def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> list[SweepRow]:
+    """Poison, retrain cfg with the ce loss and with the jc loss from scratch,
+    report test accuracy: the one multi-seed loop. Ratio 0 poisons nothing, so
+    its rows are the clean ce-vs-jc comparison over seeds.
+
+    For every (ratio, seed) cell the graph is re-poisoned with that seed and
+    both losses are trained on the same poisoned graph, ce first, each through
+    this module's train attribute. check_sweep runs before the first training.
+    """
+    ratios = check_sweep(data, ratios, cfg, seeds)
     rows = []
     for ratio in ratios:
         runs = {"ce": [], "jc": []}

@@ -17,8 +17,9 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from .attack import check_ratios, robustness_sweep, sweep_ratios, write_sweep_csv
+from .attack import check_ratios, check_sweep, robustness_sweep, sweep_ratios, write_sweep_csv
 from .graph import gen_sbm, load_dataset, read_lines, write_dataset
+from .losses import LOSS_KINDS
 from .nn import NumericsError, save_checkpoint
 from .partition import edge_cut_stats, write_assignment
 from .trainer import (PARTITION_METHODS, TrainConfig, TrainingError, check_clusters,
@@ -154,6 +155,8 @@ def cmd_train(args) -> int:
         _check_out(path)
     data = load_dataset(cfg_raw["dataset"])
     spec = validate(cfg, data)
+    if cfg.partition == "file" and LOSS_KINDS[cfg.loss].needs_clusters:
+        make_partition("file", data, cfg.clusters, cfg.seed, cfg.clusters_file)
     _make_out_dir(result_out)
     result = train(cfg, data)
     write_result(result_out, cfg, spec, result)
@@ -187,6 +190,7 @@ def cmd_attack(args) -> int:
     data = load_dataset(cfg_raw["dataset"])
     with _ratios_rule(args.ratios):
         check_ratios(data.graph, ratios)
+    check_sweep(data, ratios, cfg, args.num_seeds)
     _make_out_dir(args.sweep_out)
     rows = robustness_sweep(data, ratios, cfg, args.num_seeds)
     write_sweep_csv(args.sweep_out, rows)

@@ -51,9 +51,10 @@ PROB_FLOOR = 1e-12
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)  # one new table, then in place
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -63,7 +64,8 @@ def _sigmoid(logits: np.ndarray) -> np.ndarray:
 
 
 def _logp(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, PROB_FLOOR))
+    q = np.maximum(p, PROB_FLOOR)
+    return np.log(q, out=q)
 
 
 @dataclass

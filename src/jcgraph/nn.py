@@ -255,11 +255,11 @@ def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed:
         inp, mask = h, None
         if drop:
             inp, mask = _dropout(rng, plan, inp, k, spec.dropout)
-        u = inp @ w
+        s = inp @ w  # gcn drops this product once aggregated
         if spec.encoder == "gcn":
-            s = spmm(plan.adj_rows[k], u)
+            s = spmm(plan.adj_rows[k], s)
         else:
-            s = np.add(u, params[f"enc_b{k}"], out=u)
+            s += params[f"enc_b{k}"]
         relu = spec.encoder == "mlp" or k < spec.weight_layers - 1
         h = np.maximum(s, 0.0, out=s) if relu else s
         caches.append({"inp": inp, "mask": mask, "out": h, "relu": relu, "k": k, "w": w})

@@ -238,7 +238,7 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     def run_eval(epoch, current):
         """Predictions and the loss on each split: the one eval path."""
         nonlocal best_score, best_epoch, best_params, best_probs
-        z, _ = encoder_forward(current, eval_plan, train_mode=False)
+        z = encoder_forward(current, eval_plan, train_mode=False)[0]  # the tape ends here
         (_, val_probs, test_probs), values = losses.eval_pass(cfg.loss, current, z, eval_labels,
                                                               eval_splits, eval_stats(z), cfg.beta)
         score = _split_score(val_probs, data, val_mask)
@@ -247,21 +247,25 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
         if score > best_score:
             best_score, best_epoch, best_params, best_probs = score, epoch, snapshot(current), test_probs
 
+    def step(epoch):
+        """One Adam step on the train rows; its arrays end when it returns,
+        before the eval makes its own."""
+        z, tape = encoder_forward(params, train_plan, train_mode=True, seed=[cfg.seed, 1, epoch])
+        res = losses.loss_fn(cfg.loss)(params, z, train_labels, train_rows, train_stats(z),
+                                       detach_cluster=cfg.detach_cluster, beta=cfg.beta)
+        if not np.isfinite(res.value):
+            raise NumericsError("non-finite loss")
+        grads = model_backward(tape, res.d_embeddings)
+        grads.update(res.clf_grads)
+        adam_step(params, grads, state, lr=cfg.lr, weight_decay=cfg.weight_decay, t=epoch)
+
     t0 = time.perf_counter()
     if cfg.epochs == 0:
         run_eval(0, params)
     for epoch in range(1, cfg.epochs + 1):
         try:  # the finite checks find a failure, so numpy's float warnings stay quiet
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                z, tape = encoder_forward(params, train_plan, train_mode=True,
-                                          seed=[cfg.seed, 1, epoch])
-                res = losses.loss_fn(cfg.loss)(params, z, train_labels, train_rows, train_stats(z),
-                                               detach_cluster=cfg.detach_cluster, beta=cfg.beta)
-                if not np.isfinite(res.value):
-                    raise NumericsError("non-finite loss")
-                grads = model_backward(tape, res.d_embeddings)
-                grads.update(res.clf_grads)
-                adam_step(params, grads, state, lr=cfg.lr, weight_decay=cfg.weight_decay, t=epoch)
+                step(epoch)
                 if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
                     run_eval(epoch, params)
         except (NumericsError, ValueError) as e:  # every input check ran before epoch 1

@@ -336,11 +336,11 @@ class TestTrainCmd:
     def test_bad_clusters_file_exit_2(self, sbm_dir, tmp_path, capsys):
         clusters = tmp_path / "a.txt"
         clusters.write_text("60 3\n" + "0\n" * 59 + "3\n")
-        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "r", loss="jc",
+        cfgf = write_config(tmp_path / "run.cfg", sbm_dir, tmp_path / "new" / "r", loss="jc",
                             partition="file", clusters_file=clusters, epochs=3, hidden=8)
         assert main(["train", str(cfgf)]) == 2
         assert f"error: {clusters}:61: cluster id 3 out of range" in capsys.readouterr().err
-        assert not (tmp_path / "r.result").exists()
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("m", ["1000000000000", "0", "-1"])
     def test_clusters_file_with_m_outside_1_to_n_exit_2(self, sbm_dir, tmp_path, capsys, m):
@@ -508,10 +508,10 @@ class TestAttackCmd:
         cfgf = write_config(tmp_path / "atk.cfg", sbm_dir, tmp_path / "r", partition="file",
                             clusters_file=bad, epochs=3, hidden=8)
         rc = main(["attack", str(cfgf), "--ratios", "0.5", "--seeds", "1",
-                   "--out", str(tmp_path / "sweep.csv")])
+                   "--out", str(tmp_path / "new" / "sweep.csv")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {bad}:4: expected integers, got 'x'\n"
-        assert not (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("loss,message", [
         ("nosuch", "unknown loss 'nosuch'"),
@@ -936,6 +936,12 @@ MAX_EPOCHS = 60
 MAX_ROUNDS = 2000
 
 
+# the messages of the rules that read the data (step 4 of README's order),
+# besides a failed load and a cluster file's: any other exit 2 loads nothing
+DATA_RULES = re.compile(r"the dataset's \d+ nodes|the model's weights do not fit|graph too dense"
+                        r"|does not support label kind|mask is empty")
+
+
 class Capped(Exception):
     """The command would run more epochs or rounds than the test allows."""
 
@@ -1053,13 +1059,24 @@ def _build(case, sbm_dir, root):
 @example(case=("train", "key", "layers", str(2**63), "sgc"))
 @example(case=("train", "key", "layers", str(2**63), "gcn"))
 @example(case=("attack", "flag", "--layers", str(2**63), "mlp"))
+# a cluster file is read before the output directory is made
+@example(case=("train", "missing", "clusters_file", "", "gcn"))
+@example(case=("attack", "missing", "clusters_file", "", "mlp"))
 def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
     """Exit 0 with outputs only where the command names them; exit 2 naming
-    the key, flag, file or file:line, with no output and no epoch run; exit
-    1 only for a numerics or training failure after an epoch. Nothing
-    escapes main. Only sgc may reach a cap before epoch 1."""
+    the key, flag, file or file:line, with no new file or directory, no
+    epoch run and, unless its rule reads the data, no load; exit 1 only for
+    a numerics or training failure after an epoch. Nothing escapes main.
+    Only sgc may reach a cap before epoch 1."""
+    import jcgraph.cli as cli_mod
     import jcgraph.trainer as train_mod
-    epochs, rounds = [], []
+    epochs, rounds, loads = [], [], []
+
+    def counted_load(*args, **kwargs):
+        loads.append("failed")
+        data = load(*args, **kwargs)
+        loads[-1] = "loaded"
+        return data
 
     def counted_forward(*args, train_mode, **kwargs):
         if train_mode:
@@ -1074,31 +1091,35 @@ def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
             raise Capped
         return spmm(*args, **kwargs)
 
-    forward, spmm = train_mod.encoder_forward, nn_mod.spmm
+    forward, spmm, load = train_mod.encoder_forward, nn_mod.spmm, cli_mod.load_dataset
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "case"
         root.mkdir()
         argv, outputs, names, patterns = _build(case, sbm_dir, root)
-        before = {p for p in root.rglob("*") if p.is_file()}
+        before = set(root.rglob("*"))
         err = io.StringIO()
         with mock.patch.object(train_mod, "encoder_forward", counted_forward), \
                 mock.patch.object(nn_mod, "spmm", counted_spmm), \
+                mock.patch.object(cli_mod, "load_dataset", counted_load), \
                 contextlib.chdir(root / "work"), contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(io.StringIO()):
             try:
                 rc = _exit_code(argv)
             except Capped:  # accepted: the run would only take longer
                 rc = None
-        new = {p for p in root.rglob("*") if p.is_file()} - before
+        new = set(root.rglob("*")) - before
         err = err.getvalue()
-        assert new == (outputs if rc == 0 else set()), err
+        assert {p for p in new if p.is_file()} == (outputs if rc == 0 else set()), err
         if rc is None:
             assert epochs or case[4] == "sgc", err
         elif rc == 1:
             assert epochs and err.startswith("runtime error: "), err
         elif rc != 0:
-            assert rc == 2 and not epochs, err
+            assert rc == 2 and not epochs and not new, err
             assert "error: " in err
+            if not ("failed" in loads or DATA_RULES.search(err)
+                    or case[1:3] == ("missing", "clusters_file")):
+                assert not loads, err
             assert (any(name in err for name in names)
                     or any(re.search(p, err) for p in patterns)), err
 

@@ -1,9 +1,11 @@
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import jcgraph.losses as losses_mod
 import jcgraph.trainer as train_mod
 from jcgraph.attack import robustness_sweep
 from jcgraph.cli import main
@@ -255,3 +257,24 @@ def test_train_cuts_both_plans_in_one_call(monkeypatch, easy_sbm, encoder):
     (train_rows, eval_rows), = calls
     assert np.asarray(train_rows).tobytes() == masks.train.tobytes()
     assert sorted(eval_rows) == sorted(np.concatenate([masks.train, masks.val, masks.test]))
+
+
+@pytest.mark.parametrize("encoder", ["gcn", "mlp", "sgc"])
+def test_no_tape_outlives_its_pass(monkeypatch, easy_sbm, encoder):
+    # the train step's tape and the eval's own are released before the eval
+    # scores the splits, so neither adds to an epoch's peak memory
+    inner_forward, inner_eval, tapes, dead = train_mod.encoder_forward, losses_mod.eval_pass, [], []
+
+    def forward(*args, **kwargs):
+        z, tape = inner_forward(*args, **kwargs)
+        tapes.append(weakref.ref(tape))
+        return z, tape
+
+    def eval_pass(*args, **kwargs):
+        dead.append([ref() is None for ref in tapes])
+        return inner_eval(*args, **kwargs)
+    monkeypatch.setattr(train_mod, "encoder_forward", forward)
+    monkeypatch.setattr(losses_mod, "eval_pass", eval_pass)
+    train(TrainConfig(encoder, hidden=16, loss="jc", clusters=4, epochs=3), easy_sbm)
+    # each epoch adds a step's tape and an eval's
+    assert dead == [[True] * 2 * epoch for epoch in (1, 2, 3)]
