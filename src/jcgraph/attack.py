@@ -18,9 +18,12 @@ __all__ = [
     "check_sweep",
     "random_attack",
     "robustness_sweep",
+    "run_cell",
     "sweep_ratios",
     "write_sweep_csv",
 ]
+
+LOSSES = ("ce", "jc")  # the losses a sweep compares, in the order each cell trains them
 
 
 @dataclass(frozen=True)
@@ -36,13 +39,14 @@ class AttackSpec:
 
 
 def _fake_edge_count(g: Graph, spec: AttackSpec) -> int:
-    """floor(ratio * m), checked against the number of non-adjacent pairs."""
-    needed = int(spec.ratio * g.num_edges)
+    """floor(ratio * m), checked against the number of non-adjacent pairs
+    before the floor, as a finite ratio's product may overflow to inf."""
+    wanted = spec.ratio * g.num_edges
     capacity = g.num_nodes * (g.num_nodes - 1) // 2 - g.num_edges
-    if needed > capacity:
-        raise ValueError(f"graph too dense: {needed} fake edges requested at ratio {spec.ratio}, "
-                         f"only {capacity} non-adjacent pairs exist")
-    return needed
+    if wanted >= capacity + 1:  # floor(wanted) > capacity; a float meets an int exactly
+        raise ValueError(f"graph too dense: ratio {spec.ratio} x {g.num_edges} edges requests "
+                         f"more fake edges than the {capacity} non-adjacent pairs")
+    return int(wanted)
 
 
 def sweep_ratios(ratios) -> list[float]:
@@ -127,36 +131,34 @@ def check_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> list[flo
     check_ratios(data.graph, ratios)
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    for loss in ("ce", "jc"):
+    for loss in LOSSES:
         validate(replace(cfg, loss=loss), data)
     if cfg.partition == "file":
         make_partition("file", data, cfg.clusters, cfg.seed, cfg.clusters_file)
     return ratios
 
 
+def run_cell(data: Dataset, cfg: TrainConfig, ratio: float, seed: int) -> tuple[RunResult, ...]:
+    """Poison data's graph once with AttackSpec(ratio, seed) and train cfg on it with seed and
+    each of LOSSES in turn, through this module's train: the results, without parameters."""
+    pdata = replace(data, graph=random_attack(data.graph, AttackSpec(ratio, seed)))
+    try:
+        return tuple(replace(train(replace(cfg, loss=loss, seed=seed), pdata), params={})
+                     for loss in LOSSES)
+    except TrainingError as e:
+        raise TrainingError(f"ratio {ratio} seed {seed}: {e}") from e
+
+
 def robustness_sweep(data: Dataset, ratios, cfg: TrainConfig, seeds: int) -> list[SweepRow]:
     """Poison, retrain cfg with the ce loss and with the jc loss from scratch,
     report test accuracy: the one multi-seed loop. Ratio 0 poisons nothing, so
-    its rows are the clean ce-vs-jc comparison over seeds.
-
-    For every (ratio, seed) cell the graph is re-poisoned with that seed and
-    both losses are trained on the same poisoned graph, ce first, each through
-    this module's train attribute. check_sweep runs before the first training.
-    """
+    its rows are the clean ce-vs-jc comparison over seeds. After check_sweep,
+    run_cell runs each (ratio, seed) cell in that order, with seed cfg.seed + s."""
     ratios = check_sweep(data, ratios, cfg, seeds)
+    cells = [run_cell(data, cfg, ratio, cfg.seed + s) for ratio in ratios for s in range(seeds)]
     rows = []
-    for ratio in ratios:
-        runs = {"ce": [], "jc": []}
-        for s in range(seeds):
-            poisoned = random_attack(data.graph, AttackSpec(ratio, seed=cfg.seed + s))
-            pdata = Dataset(poisoned, data.features, data.labels, data.masks)
-            for loss in runs:
-                run = replace(cfg, loss=loss, seed=cfg.seed + s)
-                try:  # kept without parameters, so no run's parameters outlive it
-                    runs[loss].append(replace(train(run, pdata), params={}))
-                except TrainingError as e:
-                    raise TrainingError(f"ratio {ratio} seed {run.seed}: {e}") from e
-        for loss, kept in runs.items():
+    for i, ratio in enumerate(ratios):
+        for loss, kept in zip(LOSSES, map(list, zip(*cells[i * seeds:(i + 1) * seeds]))):
             accs = [r.test_acc for r in kept]
             rows.append(SweepRow(ratio, loss, float(np.mean(accs)), float(np.std(accs)), seeds, kept))
     return rows

@@ -559,10 +559,13 @@ def gen_sbm(blocks: int, nodes_per_block: int, p_in: float, p_out: float,
 
     try:  # a table too large names feat_dim, before the edge draw can fail for n
         centroids = rng.normal(size=(blocks, feat_dim))
-        features = centroids[block] + feat_noise * rng.normal(size=(n, feat_dim))
+        with np.errstate(over="ignore"):  # the finite check below names an overflow
+            features = centroids[block] + feat_noise * rng.normal(size=(n, feat_dim))
     except (MemoryError, ValueError) as e:
         raise ValueError(f"feat_dim = {feat_dim}: the {n} x {feat_dim} feature table "
                          f"does not fit ({e})") from None
+    if not np.isfinite(features).all():
+        raise ValueError(f"feat_noise = {feat_noise}: the features overflow to inf")
 
     try:  # the edge draw is one dense n x n array
         prob = np.where(block[:, None] == block[None, :], p_in, p_out)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import jcgraph.attack as attack_mod
-from jcgraph.attack import AttackSpec, SweepRow, random_attack, robustness_sweep, write_sweep_csv
+from jcgraph.attack import (AttackSpec, SweepRow, check_sweep, random_attack, robustness_sweep,
+                            run_cell, write_sweep_csv)
 from jcgraph.graph import Graph
 from jcgraph.trainer import TrainConfig, TrainingError, train
 
@@ -126,6 +127,21 @@ class TestRandomAttack:
         with pytest.raises(ValueError):
             AttackSpec(-0.1)
 
+    def test_overflowing_ratio_rejected_as_too_dense(self, easy_sbm):
+        # 1e308 is finite, but its product with the edge count is inf
+        g = easy_sbm.graph
+        with pytest.raises(ValueError, match=r"^graph too dense: ratio 1e\+308 x "):
+            random_attack(g, AttackSpec(1e308))
+        with pytest.raises(ValueError, match="^graph too dense"):
+            check_sweep(easy_sbm, [0.1, 1e308], SWEEP_CFG, seeds=1)
+
+    def test_largest_ratio_that_fits_is_kept(self):
+        # floor(ratio * m) equal to the free pairs passes; one pair more does not
+        g = Graph.from_undirected_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])  # 6 free pairs
+        assert random_attack(g, AttackSpec(1.74)).num_edges == 4 + 6  # floor(6.96)
+        with pytest.raises(ValueError, match="dense"):
+            random_attack(g, AttackSpec(1.75))
+
 
 SWEEP_CFG = TrainConfig(hidden=16, partition="metis-like", clusters=4, epochs=60)
 
@@ -242,3 +258,54 @@ class TestRobustnessSweep:
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[0] == "ratio,loss,mean_acc,std_acc,seeds"
         assert len(lines) == 3
+
+
+class TestRunCell:
+    def test_one_poisoning_then_ce_and_jc_per_cell_in_grid_order(self, easy_sbm, monkeypatch):
+        # spies on the module's random_attack and train: each (ratio, seed)
+        # cell poisons once, then trains ce and jc with its seed on that graph
+        events = []
+
+        def poison(g, spec):
+            events.append((("poison", spec.ratio, spec.seed), random_attack(g, spec)))
+            return events[-1][1]
+
+        def trained(cfg, data):
+            events.append(((cfg.loss, cfg.seed), data.graph))
+            return train(cfg, data)
+        monkeypatch.setattr(attack_mod, "random_attack", poison)
+        monkeypatch.setattr(attack_mod, "train", trained)
+        ratios = [0.0, 0.5]
+        robustness_sweep(easy_sbm, ratios, replace(SWEEP_CFG, epochs=3, seed=3), seeds=2)
+        assert [step for step, _ in events] == [
+            step for r in ratios for s in (3, 4) for step in (("poison", r, s), ("ce", s), ("jc", s))]
+        for i in range(0, len(events), 3):
+            poisoned = events[i][1]
+            assert events[i + 1][1] is poisoned and events[i + 2][1] is poisoned
+
+    def test_jc_failure_in_the_second_cell_names_it(self, easy_sbm, monkeypatch):
+        calls = []
+
+        def fail_fourth_run(cfg, data):
+            calls.append((cfg.loss, cfg.seed))
+            if len(calls) == 4:
+                raise TrainingError("non-finite loss at epoch 2")
+            return train(cfg, data)
+        monkeypatch.setattr(attack_mod, "train", fail_fourth_run)
+        with pytest.raises(TrainingError, match=r"^ratio 0\.2 seed 6: non-finite loss at epoch 2$"):
+            robustness_sweep(easy_sbm, [0.2, 0.5], replace(SWEEP_CFG, epochs=2, seed=5), seeds=2)
+        assert calls == [("ce", 5), ("jc", 5), ("ce", 6), ("jc", 6)]
+
+    def test_sweep_rows_are_built_from_cells(self, easy_sbm):
+        cfg, ratios, seeds = replace(SWEEP_CFG, epochs=5, seed=2), [0.0, 0.5], (2, 3)
+        cells = {(r, s): run_cell(easy_sbm, cfg, r, s) for r in ratios for s in seeds}
+        assert all(run.params == {} for cell in cells.values() for run in cell)
+        expected = []
+        for r in ratios:
+            for j, loss in enumerate(("ce", "jc")):
+                runs = [cells[(r, s)][j] for s in seeds]
+                accs = [run.test_acc for run in runs]
+                expected.append(SweepRow(r, loss, float(np.mean(accs)), float(np.std(accs)), 2, runs))
+        rows = robustness_sweep(easy_sbm, ratios, cfg, seeds=2)
+        assert rows == expected
+        assert [row.runs for row in rows] == [row.runs for row in expected]

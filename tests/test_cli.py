@@ -71,7 +71,7 @@ class TestGenSbm:
         assert capsys.readouterr().err == "error: need 0 <= p_out < p_in <= 1\n"
         assert not (tmp_path / "new").exists()
 
-    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1", "1e308"])
     def test_bad_feat_noise_exit_2(self, tmp_path, capsys, noise):
         rc = main(["gen-sbm", "--feat-noise", noise, "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -463,8 +463,8 @@ class TestAttackCmd:
         assert main(args + ["--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    @pytest.mark.parametrize("ratios", ["0.1,inf", "0.1,nan", "0.1,1e9", ",", "", "0.5,0.2",
-                                        "0.5,0.5", "0.5,,1.0", "0.5,"])
+    @pytest.mark.parametrize("ratios", ["0.1,inf", "0.1,nan", "0.1,1e9", "0.1,1e308", ",", "",
+                                        "0.5,0.2", "0.5,0.5", "0.5,,1.0", "0.5,"])
     def test_bad_ratio_fails_before_training(self, sbm_dir, tmp_path, monkeypatch, capsys,
                                              ratios):
         import jcgraph.attack as attack_mod
@@ -915,7 +915,7 @@ def test_malformed_dataset_line_exit_2(sbm_dir, tmp_path, capsys, name, lineno, 
 # one property over every CLI input: each example changes one config key,
 # flag, ratio list or dataset line to a value from a pool of edge cases
 
-POOL = ["", "nan", "inf", "-1", "0", "1e309", str(2**63), "1_0", "٣", "١٠"]
+POOL = ["", "nan", "inf", "-1", "0", "1e308", "1e309", str(2**63), "1_0", "٣", "١٠"]
 RUN_KEYS = ["dataset", "out", "encoder", "layers", "hidden", "dropout", "loss", "partition",
             "clusters", "clusters_file", "lr", "weight_decay", "epochs", "eval_every", "seed",
             "detach_cluster", "beta"]
@@ -1062,6 +1062,10 @@ def _build(case, sbm_dir, root):
 # a cluster file is read before the output directory is made
 @example(case=("train", "missing", "clusters_file", "", "gcn"))
 @example(case=("attack", "missing", "clusters_file", "", "mlp"))
+# finite values whose products overflow: the last ratio (an earlier one is
+# unsorted) times the edge count, and the noise times a normal draw
+@example(case=("attack", "ratios", 2, "1e308", "gcn"))
+@example(case=("gen-sbm", "flag", "--feat-noise", "1e308", "gcn"))
 def test_every_input_exits_0_or_names_what_is_wrong(sbm_dir, case):
     """Exit 0 with outputs only where the command names them; exit 2 naming
     the key, flag, file or file:line, with no new file or directory, no
