@@ -70,6 +70,15 @@ def check_ratios(g: Graph, ratios) -> None:
         _fake_edge_count(g, AttackSpec(ratio))
 
 
+def _found(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Which keys sorted_keys, a sorted array, holds: a binary search each,
+    where np.isin would hash both arrays."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.size, dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[at] == keys
+
+
 def random_attack(g: Graph, spec: AttackSpec) -> Graph:
     """Inject floor(ratio * m) fake undirected edges between non-adjacent pairs.
 
@@ -93,7 +102,7 @@ def random_attack(g: Graph, spec: AttackSpec) -> Graph:
         tries += k
         u, v = rng.integers(n, size=2 * k).reshape(k, 2).T
         keys = np.minimum(u, v) * n + np.maximum(u, v)
-        keys = keys[(u != v) & ~np.isin(keys, edges) & ~np.isin(keys, chosen)]
+        keys = keys[(u != v) & ~_found(keys, edges) & ~_found(keys, np.sort(chosen))]
         _, first = np.unique(keys, return_index=True)
         chosen = np.concatenate([chosen, keys[np.sort(first)][:needed - chosen.size]])
     if chosen.size < needed:
@@ -105,7 +114,7 @@ def random_attack(g: Graph, spec: AttackSpec) -> Graph:
         extra = rng.choice(pool.size, size=needed - chosen.size, replace=False)
         chosen = np.concatenate([chosen, pool[extra]])
 
-    uniq = np.union1d(edges, chosen)
+    uniq = np.sort(np.concatenate([edges, chosen]))  # disjoint, so their union
     return Graph.from_undirected_pairs(n, np.stack([uniq // n, uniq % n], axis=1))
 
 

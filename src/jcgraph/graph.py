@@ -294,9 +294,15 @@ class _NotDigits(Exception):
 def _digit_blocks(raw: bytes, n: int):
     """d and a reader of row blocks of a features file's bytes that are 'n d\\n'
     then n rows of d one-digit tokens, each followed by one space or, at the
-    row's end, by '\\n'. A block reader returns the rows' digits as uint8
+    row's end, by '\\n'. A block reader returns the rows' digits as uint16
     and raises _NotDigits at a row that breaks the layout; so does this call
-    for a header that is not two plain decimals or a body of the wrong size."""
+    for a header that is not two plain decimals or a body of the wrong size.
+
+    The body is read as little-endian 16-bit tokens, a digit byte then its
+    separator byte. A token less the one of '0' and its expected separator
+    is 0-9 only for a digit followed by that separator: a byte below '0'
+    wraps past 9, and any other separator moves the difference by a
+    nonzero multiple of 256 (mod 2**16), far from 0-9 for every digit byte."""
     end = raw.find(b"\n")
     header = re.fullmatch(rb"(\d+) (\d+)", raw[:max(end, 0)])
     if header is None or int(header[1]) != n or int(header[2]) < 1:
@@ -304,14 +310,13 @@ def _digit_blocks(raw: bytes, n: int):
     d = int(header[2])
     if len(raw) - end - 1 != n * 2 * d:
         raise _NotDigits
-    body = np.frombuffer(raw, dtype=np.uint8, offset=end + 1).reshape(n, 2 * d)
-    seps = np.full(d, ord(" "), dtype=np.uint8)
-    seps[-1] = ord("\n")
+    tokens = np.frombuffer(raw, dtype="<u2", offset=end + 1).reshape(n, d)
+    expect = np.full(d, ord("0") + (ord(" ") << 8), dtype=np.uint16)
+    expect[-1] = ord("0") + (ord("\n") << 8)
 
     def block(rows: range) -> np.ndarray:
-        text = body[rows.start:rows.stop]
-        digits = text[:, 0::2] - ord("0")  # a byte below '0' wraps past 9
-        if (digits > 9).any() or (text[:, 1::2] != seps).any():
+        digits = tokens[rows.start:rows.stop] - expect
+        if digits.max() > 9:
             raise _NotDigits
         return digits
     return d, block
@@ -356,11 +361,15 @@ def _read_features(path, n: int) -> np.ndarray | sp.csr_matrix:
 def _nonzeros(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entries of a row block that are != 0 (so not -0.0), in row-major
     order: their values in x's dtype, their columns in the smallest integer
-    type that holds them, and the count in each row."""
-    flat = np.flatnonzero(x)
+    type that holds them, and the end of each row's entries among them.
+    numpy finds the nonzeros of a bool mask several times faster than those
+    of any other dtype, so the scan runs over x != 0."""
     n, d = x.shape
-    return (x.ravel()[flat], (flat % d).astype(np.min_scalar_type(d - 1)),
-            np.bincount(flat // d, minlength=n))
+    flat = x.ravel()
+    at = np.flatnonzero(flat != 0)
+    ends = np.searchsorted(at, np.arange(1, n + 1) * d)
+    starts = np.repeat(np.arange(n) * d, np.diff(ends, prepend=0))
+    return flat[at], (at - starts).astype(np.min_scalar_type(d - 1)), ends
 
 
 def _table_blocks(n: int, d: int, block) -> np.ndarray | sp.csr_matrix:
@@ -369,7 +378,7 @@ def _table_blocks(n: int, d: int, block) -> np.ndarray | sp.csr_matrix:
 
     A large table is read in row blocks of about FEATURE_BLOCK entries, so a
     sparse table never exists as one dense array. Each block keeps only its
-    _nonzeros, one byte for each digit of a digit table and a narrow type
+    _nonzeros, two bytes for each digit of a digit table and a narrow type
     for each column, and the CSR arrays are filled from them once the last
     block is read. Once the nonzeros read so far make the table dense, the
     blocks are dropped and the table is read again into one dense array,
@@ -393,10 +402,10 @@ def _table_blocks(n: int, d: int, block) -> np.ndarray | sp.csr_matrix:
     data, indices = np.empty(nnz), np.empty(nnz, dtype=index)
     indptr = np.zeros(n + 1, dtype=index)
     lo = 0
-    for rows, (values, cols, counts) in zip(blocks, parts):
+    for rows, (values, cols, ends) in zip(blocks, parts):
         data[lo:lo + values.size] = values
         indices[lo:lo + values.size] = cols
-        indptr[rows.start + 1:rows.stop + 1] = lo + np.cumsum(counts)
+        indptr[rows.start + 1:rows.stop + 1] = lo + ends
         lo += values.size
     return sp.csr_matrix((data, indices, indptr), shape=(n, d))
 
@@ -482,13 +491,13 @@ def load_dataset(path) -> Dataset:
         if vals and (vals[0] < 0 or vals[-1] >= n):  # before int64 could overflow
             raise DatasetFormatError(mpath, lineno, f"{name} index out of range for n={n}")
         arr = np.asarray(vals, dtype=np.int64)
-        if np.unique(arr).size != arr.size:
+        if (arr[1:] == arr[:-1]).any():  # sorted, so a repeat is next to its twin
             raise DatasetFormatError(mpath, lineno, f"duplicate index in {name} mask")
         masks[name] = arr
     if masks["train"].size == 0:
         raise DatasetFormatError(mpath, 1, "train mask is empty")
     for a, b, lineno in (("train", "val", 2), ("train", "test", 3), ("val", "test", 3)):
-        overlap = np.intersect1d(masks[a], masks[b])
+        overlap = np.intersect1d(masks[a], masks[b], assume_unique=True)
         if overlap.size:  # named at the later mask's line
             raise DatasetFormatError(mpath, lineno, f"masks {a} and {b} overlap at node {overlap[0]}")
     _check_end(mpath, mlines, 3)

@@ -286,20 +286,29 @@ def _logits(streams, src, w, b) -> list:
     for order, _, _ in streams:
         parts = [prods[ch, j] if src[ch][2] is None else prods[ch, j][src[ch][2]]
                  for j, ch in enumerate(order)]
-        out.append(sum(parts[1:], parts[0]) + b)
+        if len(order) == 1:  # a view of a product the streams share
+            out.append(parts[0] + b)
+            continue
+        # zc or cz: the gathered c part is a new array, which the z part and b
+        # add into; a sum of two terms has the same bits in either order
+        c = order.index("c")
+        parts[c] += parts[1 - c]
+        parts[c] += b
+        out.append(parts[c])
     return out
 
 
-def _picked(order, target, logp, y, src) -> np.ndarray:
+def _picked(order, target, p, y, src) -> np.ndarray:
     """Row sums of t * logp for one-hot node labels y, read only where t is
     nonzero: entry y of the node label, row y of a (node, cluster) table and
-    column y of a (cluster, node) one, weighted by the cluster's mean label."""
+    column y of a (cluster, node) one, weighted by the cluster's mean label.
+    logp is taken of the entries read only."""
     at = np.arange(len(y))
     if target is _label:
-        return logp[at, y]
+        return _logp(p[at, y])
     ybar = src["c"][1]
-    table = logp.reshape(len(y), ybar.shape[1], -1)
-    return (ybar * (table[at, y] if order[0] == "z" else table[at, :, y])).sum(axis=1)
+    table = p.reshape(len(y), ybar.shape[1], -1)
+    return (ybar * _logp(table[at, y] if order[0] == "z" else table[at, :, y])).sum(axis=1)
 
 
 def _forward(streams, src, w, b, multi, beta, y=None):
@@ -324,7 +333,7 @@ def _forward(streams, src, w, b, multi, beta, y=None):
             r = t * _logp(p) + (1.0 - t) * _logp(1.0 - p) if sigmoid else t * _logp(p)
             r = r.sum(axis=tuple(range(1, p.ndim)))
         else:
-            t, r = None, _picked(order, target, _logp(p), y, src)
+            t, r = None, _picked(order, target, p, y, src)
         if order == "k":
             cluster = beta * float(-r.mean())
         else:

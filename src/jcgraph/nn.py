@@ -231,7 +231,9 @@ def _dropout(rng, plan, inp, k, p):
         data = inp.data * kept / (1.0 - p)
         return sp.csr_matrix((data, inp.indices, inp.indptr), shape=inp.shape), None
     mask = _draws_on_rows(rng, (plan.x.shape[0], inp.shape[1]), plan.rows[k]) >= p
-    return inp * mask / (1.0 - p), (mask if k > 0 else None)
+    out = np.multiply(inp, mask)
+    out /= 1.0 - p
+    return out, (mask if k > 0 else None)
 
 
 def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed: int = 0):
@@ -295,7 +297,8 @@ def model_backward(tape: GradientTape, loss_grad: np.ndarray) -> dict[str, np.nd
         if k > 0:
             d = du @ cache["w"].T
             if cache["mask"] is not None:
-                d = d * cache["mask"] / (1.0 - spec.dropout)
+                d *= cache["mask"]  # a new array, from the product above
+                d /= 1.0 - spec.dropout
     return grads
 
 
@@ -365,11 +368,18 @@ def adam_step(params: dict, grads: dict, state: dict, *, lr: float,
         if weight_decay:
             g = g + weight_decay * p
         m, v = state[name]
+        step, den = np.empty_like(p), np.empty_like(p)  # the update's two temporaries
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.multiply(g, g, out=step)
+        v += np.multiply(step, 1.0 - b2, out=step)
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        np.divide(m, bc1, out=step)
+        step *= lr
+        p -= np.divide(step, den, out=step)
     return params, state
 
 

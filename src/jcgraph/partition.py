@@ -204,16 +204,17 @@ def _heavy_edge_matching(lv: _Level, max_node_w: int) -> np.ndarray:
 
 def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:
     """The contracted graph PᵀAP without its diagonal, the edges internal to a
-    coarse node; P is the 0/1 fine-to-coarse matrix."""
+    coarse node; P is the 0/1 fine-to-coarse matrix. Each edge between two
+    coarse nodes adds its weight at their pair in one COO sum, which gives
+    the CSR of that product less its diagonal."""
     n = lv.n
     # coarse ids in order of each pair's lower end, as a first-seen scan gives
     reps, coarse_id = np.unique(np.minimum(np.arange(n, dtype=np.int64), mate), return_inverse=True)
     node_w = _sizes(lv, coarse_id, reps.size)  # a coarse node weighs its fine nodes
-    p = sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), coarse_id)), shape=(n, reps.size))
-    adj = p.T @ lv.adj @ p
-    # a sparse difference stores no zero, so this drops the diagonal entries
-    adj = (adj - sp.diags(adj.diagonal(), dtype=np.int64)).tocsr()
-    adj.sort_indices()
+    rows = np.repeat(coarse_id, np.diff(lv.adj.indptr))
+    cols = coarse_id[lv.adj.indices]
+    keep = rows != cols
+    adj = sp.csr_matrix((lv.adj.data[keep], (rows[keep], cols[keep])), shape=(reps.size,) * 2)
     return _Level(adj, node_w, fine_to_coarse=coarse_id)
 
 

@@ -98,13 +98,19 @@ class TestRandomAttack:
         out = random_attack(g, AttackSpec(1.0, seed=3))
         out.validate()
 
-    @pytest.mark.parametrize("ratio", [0.3, 1.0, 2.5])
+    # ratio 8.0 draws 4 batches: each later one tests its pairs against the
+    # pairs that 2 or 3 earlier batches chose, in draw order
+    @pytest.mark.parametrize("ratio", [0.3, 1.0, 2.5, 8.0])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_batches_match_one_pair_tries(self, easy_sbm, ratio, seed):
+    def test_batches_match_one_pair_tries(self, easy_sbm, monkeypatch, ratio, seed):
         spec = AttackSpec(ratio, seed=seed)
         expected, dense = one_pair_attack(easy_sbm.graph, spec)
         assert not dense
+        found, lookups = attack_mod._found, []
+        monkeypatch.setattr(attack_mod, "_found",
+                            lambda keys, sorted_keys: lookups.append(keys) or found(keys, sorted_keys))
         assert_same_graph(random_attack(easy_sbm.graph, spec), expected)
+        assert len(lookups) // 2 == {0.3: 1, 1.0: 2, 2.5: 2, 8.0: 4}[ratio]  # two per batch
 
     @pytest.mark.parametrize("n", [120, 200])
     @pytest.mark.parametrize("share", [0.9, 1.0])

@@ -4,13 +4,18 @@ parse of the whole table, whether its one-digit tokens are read from the
 file's bytes or any other table is parsed as text."""
 
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import jcgraph.graph as graph_mod
 from jcgraph.graph import (FEATURE_BLOCK, SPARSE_DENSITY, SPARSE_MIN_SIZE, DatasetFormatError,
                            load_dataset, write_dataset)
 
@@ -328,3 +333,63 @@ def test_csr_table_is_filled_without_a_second_copy(tmp_path):
     assert_same_table(x, digits.astype(np.float64))
     table = x.data.nbytes + x.indices.nbytes + x.indptr.nbytes
     assert peak < size + 1.5 * table
+
+
+NOT_DIGITS = [b for b in range(256) if not ord("0") <= b <= ord("9")]
+
+
+@st.composite
+def digit_files(draw):
+    """(n, the bytes of a features file of n rows of one-digit tokens, whether
+    one byte of its body was changed, whether it is read with a block size
+    and a CSR threshold small enough for its size). The header has an odd
+    length when one of n and d has two digits, so the body's 16-bit tokens
+    start at an odd offset; densities run from 0 to 1."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 1.0))
+    digits = rng.integers(1, 10, size=(n, d)) * (rng.random((n, d)) < density)
+    body = np.full((n, 2 * d), ord(" "), dtype=np.uint8)
+    body[:, 0::2] = digits + ord("0")
+    body[:, -1] = ord("\n")
+    body = body.ravel()
+    changed = draw(st.booleans())
+    if changed:  # a separator becomes any other byte, a digit any non-digit byte
+        at = draw(st.integers(0, body.size - 1))
+        others = NOT_DIGITS if at % 2 == 0 else [b for b in range(256) if b != body[at]]
+        body[at] = draw(st.sampled_from(others))
+    return n, f"{n} {d}\n".encode() + body.tobytes(), changed, draw(st.booleans())
+
+
+def features_or_error(path, n):
+    """_read_features's table, or the message of its DatasetFormatError."""
+    try:
+        return graph_mod._read_features(path, n)
+    except DatasetFormatError as e:
+        return str(e)
+
+
+@settings(max_examples=300)
+@given(digit_files())
+@example((3, b"3 10\n" + b"0 0 0 0 0 0 0 0 0 1\n" * 3, False, True))  # odd header, 30 entries
+def test_byte_path_gives_the_text_parse(case):
+    n, raw, changed, small_blocks = case
+    sizes = (dict(FEATURE_BLOCK=16, SPARSE_MIN_SIZE=1) if small_blocks else
+             dict(FEATURE_BLOCK=FEATURE_BLOCK, SPARSE_MIN_SIZE=SPARSE_MIN_SIZE))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(graph_mod, **sizes):
+        path = Path(tmp) / "features.txt"
+        path.write_bytes(raw)
+        with mock.patch.object(graph_mod, "_decode", wraps=graph_mod._decode) as decode:
+            got = features_or_error(path, n)
+        assert decode.called == changed  # the byte path reads every table it is given whole
+        with mock.patch.object(graph_mod, "_digit_blocks", side_effect=graph_mod._NotDigits):
+            want = features_or_error(path, n)
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    arrays = (lambda x: [x.data, x.indices, x.indptr]) if sp.issparse(want) else (lambda x: [x])
+    for a, b in zip(arrays(got), arrays(want)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    lines = raw.decode().split("\n")[1:n + 1]  # and the values float() gives each token
+    assert_same_table(got, np.array([[float(t) for t in line.split()] for line in lines]))

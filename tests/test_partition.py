@@ -472,3 +472,43 @@ def test_swap_that_would_break_the_cap_is_not_made(node_w):
     # within a cap of 7 the same pass makes the swap
     assert partition._swap_pass(level, part, 2, cap=7) == 1
     assert part.tolist() == [1, 0, 0, 1, 0, 1]
+
+
+def contracted_reference(level, coarse_id, size):
+    """PᵀAP less its diagonal, for the 0/1 fine-to-coarse matrix P: the
+    contraction as a product of sparse matrices."""
+    n = level.n
+    p = sp.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), coarse_id)), shape=(n, size))
+    adj = p.T @ level.adj @ p
+    adj = (adj - sp.diags(adj.diagonal(), dtype=np.int64)).tocsr()
+    adj.sort_indices()
+    return adj
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), degree=st.floats(0.0, 12.0),
+       max_w=st.integers(1, 6))
+def test_coarsen_is_the_contraction_product(seed, n, degree, max_w):
+    # a random level with int64 edge and node weights, matched by heavy edges
+    # under a random weight cap, so that some nodes stay unmatched
+    rng = np.random.default_rng(seed)
+    k = int(degree * n / 2)
+    u, v = rng.integers(n, size=(2, k))
+    u, v, w = u[u != v], v[u != v], rng.integers(1, 10, size=int((u != v).sum()))
+    adj = sp.csr_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(n, n), dtype=np.int64)
+    adj.sort_indices()
+    level = partition._Level(adj, rng.integers(1, 4, size=n, dtype=np.int64))
+    mate = partition._heavy_edge_matching(level, max_w)
+    coarse = partition._coarsen(level, mate)
+    size = coarse.n
+    want = contracted_reference(level, coarse.fine_to_coarse, size)
+    for name in ("indptr", "indices", "data"):
+        got, expect = getattr(coarse.adj, name), getattr(want, name)
+        assert got.dtype == expect.dtype and np.array_equal(got, expect), name
+    assert coarse.adj.data.dtype == np.int64
+    rows = np.repeat(np.arange(size), np.diff(coarse.adj.indptr))
+    assert not (rows == coarse.adj.indices).any()
+    bounds = coarse.adj.indptr
+    assert all((np.diff(coarse.adj.indices[s:e]) > 0).all()  # sorted, each column once
+               for s, e in zip(bounds[:-1], bounds[1:]))
+    assert coarse.node_w.sum() == level.node_w.sum()
