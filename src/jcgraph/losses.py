@@ -51,10 +51,12 @@ PROB_FLOOR = 1e-12
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = logits - logits.max(axis=-1, keepdims=True)  # one new table, then in place
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, in place: logits become the probabilities.
+    Every caller passes logits it has just built and reads them no more."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _sigmoid(logits: np.ndarray) -> np.ndarray:
@@ -233,19 +235,29 @@ def _mask(mask) -> np.ndarray:
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("empty mask")
-    if np.unique(mask).size != mask.size:
+    # strictly increasing ids, as every SplitMasks set holds, are distinct
+    if not (mask[1:] > mask[:-1]).all() and np.unique(mask).size != mask.size:
         raise ValueError("mask repeats a node id")
     return mask
+
+
+def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows], or a itself when rows are 0 .. len(a) - 1 in order: no copy."""
+    if rows.size == len(a) and rows[0] == 0 and (np.diff(rows) == 1).all():
+        return a
+    return a[rows]
 
 
 def _sources(kind, embeddings, labels, rows, stats) -> dict:
     """(inputs, labels, index) blocks by order letter; c and k only if kind reads them.
 
-    z: the node rows. c: every cluster mean, with the node rows' labels and
-    clusters, the index that gathers a product of the means. k: the means of
-    the clusters with labeled nodes, one row each.
+    z: the node rows, which are the caller's embeddings and labels themselves
+    when rows are all of theirs, so nothing writes into them. c: every
+    cluster mean, with the node rows' labels and clusters, the index that
+    gathers a product of the means. k: the means of the clusters with
+    labeled nodes, one row each.
     """
-    src = {"z": (embeddings[rows], labels.matrix[rows], None)}
+    src = {"z": (_take(embeddings, rows), _take(labels.matrix, rows), None)}
     if LOSS_KINDS[kind].needs_clusters:
         if stats is None:
             raise ValueError(f"{kind} loss needs cluster stats")

@@ -365,10 +365,13 @@ def adam_step(params: dict, grads: dict, state: dict, *, lr: float,
         g = grads.get(name, 0.0)  # no gradient: zero
         if not np.isfinite(g).all():
             raise NumericsError(f"non-finite gradient for {name}")
-        if weight_decay:
-            g = g + weight_decay * p
         m, v = state[name]
-        step, den = np.empty_like(p), np.empty_like(p)  # the update's two temporaries
+        # the update's two temporaries; with L2, wd·p + g (the bits of g + wd·p)
+        # is formed in den, which becomes the denominator once m and v read it
+        step, den = np.empty_like(p), np.empty_like(p)
+        if weight_decay:
+            np.multiply(p, weight_decay, out=den)
+            g = np.add(den, g, out=den)
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2

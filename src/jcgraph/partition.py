@@ -180,8 +180,15 @@ def _base_level(g: Graph) -> _Level:
 
 
 def _heavy_edge_matching(lv: _Level, max_node_w: int) -> np.ndarray:
-    """Match each node with its heaviest unmatched neighbor (lowest index ties)."""
+    """Match each node with its heaviest unmatched neighbor (lowest index ties).
+
+    A row's scan stops at the first free neighbour that fits and carries the
+    row's top weight: no later one can beat it."""
     indptr, indices, eweights, node_w = lv.lists
+    top = np.zeros(lv.n, dtype=np.int64)  # each row's heaviest edge weight
+    filled = np.diff(lv.adj.indptr) > 0
+    top[filled] = np.maximum.reduceat(lv.adj.data, lv.adj.indptr[:-1][filled])
+    top = top.tolist()
     mate = [-1] * lv.n
     for u in range(lv.n):
         if mate[u] != -1:
@@ -194,6 +201,8 @@ def _heavy_edge_matching(lv: _Level, max_node_w: int) -> np.ndarray:
                 continue
             if eweights[i] > best_w:
                 best, best_w = v, eweights[i]
+                if best_w == top[u]:
+                    break
         if best >= 0:
             mate[u] = best
             mate[best] = u
@@ -207,14 +216,16 @@ def _coarsen(lv: _Level, mate: np.ndarray) -> _Level:
     coarse node; P is the 0/1 fine-to-coarse matrix. Each edge between two
     coarse nodes adds its weight at their pair in one COO sum, which gives
     the CSR of that product less its diagonal."""
-    n = lv.n
-    # coarse ids in order of each pair's lower end, as a first-seen scan gives
-    reps, coarse_id = np.unique(np.minimum(np.arange(n, dtype=np.int64), mate), return_inverse=True)
-    node_w = _sizes(lv, coarse_id, reps.size)  # a coarse node weighs its fine nodes
+    at = np.arange(lv.n, dtype=np.int64)
+    # coarse ids in order of each pair's lower end, as a first-seen scan
+    # gives: a running count of the lower ends, read at each node's lower end
+    ids = np.cumsum(mate >= at) - 1
+    coarse_id, size = ids[np.minimum(at, mate)], int(ids[-1]) + 1
+    node_w = _sizes(lv, coarse_id, size)  # a coarse node weighs its fine nodes
     rows = np.repeat(coarse_id, np.diff(lv.adj.indptr))
     cols = coarse_id[lv.adj.indices]
     keep = rows != cols
-    adj = sp.csr_matrix((lv.adj.data[keep], (rows[keep], cols[keep])), shape=(reps.size,) * 2)
+    adj = sp.csr_matrix((lv.adj.data[keep], (rows[keep], cols[keep])), shape=(size, size))
     return _Level(adj, node_w, fine_to_coarse=coarse_id)
 
 

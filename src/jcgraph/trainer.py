@@ -248,8 +248,9 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
             best_score, best_epoch, best_params, best_probs = score, epoch, snapshot(current), test_probs
 
     def step(epoch):
-        """One Adam step on the train rows; its arrays end when it returns,
-        before the eval makes its own."""
+        """One Adam step on the train rows. The tape, embeddings and loss end
+        before the update, the gradients when it returns, before the eval
+        makes its own arrays."""
         z, tape = encoder_forward(params, train_plan, train_mode=True, seed=[cfg.seed, 1, epoch])
         res = losses.loss_fn(cfg.loss)(params, z, train_labels, train_rows, train_stats(z),
                                        detach_cluster=cfg.detach_cluster, beta=cfg.beta)
@@ -257,6 +258,7 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
             raise NumericsError("non-finite loss")
         grads = model_backward(tape, res.d_embeddings)
         grads.update(res.clf_grads)
+        del z, tape, res
         adam_step(params, grads, state, lr=cfg.lr, weight_decay=cfg.weight_decay, t=epoch)
 
     t0 = time.perf_counter()

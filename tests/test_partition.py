@@ -474,6 +474,45 @@ def test_swap_that_would_break_the_cap_is_not_made(node_w):
     assert part.tolist() == [1, 0, 0, 1, 0, 1]
 
 
+def full_scan_matching(level, max_node_w):
+    """Heavy-edge matching that scans every neighbour of each row: the
+    heaviest free neighbour that fits, the first of equal weights."""
+    indptr, indices, w = level.adj.indptr, level.adj.indices, level.adj.data
+    mate = np.full(level.n, -1)
+    for u in range(level.n):
+        if mate[u] != -1:
+            continue
+        best, best_w = u, 0
+        for i in range(indptr[u], indptr[u + 1]):
+            v = indices[i]
+            if mate[v] == -1 and level.node_w[v] <= max_node_w - level.node_w[u] and w[i] > best_w:
+                best, best_w = v, w[i]
+        mate[u], mate[best] = best, u
+    return mate
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200), degree=st.floats(0.0, 12.0),
+       max_w=st.integers(1, 6), top=st.integers(1, 9))
+def test_matching_and_numbering_are_the_full_scans(seed, n, degree, max_w, top):
+    # edge weights up to top (1: every edge carries its row's top weight, as
+    # on the input graph), on a level with isolated and unmatchable nodes.
+    # The early-stopping scan pairs as the full one does, and coarse nodes
+    # are numbered in order of each pair's lower end, as a sort of them gives
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(n, size=(2, int(degree * n / 2)))
+    u, v = u[u != v], v[u != v]
+    w = rng.integers(1, top + 1, size=u.size)
+    adj = sp.csr_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(n, n), dtype=np.int64)
+    adj.sort_indices()
+    level = partition._Level(adj, rng.integers(1, 4, size=n, dtype=np.int64))
+    mate = partition._heavy_edge_matching(level, max_w)
+    assert mate.tolist() == full_scan_matching(level, max_w).tolist()
+    _, want = np.unique(np.minimum(np.arange(n), mate), return_inverse=True)
+    got = partition._coarsen(level, mate).fine_to_coarse
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def contracted_reference(level, coarse_id, size):
     """PᵀAP less its diagonal, for the 0/1 fine-to-coarse matrix P: the
     contraction as a product of sparse matrices."""
