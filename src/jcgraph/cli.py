@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
-from .attack import check_ratios, check_sweep, robustness_sweep, sweep_ratios, write_sweep_csv
+from .attack import LOSSES, check_ratios, check_sweep, robustness_sweep, sweep_ratios, write_sweep_csv
 from .graph import gen_sbm, load_dataset, read_lines, write_dataset
 from .losses import LOSS_KINDS
 from .nn import NumericsError, save_checkpoint
@@ -181,9 +181,9 @@ def cmd_attack(args) -> int:
     if args.num_seeds < 1:
         raise ConfigError(f"bad value for --seeds: expected an integer >= 1, got {args.num_seeds}")
     cfg_raw, cfg = _read_run(args)
-    if cfg.loss not in ("ce", "jc"):  # the sweep trains both
-        raise ConfigError(f"attack compares ce and jc: loss must be 'ce' or 'jc', "
-                          f"got {cfg.loss!r}")
+    if cfg.loss not in LOSSES:  # the sweep trains each
+        raise ConfigError(f"attack compares {' and '.join(LOSSES)}: loss must be "
+                          f"{' or '.join(map(repr, LOSSES))}, got {cfg.loss!r}")
     with _ratios_rule(args.ratios):
         ratios = sweep_ratios(float(t) for t in args.ratios.split(","))
     _check_out(args.sweep_out)

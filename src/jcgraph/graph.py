@@ -333,7 +333,7 @@ def _read_features(path, n: int) -> np.ndarray | sp.csr_matrix:
     other file (or one that breaks the layout at a later row) is decoded
     into lines as read_lines decodes it and read through read_table, with
     its errors. Both feed the same block loop, so a table has the same bits
-    either way.
+    either way. Only a text table can hold inf or nan, and it is rejected.
     """
     raw = _read_bytes(path)
     try:
@@ -355,6 +355,12 @@ def _read_features(path, n: int) -> np.ndarray | sp.csr_matrix:
     table = _table_blocks(n, d, lambda rows: read_table(path, lines, 2, n, np.float64, d,
                                                         rows=rows))
     _check_end(path, lines, n + 1)
+    values = table.data if sp.issparse(table) else table.reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:  # named at the line of the first one in file order
+        indptr = table.indptr if sp.issparse(table) else np.arange(n + 1) * d
+        line = int(np.searchsorted(indptr, bad[0], side="right")) + 1
+        raise DatasetFormatError(path, line, f"non-finite feature value {values[bad[0]]}")
     return table
 
 
@@ -438,15 +444,7 @@ def load_dataset(path) -> Dataset:
     duplicates = m - graph.num_edges
     _check_end(gpath, glines, m + 1)
 
-    fpath = root / "features.txt"
-    features = _read_features(fpath, n)
-    csr = sp.issparse(features)
-    values = features.data if csr else features.reshape(-1)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:  # named at the line of the first one in file order
-        indptr = features.indptr if csr else np.arange(n + 1) * features.shape[1]
-        line = int(np.searchsorted(indptr, bad[0], side="right")) + 1
-        raise DatasetFormatError(fpath, line, f"non-finite feature value {values[bad[0]]}")
+    features = _read_features(root / "features.txt", n)
 
     lpath = root / "labels.txt"
     llines = read_lines(lpath)

@@ -479,9 +479,11 @@ def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: Label
 
     The values equal <kind>_loss(...).value on each split, with no gradient
     work, and on a single-label set no target table. Every stream, its node
-    products included, runs on the union of the split rows only, so the
-    probabilities are the bits that the predictor formulas give on those
-    rows; they can differ in the last bits from an all-nodes pass, whose
+    products included, runs on the union of the split rows only, so ce's and
+    mixup's probabilities are predict_independent's bits on those rows. jc's
+    node rows meet both streams' halves of the classifier in one product, so
+    its probabilities can differ from predict_joint's in the last bits. Any
+    kind's can differ in the last bits from an all-nodes pass, whose
     products have another height.
     """
     check_label_kind(kind, labels)
@@ -507,9 +509,8 @@ def predict_independent(classifier: dict, embeddings: np.ndarray, kind: str = "s
     return {"s": _softmax, "m": _sigmoid}[kind](logits)
 
 
-def predict_joint(classifier: dict, embeddings: np.ndarray, assign: ClusterAssignment,
-                  stats: ClusterStats) -> np.ndarray:
+def predict_joint(classifier: dict, embeddings: np.ndarray, stats: ClusterStats) -> np.ndarray:
     """Marginalized class distribution for every node from its own cluster."""
     w, b = _clf(classifier)
-    c = int(round(np.sqrt(w.shape[1])))
-    return LOSS_KINDS["jc"].marginal(_joint_probs(w, b, embeddings, stats.zbar, assign.assign), c)
+    return LOSS_KINDS["jc"].marginal(_joint_probs(w, b, embeddings, stats.zbar, stats.assign),
+                                     stats.ybar.shape[1])

@@ -228,12 +228,9 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     eval_labels, eval_splits, eval_stats = cut(eval_plan, splits)
 
     state = init_adam_state(params)
-
-    def snapshot(p):
-        return {name: v.copy() for name, v in p.items()}
-
     curves = {"eval_epochs": [], "train_loss": [], "val_loss": [], "test_loss": [], "val_acc": []}
-    best_score, best_epoch, best_params, best_probs = -np.inf, 0, snapshot(params), None
+    # every run evaluates at least once and no score is NaN, so the first eval sets all four
+    best_score, best_epoch, best_params, best_probs = -np.inf, 0, None, None
 
     def run_eval(epoch, current):
         """Predictions and the loss on each split: the one eval path."""
@@ -245,7 +242,8 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
         for curve, v in zip(curves.values(), (epoch, *values, score)):
             curve.append(v)
         if score > best_score:
-            best_score, best_epoch, best_params, best_probs = score, epoch, snapshot(current), test_probs
+            best_params = {name: v.copy() for name, v in current.items()}
+            best_score, best_epoch, best_probs = score, epoch, test_probs
 
     def step(epoch):
         """One Adam step on the train rows. The tape, embeddings and loss end

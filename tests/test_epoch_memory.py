@@ -55,7 +55,7 @@ def test_heads_leave_their_inputs_as_they_were(seed, kind, multilabel, beta, det
     if LOSS_KINDS[kind].classifier == "independent":
         losses.predict_independent(params, z, labels.kind)
     elif kind == "jc":
-        losses.predict_joint(params, z, assign, stats)
+        losses.predict_joint(params, z, stats)
     assert digests(*inputs) == before, "predict"
 
 

@@ -111,6 +111,18 @@ def test_eval_pass_gives_one_block_per_split(easy_sbm):
         assert p.tobytes() == every[np.searchsorted(rows, mask)].tobytes()
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_jc_eval_pass_on_every_row_matches_predict_joint(seed):
+    # the eval pass multiplies the node rows by both streams' halves of the
+    # classifier side by side, predict_joint by the first half alone: a GEMM
+    # of another width, so the bits can differ in the last place
+    params, z, labels, train, others, assign = random_case(seed, "jc", False)
+    stats = losses.cluster_stats(z, labels, train, assign)
+    every = np.arange(len(z))
+    probs, _ = losses.eval_pass("jc", params, z, labels, [train, every], stats)
+    np.testing.assert_allclose(probs[1], losses.predict_joint(params, z, stats), rtol=0, atol=1e-12)
+
+
 def test_eval_pass_rejects_empty_split(easy_sbm):
     spec = ModelSpec("mlp", 1, 4, 8, 4, 0.0, "independent")
     params = init_params(spec, 0)

@@ -145,6 +145,21 @@ def test_non_finite_value_in_a_later_block(tmp_path):
         load_dataset(root)
 
 
+@pytest.mark.parametrize("inf", [True, False])
+def test_non_finite_value_is_named_before_labels_are_read(tmp_path, inf):
+    # a text table's inf is named at its line before labels.txt is read; a
+    # one-digit table holds none, so the labels file's own error comes first
+    rows = [["1", "0", "2"], ["0", "3", "0"], ["4", "0", "0"]]
+    if inf:
+        rows[1][2] = "inf"
+    root = write_table(tmp_path / "ds", rows)
+    (root / "labels.txt").write_text("3 1\n0\n0\n0\n")
+    error = ("features.txt:3: non-finite feature value inf" if inf
+             else "labels.txt:1: expected 'n c kind' header")
+    with pytest.raises(DatasetFormatError, match=re.escape(error)):
+        load_dataset(root)
+
+
 def test_csr_dataset_roundtrips(tmp_path):
     n, d = 2 * (FEATURE_BLOCK // 100) + 3, 100
     root = write_table(tmp_path / "a", signed_zero_rows(np.random.default_rng(6), n, d, 0.1))

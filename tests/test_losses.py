@@ -239,7 +239,7 @@ class TestJcLoss:
         assign = assign_of(rng.integers(0, 2, 6), m=2)
         stats = cluster_stats(z, labels, np.arange(6), assign)
         params = clf(rng.normal(size=(6, 9)), rng.normal(size=9))
-        probs = predict_joint(params, z, assign, stats)
+        probs = predict_joint(params, z, stats)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-9)
 
     def test_multilabel_rejected(self):
