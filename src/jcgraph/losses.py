@@ -479,12 +479,11 @@ def eval_pass(kind: str, classifier: dict, embeddings: np.ndarray, labels: Label
 
     The values equal <kind>_loss(...).value on each split, with no gradient
     work, and on a single-label set no target table. Every stream, its node
-    products included, runs on the union of the split rows only, so ce's and
-    mixup's probabilities are predict_independent's bits on those rows. jc's
-    node rows meet both streams' halves of the classifier in one product, so
-    its probabilities can differ from predict_joint's in the last bits. Any
-    kind's can differ in the last bits from an all-nodes pass, whose
-    products have another height.
+    products included, runs on the union of the split rows only: ce's and
+    mixup's probabilities are predict_independent's bits there, jc's can
+    differ from predict_joint's in the last bits (its node rows meet both
+    streams' classifier halves in one product), and any kind's can differ in
+    the last bits from an all-nodes pass, whose products have another height.
     """
     check_label_kind(kind, labels)
     w, b = _clf(classifier)
