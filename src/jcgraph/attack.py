@@ -87,9 +87,6 @@ def random_attack(g: Graph, spec: AttackSpec) -> Graph:
     """
     n = g.num_nodes
     needed = _fake_edge_count(g, spec)
-    if needed == 0:
-        return Graph(n, g.indptr.copy(), g.indices.copy())
-
     edges = g.edge_pairs() @ np.array([n, 1], dtype=np.int64)  # sorted keys u * n + v, u < v
     rng = np.random.default_rng(spec.seed)
     chosen = np.empty(0, dtype=np.int64)  # in draw order

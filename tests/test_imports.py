@@ -1,6 +1,7 @@
 """Every top-level import of a module under src/ and tests/ is read somewhere
-in that module; a package __init__.py imports to re-export, so it is exempt.
-Every name in the __all__ of a module under src/ is bound at its top level."""
+in that module. Every name in the __all__ of a module under src/ is bound at
+its top level. The package root binds no name: each is imported from its
+module."""
 
 import ast
 from pathlib import Path
@@ -8,8 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,3 +67,25 @@ def test_the_scan_finds_an_unbound_export():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_exports_only_bound_names(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def test_package_root_is_its_docstring():
+    body = ast.parse((ROOT / "src" / "jcgraph" / "__init__.py").read_text()).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr)
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
+SUBMODULES = {p.stem for p in (ROOT / "src" / "jcgraph").glob("*.py")}
+
+
+@pytest.mark.parametrize("path", [p for d in ("src", "tests", "tools", "perfbench")
+                                  for p in sorted((ROOT / d).rglob("*.py"))],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_name_is_imported_from_the_package_root(path):
+    # "from jcgraph import losses" names a module; "from jcgraph import train" would not
+    in_package = path.is_relative_to(ROOT / "src" / "jcgraph")
+    assert not [(node.lineno, a.name) for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.module == "jcgraph" and node.level == 0
+                     or in_package and node.module is None and node.level == 1)
+                for a in node.names if a.name not in SUBMODULES]

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,13 @@ def test_committed_bench_file_parses_and_names_only_benchmark_metrics(path):
         assert result["end_to_end"] == pairs.summarize(result["pairs"], END_TO_END)
         assert result["operations"] == pairs.operations(result["pairs"])
     assert {"cpu", "nproc", "python", "numpy"} <= set(doc["machine"])
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="the checkout has no .git")
+def test_extract_creates_a_missing_scratch_directory(tmp_path):
+    scratch = tmp_path / "missing" / "nested"
+    sha, copy = pairs.extract("HEAD", scratch)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert sha == head and copy.parent == scratch
+    assert (copy / "tools" / "pairs.py").is_file()

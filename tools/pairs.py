@@ -5,16 +5,16 @@ Usage (from the repository root):
     python3 tools/pairs.py --base HEAD~1 --change HEAD --pr 26 --scratch /tmp/pairs
 
 Each commit is extracted with ``git archive`` into a new directory under
-``--scratch``, and perfbench/run.py runs there with ``--trace 0`` for
-BENCHMARK.json's ``run_seconds``, on every workload of BENCHMARK.json in
-turn. Pair i of a workload, of PAIRS, runs both sides once with seed i + 1,
-the base first in even pairs and the change first in odd ones, so that a
-drift of the host over time reaches both sides alike. ``BENCH_<pr>.json``
-at the repository root holds the ``machine`` line of the first run and, per
-workload, every run's final JSON line, each side's attempted and failed
-operations, and for each end-to-end metric of BENCHMARK.json each side's
-median and interquartile range, the pairs each side won (a tie counts for
-neither) and a verdict.
+``--scratch``, which is created if missing, and perfbench/run.py runs
+there with ``--trace 0`` for BENCHMARK.json's ``run_seconds``, on every
+workload of BENCHMARK.json in turn. Pair i of a workload, of PAIRS, runs
+both sides once with seed i + 1, the base first in even pairs and the
+change first in odd ones, so that a drift of the host over time reaches
+both sides alike. ``BENCH_<pr>.json`` at the repository root holds the
+``machine`` line of the first run and, per workload, every run's final
+JSON line, each side's attempted and failed operations, and for each
+end-to-end metric of BENCHMARK.json each side's median and interquartile
+range, the pairs each side won (a tie counts for neither) and a verdict.
 """
 
 from __future__ import annotations
@@ -88,9 +88,11 @@ def operations(pairs: list[dict]) -> dict:
 
 
 def extract(rev: str, scratch: Path) -> tuple[str, Path]:
-    """rev's full hash and a new directory under scratch holding its files."""
+    """rev's full hash and a new directory under scratch, created with its
+    parents if missing, holding its files."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
                          check=True, capture_output=True, text=True).stdout.strip()
+    scratch.mkdir(parents=True, exist_ok=True)
     copy = Path(tempfile.mkdtemp(prefix=f"{sha[:12]}-", dir=scratch))
     archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, check=True,
                              capture_output=True).stdout
@@ -119,7 +121,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--pr", type=int, required=True, help="names BENCH_<pr>.json")
     parser.add_argument("--scratch", type=Path, required=True,
-                        help="an existing directory for the two copies")
+                        help="a directory for the two copies, created with its parents if missing")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     revs, copies = {}, {}
