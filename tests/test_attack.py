@@ -56,11 +56,11 @@ class TestRandomAttack:
         # whose floor(ratio * m) is 0
         g = easy_sbm.graph
         edgeless = Graph(7, np.zeros(8, dtype=np.int64), np.empty(0, dtype=np.int64))
-        for g, ratio in [(g, 0.0), (edgeless, 0.0), (g, 0.9 / g.num_edges)]:
-            out = random_attack(g, AttackSpec(ratio, seed=1))
-            assert out.num_nodes == g.num_nodes
-            assert np.array_equal(out.indptr, g.indptr) and out.indptr.dtype == np.int64
-            assert np.array_equal(out.indices, g.indices) and out.indices.dtype == np.int64
+        for graph, ratio in [(g, 0.0), (edgeless, 0.0), (g, 0.9 / g.num_edges)]:
+            out = random_attack(graph, AttackSpec(ratio, seed=1))
+            assert out.num_nodes == graph.num_nodes
+            assert np.array_equal(out.indptr, graph.indptr) and out.indptr.dtype == np.int64
+            assert np.array_equal(out.indices, graph.indices) and out.indices.dtype == np.int64
 
     def test_edge_count_exact(self):
         rng = np.random.default_rng(0)

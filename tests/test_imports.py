@@ -1,7 +1,7 @@
 """Every top-level import of a module under src/ and tests/ is read somewhere
 in that module. Every name in the __all__ of a module under src/ is bound at
 its top level. The package root binds no name: each is imported from its
-module."""
+module, so a name has one import path."""
 
 import ast
 from pathlib import Path
@@ -73,19 +73,3 @@ def test_package_root_is_its_docstring():
     body = ast.parse((ROOT / "src" / "jcgraph" / "__init__.py").read_text()).body
     assert len(body) == 1 and isinstance(body[0], ast.Expr)
     assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
-
-
-SUBMODULES = {p.stem for p in (ROOT / "src" / "jcgraph").glob("*.py")}
-
-
-@pytest.mark.parametrize("path", [p for d in ("src", "tests", "tools", "perfbench")
-                                  for p in sorted((ROOT / d).rglob("*.py"))],
-                         ids=lambda p: str(p.relative_to(ROOT)))
-def test_no_name_is_imported_from_the_package_root(path):
-    # "from jcgraph import losses" names a module; "from jcgraph import train" would not
-    in_package = path.is_relative_to(ROOT / "src" / "jcgraph")
-    assert not [(node.lineno, a.name) for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.ImportFrom)
-                and (node.module == "jcgraph" and node.level == 0
-                     or in_package and node.module is None and node.level == 1)
-                for a in node.names if a.name not in SUBMODULES]

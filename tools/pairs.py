@@ -5,16 +5,16 @@ Usage (from the repository root):
     python3 tools/pairs.py --base HEAD~1 --change HEAD --pr 26 --scratch /tmp/pairs
 
 Each commit is extracted with ``git archive`` into a new directory under
-``--scratch``, which is created if missing, and perfbench/run.py runs
-there with ``--trace 0`` for BENCHMARK.json's ``run_seconds``, on every
-workload of BENCHMARK.json in turn. Pair i of a workload, of PAIRS, runs
-both sides once with seed i + 1, the base first in even pairs and the
-change first in odd ones, so that a drift of the host over time reaches
-both sides alike. ``BENCH_<pr>.json`` at the repository root holds the
-``machine`` line of the first run and, per workload, every run's final
-JSON line, each side's attempted and failed operations, and for each
-end-to-end metric of BENCHMARK.json each side's median and interquartile
-range, the pairs each side won (a tie counts for neither) and a verdict.
+``--scratch``, and perfbench/run.py runs there with ``--trace 0`` for
+BENCHMARK.json's ``run_seconds``, on every workload of BENCHMARK.json in
+turn. Pair i of a workload, of PAIRS, runs both sides once with seed i + 1,
+the base first in even pairs and the change first in odd ones, so that a
+drift of the host over time reaches both sides alike. ``BENCH_<pr>.json``
+at the repository root holds the ``machine`` line of the first run and, per
+workload, every run's final JSON line, each side's attempted and failed
+operations, and for each end-to-end metric of BENCHMARK.json each side's
+median and interquartile range, the pairs each side won (a tie counts for
+neither) and a verdict.
 """
 
 from __future__ import annotations
