@@ -236,7 +236,8 @@ def _dropout(rng, plan, inp, k, p):
     return out, (mask if k > 0 else None)
 
 
-def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed: int = 0):
+def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed: int = 0, *,
+                    first=None):
     """Run plan's encoder on its rows; returns (embeddings, tape).
 
     gcn: K rounds of z <- relu(A z W), no nonlinearity after the last round.
@@ -246,6 +247,8 @@ def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed:
 
     Every layer runs on compact blocks of its plan rows; the embeddings are
     the block of plan.rows[-1], with no weight layer plan.x_rows: do not change it.
+    first, when given, is layer 0's product plan.x_rows @ params["enc_w0"],
+    computed by the caller without dropout; the forward writes into it.
     """
     spec = plan.spec
     rng = np.random.default_rng(seed)
@@ -257,7 +260,7 @@ def encoder_forward(params: dict, plan: RowPlan, train_mode: bool = False, seed:
         inp, mask = h, None
         if drop:
             inp, mask = _dropout(rng, plan, inp, k, spec.dropout)
-        s = inp @ w  # gcn drops this product once aggregated
+        s = inp @ w if k or first is None else first  # gcn drops this product once aggregated
         if spec.encoder == "gcn":
             s = spmm(plan.adj_rows[k], s)
         else:

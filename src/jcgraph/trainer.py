@@ -11,12 +11,23 @@ every encoder. Labels, cluster ids and masks are cut to the embeddings'
 rows once. Sparse products, dropout and element-wise steps give the bits of
 a pass over every row; a dense product over fewer rows can differ from it in
 the last bits.
+
+The eval of epoch t runs one step late, after step t + 1, on a copy of the
+parameters taken after update t, which becomes the checkpoint when it scores
+best. While step t + 1 runs, one worker thread computes the eval's layer-0
+product x_rows @ W0 (none for sgc), the same expression on the same inputs,
+so every bit is kept. The worker runs that bare product only, under the
+loop's np.errstate, which holds per thread; everything else, each hooked name
+included, runs on the calling thread in serial order. A failure reads as in
+serial order: when step t + 1 fails, eval(t) runs first, and its own failure
+is the one raised.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,8 +65,8 @@ PARTITION_METHODS = {
 
 
 class TrainingError(RuntimeError):
-    """A failure once the first epoch starts, after every input check; its
-    message names the epoch and, in a sweep, the ratio and seed."""
+    """A failure once training starts, after every input check; its message
+    names the epoch and, in a sweep, the ratio and seed."""
 
 
 @dataclass
@@ -199,6 +210,13 @@ def _split_metrics(p, data, mask) -> dict:
             "f1_weighted": weighted, "ece": ece(p, y)}
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _product(x, w):
+    """x @ w on the worker thread, with the loop's float warnings quiet:
+    np.errstate holds for one thread only."""
+    return x @ w
+
+
 def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     """Run the full training loop; the result carries the test metrics and
     the parameters of the best-validation checkpoint."""
@@ -232,18 +250,30 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
     # every run evaluates at least once and no score is NaN, so the first eval sets all four
     best_score, best_epoch, best_params, best_probs = -np.inf, 0, None, None
 
-    def run_eval(epoch, current):
-        """Predictions and the loss on each split: the one eval path."""
+    def snapshot(epoch, worker):
+        """eval(epoch)'s arguments: its epoch, a copy of the parameters, and
+        the future of its layer-0 product, started on worker (None for sgc)."""
+        snap = {name: v.copy() for name, v in params.items()}
+        first = (worker.submit(_product, eval_plan.x_rows, snap["enc_w0"])
+                 if spec.weight_layers else None)
+        return epoch, snap, first
+
+    def run_eval(epoch, snap, first):
+        """Predictions and the loss on each split: the one eval path. A
+        failure is named by the eval's epoch."""
         nonlocal best_score, best_epoch, best_params, best_probs
-        z = encoder_forward(current, eval_plan, train_mode=False)[0]  # the tape ends here
-        (_, val_probs, test_probs), values = losses.eval_pass(cfg.loss, current, z, eval_labels,
-                                                              eval_splits, eval_stats(z), cfg.beta)
-        score = _split_score(val_probs, data, val_mask)
+        first = None if first is None else first.result()
+        try:
+            z = encoder_forward(snap, eval_plan, train_mode=False, first=first)[0]  # the tape ends here
+            (_, val_probs, test_probs), values = losses.eval_pass(
+                cfg.loss, snap, z, eval_labels, eval_splits, eval_stats(z), cfg.beta)
+            score = _split_score(val_probs, data, val_mask)
+        except (NumericsError, ValueError) as e:
+            raise TrainingError(f"{e} at epoch {epoch}") from e
         for curve, v in zip(curves.values(), (epoch, *values, score)):
             curve.append(v)
         if score > best_score:
-            best_params = {name: v.copy() for name, v in current.items()}
-            best_score, best_epoch, best_probs = score, epoch, test_probs
+            best_score, best_epoch, best_params, best_probs = score, epoch, snap, test_probs
 
     def step(epoch):
         """One Adam step on the train rows. The tape, embeddings and loss end
@@ -260,16 +290,23 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
         adam_step(params, grads, state, lr=cfg.lr, weight_decay=cfg.weight_decay, t=epoch)
 
     t0 = time.perf_counter()
-    if cfg.epochs == 0:
-        run_eval(0, params)
-    for epoch in range(1, cfg.epochs + 1):
-        try:  # the finite checks find a failure, so numpy's float warnings stay quiet
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # the finite checks find a failure, so numpy's float warnings stay quiet.
+    # eval(t) runs after step t + 1, while the worker computes its first product
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+            ThreadPoolExecutor(max_workers=1) as worker:
+        pending = snapshot(0, worker) if cfg.epochs == 0 else None
+        for epoch in range(1, cfg.epochs + 1):
+            try:
                 step(epoch)
-                if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-                    run_eval(epoch, params)
-        except (NumericsError, ValueError) as e:  # every input check ran before epoch 1
-            raise TrainingError(f"{e} at epoch {epoch}") from e
+            except (NumericsError, ValueError) as e:  # every input check ran before epoch 1
+                if pending is not None:  # the earlier eval's failure comes first
+                    run_eval(*pending)
+                raise TrainingError(f"{e} at epoch {epoch}") from e
+            if pending is not None:
+                run_eval(*pending)
+            due = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
+            pending = snapshot(epoch, worker) if due else None
+        run_eval(*pending)
     seconds = (time.perf_counter() - t0) / max(1, cfg.epochs)
     # the best epoch's predictions are those of the checkpointed parameters
     test = _split_metrics(best_probs, data, masks.test)

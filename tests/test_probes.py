@@ -5,8 +5,10 @@ and stops the benchmark when one is gone. These tests load it without
 touching perfbench/ and fail on the refactor that would break it.
 """
 
+import functools
 import importlib
 import inspect
+import threading
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 
 import jcgraph.trainer as trainer
-from jcgraph.graph import normalize_adjacency
+from jcgraph.cli import main
+from jcgraph.graph import normalize_adjacency, write_dataset
 from jcgraph.nn import plan_rows
 from jcgraph.trainer import TrainConfig, train, validate
 
@@ -46,9 +49,38 @@ def test_every_trace_target_resolves(probes):
 
 def test_encoder_forward_binds_train_mode():
     sig = inspect.signature(trainer.encoder_forward)
-    assert list(sig.parameters) == ["params", "plan", "train_mode", "seed"]
+    assert list(sig.parameters) == ["params", "plan", "train_mode", "seed", "first"]
+    assert sig.parameters["first"].kind is inspect.Parameter.KEYWORD_ONLY
     assert sig.bind(None, None, train_mode=True).arguments["train_mode"] is True
     assert sig.bind(None, None, True).arguments["train_mode"] is True
+
+
+def test_every_hooked_name_runs_on_the_main_thread(probes, restore_targets, monkeypatch,
+                                                   easy_sbm, tmp_path):
+    # the probes keep one span stack and one clock, so every name they
+    # replace (the tracer's, the epoch probe's encoder_forward and the result
+    # hook's attack.train) runs on the main thread only, the eval's layer-0
+    # product on the trainer's worker included
+    targets = [(module, attr) for module, attr, _ in probes.TRACE_TARGETS]
+    targets.append(("jcgraph.attack", "train"))
+    threads = {}
+    for module_name, attr in targets:
+        module = importlib.import_module(module_name)
+        inner = getattr(module, attr)
+
+        def recorded(*args, _inner=inner, _key=f"{module_name}.{attr}", **kwargs):
+            threads.setdefault(_key, set()).add(threading.get_ident())
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, attr, functools.wraps(inner)(recorded))
+    write_dataset(tmp_path / "data", easy_sbm)
+    (tmp_path / "run.cfg").write_text(f"dataset = {tmp_path / 'data'}\nloss = jc\nclusters = 3\n"
+                                      "hidden = 8\nepochs = 3\n")
+    assert main(["train", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "run")]) == 0
+    assert main(["attack", str(tmp_path / "run.cfg"), "--ratios", "0.5", "--seeds", "1",
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert {"jcgraph.trainer.encoder_forward", "jcgraph.nn.spmm", "jcgraph.attack.train",
+            "jcgraph.attack.random_attack", "jcgraph.cli.save_checkpoint"} <= set(threads)
+    assert {key: {threading.get_ident()} for key in threads} == threads
 
 
 JC_CFG = TrainConfig(hidden=8, loss="jc", clusters=3, seed=2)

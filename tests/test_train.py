@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -226,11 +227,11 @@ def test_no_epoch_allocates_an_n_row_array(monkeypatch, encoder, loss):
     embed_dim = train_mod.validate(cfg, data).embed_dim
     inner, base = train_mod.encoder_forward, []
 
-    def first_step_resets_peak(params, plan, train_mode=False, seed=0):
+    def first_step_resets_peak(params, plan, train_mode=False, seed=0, *, first=None):
         if train_mode and not base:
             tracemalloc.reset_peak()
             base.append(tracemalloc.get_traced_memory()[0])
-        return inner(params, plan, train_mode, seed)
+        return inner(params, plan, train_mode, seed, first=first)
     monkeypatch.setattr(train_mod, "encoder_forward", first_step_resets_peak)
     tracemalloc.start()
     try:
@@ -276,5 +277,65 @@ def test_no_tape_outlives_its_pass(monkeypatch, easy_sbm, encoder):
     monkeypatch.setattr(train_mod, "encoder_forward", forward)
     monkeypatch.setattr(losses_mod, "eval_pass", eval_pass)
     train(TrainConfig(encoder, hidden=16, loss="jc", clusters=4, epochs=3), easy_sbm)
-    # each epoch adds a step's tape and an eval's
-    assert dead == [[True] * 2 * epoch for epoch in (1, 2, 3)]
+    # each epoch adds a step's tape and an eval's; eval t runs after step t + 1
+    # and the last eval after the last step: steps 1, 2, eval 1, step 3, eval 2, eval 3
+    assert dead == [[True] * count for count in (3, 5, 6)]
+
+
+def far_row_case(overflow: bool):
+    """A 60-node ring with 64 dense features, its train nodes 0-5 and a gcn
+    config of two layers: node 45 is in the eval's rows but outside every
+    step's. With overflow, node 45's features are 1e308 with the signs of
+    the first column of the initial enc_w0, so the eval's layer-0 product
+    overflows in that column (the first update moves each weight by about
+    lr) while every step's stays finite."""
+    n = 60
+    rng = np.random.default_rng(0)
+    ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    labels = LabelSet(3, "s", np.eye(3)[np.arange(n) % 3])
+    masks = SplitMasks(np.arange(6), np.arange(20, 30), np.arange(30, 60))
+    data = Dataset(Graph.from_undirected_pairs(n, ring), rng.normal(size=(n, 64)), labels, masks)
+    cfg = TrainConfig(hidden=16, epochs=3, seed=1)
+    if overflow:
+        w0 = train_mod.init_params(train_mod.validate(cfg, data), cfg.seed)["enc_w0"]
+        data.features[45] = 1e308 * np.sign(w0[:, 0])
+    return cfg, data
+
+
+class TestLateEval:
+    """eval(t) runs after step t + 1, and a failure reads as in serial order."""
+
+    def test_eval_product_overflow_names_its_epoch(self):
+        # the worker's product runs under the loop's errstate: under the
+        # suite's filterwarnings = error a warning would escape as RuntimeWarning
+        cfg, data = far_row_case(overflow=True)
+        with pytest.raises(TrainingError, match=r"^non-finite activations in encoder forward at epoch 1$"):
+            train(cfg, data)
+
+    @pytest.mark.parametrize("overflow, message", [
+        (True, "non-finite activations in encoder forward at epoch 1"),
+        (False, "non-finite gradient for enc_w0 at epoch 2"),
+    ])
+    def test_a_failed_eval_comes_before_the_next_step_failure(self, monkeypatch, overflow, message):
+        cfg, data = far_row_case(overflow)
+        inner = train_mod.adam_step
+
+        def fails_at_step_2(params, grads, state, *, t, **kwargs):
+            if t == 2:
+                raise train_mod.NumericsError("non-finite gradient for enc_w0")
+            return inner(params, grads, state, t=t, **kwargs)
+        monkeypatch.setattr(train_mod, "adam_step", fails_at_step_2)
+        with pytest.raises(TrainingError, match=f"^{message}$"):
+            train(cfg, data)
+
+    def test_no_worker_thread_outlives_train(self, easy_sbm):
+        before = threading.active_count()
+        train(gcn_cfg(epochs=3), easy_sbm)
+        assert threading.active_count() == before
+        cfg, data = far_row_case(overflow=True)
+        with pytest.raises(TrainingError):
+            train(cfg, data)
+        assert threading.active_count() == before
+        # 2 x 2 ratios x 2 seeds train calls
+        robustness_sweep(easy_sbm, [0.0, 0.5], gcn_cfg(epochs=2), seeds=2)
+        assert threading.active_count() == before

@@ -5,7 +5,8 @@ Usage (from anywhere; extra arguments go to pytest):
     python3 tools/unreached.py
 
 It runs the tier-1 suite in this process under a ``sys.settrace`` line
-tracer, since the ``coverage`` package is not a dependency, and prints each
+tracer, since the ``coverage`` package is not a dependency, set for the
+threads the suite starts too (``threading.settrace``), and prints each
 statement of ``src/jcgraph`` whose line no test reached, as
 ``src/jcgraph/<file>:<line>: <source line>``, in file and line order. A
 statement is an ``ast`` statement node, less docstrings, ``def`` and
@@ -22,6 +23,7 @@ from __future__ import annotations
 import ast
 import os
 import sys
+import threading
 from collections import defaultdict
 from pathlib import Path
 
@@ -71,12 +73,14 @@ def trace_suite(args: list[str]) -> tuple[int, dict[str, set[int]]]:
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
     os.chdir(ROOT)  # pyproject.toml's testpaths and pythonpath apply from the root
+    threading.settrace(start)
     sys.settrace(start)
     try:
         status = pytest.main(["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
                               *args])
     finally:
         sys.settrace(None)
+        threading.settrace(None)
     return int(status), hits
 
 
