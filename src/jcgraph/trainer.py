@@ -291,7 +291,8 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
 
     t0 = time.perf_counter()
     # the finite checks find a failure, so numpy's float warnings stay quiet.
-    # eval(t) runs after step t + 1, while the worker computes its first product
+    # eval(t) runs after step t + 1; the worker computes its first product
+    # from the end of step t on, through eval(t - 1) and step t + 1
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
             ThreadPoolExecutor(max_workers=1) as worker:
         pending = snapshot(0, worker) if cfg.epochs == 0 else None
@@ -302,10 +303,11 @@ def train(cfg: TrainConfig, data: Dataset) -> RunResult:
                 if pending is not None:  # the earlier eval's failure comes first
                     run_eval(*pending)
                 raise TrainingError(f"{e} at epoch {epoch}") from e
+            due = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
+            ready = snapshot(epoch, worker) if due else None  # before the pending eval runs
             if pending is not None:
                 run_eval(*pending)
-            due = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
-            pending = snapshot(epoch, worker) if due else None
+            pending = ready
         run_eval(*pending)
     seconds = (time.perf_counter() - t0) / max(1, cfg.epochs)
     # the best epoch's predictions are those of the checkpointed parameters

@@ -2,17 +2,19 @@
 and no whole-table copy on top of the tables they need."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jcgraph.trainer as train_mod
 from jcgraph import losses
 from jcgraph.graph import LabelSet
 from jcgraph.nn import adam_step, init_adam_state
 from jcgraph.partition import ClusterAssignment
-from jcgraph.trainer import LOSS_KINDS
+from jcgraph.trainer import LOSS_KINDS, TrainConfig, train
 
 from test_eval_pass import random_case
 
@@ -163,3 +165,32 @@ def test_increasing_mask_needs_no_sort_and_others_keep_the_check(sbm12, monkeypa
             losses.ce_loss(clf, z, sbm12.labels, unordered)
     with pytest.raises(ValueError, match="^mask repeats a node id$"):
         losses.ce_loss(clf, z, sbm12.labels, np.r_[unordered, train[:1]])
+
+
+@pytest.mark.parametrize("eval_every", [1, 2])
+@pytest.mark.parametrize("encoder", ["gcn", "mlp"])
+def test_at_most_two_eval_products_live(monkeypatch, easy_sbm, encoder, eval_every):
+    # product(t) is submitted before eval(t - 1) runs, so the one eval(t - 1)
+    # reads and product(t) may both be alive, but no third, and an eval's
+    # product dies when the eval returns. Products run in submit order on one
+    # worker, so product k is eval k's
+    inner_product, inner_eval, products, seen = train_mod._product, losses.eval_pass, [], []
+
+    def product(x, w):
+        out = inner_product(x, w)
+        products.append(weakref.ref(out))
+        return out
+
+    def eval_pass(*args, **kwargs):
+        j = len(seen)
+        alive = [ref() is not None for ref in products]
+        seen.append(alive)
+        assert sum(alive) <= 2, f"eval {j}: {sum(alive)} products alive"
+        assert not any(alive[:j]), f"eval {j}: a returned eval's product is alive"
+        assert alive[j], f"eval {j}: its own product is dead"
+        return inner_eval(*args, **kwargs)
+    monkeypatch.setattr(train_mod, "_product", product)
+    monkeypatch.setattr(losses, "eval_pass", eval_pass)
+    r = train(TrainConfig(encoder, hidden=16, loss="jc", clusters=4, epochs=7,
+                          eval_every=eval_every), easy_sbm)
+    assert len(seen) == len(products) == len(r.eval_epochs)

@@ -83,6 +83,53 @@ def test_verdict(spec, base, change, expected):
     assert pairs.verdict(spec, base, change) == expected
 
 
+def epoch_pairs(base, change):
+    """Pairs of runs that report epoch_ms only, base[i] against change[i]."""
+    return [{"first": pairs.SIDES[i % 2], "base": line(epoch_ms=b), "change": line(epoch_ms=c)}
+            for i, (b, c) in enumerate(zip(base, change))]
+
+
+BASE_MS = [25.0, 26.0, 27.0, 28.0, 29.0, 30.0, 31.0, 32.0, 33.0, 34.0]  # median 29.5, IQR 4.5
+
+
+@pytest.mark.parametrize("change, wins, gap, met", [
+    # every pair lower by 5.5: the gap of the medians exceeds the base IQR
+    ([b - 5.5 for b in BASE_MS], 10, 5.5, True),
+    # 8 of 10 pairs lower, below the 9 the rule asks for, though the gap is wide
+    ([b - 10.0 for b in BASE_MS[:8]] + [b + 1.0 for b in BASE_MS[8:]], 8, 10.0, False),
+    # 10 of 10 lower, but by 4.0, inside the base's 4.5 IQR
+    ([b - 4.0 for b in BASE_MS], 10, 4.0, False),
+])
+def test_claim_rule_on_canned_pairs(change, wins, gap, met):
+    entry = pairs.summarize(epoch_pairs(BASE_MS, change), END_TO_END)["epoch_ms"]
+    assert pairs.claim("pubmed-jc", "epoch_ms", entry) == {
+        "workload": "pubmed-jc", "metric": "epoch_ms", "pairs": 10, "change_wins": wins,
+        "median_gap": pytest.approx(gap), "base_iqr": pytest.approx(4.5), "met": met}
+
+
+def test_claim_gap_reads_in_the_better_direction():
+    # test_acc is better higher: a change higher in every pair has a positive gap
+    runs = [{"first": "base", "base": line(test_acc=0.80 + 0.001 * i),
+             "change": line(test_acc=0.90 + 0.001 * i)} for i in range(10)]
+    entry = pairs.summarize(runs, END_TO_END)["test_acc"]
+    c = pairs.claim("cora-jc", "test_acc", entry)
+    assert c["median_gap"] == pytest.approx(0.1) and c["met"]
+
+
+@pytest.mark.parametrize("claim, wrong", [
+    ("nope:epoch_ms", "unknown workload 'nope'"),
+    ("pubmed-jc:epoch", "unknown metric 'epoch'"),
+    ("pubmed-jc", "unknown metric ''"),
+])
+def test_unknown_claim_name_exits_2_before_any_extraction(tmp_path, capsys, claim, wrong):
+    scratch = tmp_path / "scratch"
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["--base", "HEAD", "--pr", "0", "--scratch", str(scratch), "--claim", claim])
+    assert exit_info.value.code == 2
+    assert wrong in capsys.readouterr().err
+    assert not scratch.exists()
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_bench_file_parses_and_names_only_benchmark_metrics(path):
     doc = json.loads(path.read_text())
@@ -100,6 +147,10 @@ def test_committed_bench_file_parses_and_names_only_benchmark_metrics(path):
         assert result["end_to_end"] == pairs.summarize(result["pairs"], END_TO_END)
         assert result["operations"] == pairs.operations(result["pairs"])
     assert {"cpu", "nproc", "python", "numpy"} <= set(doc["machine"])
+    if "claim" in doc:  # the claim is the one its workload's summary gives
+        c = doc["claim"]
+        entry = doc["workloads"][c["workload"]]["end_to_end"][c["metric"]]
+        assert c == pairs.claim(c["workload"], c["metric"], entry)
 
 
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="the checkout has no .git")

@@ -328,6 +328,32 @@ class TestLateEval:
         with pytest.raises(TrainingError, match=f"^{message}$"):
             train(cfg, data)
 
+    @pytest.mark.parametrize("epochs, eval_every, order", [
+        # S(1), S(2), E(1), S(3), E(2), E(3): each product is submitted right
+        # after its step, before the pending eval runs
+        (3, 1, "SSESEE"),
+        # evals at 2, 4 and 5: S(2), E(2), S(4), S(5), E(4), E(5)
+        (5, 2, "SESSEE"),
+    ])
+    def test_each_product_is_submitted_before_the_pending_eval(self, monkeypatch, easy_sbm,
+                                                               epochs, eval_every, order):
+        events, inner = [], train_mod.encoder_forward
+
+        class LoggingExecutor(train_mod.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                events.append("S")
+                return super().submit(*args, **kwargs)
+
+        def forward(params, plan, train_mode=False, seed=0, *, first=None):
+            if not train_mode:
+                events.append("E")
+            return inner(params, plan, train_mode, seed, first=first)
+        monkeypatch.setattr(train_mod, "ThreadPoolExecutor", LoggingExecutor)
+        monkeypatch.setattr(train_mod, "encoder_forward", forward)
+        r = train(gcn_cfg(epochs=epochs, eval_every=eval_every), easy_sbm)
+        assert "".join(events) == order
+        assert len(r.eval_epochs) == order.count("E")
+
     def test_no_worker_thread_outlives_train(self, easy_sbm):
         before = threading.active_count()
         train(gcn_cfg(epochs=3), easy_sbm)

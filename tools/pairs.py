@@ -14,7 +14,10 @@ at the repository root holds the ``machine`` line of the first run and, per
 workload, every run's final JSON line, each side's attempted and failed
 operations, and for each end-to-end metric of BENCHMARK.json each side's
 median and interquartile range, the pairs each side won (a tie counts for
-neither) and a verdict.
+neither) and a verdict. With ``--claim WORKLOAD:METRIC`` (an end-to-end
+metric), the file also holds a top-level ``claim``: whether the change won at
+least 90% of that metric's pairs and its median beat the base's by more than
+the base's interquartile range.
 """
 
 from __future__ import annotations
@@ -81,6 +84,20 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return stats
 
 
+def claim(workload: str, metric: str, entry: dict) -> dict:
+    """The claim rule on one metric's summary entry: met when the change won
+    at least 90% of the pairs and the gap of the medians, positive when the
+    change reads better, exceeds the base's interquartile range."""
+    sign = 1 if entry["better"] == "higher" else -1
+    gap = (None if entry["base_median"] is None or entry["change_median"] is None
+           else sign * (entry["change_median"] - entry["base_median"]))
+    met = (gap is not None and entry["change_wins"] >= 0.9 * entry["pairs"]
+           and gap > entry["base_iqr"])
+    return {"workload": workload, "metric": metric, "pairs": entry["pairs"],
+            "change_wins": entry["change_wins"], "median_gap": gap,
+            "base_iqr": entry["base_iqr"], "met": met}
+
+
 def operations(pairs: list[dict]) -> dict:
     """Each side's attempted and failed operations over all its runs."""
     return {side: {key: sum(p[side][key] for p in pairs) for key in ("attempted", "failed")}
@@ -122,8 +139,17 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True, help="names BENCH_<pr>.json")
     parser.add_argument("--scratch", type=Path, required=True,
                         help="a directory for the two copies, created with its parents if missing")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="check the claim rule on one end-to-end metric of one workload")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition(":")
+        for kind, name, known in (("workload", workload, [w["name"] for w in bench["workloads"]]),
+                                  ("metric", metric, [m["name"] for m in bench["end_to_end"]])):
+            if name not in known:
+                parser.error(f"--claim: unknown {kind} {name!r}; BENCHMARK.json has "
+                             + ", ".join(known))
     revs, copies = {}, {}
     for side in SIDES:
         revs[side], copies[side] = extract(getattr(args, side), args.scratch)
@@ -143,6 +169,12 @@ def main(argv=None) -> int:
                              "end_to_end": summarize(pairs, bench["end_to_end"]), "pairs": pairs}
     doc = {"seconds": bench["run_seconds"], "base": revs["base"], "change": revs["change"],
            "machine": machine, "workloads": results}
+    if args.claim is not None:
+        doc["claim"] = claim(workload, metric, results[workload]["end_to_end"][metric])
+        c = doc["claim"]
+        print(f"claim {workload} {metric}: change better in {c['change_wins']} of {c['pairs']} "
+              f"pairs, median gap {c['median_gap']} against base IQR {c['base_iqr']}: "
+              + ("met" if c["met"] else "not met"))
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}")
