@@ -130,6 +130,25 @@ def test_unknown_claim_name_exits_2_before_any_extraction(tmp_path, capsys, clai
     assert not scratch.exists()
 
 
+def test_main_writes_the_claim_of_the_named_workload(tmp_path, monkeypatch, capsys):
+    # canned runs: the change is 5 ms faster on pubmed-jc only; the claim
+    # must read pubmed-jc's pairs, not the last workload's
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(pairs, "extract", lambda rev, scratch: (rev, Path(rev)))
+
+    def run_once(copy, workload, seed, seconds):
+        faster = 5.0 if (str(copy), workload) == ("change", "pubmed-jc") else 0.0
+        return line(epoch_ms=20.0 + seed - faster), {"cpu": "canned"}
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main(["--base", "base", "--change", "change", "--pr", "0",
+                       "--scratch", str(tmp_path), "--claim", "pubmed-jc:epoch_ms"]) == 0
+    doc = json.loads((tmp_path / "BENCH_0.json").read_text())
+    assert doc["claim"] == {"workload": "pubmed-jc", "metric": "epoch_ms", "pairs": 10,
+                            "change_wins": 10, "median_gap": 5.0, "base_iqr": 4.5, "met": True}
+    assert "claim pubmed-jc epoch_ms: change better in 10 of 10 pairs" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_committed_bench_file_parses_and_names_only_benchmark_metrics(path):
     doc = json.loads(path.read_text())

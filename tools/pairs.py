@@ -143,10 +143,11 @@ def main(argv=None) -> int:
                         help="check the claim rule on one end-to-end metric of one workload")
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if args.claim is not None:
-        workload, _, metric = args.claim.partition(":")
-        for kind, name, known in (("workload", workload, [w["name"] for w in bench["workloads"]]),
-                                  ("metric", metric, [m["name"] for m in bench["end_to_end"]])):
+    claimed = None if args.claim is None else args.claim.partition(":")[::2]
+    if claimed is not None:
+        for kind, name, known in zip(("workload", "metric"), claimed,
+                                     ([w["name"] for w in bench["workloads"]],
+                                      [m["name"] for m in bench["end_to_end"]])):
             if name not in known:
                 parser.error(f"--claim: unknown {kind} {name!r}; BENCHMARK.json has "
                              + ", ".join(known))
@@ -169,9 +170,9 @@ def main(argv=None) -> int:
                              "end_to_end": summarize(pairs, bench["end_to_end"]), "pairs": pairs}
     doc = {"seconds": bench["run_seconds"], "base": revs["base"], "change": revs["change"],
            "machine": machine, "workloads": results}
-    if args.claim is not None:
-        doc["claim"] = claim(workload, metric, results[workload]["end_to_end"][metric])
-        c = doc["claim"]
+    if claimed is not None:
+        workload, metric = claimed
+        doc["claim"] = c = claim(workload, metric, results[workload]["end_to_end"][metric])
         print(f"claim {workload} {metric}: change better in {c['change_wins']} of {c['pairs']} "
               f"pairs, median gap {c['median_gap']} against base IQR {c['base_iqr']}: "
               + ("met" if c["met"] else "not met"))
